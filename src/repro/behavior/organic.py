@@ -68,28 +68,20 @@ class OrganicActivityDriver:
         self.model = model
         self.params = params if params is not None else OrganicActivityParams()
         self._rng = rng
-        #: fast-path switch for the fused unliked-media pick
-        #: (:meth:`~repro.platform.mediastore.MediaStore.unliked_of`); the
-        #: naive branch keeps the per-media has_liked listcomp as the
-        #: oracle. Neither branch draws RNG, so the pick draw that follows
-        #: is identical either way.
-        self._fast = platform.fast_path
-        #: fast-path memo of the profile-filtered following list, keyed by
-        #: actor and validated by *identity* of the graph's following_view
-        #: array: the columnar graph drops the cached view object on any
-        #: mutation of that actor's out-row and builds a fresh one, so
+        #: memo of the profile-filtered following list, keyed by actor and
+        #: validated by *identity* of the graph's following_view array:
+        #: the columnar graph drops the cached view object on any mutation
+        #: of that actor's out-row and builds a fresh one, so
         #: ``entry_view is view`` proves the filtered list is current (the
         #: memo holds a reference to the old view, so its id cannot be
-        #: recycled). The reference graph returns a fresh tuple per call,
-        #: which would never match — the memo is fast-path only.
+        #: recycled)
         self._following_memo: dict[AccountId, tuple[object, list[AccountId]]] = {}
-        #: fast-path memo of ``account_attractiveness``, validated by
-        #: identity of the media store's cached ``media_of`` list (the
-        #: fast store returns the same object until the owner's media
-        #: change) plus the following count. The third input, profile
-        #: completeness, is set once at account creation and never
-        #: mutated afterwards, so those two cover every way the score can
-        #: move.
+        #: memo of ``account_attractiveness``, validated by identity of
+        #: the media store's cached ``media_of`` list (the store returns
+        #: the same object until the owner's media change) plus the
+        #: following count. The third input, profile completeness, is set
+        #: once at account creation and never mutated afterwards, so
+        #: those two cover every way the score can move.
         self._attr_memo: dict[AccountId, tuple[object, int, float]] = {}
         #: per-account (session, last-login-day) — one dict probe on the
         #: per-action hot path instead of two parallel dicts
@@ -161,7 +153,7 @@ class OrganicActivityDriver:
     # ------------------------------------------------------------------
 
     def _attractiveness(self, actor: AccountId) -> float:
-        """Fast-path ``account_attractiveness`` behind the identity memo."""
+        """``account_attractiveness`` behind the identity memo."""
         platform = self.platform
         media = platform.media.media_of(actor)
         following = platform.following_count(actor)
@@ -180,18 +172,13 @@ class OrganicActivityDriver:
         respond = self.model.respond
         propensity = profile.propensity
         affinity = profile.follow_on_like_affinity
-        fast = self._fast
         attractiveness_of = self._attractiveness
         for notification in notifications:
             actor = notification.actor
             if actor == account_id or not account_exists(actor):
                 continue
-            if fast:
-                attractiveness = attractiveness_of(actor)
-            else:
-                attractiveness = account_attractiveness(platform, actor)
             intents = respond(
-                notification.action_type, attractiveness, propensity, affinity
+                notification.action_type, attractiveness_of(actor), propensity, affinity
             )
             for intent in intents:
                 self._execute_response(account_id, actor, intent.response_type, profile)
@@ -212,14 +199,7 @@ class OrganicActivityDriver:
             ):
                 self.reciprocal_actions += 1
         elif response_type is ActionType.LIKE:
-            if self._fast:
-                media = self.platform.media.unliked_of(actor, responder)
-            else:
-                media = [
-                    m
-                    for m in self.platform.media.media_of(actor)
-                    if not self.platform.media.has_liked(m.media_id, responder)
-                ]
+            media = self.platform.media.unliked_of(actor, responder)
             if not media:
                 return
             choice = media[int(self._rng.integers(0, len(media)))]
@@ -253,14 +233,12 @@ class OrganicActivityDriver:
         actor_ids = self._actor_ids
         last = len(actor_ids) - 1
         platform = self.platform
-        account_exists = platform.account_exists
         profiles = self.population.profiles
         random = self._rng.random
         integers = self._rng.integers
         session_for = self._session_for
         perform = self._perform
         like_share = self.params.background_like_share
-        fast = self._fast
         unliked_of = platform.media.unliked_of
         following_view = platform.graph.following_view
         following_memo = self._following_memo
@@ -273,11 +251,9 @@ class OrganicActivityDriver:
             # Actors come from the population and targets from the
             # profile-filtered following list / population discovery, and
             # population accounts are never deleted (only honeypot
-            # accounts are, and they live outside ``profiles``), so both
-            # existence probes are vacuously true reads — the fast path
-            # skips them; the naive branch keeps them as the oracle.
-            if not fast and not account_exists(actor):
-                continue
+            # accounts are, and they live outside ``profiles``), so
+            # neither needs an existence probe.
+            #
             # Target pick: an account the actor would plausibly interact
             # with. Background engagement stays within the organic
             # population: the paper's honeypots measured a 0.0%
@@ -290,20 +266,15 @@ class OrganicActivityDriver:
             # hash-table iteration order is a function of its mutation
             # history, which a snapshot/restore cycle (repro.fleet) does
             # not preserve — the RNG-indexed pick below must see a
-            # reproducible ordering either way. The columnar graph serves
-            # the view from its cached sorted array (no copy); the
-            # reference graph sorts a fresh copy, matching the old
-            # frozenset+sorted() behaviour.
+            # reproducible ordering either way. The graph serves the view
+            # from its cached sorted array (no copy).
             view = following_view(actor)
-            if fast:
-                entry = following_memo.get(actor)
-                if entry is not None and entry[0] is view:
-                    following = entry[1]
-                else:
-                    following = [account for account in view if account in profiles]
-                    following_memo[actor] = (view, following)
+            entry = following_memo.get(actor)
+            if entry is not None and entry[0] is view:
+                following = entry[1]
             else:
                 following = [account for account in view if account in profiles]
+                following_memo[actor] = (view, following)
             target = None
             if following and random() < 0.7:
                 target = following[int(integers(0, len(following)))]
@@ -317,19 +288,12 @@ class OrganicActivityDriver:
                     if follower_count(candidate) >= min_followers:
                         target = candidate
                         break
-            if target is None or (not fast and not account_exists(target)):
+            if target is None:
                 continue
             profile = profiles[actor]
             session = session_for(actor)
             if random() < like_share:
-                if fast:
-                    media = unliked_of(target, actor)
-                else:
-                    media = [
-                        m
-                        for m in platform.media.media_of(target)
-                        if not platform.media.has_liked(m.media_id, actor)
-                    ]
+                media = unliked_of(target, actor)
                 if not media:
                     continue
                 choice = media[int(integers(0, len(media)))]

@@ -1,21 +1,21 @@
 """The canonical benchmark scenarios.
 
-Three scenarios cover the hot paths the indexed/incremental fast path
-(DESIGN.md "Performance architecture") was built for:
+The scenarios cover the hot paths of the indexed/incremental design
+(DESIGN.md "Performance architecture"). Each times the one production
+path; speedups are read against committed history, not an in-tree
+slow path:
 
 * ``tick_loop`` — raw simulation throughput (``Study.run_hours``) at
-  several population scales, timing-wheel fast path vs. the naive
-  reference loop.
+  several population scales.
 * ``sweep`` — attribution-sweep latency over a populated measurement
   window across the three classifier tiers: brute force over a
   materialized record list (the pre-index call pattern), the bucketed
   cold sweep over the indexed log, and the incremental sweep of an
   attached (streaming) classifier.
 * ``run_standard`` — wall time of the whole pipeline (honeypots →
-  signatures → measurement), fast path vs. naive.
-* ``world_build`` — ``Study(config)`` construction time, columnar
-  stores (DESIGN.md §11) vs. the set/list reference stores, up to 10x
-  the tiny preset's population.
+  signatures → measurement) at 1x and 10x the tiny preset's population.
+* ``world_build`` — ``Study(config)`` construction time on the columnar
+  stores (DESIGN.md §11), up to 10x the tiny preset's population.
 * ``fleet`` — the :mod:`repro.fleet` replication runner: a seeds ×
   intervention-arms sweep run serially with every replica rebuilding its
   prefix, vs. pooled with the world-snapshot prefix cache. The derived
@@ -33,8 +33,8 @@ Each scenario returns one schema-versioned payload
 CI-friendly seconds while exercising every code path.
 
 Every payload embeds an ``observability`` key — the ``repro.obs``
-metrics snapshot of a representative timed study (the last fast-path
-study the scenario built) — so the timing numbers carry their
+metrics snapshot of a representative timed study (the last study the
+scenario built) — so the timing numbers carry their
 explanatory context: index hit rates, sweep-tier counts, scheduler
 park/wake behavior.
 """
@@ -50,7 +50,6 @@ from repro.bench.harness import (
     Stats,
     peak_rss_kb,
     summarize,
-    time_interleaved,
     time_repeated,
 )
 from repro.bench.schema import SCHEMA_VERSION
@@ -133,10 +132,6 @@ def _envelope(
     return payload
 
 
-def _mode_label(fast: bool) -> str:
-    return "fast" if fast else "naive"
-
-
 # ----------------------------------------------------------------------
 # tick_loop — simulation throughput at several population scales
 # ----------------------------------------------------------------------
@@ -146,32 +141,23 @@ def bench_tick_loop(smoke: bool, workers: int = 1) -> dict:
     hours = 24 if smoke else 48
     warmup, repetitions = (0, 1) if smoke else (1, 3)
     results = []
-    built: dict[bool, Study] = {}
+    built: list[Study] = []
     for size in sizes:
-        def make_case(fast: bool, size: int = size) -> Callable[[], object]:
+        def make_case(size: int = size) -> Callable[[], object]:
             base = StudyConfig.tiny(seed=BENCH_SEED)
-            config = replace(
-                base,
-                fast_path=fast,
-                population=replace(base.population, size=size),
-            )
-            study = Study(config)
-            built[fast] = study
+            study = Study(replace(base, population=replace(base.population, size=size)))
+            built[:] = [study]  # keep only the latest for the obs snapshot
             return lambda: study.run_hours(hours)
 
-        cases = {
-            _mode_label(fast): (lambda fast=fast: make_case(fast)) for fast in (True, False)
-        }
-        for label, samples in time_interleaved(cases, warmup, repetitions).items():
-            stats = summarize(samples, warmup)
-            results.append(
-                {
-                    "name": f"population-{size}-{label}",
-                    "stats": stats.as_dict(),
-                    "ticks_per_s": hours / stats.mean_s,
-                    "peak_rss_kb": peak_rss_kb(),
-                }
-            )
+        stats = summarize(time_repeated(make_case, warmup, repetitions), warmup)
+        results.append(
+            {
+                "name": f"population-{size}",
+                "stats": stats.as_dict(),
+                "ticks_per_s": hours / stats.mean_s,
+                "peak_rss_kb": peak_rss_kb(),
+            }
+        )
     settings = {
         "seed": BENCH_SEED,
         "population_sizes": list(sizes),
@@ -179,7 +165,7 @@ def bench_tick_loop(smoke: bool, workers: int = 1) -> dict:
     }
     return _envelope(
         "tick_loop", smoke, settings, results,
-        observability=built[True].obs.metrics.snapshot(),
+        observability=built[-1].obs.metrics.snapshot(),
     )
 
 
@@ -212,8 +198,8 @@ def bench_sweep(smoke: bool, workers: int = 1) -> dict:
         return lambda: classifier.sweep(log, start_tick, end_tick)
 
     def incremental_case() -> Callable[[], object]:
-        # the study's own classifier streams from the log (fast path), so
-        # this is the repeated-sweep pattern of the intervention phases
+        # the study's own classifier streams from the log, so this is
+        # the repeated-sweep pattern of the intervention phases
         classifier = study.classifier
         assert classifier is not None and classifier.attached_log is log
         return lambda: classifier.sweep(log, start_tick, end_tick)
@@ -256,75 +242,37 @@ def bench_sweep(smoke: bool, workers: int = 1) -> dict:
 
 
 # ----------------------------------------------------------------------
-# run_standard — the whole pipeline, fast path vs. naive
+# run_standard — the whole pipeline at 1x and 10x population
 # ----------------------------------------------------------------------
 
 def bench_run_standard(smoke: bool, workers: int = 1) -> dict:
-    """Time the whole pipeline fast vs naive at 1x and 10x population.
+    """Time the whole pipeline at 1x and 10x population.
 
     Full mode runs two scales of the tiny preset: the preset's own
-    population (260) and a 10x variant (2600). The 10x pair is the
-    headline ``speedup_fast_vs_naive`` — it demonstrates the scaled
-    acceptance claim directly: the fast path runs a standard study at
-    ten times today's population inside the wall-clock the reference
-    path needs for the same world. Smoke mode keeps the single-scale
-    shortened pipeline.
+    population (260) and a 10x variant (2600). Smoke mode keeps the
+    single-scale shortened pipeline.
     """
     sizes = (260,) if smoke else (260, 2600)
-    # 5 repetitions in full mode: the fast-vs-naive separation here is a
-    # few percent, so the min-of-N estimator needs enough samples for
-    # both minima (and their runner-ups) to settle below that separation
     warmup, repetitions = (0, 1) if smoke else (1, 5)
     results = []
-    speedups: dict[int, dict] = {}
-    built: dict[bool, Study] = {}
+    built: list[Study] = []
     for size in sizes:
-        def make_case(fast: bool, size: int = size) -> Callable[[], object]:
+        def make_case(size: int = size) -> Callable[[], object]:
             config = StudyConfig.tiny(seed=BENCH_SEED)
             if smoke:
                 config = replace(config, honeypot_days=2, measurement_days=2)
-            config = replace(
-                config,
-                fast_path=fast,
-                population=replace(config.population, size=size),
-            )
-            study = Study(config)
-            built[fast] = study
+            study = Study(replace(config, population=replace(config.population, size=size)))
+            built[:] = [study]  # keep only the latest for the obs snapshot
             return lambda: study.run_standard()
 
-        cases = {
-            _mode_label(fast): (lambda fast=fast: make_case(fast)) for fast in (True, False)
-        }
-        stats_by_mode: dict[str, Stats] = {}
-        for label, samples in time_interleaved(cases, warmup, repetitions).items():
-            stats = summarize(samples, warmup)
-            stats_by_mode[label] = stats
-            results.append(
-                {
-                    "name": f"run-standard-pop{size}-{label}",
-                    "stats": stats.as_dict(),
-                    "peak_rss_kb": peak_rss_kb(),
-                }
-            )
-        speedups[size] = _speedup(stats_by_mode["naive"], stats_by_mode["fast"])
-    headline_size = max(sizes)
-    derived: dict = {
-        f"speedup_fast_vs_naive_pop{headline_size}": speedups[headline_size],
-        #: the headline (and the scaled acceptance claim): the largest scale
-        "speedup_fast_vs_naive": speedups[headline_size],
-    }
-    # At the preset's own scale the fast/naive separation sits inside
-    # run-to-run jitter (noise_cv ~ 0.1 on a shared runner), so the
-    # small-population ratios are context, not gated claims: nesting them
-    # under ``informational`` keeps them out of the top-level
-    # ``speedup_*`` namespace the CI noise-floor gate scans.
-    informational = {
-        f"speedup_fast_vs_naive_pop{size}": entry
-        for size, entry in speedups.items()
-        if size != headline_size
-    }
-    if informational:
-        derived["informational"] = informational
+        stats = summarize(time_repeated(make_case, warmup, repetitions), warmup)
+        results.append(
+            {
+                "name": f"run-standard-pop{size}",
+                "stats": stats.as_dict(),
+                "peak_rss_kb": peak_rss_kb(),
+            }
+        )
     settings = {
         "seed": BENCH_SEED,
         "preset": "tiny",
@@ -332,51 +280,43 @@ def bench_run_standard(smoke: bool, workers: int = 1) -> dict:
         "scaled_population_multiple": max(sizes) / 260,
     }
     return _envelope(
-        "run_standard", smoke, settings, results, derived,
-        observability=built[True].obs.metrics.snapshot(),
+        "run_standard", smoke, settings, results,
+        observability=built[-1].obs.metrics.snapshot(),
     )
 
 
 # ----------------------------------------------------------------------
-# world_build — Study construction, columnar stores vs reference stores
+# world_build — Study construction on the columnar stores
 # ----------------------------------------------------------------------
 
 #: the world_build wiring knobs: a follower-graph-heavy population.
-#: The tiny preset's default build is ~85% profile/media synthesis —
-#: work both store modes share — so at default degrees the store
-#: difference drowns in mode-independent cost. Raising the out-degree
-#: median (40 → 200) and thinning media per account shifts the build's
-#: weight onto graph wiring, the work the columnar stores actually
-#: change, without touching what the stores are asked to do per edge.
+#: The tiny preset's default build is ~85% profile/media synthesis, so
+#: at default degrees graph wiring is a small share of the build.
+#: Raising the out-degree median (40 → 200) and thinning media per
+#: account shifts the build's weight onto graph wiring, the work the
+#: columnar stores do.
 _BUILD_DEGREE_MEDIAN = 200.0
 _BUILD_MEDIA_PER_ACCOUNT = (2, 6)
 
 
 def bench_world_build(smoke: bool, workers: int = 1) -> dict:
-    """Time world construction (``Study(config)``) fast vs naive.
+    """Time world construction (``Study(config)``).
 
-    The build is where the columnar graph's ``bulk_follow_new`` wiring
-    (one ``dict.fromkeys`` row per account + flat CSR edge columns) pays
-    off against the per-edge set-insert reference path. The workload is
-    deliberately wiring-heavy (see the module-level knobs above): it
-    times the store-differentiated part of the build rather than the
-    mode-independent synthesis that dominates the default preset. The
-    largest full-mode size (2600) is 10x the tiny preset's population —
-    the scale where the columnar advantage clears the noise floor
-    decisively; smoke mode uses the mid size for the same reason (at 260
-    the store difference is inside jitter on a busy CI runner).
+    The build is dominated by the columnar graph's ``bulk_follow_new``
+    wiring (one ``dict.fromkeys`` row per account + flat CSR edge
+    columns) on this deliberately wiring-heavy workload (see the
+    module-level knobs above). The largest full-mode size (2600) is 10x
+    the tiny preset's population.
     """
     sizes = (900,) if smoke else (260, 900, 2600)
     warmup, repetitions = (1, 3) if smoke else (1, 5)
     results = []
-    speedups: dict[int, dict] = {}
-    built: dict[bool, Study] = {}
+    built: list[Study] = []
     for size in sizes:
-        def make_case(fast: bool, size: int = size) -> Callable[[], object]:
+        def make_case(size: int = size) -> Callable[[], object]:
             base = StudyConfig.tiny(seed=BENCH_SEED)
             config = replace(
                 base,
-                fast_path=fast,
                 population=replace(
                     base.population,
                     size=size,
@@ -384,30 +324,21 @@ def bench_world_build(smoke: bool, workers: int = 1) -> dict:
                     media_per_account=_BUILD_MEDIA_PER_ACCOUNT,
                 ),
             )
-            return lambda: built.__setitem__(fast, Study(config))
 
-        cases = {
-            _mode_label(fast): (lambda fast=fast: make_case(fast)) for fast in (True, False)
-        }
-        stats_by_mode: dict[str, Stats] = {}
-        for label, samples in time_interleaved(cases, warmup, repetitions).items():
-            stats = summarize(samples, warmup)
-            stats_by_mode[label] = stats
-            results.append(
-                {
-                    "name": f"population-{size}-{label}",
-                    "stats": stats.as_dict(),
-                    "accounts_per_s": size / stats.mean_s,
-                    "peak_rss_kb": peak_rss_kb(),
-                }
-            )
-        speedups[size] = _speedup(stats_by_mode["naive"], stats_by_mode["fast"])
-    derived: dict = {
-        f"speedup_columnar_vs_naive_pop{size}": entry
-        for size, entry in speedups.items()
-    }
-    #: the headline number (and CI's noise-floor gate): the largest size
-    derived["speedup_columnar_vs_naive"] = speedups[max(sizes)]
+            def build() -> None:
+                built[:] = [Study(config)]
+
+            return build
+
+        stats = summarize(time_repeated(make_case, warmup, repetitions), warmup)
+        results.append(
+            {
+                "name": f"population-{size}",
+                "stats": stats.as_dict(),
+                "accounts_per_s": size / stats.mean_s,
+                "peak_rss_kb": peak_rss_kb(),
+            }
+        )
     settings = {
         "seed": BENCH_SEED,
         "population_sizes": list(sizes),
@@ -417,8 +348,8 @@ def bench_world_build(smoke: bool, workers: int = 1) -> dict:
         "media_per_account": list(_BUILD_MEDIA_PER_ACCOUNT),
     }
     return _envelope(
-        "world_build", smoke, settings, results, derived,
-        observability=built[True].obs.metrics.snapshot(),
+        "world_build", smoke, settings, results,
+        observability=built[-1].obs.metrics.snapshot(),
     )
 
 

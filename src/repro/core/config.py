@@ -131,11 +131,6 @@ class StudyConfig:
     #: Instalex's curated recipient list: the share of its like targets
     #: drawn from the curated pool rather than ordinary targeting
     curated_mix_fraction: float = 0.7
-    #: run the indexed/incremental hot paths: timing-wheel agent
-    #: scheduling in Study.tick and streaming log attribution. Results
-    #: are bit-identical either way (test-enforced); False keeps the
-    #: naive reference loops for equivalence testing and debugging.
-    fast_path: bool = True
     #: collect repro.obs telemetry (metrics + tick-pinned phase spans).
     #: Telemetry is write-only — simulation results are bit-identical
     #: either way (test-enforced); False skips instrument registration

@@ -11,12 +11,11 @@ clientele and organic drivers, the service engines) must report
 ``now + 1`` — skipping them would change the draw sequence and perturb
 the seeded results. Only agents whose idle tick is verifiably a no-op
 (no RNG, no platform calls) may park themselves; the collusion-honeypot
-driver is the canonical example. The equivalence test in
-``tests/test_core_fastpath_equivalence.py`` enforces that the wheel and
-the naive loop produce bit-identical studies.
+driver is the canonical example. The golden-digest suite in
+``tests/test_core_fastpath_equivalence.py`` pins the seeded study these
+rules produce.
 
-Within a tick, due agents always run in registration order, which the
-study keeps identical to the naive loop's visit order.
+Within a tick, due agents always run in registration order.
 
 ``core.scheduler.agent_runs`` — one increment per agent actually run —
 doubles as the scheduler's work unit for the cost profiler

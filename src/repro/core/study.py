@@ -110,9 +110,7 @@ class Study:
         self.clock = SimClock()
         self.obs.bind_tick_source(lambda: self.clock.now)
         with self.obs.span("build-world", seed=config.seed, population=config.population.size):
-            self.platform = InstagramPlatform(
-                self.clock, obs=self.obs, fast_path=config.fast_path
-            )
+            self.platform = InstagramPlatform(self.clock, obs=self.obs)
             self.registry = ASNRegistry()
             self.fabric = NetworkFabric(self.registry, self.seeds.get("fabric"))
             self.geoip = GeoIP(self.registry)
@@ -134,7 +132,7 @@ class Study:
             self.reciprocation_results: list[ReciprocationResult] = []
             self.measurement_start: int | None = None
             self.measurement_end: int | None = None
-            self._wheel = self._build_wheel() if config.fast_path else None
+            self._wheel = self._build_wheel()
 
     # ------------------------------------------------------------------
     # Snapshot support (repro.fleet prefix reuse)
@@ -343,11 +341,11 @@ class Study:
     # ------------------------------------------------------------------
 
     def _build_wheel(self) -> TimingWheel:
-        """Register every per-tick agent, in the naive loop's visit order.
+        """Register every per-tick agent, in the world's visit order.
 
-        Registration order is the wheel's tie-break within a tick, so the
-        fast path runs agents in exactly the order :meth:`tick`'s
-        reference loop would — a prerequisite for bit-identical results.
+        Registration order is the wheel's tie-break within a tick: the
+        clientele drivers, the collusion-honeypot driver, the services,
+        then organic traffic. Changing it changes seeded results.
         """
         wheel = TimingWheel(obs=self.obs, run_scope=self.platform.action_batch)
         for name, driver in self.clientele.items():
@@ -378,33 +376,21 @@ class Study:
         return NEVER
 
     def _wake_collusion(self) -> None:
-        if self._wheel is not None:
-            self._wheel.wake("collusion-honeypots", self.clock.now)
+        self._wheel.wake("collusion-honeypots", self.clock.now)
 
     def tick(self) -> None:
         """One simulated hour of the whole world."""
-        if self._wheel is not None:
-            self._wheel.run_due(self.clock.now)
-        else:
-            for driver in self.clientele.values():
-                driver.tick()
-            self._drive_collusion_honeypots()
-            for service in self.services.values():
-                service.tick()
-            self.organic.tick()
+        self._wheel.run_due(self.clock.now)
         self.clock.advance(1)
 
     def run_hours(self, hours: int) -> None:
-        if self._wheel is not None and hours > 0:
+        if hours > 0:
             # batched stepping: one wheel call drains all `hours` tick
             # buckets (same per-tick work as tick(), minus the Python
             # call overhead of re-entering tick/run_due per hour)
             self._wheel.run_window(
                 self.clock.now, hours, lambda: self.clock.advance(1)
             )
-            return
-        for _ in range(hours):
-            self.tick()
 
     def run_days(self, days_: int) -> None:
         self.run_hours(days_ * 24)
@@ -529,16 +515,15 @@ class Study:
     def _set_classifier(self, classifier: AASClassifier) -> None:
         """Install a classifier, managing the streaming attachment.
 
-        On the fast path the classifier observes every future log append,
-        so repeated sweeps (interventions, the epilogue) are incremental
+        The classifier observes every future log append, so repeated
+        sweeps (interventions, the epilogue) are incremental
         instead of rescanning the full log; replacing the classifier
         (signature relearning) must detach the old observer first.
         """
         if self.classifier is not None and self.classifier.attached_log is not None:
             self.classifier.detach()
         self.classifier = classifier
-        if self.config.fast_path:
-            classifier.attach(self.platform.log)
+        classifier.attach(self.platform.log)
 
     def teardown_honeypots(self) -> int:
         """Delete all honeypots (the paper's post-measurement cleanup)."""

@@ -14,8 +14,8 @@ Rule families:
          observers; imports point strictly down the layer stack
 ``API``  randomness injection — analysis/detection/interventions accept
          ``rng``/``seeds`` parameters instead of minting generators;
-         the whole-program half (API003/API004) taint-checks RNG
-         provenance and fast/naive draw parity across modules
+         the whole-program half (API003) taint-checks RNG provenance
+         across modules
 ``SNAP`` spawn/pickle safety (whole-program) — everything on the fleet
          spawn surface stays module-level, name-resolvable, and
          ``__getstate__``-consistent

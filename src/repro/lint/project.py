@@ -10,10 +10,9 @@ view of the *whole* package. This module builds that view:
   JSON-serializable :class:`ModuleFacts` record: an import-resolution
   table, module-level symbol table, an approximate call graph, class /
   attribute maps, and pre-located *sites* (potential RNG bindings, obs
-  state reads, ``fast_path``-conditional draws, fleet spawn-surface
-  values) that the project rules in :mod:`repro.lint.rules.taint`,
-  :mod:`repro.lint.rules.snap`, and :mod:`repro.lint.rules.obs` judge
-  with cross-module knowledge.
+  state reads, fleet spawn-surface values) that the project rules in
+  :mod:`repro.lint.rules.taint`, :mod:`repro.lint.rules.snap`, and
+  :mod:`repro.lint.rules.obs` judge with cross-module knowledge.
 * :class:`IndexCache` persists those records on disk keyed by file
   content digest, so the tier-1 zero-findings gate pays the AST walk
   only for files that actually changed (hit/miss/parse counts are
@@ -45,7 +44,7 @@ from repro.obs.facade import NULL_OBS, Observability
 
 #: bumped whenever ModuleFacts' serialized shape changes incompatibly;
 #: a cache written by another version is ignored wholesale, never trusted
-INDEX_SCHEMA_VERSION = 3
+INDEX_SCHEMA_VERSION = 4
 
 #: default on-disk location of the incremental index cache
 DEFAULT_CACHE_PATH = ".repro_lint_cache.json"
@@ -66,27 +65,6 @@ RNG_CONSTRUCTORS = frozenset(
 #: module's ``RNG_ROOTS`` declaration at index time
 DEFAULT_RNG_ROOT_NAMES = ("derive_rng", "SeedSequenceFactory")
 
-#: generator methods that advance RNG stream state (used by API004)
-RNG_DRAW_METHODS = frozenset(
-    {
-        "random",
-        "integers",
-        "choice",
-        "shuffle",
-        "permutation",
-        "permuted",
-        "normal",
-        "standard_normal",
-        "uniform",
-        "poisson",
-        "exponential",
-        "binomial",
-        "geometric",
-        "beta",
-        "gamma",
-        "bytes",
-    }
-)
 
 #: obs facade methods that *create* instruments (write handles)
 _INSTRUMENT_FACTORIES = frozenset({"counter", "gauge", "histogram"})
@@ -180,16 +158,6 @@ class RngSite:
 
 
 @dataclass(frozen=True)
-class FastPathSite:
-    """One ``fast_path``-conditional with the draw sequence per branch."""
-
-    line: int
-    col: int
-    fast_draws: Tuple[str, ...]
-    naive_draws: Tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class ObsReadSite:
     """A read of metrics/tracer state. ``attr`` empty = locally proven;
     otherwise the receiver attribute name, confirmed against the
@@ -233,7 +201,6 @@ class ModuleFacts:
     #: approximate call graph: caller qualname -> resolved callees
     calls: Dict[str, List[str]] = field(default_factory=dict)
     rng_sites: List[RngSite] = field(default_factory=list)
-    fastpath_sites: List[FastPathSite] = field(default_factory=list)
     obs_reads: List[ObsReadSite] = field(default_factory=list)
     spawn_sites: List[SpawnSite] = field(default_factory=list)
     #: line (as str for JSON round-tripping) -> suppressed rule ids
@@ -283,15 +250,6 @@ class ModuleFacts:
             },
             "calls": {k: list(v) for k, v in sorted(self.calls.items())},
             "rng_sites": [vars(site) for site in self.rng_sites],
-            "fastpath_sites": [
-                {
-                    "line": s.line,
-                    "col": s.col,
-                    "fast_draws": list(s.fast_draws),
-                    "naive_draws": list(s.naive_draws),
-                }
-                for s in self.fastpath_sites
-            ],
             "obs_reads": [vars(site) for site in self.obs_reads],
             "spawn_sites": [vars(site) for site in self.spawn_sites],
             "suppressions": {k: list(v) for k, v in sorted(self.suppressions.items())},
@@ -344,15 +302,6 @@ class ModuleFacts:
             classes=classes,
             calls={k: list(v) for k, v in dict(data.get("calls", {})).items()},  # type: ignore[arg-type]
             rng_sites=[RngSite(**site) for site in data.get("rng_sites", [])],  # type: ignore[arg-type, union-attr]
-            fastpath_sites=[
-                FastPathSite(
-                    line=int(s["line"]),
-                    col=int(s["col"]),
-                    fast_draws=tuple(s["fast_draws"]),
-                    naive_draws=tuple(s["naive_draws"]),
-                )
-                for s in data.get("fastpath_sites", [])  # type: ignore[union-attr, index, call-overload, arg-type]
-            ],
             obs_reads=[ObsReadSite(**site) for site in data.get("obs_reads", [])],  # type: ignore[arg-type, union-attr]
             spawn_sites=[SpawnSite(**site) for site in data.get("spawn_sites", [])],  # type: ignore[arg-type, union-attr]
             suppressions={
@@ -453,16 +402,6 @@ class _ModuleExtractor:
             return False
         resolved = self._resolve_expr(node.func)
         return resolved in RNG_CONSTRUCTORS or resolved in self._rng_root_names()
-
-    def _is_rng_receiver(self, node: ast.expr, rng_vars: set[str]) -> bool:
-        """Whether a draw-call receiver plausibly holds an RNG."""
-        segments = _attr_segments(node)
-        if not segments:
-            return False
-        terminal = segments[-1]
-        if terminal in rng_vars and len(segments) == 1:
-            return True
-        return terminal == "rng" or terminal.endswith("_rng") or terminal.endswith("rng")
 
     # -- obs-expression classification --------------------------------------
 
@@ -806,8 +745,8 @@ class _ModuleExtractor:
     def _constructor_calls(self, value: ast.expr) -> List[ast.Call]:
         """Direct constructor-looking calls in an assigned expression.
 
-        Covers plain calls and conditional expressions (the columnar /
-        naive twin selection pattern: ``A() if fast else B()``).
+        Covers plain calls and conditional expressions
+        (``A() if flag else B()``).
         """
         if isinstance(value, ast.Call):
             return [value]
@@ -823,7 +762,7 @@ class _ModuleExtractor:
                     return True
         return False
 
-    # -- expression scanning (calls, obs reads, fast_path, spawn sites) ------
+    # -- expression scanning (calls, obs reads, spawn sites) ----------------
 
     def _scan_expressions(
         self,
@@ -863,10 +802,6 @@ class _ModuleExtractor:
                             obs_vars.add(target.id)
             elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
                 self._maybe_record_obs_attr_read(sub, obs_vars)
-            elif isinstance(sub, ast.If):
-                self._maybe_record_fastpath(sub, rng_vars)
-            elif isinstance(sub, ast.IfExp):
-                self._maybe_record_fastpath_expr(sub, rng_vars)
 
     def _is_obs_source(self, value: ast.expr, obs_vars: set[str]) -> bool:
         if isinstance(value, ast.Call):
@@ -929,77 +864,6 @@ class _ModuleExtractor:
                     col=node.col_offset,
                     expr=".".join(segments + ["records"]),
                     attr="",
-                )
-            )
-
-    # -- fast_path twin-draw extraction --------------------------------------
-
-    @staticmethod
-    def _test_mentions_fast_path(test: ast.expr) -> Optional[bool]:
-        """None if the test is fast_path-free; else True when the *body*
-        is the fast branch (False when the test is negated)."""
-        inverted = False
-        inner = test
-        while isinstance(inner, ast.UnaryOp) and isinstance(inner.op, ast.Not):
-            inverted = not inverted
-            inner = inner.operand
-        for sub in ast.walk(inner):
-            if isinstance(sub, ast.Name) and sub.id == "fast_path":
-                return not inverted
-            if isinstance(sub, ast.Attribute) and sub.attr == "fast_path":
-                return not inverted
-        return None
-
-    def _collect_draws(self, nodes: List[ast.stmt], rng_vars: set[str]) -> List[str]:
-        draws: List[str] = []
-
-        def visit(node: ast.AST) -> None:
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, ast.Call):
-                    func = child.func
-                    if (
-                        isinstance(func, ast.Attribute)
-                        and func.attr in RNG_DRAW_METHODS
-                        and self._is_rng_receiver(func.value, rng_vars)
-                    ):
-                        draws.append(func.attr)
-                visit(child)
-
-        for stmt in nodes:
-            visit(stmt)
-        return draws
-
-    def _maybe_record_fastpath(self, node: ast.If, rng_vars: set[str]) -> None:
-        body_is_fast = self._test_mentions_fast_path(node.test)
-        if body_is_fast is None:
-            return
-        body_draws = self._collect_draws(node.body, rng_vars)
-        orelse_draws = self._collect_draws(node.orelse, rng_vars)
-        fast, naive = (body_draws, orelse_draws) if body_is_fast else (orelse_draws, body_draws)
-        if fast or naive:
-            self.facts.fastpath_sites.append(
-                FastPathSite(
-                    line=node.lineno,
-                    col=node.col_offset,
-                    fast_draws=tuple(fast),
-                    naive_draws=tuple(naive),
-                )
-            )
-
-    def _maybe_record_fastpath_expr(self, node: ast.IfExp, rng_vars: set[str]) -> None:
-        body_is_fast = self._test_mentions_fast_path(node.test)
-        if body_is_fast is None:
-            return
-        body_draws = self._collect_draws([ast.Expr(value=node.body)], rng_vars)
-        orelse_draws = self._collect_draws([ast.Expr(value=node.orelse)], rng_vars)
-        fast, naive = (body_draws, orelse_draws) if body_is_fast else (orelse_draws, body_draws)
-        if fast or naive:
-            self.facts.fastpath_sites.append(
-                FastPathSite(
-                    line=node.lineno,
-                    col=node.col_offset,
-                    fast_draws=tuple(fast),
-                    naive_draws=tuple(naive),
                 )
             )
 
@@ -1349,9 +1213,7 @@ __all__ = [
     "DEFAULT_CACHE_PATH",
     "INDEX_SCHEMA_VERSION",
     "RNG_CONSTRUCTORS",
-    "RNG_DRAW_METHODS",
     "ClassFacts",
-    "FastPathSite",
     "FunctionFacts",
     "IndexCache",
     "ModuleFacts",

@@ -3,7 +3,7 @@
 Per-file rules register by being listed in their family module's tuple;
 the registry concatenates the families in report order (DET, ARCH, API,
 OBS). Whole-program rules (phase two of the analyzer) live in a parallel
-registry — TAINT (API003/004), SNAP, and the cross-module OBS rule — and
+registry — TAINT (API003), SNAP, and the cross-module OBS rule — and
 run only under ``--whole-program`` because they need the project index.
 ``--select`` on the CLI and the ``rules=`` arguments of the engine
 accept any subset of either registry's ids.

@@ -1,19 +1,15 @@
-"""API taint rules: RNG values must flow from sanctioned injection roots.
+"""API taint rule: RNG values must flow from sanctioned injection roots.
 
 The determinism contract (DESIGN.md §2, §12) is that every generator in
 the system descends from a seeded ``SeedSequenceFactory`` lineage out of
 ``repro.util.rng`` — so replaying a seed replays the study bit-for-bit.
 The per-file rules catch the *syntactic* spellings of ambient RNG
-(``np.random.seed``, wall-clock seeding); these project rules catch the
-*dataflow* leaks the syntax check cannot see:
-
-* API003 — an RNG minted by an unsanctioned constructor, laundered into
-  a module global, or frozen into a default argument. Module globals and
-  defaults are evaluated at import time, outside any seed lineage, and
-  shared across studies — the canonical way replays diverge.
-* API004 — a ``fast_path`` conditional whose branches draw from the RNG
-  in different sequences. The fast/naive twins must consume the stream
-  identically or the equivalence suite's byte-identity claim is void.
+(``np.random.seed``, wall-clock seeding); this project rule catches the
+*dataflow* leaks the syntax check cannot see. API003 flags an RNG
+minted by an unsanctioned constructor, laundered into a module global,
+or frozen into a default argument. Module globals and defaults are
+evaluated at import time, outside any seed lineage, and shared across
+studies — the canonical way replays diverge.
 
 Judgments use the project index's RNG-returning fixpoint, so laundering
 through a helper (``def make(): return derive_rng(...)`` assigned at
@@ -96,32 +92,4 @@ class RngProvenanceRule(ProjectRule):
                         )
 
 
-class FastPathDrawParityRule(ProjectRule):
-    """API004 — fast/naive branches must consume the RNG stream identically."""
-
-    rule_id: ClassVar[str] = "API004"
-    summary: ClassVar[str] = (
-        "rng draws inside fast_path-conditional branches must match the "
-        "naive twin's draw sequence exactly, or the fast/naive byte-identity "
-        "equivalence breaks"
-    )
-
-    def check_project(self, index: "ProjectIndex") -> Iterator[Finding]:
-        for facts in index.iter_repro_modules():
-            for site in facts.fastpath_sites:
-                if site.fast_draws == site.naive_draws:
-                    continue
-                fast = ", ".join(site.fast_draws) or "<none>"
-                naive = ", ".join(site.naive_draws) or "<none>"
-                yield self.finding(
-                    facts.path,
-                    site.line,
-                    site.col,
-                    "fast_path branch draws from the rng in a different "
-                    f"sequence than its naive twin (fast: {fast}; naive: "
-                    f"{naive}); both paths must advance the stream "
-                    "identically to keep fast/naive outputs byte-identical",
-                )
-
-
-TAINT_RULES: tuple[type[ProjectRule], ...] = (RngProvenanceRule, FastPathDrawParityRule)
+TAINT_RULES: tuple[type[ProjectRule], ...] = (RngProvenanceRule,)

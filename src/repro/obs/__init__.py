@@ -35,7 +35,7 @@ fixes this without perturbing determinism:
 Telemetry is strictly write-only from the simulation's perspective:
 nothing in this package is ever read back by simulation code, which is
 why obs-on and obs-off runs are bit-identical (test-enforced by the
-fast-path equivalence suite).
+golden-digest suite, ``tests/test_core_fastpath_equivalence.py``).
 """
 
 from __future__ import annotations

@@ -15,20 +15,16 @@ ticks are non-decreasing and the bisect fast path applies; a log built
 with out-of-order ticks (possible when tests append synthetic records)
 degrades transparently to the brute-force filters.
 
-The log has two storage modes behind one API (DESIGN.md §11 "Columnar
-world core"):
+Storage is columnar (DESIGN.md §11 "Columnar world core"): rows live
+in :class:`~repro.platform.columns.ActionColumns` (parallel stdlib
+``array`` vectors + interned endpoint table), indices are ``array('q')``
+vectors, signature buckets key on interned ids resolved through an
+``(endpoint id, type code)`` fast map instead of hashing a tuple per
+append, and query results materialize transient
+:class:`~repro.platform.columns.ActionView` flyweights.
 
-* **reference** (default) — a ``list[ActionRecord]`` plus list-backed
-  indices, the bit-equivalence oracle.
-* **columnar** (``columnar=True``, selected by the platform's fast
-  path) — rows live in :class:`~repro.platform.columns.ActionColumns`
-  (parallel stdlib ``array`` vectors + interned endpoint table), indices
-  are ``array('q')`` vectors, signature buckets key on interned ids
-  resolved through an ``(endpoint id, type code)`` fast map instead of
-  hashing a tuple per append, and query results materialize transient
-  :class:`~repro.platform.columns.ActionView` flyweights.
-
-Query results are bit-identical across modes (property-tested in
+Query results are bit-identical to the brute-force list-scan log in
+``tests/oracles/actionlog.py`` (property-tested in
 ``tests/test_platform_columnar_log.py``): same ids, same field values,
 same ordering, including the out-of-order-append fallback paths.
 """
@@ -37,7 +33,6 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections import defaultdict
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from repro.netsim.client import ClientEndpoint
@@ -59,8 +54,8 @@ from repro.platform.models import (
 #: a signature-bucket key: (ASN, action type, client fingerprint variant)
 SignatureKey = tuple[int, ActionType, str]
 
-#: what the log hands back: real records in reference mode, column-backed
-#: flyweights in columnar mode — field-compatible by construction
+#: what the log hands back: column-backed flyweights, field-compatible
+#: with :class:`ActionRecord` by construction
 StoredAction = Union[ActionRecord, ActionView]
 
 #: one pending batch row — the positional argument list of
@@ -83,7 +78,7 @@ def _window(
 class ActionLog:
     """Append-only action store with tick/actor/target/signature indices."""
 
-    def __init__(self, obs: Observability | None = None, columnar: bool = False):
+    def __init__(self, obs: Observability | None = None):
         _obs = obs if obs is not None else NULL_OBS
         self._obs_appends = _obs.counter("platform.actionlog.appends")
         #: window queries answered by the bisect indices vs. ones that fell
@@ -102,50 +97,23 @@ class ActionLog:
         #: scalar observer -> its bulk implementation, when it has one
         self._batch_impls: dict[Callable[[StoredAction], None], Callable] = {}
         self._monotonic = True
-        self._columnar = columnar
-        if columnar:
-            self._cols: ActionColumns | None = ActionColumns(obs=_obs)
-            self._records: list[ActionRecord] | None = None
-            #: the bisect index IS the tick column — zero duplication
-            self._ticks = self._cols.ticks
-            self._by_actor: dict[AccountId, array] = {}
-            self._by_actor_ticks: dict[AccountId, array] = {}
-            self._by_target: dict[AccountId, array] = {}
-            self._by_target_ticks: dict[AccountId, array] = {}
-            #: signature buckets keyed on dense signature ids; the value
-            #: key table resolves the public (ASN, type, variant) queries
-            self._by_signature: dict[int, array] = {}
-            self._by_signature_ticks: dict[int, array] = {}
-            self._sig_keys: list[SignatureKey] = []
-            self._sig_ids: dict[SignatureKey, int] = {}
-            #: (endpoint id, type code) -> that signature's (ids, ticks)
-            #: bucket arrays; saves building and hashing a (int, enum,
-            #: str) tuple plus two bucket-dict probes on every append
-            self._sig_fast: dict[int, tuple[array, array]] = {}
-            self._interned_endpoints: dict[ClientEndpoint, ClientEndpoint] | None = None
-        else:
-            self._cols = None
-            self._records = []
-            #: parallel array of record ticks (non-decreasing on the platform
-            #: append path); window queries bisect it
-            self._ticks = []
-            self._by_actor = defaultdict(list)
-            self._by_actor_ticks = defaultdict(list)
-            self._by_target = defaultdict(list)
-            self._by_target_ticks = defaultdict(list)
-            #: per-(ASN, action type, variant) buckets of record ids, with
-            #: parallel tick arrays — the attribution sweep's access pattern
-            self._by_signature = defaultdict(list)
-            self._by_signature_ticks = defaultdict(list)
-            #: canonical ClientEndpoint instances; AAS exits and per-user home
-            #: endpoints repeat across millions of records, so sharing one
-            #: object per distinct endpoint keeps the log's footprint flat
-            self._interned_endpoints = {}
-
-    @property
-    def columnar(self) -> bool:
-        """Whether rows live in SoA columns (fast path) or record objects."""
-        return self._columnar
+        self._cols = ActionColumns(obs=_obs)
+        #: the bisect index IS the tick column — zero duplication
+        self._ticks = self._cols.ticks
+        self._by_actor: dict[AccountId, array] = {}
+        self._by_actor_ticks: dict[AccountId, array] = {}
+        self._by_target: dict[AccountId, array] = {}
+        self._by_target_ticks: dict[AccountId, array] = {}
+        #: signature buckets keyed on dense signature ids; the value
+        #: key table resolves the public (ASN, type, variant) queries
+        self._by_signature: dict[int, array] = {}
+        self._by_signature_ticks: dict[int, array] = {}
+        self._sig_keys: list[SignatureKey] = []
+        self._sig_ids: dict[SignatureKey, int] = {}
+        #: (endpoint id, type code) -> that signature's (ids, ticks)
+        #: bucket arrays; saves building and hashing a (int, enum,
+        #: str) tuple plus two bucket-dict probes on every append
+        self._sig_fast: dict[int, tuple[array, array]] = {}
 
     # ------------------------------------------------------------------
     # Appends
@@ -165,30 +133,13 @@ class ActionLog:
     ) -> StoredAction:
         """Append one action from scalar fields; returns the stored row.
 
-        The platform's append path: in columnar mode the fields go
-        straight into the columns (no record object is ever built); in
-        reference mode this constructs and appends an
-        :class:`ActionRecord` exactly as the facade used to.
+        The platform's append path: the fields go straight into the
+        columns (no record object is ever built).
         """
-        if self._columnar:
-            return self._push(
-                action_type, actor, tick, endpoint, api, status,
-                target_account, target_media, comment_text, None,
-            )
-        record = ActionRecord(
-            action_id=len(self._records),
-            action_type=action_type,
-            actor=actor,
-            tick=tick,
-            endpoint=endpoint,
-            api=api,
-            status=status,
-            target_account=target_account,
-            target_media=target_media,
-            comment_text=comment_text,
+        return self._push(
+            action_type, actor, tick, endpoint, api, status,
+            target_account, target_media, comment_text, None,
         )
-        self.append(record)
-        return record
 
     def append(self, record: ActionRecord) -> None:
         """Append one pre-built record; ids must be the log's next index."""
@@ -196,30 +147,11 @@ class ActionLog:
             raise ValueError(
                 f"action_id {record.action_id} out of order; expected {len(self)}"
             )
-        if self._columnar:
-            view = self._push(
-                record.action_type, record.actor, record.tick, record.endpoint,
-                record.api, record.status, record.target_account,
-                record.target_media, record.comment_text, record.removed_at,
-            )
-            assert view.action_id == record.action_id
-            return
-        record.endpoint = self._interned_endpoints.setdefault(record.endpoint, record.endpoint)
-        if self._ticks and record.tick < self._ticks[-1]:
-            self._monotonic = False
-        self._records.append(record)
-        self._ticks.append(record.tick)
-        self._by_actor[record.actor].append(record.action_id)
-        self._by_actor_ticks[record.actor].append(record.tick)
-        if record.target_account is not None:
-            self._by_target[record.target_account].append(record.action_id)
-            self._by_target_ticks[record.target_account].append(record.tick)
-        key = (record.endpoint.asn, record.action_type, record.endpoint.fingerprint.variant)
-        self._by_signature[key].append(record.action_id)
-        self._by_signature_ticks[key].append(record.tick)
-        self._obs_appends.inc()
-        for observer in self._observers:
-            observer(record)
+        self._push(
+            record.action_type, record.actor, record.tick, record.endpoint,
+            record.api, record.status, record.target_account,
+            record.target_media, record.comment_text, record.removed_at,
+        )
 
     def append_batch(self, rows: list) -> int:
         """Append many actions in one call; returns the first action id.
@@ -229,21 +161,15 @@ class ActionLog:
         target_account, target_media, comment_text)``. Semantically this
         is exactly ``for row in rows: log_action(*row)`` — same records,
         same indices, same observer ingestion order, same "log" cost
-        units — and in reference mode it *is* that loop (the oracle the
-        batch property suite replays against). Columnar mode takes the
-        amortized path: one :meth:`ActionColumns.push_batch`, index
-        updates with locals hoisted out of the loop, counters charged
-        once per batch, and observers offered the whole row range
-        (batch-capable observers consume it in bulk; plain observers
-        still see one view per row).
+        units (the batch property suite replays that loop against it).
+        It takes the amortized path: one :meth:`ActionColumns.push_batch`,
+        index updates with locals hoisted out of the loop, counters
+        charged once per batch, and observers offered the whole row
+        range (batch-capable observers consume it in bulk; plain
+        observers still see one view per row).
         """
         if not rows:
             return len(self)
-        if not self._columnar:
-            start = len(self._records)
-            for row in rows:
-                self.log_action(*row)
-            return start
         cols = self._cols
         ticks = cols.ticks
         prev_tick = ticks[-1] if ticks else None
@@ -344,7 +270,7 @@ class ActionLog:
         comment_text: Optional[str],
         removed_at: Optional[int],
     ) -> ActionView:
-        """The columnar append: column pushes + int-keyed index updates."""
+        """The scalar append: column pushes + int-keyed index updates."""
         cols = self._cols
         ticks = cols.ticks
         if self._monotonic and ticks and tick < ticks[-1]:
@@ -395,20 +321,16 @@ class ActionLog:
         return len(self)
 
     def __len__(self) -> int:
-        return len(self._cols) if self._columnar else len(self._records)
+        return len(self._cols)
 
     def __iter__(self) -> Iterator[StoredAction]:
-        if self._columnar:
-            cols = self._cols
-            return (ActionView(cols, i) for i in range(len(cols)))
-        return iter(self._records)
+        cols = self._cols
+        return (ActionView(cols, i) for i in range(len(cols)))
 
     def get(self, action_id: int) -> StoredAction:
-        if self._columnar:
-            if not 0 <= action_id < len(self._cols):
-                raise IndexError(f"action_id {action_id} out of range")
-            return ActionView(self._cols, action_id)
-        return self._records[action_id]
+        if not 0 <= action_id < len(self._cols):
+            raise IndexError(f"action_id {action_id} out of range")
+        return ActionView(self._cols, action_id)
 
     def _tick_of(self, action_id: int) -> int:
         return self._ticks[action_id]
@@ -470,10 +392,8 @@ class ActionLog:
         if self._monotonic:
             self._obs_query_index.inc()
             lo, hi = _window(self._ticks, start_tick, end_tick)
-            if self._columnar:
-                cols = self._cols
-                return [ActionView(cols, i) for i in range(lo, hi)]
-            return self._records[lo:hi]
+            cols = self._cols
+            return [ActionView(cols, i) for i in range(lo, hi)]
         return self.select(start_tick=start_tick, end_tick=end_tick)
 
     def _indexed_between(
@@ -490,11 +410,8 @@ class ActionLog:
             return []
         if self._monotonic:
             lo, hi = _window(ticks[key], start_tick, end_tick)
-            indices = indices[lo:hi]
-            if self._columnar:
-                cols = self._cols
-                return [ActionView(cols, i) for i in indices]
-            return [self._records[i] for i in indices]
+            cols = self._cols
+            return [ActionView(cols, i) for i in indices[lo:hi]]
         out = []
         for i in indices:
             tick = self._tick_of(i)
@@ -537,22 +454,14 @@ class ActionLog:
 
     def signature_keys(self) -> list[SignatureKey]:
         """Every (ASN, action type, variant) bucket present, sorted."""
-        keys: Iterable[SignatureKey] = (
-            self._sig_keys if self._columnar else self._by_signature
-        )
-        return sorted(keys, key=lambda k: (k[0], k[1].value, k[2]))
+        return sorted(self._sig_keys, key=lambda k: (k[0], k[1].value, k[2]))
 
     def _signature_bucket(self, key: SignatureKey):
         """The (ids, ticks) bucket arrays for a signature key, if present."""
-        if self._columnar:
-            sig = self._sig_ids.get(key)
-            if sig is None:
-                return None, None
-            return self._by_signature[sig], self._by_signature_ticks[sig]
-        indices = self._by_signature.get(key)
-        if not indices:
+        sig = self._sig_ids.get(key)
+        if sig is None:
             return None, None
-        return indices, self._by_signature_ticks[key]
+        return self._by_signature[sig], self._by_signature_ticks[sig]
 
     def ids_by_signature(
         self,
@@ -641,11 +550,8 @@ class ActionLog:
         if self._monotonic and (start_tick is not None or end_tick is not None):
             self._obs_query_index.inc()
             lo, hi = _window(self._ticks, start_tick, end_tick)
-            if self._columnar:
-                cols = self._cols
-                records = [ActionView(cols, i) for i in range(lo, hi)]
-            else:
-                records = self._records[lo:hi]
+            cols = self._cols
+            records = [ActionView(cols, i) for i in range(lo, hi)]
             start_tick = end_tick = None
         elif start_tick is not None or end_tick is not None:
             self._obs_query_scan.inc()

@@ -4,38 +4,34 @@ A directed graph over accounts: an edge A -> B means "A follows B".
 Out-degree is "number followed" (Figure 3's metric); in-degree is
 "number of followers" (Figure 4's metric).
 
-Two implementations share one API (equivalence is property-tested in
-``tests/test_platform_graph_columnar.py``):
+:class:`FollowerGraph` is a columnar store. Its equivalence with the
+brute-force ``defaultdict(set)`` reference graph in
+``tests/oracles/graph.py`` is property-tested in
+``tests/test_platform_graph_columnar.py``. The two sides are stored
+asymmetrically, matching how the simulation reads them:
 
-* :class:`FollowerGraph` — the columnar store the fast path runs on.
-  The two sides are stored asymmetrically, matching how the simulation
-  reads them:
+* **Out-rows** are insertion-ordered dicts used as sets (``dst ->
+  None``), indexed directly by account id in a dense list (account ids
+  are minted from a counter starting at 1, so the id *is* the row
+  index — no interner table needed). ``is_following`` — the hottest
+  graph call — is one list index and one dict probe, and the world
+  wirer's ``bulk_follow_new`` builds a whole row with a single
+  ``dict.fromkeys`` call instead of one set insert per edge.
+* **In-rows** are never membership-probed, only counted and iterated,
+  so the follower side keeps no per-account containers at all for
+  bulk-wired edges: the raw (src, dst) pairs accumulate in flat
+  ``array('q')`` columns and are lexsorted into a CSR index (offsets +
+  sorted sources) on first read. Post-build ``follow``/``unfollow``
+  mutations land in small per-account overlay sets merged at read
+  time, so the CSR never has to be rebuilt for them.
 
-  - **Out-rows** are insertion-ordered dicts used as sets (``dst ->
-    None``), indexed directly by account id in a dense list (account ids
-    are minted from a counter starting at 1, so the id *is* the row
-    index — no interner table needed). ``is_following`` — the hottest
-    graph call — is one list index and one dict probe, and the world
-    wirer's ``bulk_follow_new`` builds a whole row with a single
-    ``dict.fromkeys`` call instead of one set insert per edge.
-  - **In-rows** are never membership-probed, only counted and iterated,
-    so the follower side keeps no per-account containers at all for
-    bulk-wired edges: the raw (src, dst) pairs accumulate in flat
-    ``array('q')`` columns and are lexsorted into a CSR index (offsets +
-    sorted sources) on first read. Post-build ``follow``/``unfollow``
-    mutations land in small per-account overlay sets merged at read
-    time, so the CSR never has to be rebuilt for them.
+Sorted ``array('q')`` snapshots backing the non-copying view accessors
+are cached per account in side tables and dropped on mutation.
 
-  Sorted ``array('q')`` snapshots backing the non-copying view accessors
-  are cached per account in side tables and dropped on mutation.
-* :class:`SetFollowerGraph` — the brute-force ``defaultdict(set)``
-  reference, the bit-equivalence oracle the naive execution mode uses.
-
-Both expose, beyond the original mutation/degree API:
+Beyond the original mutation/degree API, the graph exposes:
 
 * ``following_view`` / ``followers_view`` — **sorted** integer
-  sequences. The columnar graph returns its cached ``array('q')``
-  without copying; the reference graph sorts a copy per call. Callers
+  sequences, the cached ``array('q')`` returned without copying. Callers
   must not mutate the result and must not hold it across graph
   mutations. Sorted order (not hash order) is the contract: RNG-indexed
   picks over a view are then reproducible across snapshot/restore
@@ -50,7 +46,6 @@ Both expose, beyond the original mutation/degree API:
 from __future__ import annotations
 
 from array import array
-from collections import defaultdict
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -386,98 +381,3 @@ class FollowerGraph:
             self._obs_unfollows = NULL_OBS.counter("platform.graph.edge_ops", op="unfollow")
             self._obs_bulk = NULL_OBS.counter("platform.graph.edge_ops", op="bulk")
 
-
-class SetFollowerGraph:
-    """The brute-force reference graph (the naive path's oracle).
-
-    Counts the same ``platform.graph.edge_ops`` work units as the
-    columnar graph — its bulk wiring is literally ``follow`` per edge,
-    so its bulk op count lands under ``op=follow`` (honest per-edge
-    work), not ``op=bulk``.
-    """
-
-    def __init__(self, obs: Observability | None = None):
-        _obs = obs if obs is not None else NULL_OBS
-        self._obs_follows = _obs.counter("platform.graph.edge_ops", op="follow")
-        self._obs_unfollows = _obs.counter("platform.graph.edge_ops", op="unfollow")
-        self._following: dict[AccountId, set[AccountId]] = defaultdict(set)
-        self._followers: dict[AccountId, set[AccountId]] = defaultdict(set)
-        self._edge_count = 0
-
-    def follow(self, src: AccountId, dst: AccountId) -> None:
-        """Add edge src -> dst. Self-follows and duplicates are invalid."""
-        if src == dst:
-            raise InvalidActionError("accounts cannot follow themselves")
-        if dst in self._following[src]:
-            raise InvalidActionError(f"{src} already follows {dst}")
-        self._following[src].add(dst)
-        self._followers[dst].add(src)
-        self._edge_count += 1
-        self._obs_follows.inc()
-
-    def unfollow(self, src: AccountId, dst: AccountId) -> None:
-        """Remove edge src -> dst; removing a missing edge is invalid."""
-        if dst not in self._following[src]:
-            raise InvalidActionError(f"{src} does not follow {dst}")
-        self._following[src].remove(dst)
-        self._followers[dst].remove(src)
-        self._edge_count -= 1
-        self._obs_unfollows.inc()
-
-    def bulk_follow_new(
-        self, src: AccountId, candidates: Iterable[AccountId], limit: int
-    ) -> int:
-        """Reference bulk wiring: literally ``follow`` per new candidate."""
-        added = 0
-        for dst in candidates:
-            if added >= limit:
-                break
-            if dst == src or self.is_following(src, dst):
-                continue
-            self.follow(src, dst)
-            added += 1
-        return added
-
-    def is_following(self, src: AccountId, dst: AccountId) -> bool:
-        return dst in self._following[src]
-
-    def following(self, account: AccountId) -> frozenset[AccountId]:
-        """Accounts that ``account`` follows."""
-        return frozenset(self._following[account])
-
-    def followers(self, account: AccountId) -> frozenset[AccountId]:
-        """Accounts following ``account``."""
-        return frozenset(self._followers[account])
-
-    def following_view(self, account: AccountId) -> Sequence[AccountId]:
-        """Sorted snapshot of who ``account`` follows (copying: oracle)."""
-        return tuple(sorted(self._following[account]))
-
-    def followers_view(self, account: AccountId) -> Sequence[AccountId]:
-        """Sorted snapshot of ``account``'s followers (copying: oracle)."""
-        return tuple(sorted(self._followers[account]))
-
-    def out_degree(self, account: AccountId) -> int:
-        return len(self._following[account])
-
-    def in_degree(self, account: AccountId) -> int:
-        return len(self._followers[account])
-
-    @property
-    def edge_count(self) -> int:
-        return self._edge_count
-
-    def drop_account(self, account: AccountId) -> int:
-        """Remove every edge incident to ``account``; returns edges dropped.
-
-        Used by account deletion: "when deleting a honeypot account, all
-        actions to or from the account are eventually removed".
-        """
-        removed = 0
-        for dst in list(self._following[account]):
-            self.unfollow(account, dst)
-            removed += 1
-        for src in list(self._followers[account]):
-            self.unfollow(src, account)
-            removed += 1
-        return removed

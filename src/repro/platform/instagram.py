@@ -28,7 +28,7 @@ from repro.platform.errors import (
     InvalidActionError,
     UnknownAccountError,
 )
-from repro.platform.graph import FollowerGraph, SetFollowerGraph
+from repro.platform.graph import FollowerGraph
 from repro.platform.mediastore import MediaStore
 from repro.platform.models import (
     Account,
@@ -69,29 +69,19 @@ class InstagramPlatform:
         clock: Optional[SimClock] = None,
         removal_delay_ticks: int = days(1),
         obs: Optional[Observability] = None,
-        fast_path: bool = False,
     ):
         self.clock = clock if clock is not None else SimClock()
         #: telemetry handle; platform-adjacent layers (action log, API
         #: limiters, AAS emission counters) pick their instruments off it
         self.obs = obs if obs is not None else NULL_OBS
-        #: columnar data plane (DESIGN.md §11): the SoA follower graph and
-        #: column-backed action log. Off by default so bare platforms run
-        #: the brute-force reference stores — the bit-equivalence oracle;
-        #: ``Study`` forwards its ``StudyConfig.fast_path`` switch here.
-        self.fast_path = fast_path
         self.auth = AuthService()
-        self.graph = (
-            FollowerGraph(obs=self.obs) if fast_path else SetFollowerGraph(obs=self.obs)
-        )
-        self.media = MediaStore(cache_owner_views=fast_path)
-        self.log = ActionLog(obs=self.obs, columnar=fast_path)
+        #: the columnar data plane (DESIGN.md §11): the SoA follower graph
+        #: and the column-backed action log
+        self.graph = FollowerGraph(obs=self.obs)
+        self.media = MediaStore()
+        self.log = ActionLog(obs=self.obs)
         self.notifications = NotificationCenter()
         self.countermeasures = CountermeasureEngine(self.clock, removal_delay_ticks)
-        #: whether :meth:`action_batch` scopes actually defer (DESIGN.md
-        #: §15). On by default on the fast path; the equivalence suite
-        #: toggles it off to prove batching changes nothing.
-        self.batching = fast_path
         self._batch: Optional[_PendingBatch] = None
         self._accounts: dict[AccountId, Account] = {}
         self._by_username: dict[str, AccountId] = {}
@@ -181,20 +171,14 @@ class InstagramPlatform:
         order with the same action ids the per-action path would have
         assigned.
 
-        The scope only defers when it can do so invisibly: batching must
-        be enabled, the log columnar, and no countermeasure policy
-        installed (policies need per-action contexts, BLOCK rows, and
-        removal scheduling — the scalar path). Otherwise, and when
-        nested inside an open scope, this is a no-op context. Policies
-        are only ever (un)installed between agent runs, so the entry
-        check cannot go stale mid-scope.
+        The scope only defers when it can do so invisibly. With a
+        countermeasure policy installed (policies need per-action
+        contexts, BLOCK rows, and removal scheduling — the scalar path),
+        or when nested inside an open scope, it is a no-op context.
+        Policies are only ever (un)installed between agent runs, so the
+        entry check cannot go stale mid-scope.
         """
-        if (
-            self._batch is not None
-            or not self.batching
-            or self.countermeasures.has_policies
-            or not self.log.columnar
-        ):
+        if self._batch is not None or self.countermeasures.has_policies:
             yield
             return
         batch = self._batch = _PendingBatch(self.log.next_id())
@@ -238,7 +222,7 @@ class InstagramPlatform:
         target_media: Optional[MediaId] = None,
         comment_text: Optional[str] = None,
     ) -> ActionRecord:
-        return self.log.log_action(
+        record = self.log.log_action(
             action_type,
             actor,
             self.clock.now,
@@ -249,6 +233,12 @@ class InstagramPlatform:
             target_media=target_media,
             comment_text=comment_text,
         )
+        batch = self._batch
+        if batch is not None:
+            # a scalar append inside an open scope lands after the flushed
+            # rows; rows deferred from here on take the ids after it
+            batch.base = record.action_id + 1
+        return record
 
     def _consult_countermeasures(
         self,
@@ -259,11 +249,10 @@ class InstagramPlatform:
         target_account: Optional[AccountId],
         target_media: Optional[MediaId],
     ) -> CountermeasureDecision:
-        if self.fast_path and not self.countermeasures.has_policies:
+        if not self.countermeasures.has_policies:
             # with no policy installed every decision is vacuously ALLOW
-            # (and decide() is side-effect free), so the fast path skips
-            # building the frozen per-action context; the naive path
-            # keeps exercising the full decision machinery as the oracle
+            # (and decide() is side-effect free), so skip building the
+            # frozen per-action context
             return CountermeasureDecision.ALLOW
         context = ActionContext(
             actor=actor,
@@ -310,7 +299,7 @@ class InstagramPlatform:
         """Like a media item; notifies the owner."""
         batch = self._batch
         if batch is not None:
-            # batched fast path: same checks and mutations in the same
+            # batched path: same checks and mutations in the same
             # order (validate, account/media lookups, dup-like reject,
             # vacuous ALLOW, like, notify) with the log row deferred
             actor = self.auth.validate(session)

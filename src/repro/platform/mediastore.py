@@ -12,38 +12,33 @@ from repro.platform.models import AccountId, Media, MediaId
 class MediaStore:
     """Owns all media objects plus their like/comment state."""
 
-    def __init__(self, cache_owner_views: bool = False):
+    def __init__(self) -> None:
         self._media: dict[MediaId, Media] = {}
         self._by_owner: dict[AccountId, list[MediaId]] = defaultdict(list)
         self._likers: dict[MediaId, set[AccountId]] = defaultdict(set)
         self._comments: dict[MediaId, list[tuple[AccountId, str]]] = defaultdict(list)
         self._by_hashtag: dict[str, set[MediaId]] = defaultdict(set)
         self._next_id = 0
-        #: fast-path-only memo of ``media_of`` results, invalidated on the
-        #: two mutations that can change them (``create`` appends a live
-        #: media; ``remove_account_media`` tombstones them). ``None`` when
-        #: disabled: the naive oracle rebuilds the list every call.
-        self._of_cache: dict[AccountId, list[Media]] | None = (
-            {} if cache_owner_views else None
-        )
-        #: fast-path-only memo of ``accounts_posting`` results per lowered
+        #: memo of ``media_of`` results, invalidated on the two mutations
+        #: that can change them (``create`` appends a live media;
+        #: ``remove_account_media`` tombstones them)
+        self._of_cache: dict[AccountId, list[Media]] = {}
+        #: memo of ``accounts_posting`` results per lowered
         #: tag, invalidated by the same two mutations (``create`` for the
         #: new media's tags, ``remove_account_media`` for the tags of the
         #: owner's media). AAS hashtag targeting re-derives its audience
         #: every few simulated hours, and each derivation walks every
         #: media under every targeted tag — the dominant media-store cost
         #: at scale.
-        self._posting_cache: dict[str, set[AccountId]] | None = (
-            {} if cache_owner_views else None
-        )
-        #: fast-path-only memo pairing each of an owner's live media with
+        self._posting_cache: dict[str, set[AccountId]] = {}
+        #: memo pairing each of an owner's live media with
         #: its (live, mutated-in-place) likers set, validated by identity
         #: of the cached ``media_of`` list. Likes and unlikes mutate the
         #: referenced sets directly, so entries stay correct until the
         #: media list itself is rebuilt.
-        self._pairs_cache: (
-            dict[AccountId, tuple[object, list[tuple[Media, set[AccountId]]]]] | None
-        ) = {} if cache_owner_views else None
+        self._pairs_cache: dict[
+            AccountId, tuple[object, list[tuple[Media, set[AccountId]]]]
+        ] = {}
 
     def create(self, owner: AccountId, tick: int, caption: str = "", hashtags: tuple[str, ...] = ()) -> Media:
         media = Media(
@@ -56,14 +51,12 @@ class MediaStore:
         self._next_id += 1
         self._media[media.media_id] = media
         self._by_owner[owner].append(media.media_id)
-        if self._of_cache is not None:
-            self._of_cache.pop(owner, None)
+        self._of_cache.pop(owner, None)
         posting = self._posting_cache
         for tag in hashtags:
             lowered = tag.lower()
             self._by_hashtag[lowered].add(media.media_id)
-            if posting is not None:
-                posting.pop(lowered, None)
+            posting.pop(lowered, None)
         return media
 
     def get(self, media_id: MediaId) -> Media:
@@ -75,18 +68,11 @@ class MediaStore:
     def media_of(self, owner: AccountId) -> list[Media]:
         """Live media belonging to ``owner``, oldest first.
 
-        When the owner-view cache is enabled (fast path), repeated calls
-        return the **same** list object until the owner's media change —
-        callers must treat the result as read-only, which every call site
-        already does (they filter or index into it).
+        Repeated calls return the **same** list object until the owner's
+        media change — callers must treat the result as read-only, which
+        every call site already does (they filter or index into it).
         """
         cache = self._of_cache
-        if cache is None:
-            return [
-                self._media[mid]
-                for mid in self._by_owner.get(owner, ())
-                if not self._media[mid].is_removed
-            ]
         media = cache.get(owner)
         if media is None:
             media = cache[owner] = [
@@ -128,14 +114,10 @@ class MediaStore:
         Equivalent to filtering :meth:`media_of` through
         :meth:`has_liked` — the organic response/background loops' media
         pick — with the per-media method call replaced by a set probe
-        (and, when owner views are cached, the per-media likers-dict
-        lookup memoized in ``_pairs_cache``). Always builds a fresh
-        list; safe to index into.
+        and the per-media likers-dict lookup memoized in
+        ``_pairs_cache``. Always builds a fresh list; safe to index into.
         """
         pairs_cache = self._pairs_cache
-        if pairs_cache is None:
-            likers = self._likers
-            return [m for m in self.media_of(owner) if liker not in likers[m.media_id]]
         media = self.media_of(owner)
         entry = pairs_cache.get(owner)
         if entry is not None and entry[0] is media:
@@ -183,14 +165,12 @@ class MediaStore:
         """Accounts with live media under ``tag`` — how AAS hashtag
         targeting discovers accounts (paper Section 3.3.1).
 
-        Cached per tag on the fast path; like ``media_of``, repeated
-        calls then return the **same** set object until a mutation
-        touches the tag, so callers must treat the result as read-only
-        (the one call site unions it into its own set).
+        Cached per tag; like ``media_of``, repeated calls return the
+        **same** set object until a mutation touches the tag, so callers
+        must treat the result as read-only (the one call site unions it
+        into its own set).
         """
         cache = self._posting_cache
-        if cache is None:
-            return {media.owner for media in self.media_with_hashtag(tag)}
         lowered = tag.lower()
         owners = cache.get(lowered)
         if owners is None:
@@ -208,11 +188,9 @@ class MediaStore:
             if not media.is_removed:
                 media.is_removed = True
                 removed += 1
-            if posting is not None:
-                for tag in media.hashtags:
-                    posting.pop(tag.lower(), None)
-        if self._of_cache is not None:
-            self._of_cache.pop(owner, None)
+            for tag in media.hashtags:
+                posting.pop(tag.lower(), None)
+        self._of_cache.pop(owner, None)
         return removed
 
     def drop_likes_by(self, account: AccountId) -> int:

@@ -36,7 +36,7 @@ def _valid_payload() -> dict:
             }
         ],
         "derived": {
-            "speedup_fast_vs_naive": {"value": 2.0, "noise_cv": 0.083, "noise_floor": False}
+            "speedup_tree_vs_flat": {"value": 2.0, "noise_cv": 0.083, "noise_floor": False}
         },
     }
 
@@ -145,12 +145,12 @@ class TestSchema:
 
     def test_bare_speedup_number_rejected(self) -> None:
         payload = _valid_payload()
-        payload["derived"]["speedup_fast_vs_naive"] = 2.0
-        assert any("speedup_fast_vs_naive" in e for e in validate_payload(payload))
+        payload["derived"]["speedup_tree_vs_flat"] = 2.0
+        assert any("speedup_tree_vs_flat" in e for e in validate_payload(payload))
 
     def test_speedup_without_noise_floor_rejected(self) -> None:
         payload = _valid_payload()
-        del payload["derived"]["speedup_fast_vs_naive"]["noise_floor"]
+        del payload["derived"]["speedup_tree_vs_flat"]["noise_floor"]
         assert any("noise_floor" in e for e in validate_payload(payload))
 
     def test_non_speedup_derived_entries_are_free_form(self) -> None:
@@ -218,8 +218,7 @@ class TestCli:
         assert validate_payload(payload) == []
         assert payload["mode"] == "smoke"
         names = [result["name"] for result in payload["results"]]
-        assert any(name.endswith("-fast") for name in names)
-        assert any(name.endswith("-naive") for name in names)
+        assert names == ["population-260"]
         assert all(result["ticks_per_s"] > 0 for result in payload["results"])
         # every scenario payload carries the timed study's obs snapshot
         snapshot = payload["observability"]

@@ -1,15 +1,26 @@
-"""The fast path must be bit-identical to the naive reference loops.
+"""Whole-study golden digests, plus obs-off and profiler-on identity.
 
-Two studies share a seed and differ only in ``fast_path``: one runs the
-timing wheel + bucketed/streaming attribution, the other the naive
-per-tick loop and brute-force sweeps. Every observable — the raw action
-log, attribution, analytics tables, intervention outcomes — must match
-exactly. This is the determinism contract of DESIGN.md's "Performance
-architecture" section.
+The seed-314 tiny pipeline (3 honeypot days, signatures, a 1-day
+stability probe, 3 measurement days, a broad intervention) is pinned by
+BLAKE2 digests of its observables: the raw action log, the Table 5
+reciprocation table, the learned signatures, signal stability,
+measurement attribution and tables, the broad-intervention outcome, and
+the canonical span stream.
+
+The digests were recorded at commit d29f532, where the simulator still
+carried a naive execution mode (per-agent tick loop, set-backed graph,
+list-backed log, brute-force attribution) and this suite proved the
+production path bit-identical to it on every one of these observables.
+Both modes produced the digests below. The naive mode is gone; the
+digests stand in for it as the whole-study oracle, so a refactor that
+changes any seeded result fails here. The per-structure oracles live in
+``tests/oracles/``.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import replace
 
 import pytest
@@ -18,48 +29,60 @@ from repro.core import Study, StudyConfig
 from repro.core import experiments as E
 from repro.core import reporting as R
 from repro.interventions.experiment import BroadInterventionPlan
+from repro.obs import canonical_lines
+
+#: observable -> blake2b-128 hex digest of its ``repr``, see module doc
+GOLDEN = {
+    "log_rows": "6202dfac3fc405fc65182695fd485e26",
+    "table5": "2b39a3325a5f69afd548578a1b99dc97",
+    "signatures": "424c131aa3913515aa6d40f156ccd0f8",
+    "stability": "4eb5384771f1c9c2e264ca85d47ad3f3",
+    "measurement_attribution": "7aa9e2aef2150114d17b9a7852028797",
+    "measurement_tables": "abf57dfffe385d04b4c0e96d4004f5fa",
+    "broad_intervention": "8da4042900233469dd4b5c4e263c5ba6",
+    "span_stream": "0bc37ea8deecf9e9321db23b6e2f0b0d",
+}
 
 
-def _config(fast: bool, observability: bool = True) -> StudyConfig:
+def _config(observability: bool = True) -> StudyConfig:
     return replace(
         StudyConfig.tiny(seed=314),
         honeypot_days=3,
         measurement_days=3,
-        fast_path=fast,
         observability=observability,
     )
 
 
-@pytest.fixture(scope="module")
-def pair():
-    studies = {}
-    outcomes = {}
-    for fast in (True, False):
-        study = Study(_config(fast))
-        results = study.run_honeypot_phase()
-        study.learn_signatures()
-        stability = study.verify_signal_stability(probe_days=1)
-        dataset = study.run_measurement()
-        broad = study.run_broad_intervention(
-            BroadInterventionPlan(delay_days=1, block_days=1), calibration_days=2
-        )
-        studies[fast] = study
-        outcomes[fast] = (results, stability, dataset, broad)
-    return studies, outcomes
-
-
-@pytest.fixture(scope="module")
-def dark(pair):
-    """The fast pipeline rerun with ``observability=False``."""
-    study = Study(_config(fast=True, observability=False))
-    study.run_honeypot_phase()
+def _run(config: StudyConfig):
+    study = Study(config)
+    results = study.run_honeypot_phase()
     study.learn_signatures()
-    study.verify_signal_stability(probe_days=1)
-    study.run_measurement()
+    stability = study.verify_signal_stability(probe_days=1)
+    dataset = study.run_measurement()
     broad = study.run_broad_intervention(
         BroadInterventionPlan(delay_days=1, block_days=1), calibration_days=2
     )
-    return study, broad
+    return study, (results, stability, dataset, broad)
+
+
+@pytest.fixture(scope="module")
+def golden_run():
+    return _run(_config())
+
+
+@pytest.fixture(scope="module")
+def dark():
+    """The pipeline rerun with ``observability=False``."""
+    study, outcomes = _run(_config(observability=False))
+    return study, outcomes[3]
+
+
+def _digest(value) -> str:
+    return hashlib.blake2b(repr(value).encode(), digest_size=16).hexdigest()
+
+
+def _attributed_ids(attributed) -> list:
+    return sorted((k, [r.action_id for r in v.records]) for k, v in attributed.items())
 
 
 def _log_rows(study: Study) -> list[tuple]:
@@ -78,72 +101,83 @@ def _log_rows(study: Study) -> list[tuple]:
     ]
 
 
-def test_action_logs_identical(pair) -> None:
-    studies, _ = pair
-    assert _log_rows(studies[True]) == _log_rows(studies[False])
+def _observable(name: str, golden_run):
+    study, (results, stability, dataset, broad) = golden_run
+    if name == "log_rows":
+        return _log_rows(study)
+    if name == "table5":
+        return R.render_table5(E.table5_reciprocation(results))
+    if name == "signatures":
+        assert study.classifier is not None
+        return [
+            (s.service, s.service_type, tuple(sorted(s.asns)), tuple(sorted(s.client_variants)))
+            for s in study.classifier.signatures
+        ]
+    if name == "stability":
+        return sorted(stability.items())
+    if name == "measurement_attribution":
+        return (
+            dataset.start_tick,
+            dataset.end_tick,
+            _attributed_ids(dataset.attributed),
+            sorted((k, tuple(sorted(v))) for k, v in dataset.service_asns.items()),
+        )
+    if name == "measurement_tables":
+        return (
+            R.render_table6(E.table6_customers(dataset)),
+            R.render_table11(E.table11_action_mix(dataset)),
+        )
+    if name == "broad_intervention":
+        return (broad.start_day, broad.end_day, broad.switch_day, _attributed_ids(broad.attributed))
+    if name == "span_stream":
+        lines = canonical_lines(study.obs.trace_lines())
+        spans = [line for line in lines if line.get("kind") == "span"]
+        assert spans  # not trivially empty
+        return [json.dumps(line, sort_keys=True) for line in spans]
+    raise KeyError(name)
 
 
-def test_reciprocation_tables_identical(pair) -> None:
-    _, outcomes = pair
-    fast_table = R.render_table5(E.table5_reciprocation(outcomes[True][0]))
-    naive_table = R.render_table5(E.table5_reciprocation(outcomes[False][0]))
-    assert fast_table == naive_table
-
-
-def test_signal_stability_identical(pair) -> None:
-    _, outcomes = pair
-    assert outcomes[True][1] == outcomes[False][1]
-
-
-def test_signatures_identical(pair) -> None:
-    studies, _ = pair
-    fast = studies[True].classifier
-    naive = studies[False].classifier
-    assert fast is not None and naive is not None
-    assert [
-        (s.service, s.service_type, s.asns, s.client_variants) for s in fast.signatures
-    ] == [(s.service, s.service_type, s.asns, s.client_variants) for s in naive.signatures]
-
-
-def test_measurement_attribution_identical(pair) -> None:
-    _, outcomes = pair
-    fast_ds, naive_ds = outcomes[True][2], outcomes[False][2]
-    assert (fast_ds.start_tick, fast_ds.end_tick) == (naive_ds.start_tick, naive_ds.end_tick)
-    fast_ids = {k: [r.action_id for r in v.records] for k, v in fast_ds.attributed.items()}
-    naive_ids = {k: [r.action_id for r in v.records] for k, v in naive_ds.attributed.items()}
-    assert fast_ids == naive_ids
-    assert fast_ds.service_asns == naive_ds.service_asns
-
-
-def test_measurement_tables_identical(pair) -> None:
-    _, outcomes = pair
-    fast_ds, naive_ds = outcomes[True][2], outcomes[False][2]
-    assert R.render_table6(E.table6_customers(fast_ds)) == R.render_table6(
-        E.table6_customers(naive_ds)
-    )
-    assert R.render_table11(E.table11_action_mix(fast_ds)) == R.render_table11(
-        E.table11_action_mix(naive_ds)
+def _assert_golden(name: str, golden_run) -> None:
+    assert _digest(_observable(name, golden_run)) == GOLDEN[name], (
+        f"{name} drifted from the digest pinned at d29f532"
     )
 
 
-def test_intervention_outcomes_identical(pair) -> None:
-    _, outcomes = pair
-    fast, naive = outcomes[True][3], outcomes[False][3]
-    assert (fast.start_day, fast.end_day, fast.switch_day) == (
-        naive.start_day,
-        naive.end_day,
-        naive.switch_day,
-    )
-    fast_ids = {k: [r.action_id for r in v.records] for k, v in fast.attributed.items()}
-    naive_ids = {k: [r.action_id for r in v.records] for k, v in naive.attributed.items()}
-    assert fast_ids == naive_ids
+def test_action_logs_identical(golden_run) -> None:
+    _assert_golden("log_rows", golden_run)
 
 
-def test_wheel_parks_collusion_driver_after_expiry(pair) -> None:
+def test_reciprocation_tables_identical(golden_run) -> None:
+    _assert_golden("table5", golden_run)
+
+
+def test_signal_stability_identical(golden_run) -> None:
+    _assert_golden("stability", golden_run)
+
+
+def test_signatures_identical(golden_run) -> None:
+    _assert_golden("signatures", golden_run)
+
+
+def test_measurement_attribution_identical(golden_run) -> None:
+    _assert_golden("measurement_attribution", golden_run)
+
+
+def test_measurement_tables_identical(golden_run) -> None:
+    _assert_golden("measurement_tables", golden_run)
+
+
+def test_intervention_outcomes_identical(golden_run) -> None:
+    _assert_golden("broad_intervention", golden_run)
+
+
+def test_span_stream_identical_to_golden(golden_run) -> None:
+    _assert_golden("span_stream", golden_run)
+
+
+def test_wheel_parks_collusion_driver_after_expiry(golden_run) -> None:
     """The only idle-skipping agent actually parks once enrollments lapse."""
-    studies, _ = pair
-    study = studies[True]
-    assert study._wheel is not None
+    study, _ = golden_run
     # by the end of the run every collusion-honeypot enrollment (trial
     # honeypot_days + 1) is long past, so the driver must be parked
     assert study._wheel.scheduled_tick("collusion-honeypots") is None
@@ -151,35 +185,22 @@ def test_wheel_parks_collusion_driver_after_expiry(pair) -> None:
     assert study._wheel.scheduled_tick("organic") == study.clock.now
 
 
-def test_naive_study_builds_no_wheel(pair) -> None:
-    studies, _ = pair
-    assert studies[False]._wheel is None
-
-
 # ----------------------------------------------------------------------
-# Observability must be write-only: obs-off runs bit-identical, and both
-# execution modes emit the same phase-span stream (tick stamps included).
+# Observability must be write-only: obs-off runs bit-identical.
 # ----------------------------------------------------------------------
 
 
-def _span_rows(study: Study) -> list[tuple]:
-    return [
-        (s.name, s.parent_id, s.depth, s.start_tick, s.end_tick, sorted(s.attrs.items()))
-        for s in study.obs.tracer.finished
-    ]
-
-
-def test_obs_off_action_log_identical(pair, dark) -> None:
-    studies, _ = pair
+def test_obs_off_action_log_identical(golden_run, dark) -> None:
+    study, _ = golden_run
     dark_study, _ = dark
     assert dark_study.obs.enabled is False
-    assert _log_rows(dark_study) == _log_rows(studies[True])
+    assert _log_rows(dark_study) == _log_rows(study)
 
 
-def test_obs_off_intervention_identical(pair, dark) -> None:
-    _, outcomes = pair
+def test_obs_off_intervention_identical(golden_run, dark) -> None:
+    _, outcomes = golden_run
     _, dark_broad = dark
-    fast_broad = outcomes[True][3]
+    fast_broad = outcomes[3]
     dark_ids = {k: [r.action_id for r in v.records] for k, v in dark_broad.attributed.items()}
     fast_ids = {k: [r.action_id for r in v.records] for k, v in fast_broad.attributed.items()}
     assert dark_ids == fast_ids
@@ -191,12 +212,6 @@ def test_obs_off_collects_nothing(dark) -> None:
     assert dark_study.obs.tracer.finished == ()
 
 
-def test_span_streams_identical_across_modes(pair) -> None:
-    studies, _ = pair
-    assert _span_rows(studies[True]) == _span_rows(studies[False])
-    assert _span_rows(studies[True])  # and they are not trivially empty
-
-
 # ----------------------------------------------------------------------
 # The cost profiler must be write-only too: profiler-on runs produce
 # bit-identical payloads, and the only trace delta is the cost attrs.
@@ -204,41 +219,34 @@ def test_span_streams_identical_across_modes(pair) -> None:
 
 
 @pytest.fixture(scope="module")
-def profiled(pair):
-    """The fast pipeline rerun with the cost profiler attached."""
-    study = Study(replace(_config(fast=True), profile=True))
-    study.run_honeypot_phase()
-    study.learn_signatures()
-    study.verify_signal_stability(probe_days=1)
-    study.run_measurement()
-    broad = study.run_broad_intervention(
-        BroadInterventionPlan(delay_days=1, block_days=1), calibration_days=2
-    )
-    return study, broad
+def profiled():
+    """The pipeline rerun with the cost profiler attached."""
+    study, outcomes = _run(replace(_config(), profile=True))
+    return study, outcomes[3]
 
 
-def test_profiler_on_action_log_identical(pair, profiled) -> None:
-    studies, _ = pair
+def test_profiler_on_action_log_identical(golden_run, profiled) -> None:
+    study, _ = golden_run
     profiled_study, _ = profiled
     assert profiled_study.obs.profiler is not None
-    assert _log_rows(profiled_study) == _log_rows(studies[True])
+    assert _log_rows(profiled_study) == _log_rows(study)
 
 
-def test_profiler_on_intervention_identical(pair, profiled) -> None:
-    _, outcomes = pair
+def test_profiler_on_intervention_identical(golden_run, profiled) -> None:
+    _, outcomes = golden_run
     _, prof_broad = profiled
-    fast_broad = outcomes[True][3]
+    fast_broad = outcomes[3]
     prof_ids = {k: [r.action_id for r in v.records] for k, v in prof_broad.attributed.items()}
     fast_ids = {k: [r.action_id for r in v.records] for k, v in fast_broad.attributed.items()}
     assert prof_ids == fast_ids
 
 
-def test_profiled_trace_is_plain_trace_plus_cost_attrs(pair, profiled) -> None:
-    from repro.obs import canonical_lines, strip_cost_attrs
+def test_profiled_trace_is_plain_trace_plus_cost_attrs(golden_run, profiled) -> None:
+    from repro.obs import strip_cost_attrs
 
-    studies, _ = pair
+    study, _ = golden_run
     profiled_study, _ = profiled
-    plain = canonical_lines(studies[True].obs.trace_lines())
+    plain = canonical_lines(study.obs.trace_lines())
     prof = canonical_lines(profiled_study.obs.trace_lines())
     prof_spans = [line for line in prof if line.get("kind") == "span"]
     assert prof_spans and all(
@@ -250,17 +258,8 @@ def test_profiled_trace_is_plain_trace_plus_cost_attrs(pair, profiled) -> None:
 
 def test_profiled_cost_tree_is_seed_deterministic(profiled) -> None:
     """Same seed, independent run -> byte-identical cost attrs."""
-    from repro.obs import canonical_lines
-
     profiled_study, _ = profiled
-    rerun = Study(replace(_config(fast=True), profile=True))
-    rerun.run_honeypot_phase()
-    rerun.learn_signatures()
-    rerun.verify_signal_stability(probe_days=1)
-    rerun.run_measurement()
-    rerun.run_broad_intervention(
-        BroadInterventionPlan(delay_days=1, block_days=1), calibration_days=2
-    )
+    rerun, _ = _run(replace(_config(), profile=True))
     assert canonical_lines(rerun.obs.trace_lines()) == canonical_lines(
         profiled_study.obs.trace_lines()
     )

@@ -203,13 +203,6 @@ class TestRuleFixtures:
         suppressed_line = source.splitlines().index("QUIET = random.Random(9)  # repro-lint: ignore[API003] -- fixture: suppression path") + 1
         assert suppressed_line not in lines
 
-    def test_api004_flags_divergent_twins_only(self):
-        fired = _rules_fired("api004")
-        assert [rule for rule, _, _ in fired] == ["API004", "API004", "API004"]
-        source = (WP_FIXTURES / "api004" / "repro" / "platform" / "divergent.py").read_text()
-        aligned_line = source.splitlines().index("def aligned(world, rng, fast_path):") + 1
-        assert all(line < aligned_line for _, _, line in fired)
-
     def test_snap_family_coverage(self):
         fired = _rules_fired("snap")
         by_rule = {}
@@ -282,7 +275,7 @@ class TestProjectRegistry:
     def test_project_ids_unique_and_disjoint_from_per_file_ids(self):
         ids = project_rule_ids()
         assert len(ids) == len(set(ids))
-        assert set(ids) == {"API003", "API004", "SNAP001", "SNAP002", "SNAP003", "OBS002"}
+        assert set(ids) == {"API003", "SNAP001", "SNAP002", "SNAP003", "OBS002"}
         assert not set(ids) & set(rule_ids())
 
     def test_select_project_rules(self):

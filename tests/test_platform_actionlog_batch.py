@@ -1,28 +1,38 @@
-"""Property tests: ``ActionLog.append_batch`` vs the scalar oracle.
+"""Property tests: ``ActionLog.append_batch`` vs the scalar oracles.
 
 ``append_batch(rows)`` must be semantically identical to
 ``for row in rows: log_action(*row)`` — same ids, same field values,
-same index answers, same observer stream — in both storage modes. These
-tests replay one randomized op sequence (batches of varying size,
-scalar appends, and mark_removed calls interleaved) into three logs:
+same index answers, same observer stream. These tests replay one
+randomized op sequence (batches of varying size, scalar appends, and
+mark_removed calls interleaved) into three logs:
 
 * a columnar log fed through ``append_batch`` (the system under test),
-* a columnar log fed row-by-row (the intra-mode scalar oracle),
-* a reference (list-backed) log fed row-by-row (the storage oracle),
+* a columnar log fed row-by-row (the scalar-path oracle),
+* the brute-force :class:`tests.oracles.actionlog.ListActionLog` fed
+  row-by-row (the storage oracle),
 
 and assert every query agrees — including the out-of-order fallback
 (ticks drawn unsorted, so the bisect paths must degrade to scans) and
 pickle round-trips taken mid-sequence.
+
+One level up, the platform's ``action_batch`` scope must be invisible:
+the same action sequence issued inside a scope and outside any scope
+(the scalar path) leaves the same log, graph, media and notifications.
 """
 
 import pickle
 
 import pytest
 
+from repro.netsim.client import ClientEndpoint, DeviceFingerprint
 from repro.platform.actions import ActionLog, ActionView
+from repro.platform.countermeasures import CountermeasureDecision
+from repro.platform.errors import PlatformError
+from repro.platform.instagram import InstagramPlatform
 from repro.platform.models import ActionStatus, ActionType, ApiSurface
 from repro.util.rng import derive_rng
 
+from tests.oracles.actionlog import ListActionLog
 from tests.test_platform_columnar_log import (
     _ENDPOINTS,
     _assert_queries_equivalent,
@@ -86,7 +96,7 @@ def _script(seed: int, steps: int, monotonic: bool):
     return ops
 
 
-def _apply(log: ActionLog, ops, batched: bool) -> None:
+def _apply(log, ops, batched: bool) -> None:
     for op in ops:
         if op[0] == "batch":
             if batched:
@@ -103,9 +113,9 @@ def _apply(log: ActionLog, ops, batched: bool) -> None:
 
 def _triple(seed: int, monotonic: bool, steps: int = 120):
     ops = _script(seed, steps, monotonic)
-    batched = ActionLog(columnar=True)
-    scalar_cols = ActionLog(columnar=True)
-    ref = ActionLog(columnar=False)
+    batched = ActionLog()
+    scalar_cols = ActionLog()
+    ref = ListActionLog()
     _apply(batched, ops, batched=True)
     _apply(scalar_cols, ops, batched=False)
     _apply(ref, ops, batched=False)
@@ -130,7 +140,7 @@ class TestAppendBatchEquivalence:
         _assert_queries_equivalent(batched, ref)
 
     def test_empty_batch_is_a_noop(self):
-        log = ActionLog(columnar=True)
+        log = ActionLog()
         assert log.append_batch([]) == 0
         log.log_action(
             ActionType.LIKE, 1, 0, _ENDPOINTS[0],
@@ -139,21 +149,12 @@ class TestAppendBatchEquivalence:
         assert log.append_batch([]) == 1
         assert len(log) == 1
 
-    def test_reference_mode_batch_is_the_scalar_loop(self):
-        """In reference mode the batch call *is* the oracle loop."""
-        ops = _script(7, 60, monotonic=True)
-        via_batch = ActionLog(columnar=False)
-        via_scalar = ActionLog(columnar=False)
-        _apply(via_batch, ops, batched=True)
-        _apply(via_scalar, ops, batched=False)
-        assert _rows(iter(via_batch)) == _rows(iter(via_scalar))
-
     @pytest.mark.parametrize("monotonic", [True, False])
     def test_pickle_roundtrip_mid_sequence(self, monotonic):
         ops = _script(3, 120, monotonic)
         half = len(ops) // 2
-        batched = ActionLog(columnar=True)
-        ref = ActionLog(columnar=False)
+        batched = ActionLog()
+        ref = ListActionLog()
         _apply(batched, ops[:half], batched=True)
         _apply(ref, ops[:half], batched=False)
         batched = pickle.loads(pickle.dumps(batched))
@@ -167,8 +168,8 @@ class TestAppendBatchEquivalence:
         """Per-row observers and bulk batch observers see the same rows,
         in append order, as the scalar oracle's observers."""
         ops = _script(11, 80, monotonic=True)
-        batched = ActionLog(columnar=True)
-        scalar_cols = ActionLog(columnar=True)
+        batched = ActionLog()
+        scalar_cols = ActionLog()
         seen_plain, seen_bulk, seen_scalar = [], [], []
         batched.add_observer(lambda r: seen_plain.append(_row(r)))
 
@@ -196,9 +197,9 @@ class TestAppendBatchEquivalence:
             )
             for t in range(10)
         ]
-        batched = ActionLog(columnar=True)
+        batched = ActionLog()
         batched.append_batch(rows)
-        scalar = ActionLog(columnar=True)
+        scalar = ActionLog()
         for row in rows:
             scalar.log_action(*row)
         asn = _ENDPOINTS[0].asn
@@ -208,3 +209,135 @@ class TestAppendBatchEquivalence:
         assert batched.ids_by_signature(asn, variant) == scalar.ids_by_signature(
             asn, variant
         )
+
+
+# ----------------------------------------------------------------------
+# The platform's action_batch scope vs the scalar path
+# ----------------------------------------------------------------------
+
+_HOME = ClientEndpoint(0x0A000001, 64512, DeviceFingerprint("android"))
+_N_USERS = 8
+
+
+class _FixedPolicy:
+    def __init__(self, decision):
+        self.decision = decision
+
+    def decide(self, context):
+        return self.decision
+
+
+def _world(policy=None):
+    """A bare platform with a few users, each owning two posts."""
+    platform = InstagramPlatform()
+    if policy is not None:
+        platform.countermeasures.add_policy(policy)
+    sessions = {}
+    media = {}
+    for n in range(1, _N_USERS + 1):
+        account = platform.create_account(f"user{n}", "pw")
+        sessions[account.account_id] = platform.login(f"user{n}", "pw", _HOME)
+        media[account.account_id] = [
+            platform.post(sessions[account.account_id], _HOME, caption=str(k))[1].media_id
+            for k in range(2)
+        ]
+    return platform, sessions, media
+
+
+def _action_script(seed: int, steps: int = 160):
+    """Randomized (kind, actor, target) triples; invalid repeats on purpose."""
+    rng = derive_rng(seed, "action-batch-scope")
+    kinds = ("like", "like", "follow", "follow", "unfollow", "comment", "post")
+    return [
+        (
+            kinds[int(rng.integers(0, len(kinds)))],
+            int(rng.integers(1, _N_USERS + 1)),
+            int(rng.integers(1, _N_USERS + 1)),
+            int(rng.integers(0, 2)),
+        )
+        for _ in range(steps)
+    ]
+
+
+def _issue(platform, sessions, media, step) -> str:
+    """Run one scripted action; returns its outcome class."""
+    kind, actor, target, pick = step
+    session = sessions[actor]
+    try:
+        if kind == "like":
+            platform.like(session, media[target][pick], _HOME)
+        elif kind == "follow":
+            platform.follow(session, target, _HOME)
+        elif kind == "unfollow":
+            platform.unfollow(session, target, _HOME)
+        elif kind == "comment":
+            platform.comment(session, media[target][pick], "nice", _HOME)
+        else:
+            platform.post(session, _HOME)
+    except PlatformError as exc:
+        return type(exc).__name__
+    return "ok"
+
+
+def _state(platform):
+    users = range(1, _N_USERS + 1)
+    log_rows = _rows(iter(platform.log))
+    edges = sorted((src, dst) for src in users for dst in platform.graph.following(src))
+    likes = [
+        (m.media_id, sorted(platform.media.likes(m.media_id)))
+        for a in users
+        for m in platform.media.media_of(a)
+    ]
+    inbox = {a: platform.notifications.pending(a) for a in users}
+    return log_rows, edges, likes, inbox
+
+
+def _run_scoped(policy, ops, scope_len: int):
+    """Issue ``ops`` in consecutive scopes of ``scope_len`` actions."""
+    platform, sessions, media = _world(policy)
+    outcomes = []
+    for i in range(0, len(ops), scope_len):
+        with platform.action_batch():
+            for step in ops[i:i + scope_len]:
+                outcomes.append(_issue(platform, sessions, media, step))
+    return platform, outcomes
+
+
+def _run_unscoped(policy, ops):
+    platform, sessions, media = _world(policy)
+    return platform, [_issue(platform, sessions, media, step) for step in ops]
+
+
+class TestActionBatchScope:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_scope_matches_scalar_path(self, seed):
+        ops = _action_script(seed)
+        scoped, scoped_outcomes = _run_scoped(None, ops, scope_len=12)
+        scalar, scalar_outcomes = _run_unscoped(None, ops)
+        assert scoped_outcomes == scalar_outcomes
+        assert "InvalidActionError" in scalar_outcomes  # rejections exercised
+        assert _state(scoped) == _state(scalar)
+
+    def test_scope_defers_rows_until_exit(self):
+        platform, sessions, media = _world()
+        before = len(platform.log)
+        with platform.action_batch():
+            assert platform.like(sessions[1], media[2][0], _HOME) is None
+            assert len(platform.log) == before
+        assert len(platform.log) == before + 1
+
+    def test_installed_policy_makes_scope_defer_nothing(self):
+        policy = _FixedPolicy(CountermeasureDecision.DELAY_REMOVE)
+        platform, sessions, media = _world(policy)
+        before = len(platform.log)
+        with platform.action_batch():
+            record = platform.like(sessions[1], media[2][0], _HOME)
+            assert record is not None and record.action_id == before
+            assert len(platform.log) == before + 1
+            platform.follow(sessions[1], 2, _HOME)
+            assert len(platform.log) == before + 2
+        ops = _action_script(5)
+        scoped, scoped_outcomes = _run_scoped(policy, ops, scope_len=12)
+        scalar, scalar_outcomes = _run_unscoped(policy, ops)
+        assert scoped_outcomes == scalar_outcomes
+        assert _state(scoped) == _state(scalar)

@@ -27,9 +27,17 @@ class TestActionLog:
         log = ActionLog()
         r = record(log)
         assert len(log) == 1
-        assert log.get(r.action_id) is r
-        assert log.by_actor(1) == [r]
-        assert log.by_target(2) == [r]
+        # the log copies the record's fields into its columns and hands
+        # back views over them
+        stored = log.get(r.action_id)
+        assert (stored.action_id, stored.action_type, stored.actor, stored.tick) == (
+            r.action_id, r.action_type, r.actor, r.tick
+        )
+        assert (stored.endpoint, stored.status, stored.target_account) == (
+            r.endpoint, r.status, r.target_account
+        )
+        assert log.by_actor(1) == [stored]
+        assert log.by_target(2) == [stored]
 
     def test_out_of_order_id_rejected(self):
         log = ActionLog()

@@ -1,10 +1,11 @@
-"""Property tests: columnar ActionLog vs the list-backed reference.
+"""Property tests: columnar ActionLog vs the brute-force list oracle.
 
-Feed both storage modes the same append sequence and assert every query
-returns identical results — same ids, same field values, same ordering —
-including the out-of-order-append fallback (tests appending synthetic
-records can break tick monotonicity; the bisect fast paths must degrade
-to scans without changing answers).
+Feed the production log and :class:`tests.oracles.actionlog.ListActionLog`
+the same append sequence and assert every query returns identical
+results — same ids, same field values, same ordering — including the
+out-of-order-append fallback (tests appending synthetic records can
+break tick monotonicity; the bisect fast paths must degrade to scans
+without changing answers).
 """
 
 import pickle
@@ -22,11 +23,13 @@ from repro.platform.models import (
     ApiSurface,
 )
 
+from tests.oracles.actionlog import ListActionLog
+
 _ENDPOINTS = [
     ClientEndpoint(0x0A000001, 64512, DeviceFingerprint("android")),
     ClientEndpoint(0x0A000002, 64512, DeviceFingerprint("ios")),
     # same (asn, variant) as the first endpoint, different IP: must share
-    # its signature bucket in both modes (AAS exits rotate IPs per ASN)
+    # its signature bucket (AAS exits rotate IPs per ASN)
     ClientEndpoint(0x0A0000FF, 64512, DeviceFingerprint("android")),
     ClientEndpoint(0x0B000001, 64999, DeviceFingerprint("android")),
 ]
@@ -54,7 +57,7 @@ def _rows(records):
     return [_row(r) for r in records]
 
 
-def _random_append(log: ActionLog, rng: np.random.Generator, tick: int):
+def _random_append(log, rng: np.random.Generator, tick: int):
     action_type = list(ActionType)[int(rng.integers(0, len(ActionType)))]
     status = (
         ActionStatus.BLOCKED if rng.random() < 0.15 else ActionStatus.DELIVERED
@@ -75,9 +78,9 @@ def _random_append(log: ActionLog, rng: np.random.Generator, tick: int):
     )
 
 
-def _build_pair(seed: int, monotonic: bool) -> tuple[ActionLog, ActionLog]:
-    """Two logs (columnar, reference) fed one randomized append sequence."""
-    fast, ref = ActionLog(columnar=True), ActionLog(columnar=False)
+def _build_pair(seed: int, monotonic: bool) -> tuple[ActionLog, ListActionLog]:
+    """Two logs (columnar, oracle) fed one randomized append sequence."""
+    fast, ref = ActionLog(), ListActionLog()
     rng_fast, rng_ref = derive_rng(seed, "columnar-log"), derive_rng(seed, "columnar-log")
     tick = 0
     for step in range(300):
@@ -98,7 +101,7 @@ def _build_pair(seed: int, monotonic: bool) -> tuple[ActionLog, ActionLog]:
     return fast, ref
 
 
-def _assert_queries_equivalent(fast: ActionLog, ref: ActionLog) -> None:
+def _assert_queries_equivalent(fast: ActionLog, ref) -> None:
     assert len(fast) == len(ref)
     assert fast.ticks_monotonic == ref.ticks_monotonic
     assert _rows(iter(fast)) == _rows(iter(ref))
@@ -140,7 +143,6 @@ class TestColumnarLogEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_monotonic_append_sequences(self, seed):
         fast, ref = _build_pair(seed, monotonic=True)
-        assert fast.columnar and not ref.columnar
         assert fast.ticks_monotonic and ref.ticks_monotonic
         assert fast.offsets_between(5, 40) == ref.offsets_between(5, 40)
         _assert_queries_equivalent(fast, ref)
@@ -158,7 +160,7 @@ class TestColumnarLogEquivalence:
     def test_synthetic_record_append_roundtrips(self):
         """append() of pre-built records (the test-fixture path) must land
         in the columns field-for-field, including removed_at."""
-        fast, ref = ActionLog(columnar=True), ActionLog(columnar=False)
+        fast, ref = ActionLog(), ListActionLog()
         for log in (fast, ref):
             log.append(
                 ActionRecord(
@@ -195,7 +197,7 @@ class TestColumnarLogEquivalence:
         assert _row(view) == _row(record)
 
     def test_observers_see_flyweights_in_append_order(self):
-        fast, ref = ActionLog(columnar=True), ActionLog(columnar=False)
+        fast, ref = ActionLog(), ListActionLog()
         seen_fast, seen_ref = [], []
         fast.add_observer(lambda r: seen_fast.append(_row(r)))
         ref.add_observer(lambda r: seen_ref.append(_row(r)))
@@ -206,7 +208,7 @@ class TestColumnarLogEquivalence:
         assert seen_fast == seen_ref == _rows(iter(fast))
 
     def test_mark_removed_rejects_non_delivered(self):
-        fast = ActionLog(columnar=True)
+        fast = ActionLog()
         view = fast.log_action(
             ActionType.LIKE, 1, 0, _ENDPOINTS[0],
             ApiSurface.PRIVATE_MOBILE, ActionStatus.BLOCKED,

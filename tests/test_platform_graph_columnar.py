@@ -1,10 +1,8 @@
-"""Property tests: columnar FollowerGraph vs the set-backed reference.
+"""Property tests: columnar FollowerGraph vs the set-backed oracle.
 
-Drive both graph implementations through identical randomized op
-sequences and assert every query answers identically. The columnar
-graph is the fast path's store; the reference is what the naive
-execution mode runs, so any divergence here would break the study-level
-bit-equivalence guarantee.
+Drive the production graph and :class:`tests.oracles.graph.SetFollowerGraph`
+through identical randomized op sequences and assert every query answers
+identically.
 """
 
 import pickle
@@ -13,8 +11,10 @@ import numpy as np
 import pytest
 
 from repro.platform.errors import InvalidActionError
-from repro.platform.graph import FollowerGraph, SetFollowerGraph
+from repro.platform.graph import FollowerGraph
 from repro.util.rng import derive_rng
+
+from tests.oracles.graph import SetFollowerGraph
 
 N_ACCOUNTS = 30
 
