@@ -8,10 +8,9 @@ slow path:
 * ``tick_loop`` — raw simulation throughput (``Study.run_hours``) at
   several population scales.
 * ``sweep`` — attribution-sweep latency over a populated measurement
-  window across the three classifier tiers: brute force over a
-  materialized record list (the pre-index call pattern), the bucketed
-  cold sweep over the indexed log, and the incremental sweep of an
-  attached (streaming) classifier.
+  window across the two classifier tiers: brute force over a
+  materialized record list (the pre-index call pattern) and the
+  incremental sweep of an attached (streaming) classifier.
 * ``run_standard`` — wall time of the whole pipeline (honeypots →
   signatures → measurement) at 1x and 10x the tiny preset's population.
 * ``world_build`` — ``Study(config)`` construction time on the columnar
@@ -170,7 +169,7 @@ def bench_tick_loop(smoke: bool, workers: int = 1) -> dict:
 
 
 # ----------------------------------------------------------------------
-# sweep — attribution latency: brute force vs. bucketed vs. incremental
+# sweep — attribution latency: brute force vs. incremental
 # ----------------------------------------------------------------------
 
 def bench_sweep(smoke: bool, workers: int = 1) -> dict:
@@ -193,10 +192,6 @@ def bench_sweep(smoke: bool, workers: int = 1) -> dict:
         classifier = AASClassifier(signatures)
         return lambda: classifier.sweep(list(log), start_tick, end_tick)
 
-    def bucketed_case() -> Callable[[], object]:
-        classifier = AASClassifier(signatures)
-        return lambda: classifier.sweep(log, start_tick, end_tick)
-
     def incremental_case() -> Callable[[], object]:
         # the study's own classifier streams from the log, so this is
         # the repeated-sweep pattern of the intervention phases
@@ -206,7 +201,6 @@ def bench_sweep(smoke: bool, workers: int = 1) -> dict:
 
     cases = (
         ("cold-brute-force", brute_case),
-        ("cold-bucketed", bucketed_case),
         ("incremental", incremental_case),
     )
     results = []
@@ -222,12 +216,6 @@ def bench_sweep(smoke: bool, workers: int = 1) -> dict:
         "window_records": len(log.records_between(start_tick, end_tick)),
         "speedup_incremental_vs_cold_brute": _speedup(
             stats_by_name["cold-brute-force"], stats_by_name["incremental"]
-        ),
-        "speedup_incremental_vs_cold_bucketed": _speedup(
-            stats_by_name["cold-bucketed"], stats_by_name["incremental"]
-        ),
-        "speedup_bucketed_vs_cold_brute": _speedup(
-            stats_by_name["cold-brute-force"], stats_by_name["cold-bucketed"]
         ),
     }
     settings = {

@@ -8,22 +8,22 @@ matched actions are service customers, and for collusion networks the
 inbound-only accounts that pay the no-outbound fee — Section 5.2 counts
 them exactly this way).
 
-Three execution tiers produce bit-identical results (the equivalence is
-test-enforced):
+Two execution tiers produce identical results (the equivalence is
+property-tested in ``tests/test_detection_streaming_equivalence.py``):
 
-1. **Brute force** — any iterable of records; every record is matched
-   against the signature list. The reference semantics.
-2. **Bucketed cold sweep** — an :class:`~repro.platform.actions.ActionLog`
-   argument lets the sweep read the log's (ASN, action type, variant)
-   buckets: only records whose bucket intersects some signature are
-   touched, with first-matching-signature conflict resolution identical
-   to brute force.
-3. **Streaming attribution** — :meth:`AASClassifier.attach` registers the
+1. **Brute force** — any iterable of records; every record in the window
+   is matched against the signature list (first matching signature
+   wins). The reference semantics. An unattached
+   :class:`~repro.platform.actions.ActionLog` is first narrowed to the
+   window with its tick index.
+2. **Streaming attribution** — :meth:`AASClassifier.attach` registers the
    classifier as a log observer; records are attributed once, on append,
    into per-service (and benign) record caches, so every later sweep over
    the attached log is a binary search plus one list slice per service.
+   An out-of-order append invalidates the bisect and sends later sweeps
+   back to brute force.
 
-All tiers share a per-(ASN, variant) match memo: signatures only inspect
+Both tiers share a per-(ASN, variant) match memo: signatures only inspect
 the endpoint, so distinct endpoints — not records — bound the matching
 work.
 """
@@ -85,6 +85,21 @@ class AttributedActivity:
 _UNSEEN = object()
 
 
+def _window(
+    records: Iterable[ActionRecord], start_tick: int, end_tick: int | None
+) -> Iterable[ActionRecord]:
+    """The records of ``records`` in ``[start_tick, end_tick)``, in order.
+
+    A log narrows with its tick index; any other iterable is filtered.
+    """
+    if isinstance(records, ActionLog):
+        return records.records_between(start_tick, end_tick)
+    return (
+        r for r in records
+        if r.tick >= start_tick and (end_tick is None or r.tick < end_tick)
+    )
+
+
 def _cut_window(values: list, ticks: list[int], start_tick: int, end_tick: int | None) -> list:
     """Slice ``values`` (parallel to sorted ``ticks``) to a tick window."""
     lo = bisect_left(ticks, start_tick)
@@ -116,7 +131,7 @@ class AASClassifier:
         self._obs_comparisons = _obs.counter("detection.classifier.comparisons")
         self._obs_sweep_tier = {
             tier: _obs.counter("detection.classifier.sweeps", tier=tier)
-            for tier in ("streamed", "bucketed", "brute")
+            for tier in ("streamed", "brute")
         }
         #: (asn, variant) -> service-or-None; matching depends only on the
         #: endpoint, so distinct endpoints bound the matching work
@@ -189,7 +204,7 @@ class AASClassifier:
         log.add_observer(self._observe, batch=self._observe_batch)
 
     def detach(self) -> None:
-        """Stop observing; subsequent sweeps fall back to cold paths."""
+        """Stop observing; subsequent sweeps take the brute-force path."""
         if self._log is None:
             return
         self._log.remove_observer(self._observe)
@@ -200,30 +215,19 @@ class AASClassifier:
         self._benign_records = []
         self._benign_ticks = []
 
-    def _observe(self, record: ActionRecord) -> None:
+    def _observe(self, record: ActionView) -> None:
         # the per-append hot path: one memo lookup, two list appends.
-        # Columnar views expose their row directly, so the memo probes on
+        # The log hands over column-backed views, so the memo probes on
         # the interned endpoint id and reads the tick straight out of the
         # column — no endpoint decode, no key tuple, no property calls.
-        cols = getattr(record, "_cols", None)
-        if cols is not None:
-            row = record.action_id
-            service = self._eid_memo.get(cols.endpoint_ids[row], _UNSEEN)
-            if service is _UNSEEN:
-                service = self._eid_memo[cols.endpoint_ids[row]] = self.attribute(record)
-            else:
-                self._obs_memo_hit.inc()
-            tick = cols.ticks[row]
+        cols = record._cols
+        row = record.action_id
+        service = self._eid_memo.get(cols.endpoint_ids[row], _UNSEEN)
+        if service is _UNSEEN:
+            service = self._eid_memo[cols.endpoint_ids[row]] = self.attribute(record)
         else:
-            endpoint = record.endpoint
-            key = (endpoint.asn, endpoint.fingerprint.variant)
-            memo = self._match_memo
-            if key in memo:
-                service = memo[key]
-                self._obs_memo_hit.inc()
-            else:
-                service = self.attribute(record)
-            tick = record.tick
+            self._obs_memo_hit.inc()
+        tick = cols.ticks[row]
         if service is None:
             records, ticks = self._benign_records, self._benign_ticks
         else:
@@ -300,33 +304,18 @@ class AASClassifier:
         if self._streaming_for(records):
             self._obs_sweep_tier["streamed"].inc()
             return self._sweep_streamed(start_tick, end_tick, include_blocked)
-        if isinstance(records, ActionLog) and records.ticks_monotonic:
-            self._obs_sweep_tier["bucketed"].inc()
-            return self._sweep_bucketed(records, start_tick, end_tick, include_blocked)
         self._obs_sweep_tier["brute"].inc()
         out = {
             s.service: AttributedActivity(service=s.service, service_type=s.service_type)
             for s in self.signatures
         }
-        for record in records:
-            if record.tick < start_tick:
-                continue
-            if end_tick is not None and record.tick >= end_tick:
-                continue
+        for record in _window(records, start_tick, end_tick):
             if not include_blocked and record.status is ActionStatus.BLOCKED:
                 continue
             service = self.attribute(record)
             if service is not None:
                 out[service].records.append(record)
         return out
-
-    def _materialize(
-        self, log: ActionLog, ids: list[int], include_blocked: bool
-    ) -> list[ActionRecord]:
-        records = [log.get(i) for i in ids]
-        if not include_blocked:
-            records = [r for r in records if r.status is not ActionStatus.BLOCKED]
-        return records
 
     def _sweep_streamed(
         self, start_tick: int, end_tick: int | None, include_blocked: bool
@@ -349,48 +338,6 @@ class AASClassifier:
             )
         return out
 
-    def _sweep_bucketed(
-        self,
-        log: ActionLog,
-        start_tick: int,
-        end_tick: int | None,
-        include_blocked: bool,
-    ) -> dict[str, AttributedActivity]:
-        """Cold sweep via the log's signature buckets.
-
-        Signatures are tried in list order per record (first match wins)
-        — reproduced here by letting earlier signatures claim bucket ids
-        before later ones see them. A signature with an open feature set
-        (no ASNs or no variants) cannot be enumerated from buckets and
-        falls back to scanning the window once for that signature.
-        """
-        out = {
-            s.service: AttributedActivity(service=s.service, service_type=s.service_type)
-            for s in self.signatures
-        }
-        claimed: set[int] = set()
-        for signature in self.signatures:
-            if signature.asns and signature.client_variants:
-                ids: list[int] = []
-                for asn in sorted(signature.asns):
-                    for variant in sorted(signature.client_variants):
-                        ids.extend(
-                            log.ids_by_signature(
-                                asn, variant, start_tick=start_tick, end_tick=end_tick
-                            )
-                        )
-                ids.sort()
-            else:
-                ids = [
-                    r.action_id
-                    for r in log.records_between(start_tick, end_tick)
-                    if signature.matches(r)
-                ]
-            fresh = [i for i in ids if i not in claimed]
-            claimed.update(fresh)
-            out[signature.service].records = self._materialize(log, fresh, include_blocked)
-        return out
-
     def benign_records(
         self,
         records: Iterable[ActionRecord],
@@ -401,18 +348,7 @@ class AASClassifier:
         intervention thresholds are computed from (Section 6.2)."""
         if self._streaming_for(records):
             return _cut_window(self._benign_records, self._benign_ticks, start_tick, end_tick)
-        if isinstance(records, ActionLog):
-            records = records.records_between(start_tick, end_tick)
-            start_tick, end_tick = 0, None
-        out = []
-        for record in records:
-            if record.tick < start_tick:
-                continue
-            if end_tick is not None and record.tick >= end_tick:
-                continue
-            if self.attribute(record) is None:
-                out.append(record)
-        return out
+        return [r for r in _window(records, start_tick, end_tick) if self.attribute(r) is None]
 
     def daily_counts_by_account(
         self,

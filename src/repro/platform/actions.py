@@ -7,20 +7,20 @@ it is the simulator's equivalent of the internal Instagram data the
 paper's authors had access to.
 
 The log is *indexed* (DESIGN.md "Performance architecture"): appends
-maintain a parallel tick array, per-actor/per-target tick arrays, and
-per-(ASN, action type, client-variant) signature buckets, so every
-``[start_tick, end_tick)`` window query is a binary search plus a slice
-instead of a full-log scan. The platform appends in simulation order, so
-ticks are non-decreasing and the bisect fast path applies; a log built
-with out-of-order ticks (possible when tests append synthetic records)
-degrades transparently to the brute-force filters.
+maintain a parallel tick array and per-actor/per-target tick arrays, so
+every ``[start_tick, end_tick)`` window query is a binary search plus a
+slice instead of a full-log scan. The platform appends in simulation
+order, so ticks are non-decreasing and the bisect fast path applies; a
+log built with out-of-order ticks (possible when tests append synthetic
+records) degrades transparently to the brute-force filters. Signature
+queries (:meth:`ActionLog.by_signature`) filter a tick window; the
+pipeline's attribution streams through the classifier's log observer
+instead (:mod:`repro.detection.classifier`).
 
 Storage is columnar (DESIGN.md §11 "Columnar world core"): rows live
 in :class:`~repro.platform.columns.ActionColumns` (parallel stdlib
 ``array`` vectors + interned endpoint table), indices are ``array('q')``
-vectors, signature buckets key on interned ids resolved through an
-``(endpoint id, type code)`` fast map instead of hashing a tuple per
-append, and query results materialize transient
+vectors, and query results materialize transient
 :class:`~repro.platform.columns.ActionView` flyweights.
 
 Query results are bit-identical to the brute-force list-scan log in
@@ -37,11 +37,7 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 
 from repro.netsim.client import ClientEndpoint
 from repro.obs import NULL_OBS, Observability
-from repro.platform.columns import (
-    N_ACTION_TYPES,
-    ActionColumns,
-    ActionView,
-)
+from repro.platform.columns import ActionColumns, ActionView
 from repro.platform.models import (
     AccountId,
     ActionRecord,
@@ -51,9 +47,6 @@ from repro.platform.models import (
     MediaId,
 )
 
-#: a signature-bucket key: (ASN, action type, client fingerprint variant)
-SignatureKey = tuple[int, ActionType, str]
-
 #: what the log hands back: column-backed flyweights, field-compatible
 #: with :class:`ActionRecord` by construction
 StoredAction = Union[ActionRecord, ActionView]
@@ -61,9 +54,6 @@ StoredAction = Union[ActionRecord, ActionView]
 #: one pending batch row — the positional argument list of
 #: :meth:`ActionLog.log_action` as a tuple
 BatchRow = tuple
-
-#: decode table for reading type codes back out of the columns
-_TYPE_BY_CODE: tuple[ActionType, ...] = tuple(ActionType)
 
 
 def _window(
@@ -76,7 +66,7 @@ def _window(
 
 
 class ActionLog:
-    """Append-only action store with tick/actor/target/signature indices."""
+    """Append-only action store with tick/actor/target indices."""
 
     def __init__(self, obs: Observability | None = None):
         _obs = obs if obs is not None else NULL_OBS
@@ -104,16 +94,6 @@ class ActionLog:
         self._by_actor_ticks: dict[AccountId, array] = {}
         self._by_target: dict[AccountId, array] = {}
         self._by_target_ticks: dict[AccountId, array] = {}
-        #: signature buckets keyed on dense signature ids; the value
-        #: key table resolves the public (ASN, type, variant) queries
-        self._by_signature: dict[int, array] = {}
-        self._by_signature_ticks: dict[int, array] = {}
-        self._sig_keys: list[SignatureKey] = []
-        self._sig_ids: dict[SignatureKey, int] = {}
-        #: (endpoint id, type code) -> that signature's (ids, ticks)
-        #: bucket arrays; saves building and hashing a (int, enum,
-        #: str) tuple plus two bucket-dict probes on every append
-        self._sig_fast: dict[int, tuple[array, array]] = {}
 
     # ------------------------------------------------------------------
     # Appends
@@ -178,21 +158,16 @@ class ActionLog:
         by_actor_ticks = self._by_actor_ticks
         by_target = self._by_target
         by_target_ticks = self._by_target_ticks
-        sig_fast = self._sig_fast
-        endpoint_ids = cols.endpoint_ids
         monotonic = self._monotonic
         # One pass over the original row tuples — cheaper than re-reading
         # the freshly pushed columns — folding the monotonic check into
-        # the index walk. Run-length memos keyed by *object identity*
-        # (the interner guarantees one id per endpoint object, and enum
-        # members are singletons) skip the per-row dict probes when
-        # consecutive rows share an actor or an (endpoint, type) pair —
-        # the common shape for AAS delivery bursts.
-        last_actor = last_target = last_endpoint = last_type = None
-        a_ids = a_ticks = t_ids = t_ticks = bucket = None
+        # the index walk. Run-length memos skip the per-row dict probes
+        # when consecutive rows share an actor or a target — the common
+        # shape for AAS delivery bursts.
+        last_actor = last_target = None
+        a_ids = a_ticks = t_ids = t_ticks = None
         i = start
         for row in rows:
-            action_type = row[0]
             actor = row[1]
             tick = row[2]
             if monotonic and prev_tick is not None and tick < prev_tick:
@@ -218,27 +193,6 @@ class ActionLog:
                     t_ticks = by_target_ticks[target]
                 t_ids.append(i)
                 t_ticks.append(tick)
-            endpoint = row[3]
-            if endpoint is not last_endpoint or action_type is not last_type:
-                last_endpoint = endpoint
-                last_type = action_type
-                fast_key = endpoint_ids[i] * N_ACTION_TYPES + action_type.col_code
-                bucket = sig_fast.get(fast_key)
-                if bucket is None:
-                    key = (endpoint.asn, action_type, endpoint.fingerprint.variant)
-                    sig = self._sig_ids.get(key)
-                    if sig is None:
-                        sig = len(self._sig_keys)
-                        self._sig_ids[key] = sig
-                        self._sig_keys.append(key)
-                        self._by_signature[sig] = array("q")
-                        self._by_signature_ticks[sig] = array("q")
-                    bucket = sig_fast[fast_key] = (
-                        self._by_signature[sig],
-                        self._by_signature_ticks[sig],
-                    )
-            bucket[0].append(i)
-            bucket[1].append(tick)
             i += 1
         self._monotonic = monotonic
         end = i
@@ -275,7 +229,7 @@ class ActionLog:
         ticks = cols.ticks
         if self._monotonic and ticks and tick < ticks[-1]:
             self._monotonic = False
-        action_id, endpoint_id = cols.push(
+        action_id = cols.push(
             action_type, actor, tick, endpoint, api, status,
             target_account, target_media, comment_text,
         )
@@ -294,23 +248,6 @@ class ActionLog:
                 self._by_target_ticks[target_account] = array("q")
             ids.append(action_id)
             self._by_target_ticks[target_account].append(tick)
-        fast_key = endpoint_id * N_ACTION_TYPES + action_type.col_code
-        bucket = self._sig_fast.get(fast_key)
-        if bucket is None:
-            key = (endpoint.asn, action_type, endpoint.fingerprint.variant)
-            sig = self._sig_ids.get(key)
-            if sig is None:
-                sig = len(self._sig_keys)
-                self._sig_ids[key] = sig
-                self._sig_keys.append(key)
-                self._by_signature[sig] = array("q")
-                self._by_signature_ticks[sig] = array("q")
-            bucket = self._sig_fast[fast_key] = (
-                self._by_signature[sig],
-                self._by_signature_ticks[sig],
-            )
-        bucket[0].append(action_id)
-        bucket[1].append(tick)
         self._obs_appends.inc()
         view = ActionView(cols, action_id)
         for observer in self._observers:
@@ -371,19 +308,6 @@ class ActionLog:
     def ticks_monotonic(self) -> bool:
         """Whether appends arrived in tick order (enables bisect paths)."""
         return self._monotonic
-
-    def offsets_between(
-        self, start_tick: Optional[int] = None, end_tick: Optional[int] = None
-    ) -> tuple[int, int]:
-        """``(lo, hi)`` record-id offsets covering ``[start_tick, end_tick)``.
-
-        Only meaningful while :attr:`ticks_monotonic` holds; raises
-        otherwise so callers cannot silently read a wrong slice.
-        """
-        if not self._monotonic:
-            raise ValueError("tick offsets undefined: log was appended out of tick order")
-        self._obs_query_index.inc()
-        return _window(self._ticks, start_tick, end_tick)
 
     def records_between(
         self, start_tick: Optional[int] = None, end_tick: Optional[int] = None
@@ -452,62 +376,6 @@ class ActionLog:
             self._by_target, self._by_target_ticks, target, start_tick, end_tick
         )
 
-    def signature_keys(self) -> list[SignatureKey]:
-        """Every (ASN, action type, variant) bucket present, sorted."""
-        return sorted(self._sig_keys, key=lambda k: (k[0], k[1].value, k[2]))
-
-    def _signature_bucket(self, key: SignatureKey):
-        """The (ids, ticks) bucket arrays for a signature key, if present."""
-        sig = self._sig_ids.get(key)
-        if sig is None:
-            return None, None
-        return self._by_signature[sig], self._by_signature_ticks[sig]
-
-    def ids_by_signature(
-        self,
-        asn: int,
-        variant: str,
-        action_type: Optional[ActionType] = None,
-        start_tick: Optional[int] = None,
-        end_tick: Optional[int] = None,
-    ) -> list[int]:
-        """Record ids in the (asn, action_type, variant) bucket(s), sorted.
-
-        With ``action_type=None`` the per-type buckets are merged back
-        into log order.
-        """
-        (self._obs_query_index if self._monotonic else self._obs_query_scan).inc()
-        if action_type is not None:
-            keys = [(asn, action_type, variant)]
-        else:
-            keys = [(asn, t, variant) for t in ActionType]
-        selected: list = []
-        for key in keys:
-            indices, ticks = self._signature_bucket(key)
-            if not indices:
-                continue
-            if self._monotonic:
-                lo, hi = _window(ticks, start_tick, end_tick)
-                selected.append(indices[lo:hi])
-            else:
-                selected.append(
-                    [
-                        i
-                        for i in indices
-                        if (start_tick is None or self._tick_of(i) >= start_tick)
-                        and (end_tick is None or self._tick_of(i) < end_tick)
-                    ]
-                )
-        if not selected:
-            return []
-        if len(selected) == 1:
-            return list(selected[0])
-        merged: list[int] = []
-        for ids in selected:
-            merged.extend(ids)
-        merged.sort()
-        return merged
-
     def by_signature(
         self,
         asn: int,
@@ -516,10 +384,14 @@ class ActionLog:
         start_tick: Optional[int] = None,
         end_tick: Optional[int] = None,
     ) -> list[StoredAction]:
-        """Records matching an (ASN, variant[, action type]) signature."""
+        """Records matching an (ASN, variant[, action type]) signature,
+        within ``[start_tick, end_tick)``, in log order."""
         return [
-            self.get(i)
-            for i in self.ids_by_signature(asn, variant, action_type, start_tick, end_tick)
+            r
+            for r in self.records_between(start_tick, end_tick)
+            if (action_type is None or r.action_type is action_type)
+            and r.endpoint.asn == asn
+            and r.endpoint.fingerprint.variant == variant
         ]
 
     def inbound(self, target: AccountId, *, delivered_only: bool = True) -> list[StoredAction]:
@@ -582,7 +454,3 @@ class ActionLog:
                 continue
             count += 1
         return count
-
-    def actors(self) -> Iterable[AccountId]:
-        """Every account that has issued at least one action."""
-        return self._by_actor.keys()

@@ -1,7 +1,7 @@
 """Struct-of-arrays storage for the action log's columnar mode.
 
 One logged action is a row across parallel stdlib ``array`` columns plus
-two interned side tables (endpoints and signature keys). Compared to a
+an interned endpoint table. Compared to a
 ``list[ActionRecord]`` this stores the hot fields — tick, actor,
 targets, status — as flat 64-bit/8-bit vectors: no per-record object
 header, no per-field pointer, and the tick column doubles as the bisect
@@ -54,14 +54,6 @@ _APIS: tuple[ApiSurface, ...] = tuple(ApiSurface)
 for _members in (_TYPES, _STATUSES, _APIS):
     for _code, _member in enumerate(_members):
         _member.col_code = _code
-
-#: number of action types — the stride of the (endpoint, type) fast key
-N_ACTION_TYPES = len(_TYPES)
-
-
-def type_code(action_type: ActionType) -> int:
-    """The dense column code of an action type (definition order)."""
-    return action_type.col_code
 
 #: sentinel for "no value" in the optional int columns
 _NONE = -1
@@ -117,8 +109,8 @@ class ActionColumns:
         target_account: Optional[AccountId],
         target_media: Optional[MediaId],
         comment_text: Optional[str],
-    ) -> tuple[int, int]:
-        """Append one row; returns ``(action_id, endpoint_id)``."""
+    ) -> int:
+        """Append one row; returns its action id."""
         action_id = len(self.ticks)
         self.ticks.append(tick)
         self.actors.append(actor)
@@ -128,12 +120,11 @@ class ActionColumns:
         self.target_accounts.append(_NONE if target_account is None else target_account)
         self.target_medias.append(_NONE if target_media is None else target_media)
         self.removed_ats.append(_NONE)
-        endpoint_id = self.endpoints.intern(endpoint)
-        self.endpoint_ids.append(endpoint_id)
+        self.endpoint_ids.append(self.endpoints.intern(endpoint))
         if comment_text is not None:
             self.comment_texts[action_id] = comment_text
         self._obs_rows.inc(9)
-        return action_id, endpoint_id
+        return action_id
 
     def push_batch(self, rows: list) -> int:
         """Append many rows in one call; returns the first action id.

@@ -3,7 +3,7 @@
 :class:`ListActionLog` keeps a plain list of :class:`ActionRecord` and
 answers every query with a linear scan in log order. It shares the
 public API of :class:`repro.platform.actions.ActionLog` but none of its
-bisect, bucket or column logic, so the property suites can compare the
+bisect or column logic, so the property suites can compare the
 production log against it.
 """
 
@@ -110,19 +110,6 @@ class ListActionLog:
         ticks = [r.tick for r in self._records]
         return all(a <= b for a, b in zip(ticks, ticks[1:]))
 
-    def offsets_between(
-        self, start_tick: Optional[int] = None, end_tick: Optional[int] = None
-    ) -> tuple[int, int]:
-        if not self.ticks_monotonic:
-            raise ValueError("tick offsets undefined: log was appended out of tick order")
-        lo = 0 if start_tick is None else sum(1 for r in self._records if r.tick < start_tick)
-        hi = (
-            len(self._records)
-            if end_tick is None
-            else sum(1 for r in self._records if r.tick < end_tick)
-        )
-        return lo, max(lo, hi)
-
     def select(
         self,
         *,
@@ -172,12 +159,6 @@ class ListActionLog:
             start_tick=start_tick, end_tick=end_tick, predicate=lambda r: r.target_account == target
         )
 
-    def signature_keys(self) -> list[tuple[int, ActionType, str]]:
-        keys = {
-            (r.endpoint.asn, r.action_type, r.endpoint.fingerprint.variant) for r in self._records
-        }
-        return sorted(keys, key=lambda k: (k[0], k[1].value, k[2]))
-
     def by_signature(
         self,
         asn: int,
@@ -192,18 +173,6 @@ class ListActionLog:
             end_tick=end_tick,
             predicate=lambda r: r.endpoint.asn == asn and r.endpoint.fingerprint.variant == variant,
         )
-
-    def ids_by_signature(
-        self,
-        asn: int,
-        variant: str,
-        action_type: Optional[ActionType] = None,
-        start_tick: Optional[int] = None,
-        end_tick: Optional[int] = None,
-    ) -> list[int]:
-        return [
-            r.action_id for r in self.by_signature(asn, variant, action_type, start_tick, end_tick)
-        ]
 
     def inbound(self, target: AccountId, *, delivered_only: bool = True) -> list[ActionRecord]:
         return [
@@ -228,6 +197,3 @@ class ListActionLog:
             if r.status is not ActionStatus.BLOCKED
             and (action_type is None or r.action_type is action_type)
         )
-
-    def actors(self) -> list[AccountId]:
-        return list(dict.fromkeys(r.actor for r in self._records))

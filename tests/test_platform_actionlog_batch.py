@@ -134,8 +134,6 @@ class TestAppendBatchEquivalence:
     def test_out_of_order_interleavings_fall_back(self, seed):
         _, batched, scalar_cols, ref = _triple(seed, monotonic=False)
         assert not batched.ticks_monotonic
-        with pytest.raises(ValueError):
-            batched.offsets_between(5, 40)
         _assert_queries_equivalent(batched, scalar_cols)
         _assert_queries_equivalent(batched, ref)
 
@@ -186,29 +184,6 @@ class TestAppendBatchEquivalence:
         # final log contents
         assert len(seen_plain) == len(batched)
         assert seen_plain == seen_bulk == seen_scalar
-
-    def test_batch_preserves_signature_bucket_sharing(self):
-        """Rows whose endpoints share (asn, variant) must share one
-        signature bucket whether they arrive batched or not."""
-        rows = [
-            (
-                ActionType.LIKE, 1, t, _ENDPOINTS[0 if t % 2 else 2],
-                ApiSurface.PRIVATE_MOBILE, ActionStatus.DELIVERED, 2, None, None,
-            )
-            for t in range(10)
-        ]
-        batched = ActionLog()
-        batched.append_batch(rows)
-        scalar = ActionLog()
-        for row in rows:
-            scalar.log_action(*row)
-        asn = _ENDPOINTS[0].asn
-        variant = _ENDPOINTS[0].fingerprint.variant
-        assert batched.signature_keys() == scalar.signature_keys()
-        assert batched.ids_by_signature(asn, variant) == list(range(10))
-        assert batched.ids_by_signature(asn, variant) == scalar.ids_by_signature(
-            asn, variant
-        )
 
 
 # ----------------------------------------------------------------------

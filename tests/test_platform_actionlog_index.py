@@ -138,25 +138,6 @@ def test_select_and_daily_count_equal_brute_force(monotonic: bool) -> None:
             assert log.daily_count(actor, day) == expected
 
 
-def test_offsets_between_matches_slice_when_monotonic() -> None:
-    rng = derive_rng(11, "actionlog-offsets")
-    log = _random_log(rng, n=200, monotonic=True)
-    records = list(log)
-    for start, end in _windows(rng, 5):
-        lo, hi = log.offsets_between(start, end)
-        assert records[lo:hi] == [r for r in records if _in_window(r, start, end)]
-
-
-def test_offsets_between_raises_out_of_order() -> None:
-    rng = derive_rng(12, "actionlog-offsets-ooo")
-    log = _random_log(rng, n=50, monotonic=False)
-    assert not log.ticks_monotonic
-    with pytest.raises(ValueError):
-        log.offsets_between(0, 10)
-    # the degraded paths still answer correctly
-    assert log.records_between(0, 10) == [r for r in log if 0 <= r.tick < 10]
-
-
 def test_endpoints_are_interned() -> None:
     rng = derive_rng(13, "actionlog-intern")
     log = _random_log(rng, n=120, monotonic=True)

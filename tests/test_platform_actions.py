@@ -92,12 +92,6 @@ class TestActionLog:
         assert log.daily_count(1, 1) == 1
         assert log.daily_count(1, 0, ActionType.FOLLOW) == 0
 
-    def test_actors_iterates_all(self):
-        log = ActionLog()
-        record(log, actor=1)
-        record(log, actor=2)
-        assert set(log.actors()) == {1, 2}
-
     def test_mark_removed_twice_rejected(self):
         log = ActionLog()
         r = record(log)
