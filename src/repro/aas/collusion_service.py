@@ -16,6 +16,19 @@ Implemented mechanics:
   photo, and the one-time "no collusion network" opt-out fee,
 * block detection with per-action-type deployment lag (Hublaagram took
   ~3 weeks to react to like blocking, Figure 6) and throttle adaptation.
+
+Fulfilment: each tick visits every live order once. A visit makes up to
+``4 * budget`` round-robin attempts over the source pool (active,
+outbound-allowed customers minus the recipient), sharing one cursor
+across all orders. Likes (free and single-media) run one inlined loop,
+follows another, comments the generic per-attempt loop. A visit costs
+time in proportion to the actions it issues: attempts that provably
+cannot issue — every one after the recipient's daily like cap is
+reached or when it has no media, and every one at a recipient whose
+pool already follows it — only advance the cursor. The shortcuts rely
+on invariants of the service's own tick (DESIGN.md §8, "Collusion
+fulfilment"); ``tests/oracles/collusion.py`` is the per-attempt
+reference they are tested against.
 """
 
 from __future__ import annotations
@@ -159,8 +172,18 @@ class CollusionNetworkService(AccountAutomationService):
         #: (per-account adaptation keeps control-bin customers unaffected)
         self._recipient_caps: dict[AccountId, float] = {}
         self._recipient_last_block: dict[AccountId, int] = {}
-        #: attempted inbound likes per (recipient, day)
+        #: attempted inbound likes per (recipient, day); only today's
+        #: entries are read, and ``_adjust`` drops the rest daily
         self._recipient_attempts: dict[tuple[AccountId, int], int] = {}
+        #: per-tick fulfilment state: the active source pool of tick
+        #: ``_pool_cache_tick`` with each record's index, that pool minus
+        #: each recipient visited, and the recipients whose every source
+        #: already follows them (``_fulfil_follow``)
+        self._pool_cache: list[CustomerRecord] = []
+        self._pool_index: dict[AccountId, int] = {}
+        self._pool_cache_tick: Optional[int] = None
+        self._pools_excluding: dict[AccountId, list[CustomerRecord]] = {}
+        self._saturated_follows: set[AccountId] = set()
         #: epilogue state: consecutive blocked days and the sales flag
         self._blocked_day_streak = 0
         self.sales_suspended = False
@@ -288,7 +311,7 @@ class CollusionNetworkService(AccountAutomationService):
 
     def _source_pool(self, exclude: AccountId) -> list[CustomerRecord]:
         now = self.platform.clock.now
-        if getattr(self, "_pool_cache_tick", None) != now:
+        if self._pool_cache_tick != now:
             # Only customers with an active service window are driven as
             # sources: the network stops using accounts whose engagement
             # lapsed (dormant credentials draw attention for no benefit).
@@ -301,28 +324,23 @@ class CollusionNetworkService(AccountAutomationService):
             self._pool_index = {
                 record.account_id: i for i, record in enumerate(self._pool_cache)
             }
-        # The active pool minus ``exclude``, assembled by slicing around
-        # the (at most one) excluded element instead of re-testing every
-        # record per order. Callers only read and index the pool, so
-        # returning the cache itself when the excluded account is not in
-        # it is safe.
+            self._pools_excluding.clear()
+        # The active pool minus ``exclude``, built once per recipient per
+        # tick by slicing around the (at most one) excluded element.
+        # Callers only read and index the pool, so returning the cache
+        # itself when the excluded account is not in it is safe.
         cache = self._pool_cache
         i = self._pool_index.get(exclude)
         if i is None:
             return cache
-        return cache[:i] + cache[i + 1:]
+        pool = self._pools_excluding.get(exclude)
+        if pool is None:
+            pool = self._pools_excluding[exclude] = cache[:i] + cache[i + 1:]
+        return pool
 
     def _next_source(self, pool: list[CustomerRecord]) -> CustomerRecord:
         self._source_cursor = (self._source_cursor + 1) % len(pool)
         return pool[self._source_cursor]
-
-    def _recipient_allowed(self, recipient: AccountId) -> bool:
-        """Check the recipient's adaptive daily like cap, if one exists."""
-        cap = self._recipient_caps.get(recipient)
-        if cap is None:
-            return True
-        attempts = self._recipient_attempts.get((recipient, self.platform.clock.day), 0)
-        return attempts < cap
 
     def _note_like_outcome(self, recipient: AccountId, outcome: IssueOutcome) -> None:
         now = self.platform.clock.now
@@ -334,29 +352,6 @@ class CollusionNetworkService(AccountAutomationService):
         current = self._recipient_caps.get(recipient, float(attempts))
         self._recipient_caps[recipient] = max(2.0, min(current, attempts) * 0.6)
         self._recipient_last_block[recipient] = now
-
-    def _deliver_like(self, order: Order, source: CustomerRecord) -> IssueOutcome:
-        if not self._recipient_allowed(order.customer):
-            return IssueOutcome.FAILED
-        if order.single_media is not None:
-            media_id = order.single_media
-        else:
-            media = self.platform.media.media_of(order.customer)
-            if not media:
-                return IssueOutcome.FAILED
-            media_id = media[int(self.rng.integers(0, len(media)))].media_id
-        if self.platform.media.has_liked(media_id, source.account_id):
-            return IssueOutcome.INVALID
-        key = (order.customer, self.platform.clock.day)
-        self._recipient_attempts[key] = self._recipient_attempts.get(key, 0) + 1
-        outcome = self._issue(
-            source,
-            lambda session, endpoint: self.platform.like(
-                session, media_id, endpoint, ApiSurface.PRIVATE_MOBILE
-            ),
-        )
-        self._note_like_outcome(order.customer, outcome)
-        return outcome
 
     def _deliver_comment(self, order: Order, source: CustomerRecord) -> IssueOutcome:
         media = self.platform.media.media_of(order.customer)
@@ -373,6 +368,10 @@ class CollusionNetworkService(AccountAutomationService):
         return outcome
 
     def _fulfil_order(self, order: Order) -> None:
+        """One visit of ``order``: up to ``4 * budget`` round-robin
+        attempts over the source pool, where ``budget`` is the hour's
+        share of the order. DELIVERED and BLOCKED spend budget; FAILED
+        and INVALID attempts spend only the attempt."""
         if not self.platform.account_exists(order.customer):
             order.delivered = order.quantity  # recipient gone; close out
             return
@@ -382,30 +381,18 @@ class CollusionNetworkService(AccountAutomationService):
         budget = max(1, order.per_hour)
         budget = min(budget, order.quantity - order.delivered)
         action_type = order.action_type
-        # In a saturated network nearly every attempt is an RNG-free,
-        # effect-free rejection — a source that already follows (or
-        # already likes) the recipient, classified by a single probe.
-        # The follow and single-media like loops inline the cursor math
-        # and that probe so the dominant (rejected) attempts cost a
-        # couple of dict/set lookups. Free like orders take the generic
-        # loop: their media pick draws RNG *before* the has-liked
-        # rejection, so the probe cannot be hoisted.
         if action_type is ActionType.FOLLOW:
             self._fulfil_follow(order, pool, budget)
             return
-        if action_type is ActionType.LIKE and order.single_media is not None:
-            self._fulfil_like_single(order, pool, budget)
-            return
         if action_type is ActionType.LIKE:
-            deliver = self._deliver_like
-        else:
-            deliver = self._deliver_comment
+            self._fulfil_like(order, pool, budget)
+            return
         attempts = 0
         max_attempts = budget * 4
         while budget > 0 and attempts < max_attempts:
             attempts += 1
             source = self._next_source(pool)
-            outcome = deliver(order, source)
+            outcome = self._deliver_comment(order, source)
             if outcome is IssueOutcome.DELIVERED:
                 order.delivered += 1
                 budget -= 1
@@ -415,20 +402,27 @@ class CollusionNetworkService(AccountAutomationService):
                 budget -= 1
 
     def _fulfil_follow(self, order: Order, pool: list[CustomerRecord], budget: int) -> None:
-        """FOLLOW fulfilment: the generic loop's round-robin attempts
-        over the pool, with the already-following rejection inlined (it
-        draws no RNG and mutates nothing, so a rejected attempt spends
-        only the attempt)."""
-        # raw out-edge rows: `customer in row` is is_following() without
-        # the method call (the scan probes once per attempt); the list is
-        # live storage, so re-check its length each probe — deliveries
-        # inside the loop can extend it
-        out_rows = self.platform.graph.out_rows()
+        """FOLLOW fulfilment. A source already following the recipient
+        is an INVALID attempt: it draws no RNG and mutates nothing.
+
+        ``size`` such attempts in a row have probed every pool member,
+        and within this tick the pool is fixed and edges into the
+        recipient only grow, so every later attempt this tick is INVALID
+        too: the rest of this visit, and every later visit this tick
+        (via ``_saturated_follows``), only advance the cursor."""
         customer = order.customer
-        cursor = self._source_cursor
         size = len(pool)
-        attempts = 0
         max_attempts = budget * 4
+        if customer in self._saturated_follows:
+            self._source_cursor = (self._source_cursor + max_attempts) % size
+            return
+        # raw out-edge rows: `customer in row` is is_following() without
+        # the method call; the list is live storage, so re-check its
+        # length each probe — deliveries inside the loop can extend it
+        out_rows = self.platform.graph.out_rows()
+        cursor = self._source_cursor
+        attempts = 0
+        misses = 0  # consecutive INVALID attempts
         observe = self.detector.observe
         while budget > 0 and attempts < max_attempts:
             attempts += 1
@@ -441,7 +435,13 @@ class CollusionNetworkService(AccountAutomationService):
             source_id = source.account_id
             row = out_rows[source_id] if source_id < len(out_rows) else None
             if row is not None and customer in row:
-                continue  # IssueOutcome.INVALID: spends only the attempt
+                misses += 1
+                if misses == size:
+                    self._saturated_follows.add(customer)
+                    cursor = (cursor + max_attempts - attempts) % size
+                    break
+                continue
+            misses = 0
             self._source_cursor = cursor  # keep shared state exact before issuing
             outcome = self._issue(
                 source,
@@ -461,30 +461,37 @@ class CollusionNetworkService(AccountAutomationService):
                 budget -= 1
         self._source_cursor = cursor
 
-    def _fulfil_like_single(
-        self, order: Order, pool: list[CustomerRecord], budget: int
-    ) -> None:
-        """Fulfilment of single-media like orders: same attempts,
-        sources, outcomes, attempt tallies, and cursor positions as the
-        generic loop over :meth:`_deliver_like`, with the recipient-cap
-        and already-liked rejections inlined (both are RNG-free; only
-        the cap check mutates nothing)."""
-        media_id = order.single_media
+    def _fulfil_like(self, order: Order, pool: list[CustomerRecord], budget: int) -> None:
+        """LIKE fulfilment, for free orders (a random media item of the
+        recipient per attempt) and single-media orders alike.
+
+        Each attempt checks, in order: the recipient's adaptive daily
+        cap (FAILED), that the recipient has media (FAILED), the media
+        pick (the only RNG draw), and whether the source already likes
+        it (INVALID). The cap and the day's tally move only when an
+        action is issued, and the media list is fixed within the tick,
+        so once the cap is reached or the media list is empty, every
+        remaining attempt is an RNG-free FAILED: the cursor jumps past
+        them and the visit ends."""
         customer = order.customer
+        media_id = order.single_media
+        media = None if media_id is not None else self.platform.media.media_of(customer)
+        no_media = media is not None and not media
+        integers = self.rng.integers
         has_liked = self.platform.media.has_liked
         caps_get = self._recipient_caps.get
-        attempts_map = self._recipient_attempts
+        tallies = self._recipient_attempts
         day_key = (customer, self.platform.clock.day)
+        cap = caps_get(customer)
+        count = tallies.get(day_key, 0)
         cursor = self._source_cursor
         size = len(pool)
         attempts = 0
         max_attempts = budget * 4
-        # loop-invariant between issues: the cap only moves inside
-        # _note_like_outcome (re-read after each issue below) and the
-        # day's attempt tally only moves in this loop
-        cap = caps_get(customer)
-        count = attempts_map.get(day_key, 0)
         while budget > 0 and attempts < max_attempts:
+            if no_media or (cap is not None and count >= cap):
+                cursor = (cursor + max_attempts - attempts) % size
+                break
             attempts += 1
             cursor += 1
             if cursor >= size:
@@ -492,12 +499,12 @@ class CollusionNetworkService(AccountAutomationService):
                 # by more than one, so wrap by modulo, not by reset
                 cursor %= size
             source = pool[cursor]
-            if cap is not None and count >= cap:
-                continue  # IssueOutcome.FAILED: cap reached, attempt spent
+            if media is not None:
+                media_id = media[int(integers(0, len(media)))].media_id
             if has_liked(media_id, source.account_id):
                 continue  # IssueOutcome.INVALID: attempt spent, no effects
             count += 1
-            attempts_map[day_key] = count
+            tallies[day_key] = count
             self._source_cursor = cursor  # keep shared state exact before issuing
             outcome = self._issue(
                 source,
@@ -547,9 +554,13 @@ class CollusionNetworkService(AccountAutomationService):
 
     def _adjust(self) -> None:
         now = self.platform.clock.now
-        if self.platform.clock.day == self._last_adjust_day:
+        today = self.platform.clock.day
+        if today == self._last_adjust_day:
             return
-        self._last_adjust_day = self.platform.clock.day
+        self._last_adjust_day = today
+        self._recipient_attempts = {
+            key: count for key, count in self._recipient_attempts.items() if key[1] == today
+        }
         if self._paid_product_unservable(now):
             self._blocked_day_streak += 1
         else:
@@ -604,10 +615,14 @@ class CollusionNetworkService(AccountAutomationService):
     def tick(self) -> None:
         """One simulated hour of collusion-network fulfilment."""
         now = self.platform.clock.now
+        self._saturated_follows.clear()
+        live = []
         for order in self._orders:
             if order.open and not order.expired(now):
                 self._fulfil_order(order)
-        self._orders = [o for o in self._orders if o.open and not o.expired(now)]
+                if order.open:
+                    live.append(order)
+        self._orders = live
         self._apply_monthly_plans()
         self._adjust()
 

@@ -7,6 +7,7 @@ and delay) and another for a control."
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -16,11 +17,15 @@ from repro.platform.models import AccountId
 BIN_COUNT = 10
 
 
+@functools.lru_cache(maxsize=None)
 def account_bin(account_id: AccountId, bins: int = BIN_COUNT) -> int:
     """Stable hash-based bin in [0, bins).
 
     Hash-based rather than modulo-of-id so that bin membership is not
     correlated with account age (ids are allocated sequentially).
+    Memoized: a pure function consulted on every policy decision, over
+    account ids that are small sequential ints, so the cache is bounded
+    by the largest world built in the process.
     """
     if bins < 1:
         raise ValueError("bins must be positive")

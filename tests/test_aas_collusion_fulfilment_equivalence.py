@@ -1,0 +1,245 @@
+"""Collusion fulfilment equals the per-attempt reference loop.
+
+Twin seeded worlds, one served by the production
+:class:`CollusionNetworkService` and one by the per-attempt oracle
+(:class:`tests.oracles.collusion.PerAttemptCollusionService`), run the
+same random script: free requests, one-time packages, monthly plans,
+``no_outbound`` purchases, forced recipient caps, recipients without
+media, a small pool whose follows saturate, customers joining, leaving
+and expiring (so pool membership changes across ticks), follow edges
+withdrawn between ticks, and a blanket ASN block so issues come back
+BLOCKED. After every tick the cursor, the service RNG, the log rows,
+every order's progress, the like tallies and caps, and the outcome
+counts must be equal.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.aas.ads import PopUnderAdNetwork
+from repro.aas.base import IssueOutcome
+from repro.aas.blockdetect import BlockDetectorConfig
+from repro.aas.collusion_service import (
+    CollusionNetworkService,
+    CollusionServiceConfig,
+    ServiceSuspendedError,
+)
+from repro.aas.pricing import HublaagramCatalog
+from repro.aas.services.hublaagram import HUBLAAGRAM_DESCRIPTOR
+from repro.interventions.policy import BlanketAsnPolicy
+from repro.netsim import ASNRegistry, NetworkFabric
+from repro.platform import InstagramPlatform
+from repro.platform.models import ActionType
+from repro.util import derive_rng
+from tests.oracles.collusion import PerAttemptCollusionService
+
+TICKS = 96
+ACTIONS = (ActionType.LIKE, ActionType.FOLLOW, ActionType.COMMENT)
+#: ticks during which the platform blocks every like / follow from the
+#: service's exits
+LIKE_BLOCK = range(20, 60)
+FOLLOW_BLOCK = range(40, 52)
+
+
+def _config() -> CollusionServiceConfig:
+    return CollusionServiceConfig(
+        catalog=HublaagramCatalog().scaled(0.05),
+        likes_per_free_request=8,
+        follows_per_free_request=5,
+        comments_per_free_request=2,
+        free_delivery_per_hour=3,
+        paid_delivery_per_hour=6,
+        detector=BlockDetectorConfig(
+            min_observations=4, deployment_lag_ticks={ActionType.LIKE: 6}
+        ),
+        suspend_sales_after_days=2,
+    )
+
+
+class _World:
+    def __init__(self, cls: type, seed: int, members: int):
+        self.platform = InstagramPlatform()
+        fabric = NetworkFabric(ASNRegistry(), derive_rng(seed, "fabric"))
+        rng = derive_rng(seed, "service")
+        self.service: CollusionNetworkService = cls(
+            HUBLAAGRAM_DESCRIPTOR,
+            self.platform,
+            fabric,
+            rng,
+            _config(),
+            ads=PopUnderAdNetwork(rng),
+        )
+        self.orders: list = []
+        self.ids = []
+        for i in range(members):
+            account = self.platform.create_account(f"m{i}", f"pw{i}")
+            self.ids.append(account.account_id)
+            for _ in range(i % 4):  # every fourth member has no media
+                self.platform.media.create(account.account_id, 0)
+            self.register(i, trial_ticks=24 + 12 * (i % 7))
+        blocked = frozenset(self.service.current_asns())
+        self.like_block = BlanketAsnPolicy(blocked, frozenset({ActionType.LIKE}))
+        self.follow_block = BlanketAsnPolicy(blocked, frozenset({ActionType.FOLLOW}))
+
+    def register(self, i: int, trial_ticks: int) -> None:
+        self.service.register_customer(f"m{i}", f"pw{i}", set(ACTIONS), trial_ticks=trial_ticks)
+
+    def state(self) -> dict:
+        service = self.service
+        return {
+            "cursor": service._source_cursor,
+            "rng": service.rng.bit_generator.state,
+            "rows": len(self.platform.log),
+            "delivered": [(o.order_id, o.delivered) for o in self.orders],
+            "open": [o.order_id for o in service._orders],
+            "plans": {a: dict(p.progress) for a, p in service.monthly_plans.items()},
+            "attempts": dict(service._recipient_attempts),
+            "caps": dict(service._recipient_caps),
+            "outcomes": dict(service.outcome_counts),
+            "suspended": service.sales_suspended,
+        }
+
+    def rows(self, start: int) -> list[tuple]:
+        return [
+            (
+                r.action_id,
+                r.tick,
+                r.actor,
+                r.action_type.value,
+                r.target_account,
+                r.target_media,
+                r.status.value,
+                r.endpoint.asn,
+                r.endpoint.address,
+            )
+            for r in list(self.platform.log)[start:]
+        ]
+
+
+def _both(worlds, step) -> None:
+    """Apply ``step`` to each world; both must return or raise alike."""
+    results = []
+    for world in worlds:
+        try:
+            order = step(world)
+        except (KeyError, ServiceSuspendedError) as exc:
+            results.append(type(exc).__name__)
+            continue
+        if order is not None:
+            world.orders.append(order)
+            results.append(order.order_id)
+        else:
+            results.append(None)
+    assert results[0] == results[1]
+
+
+def _script(worlds, driver: np.random.Generator, tick: int, members: int) -> None:
+    """One hour of customer behaviour, applied identically to both worlds."""
+    ref = worlds[0]
+    catalog = ref.service.config.catalog
+    for _ in range(int(driver.integers(0, 4))):
+        who = ref.ids[int(driver.integers(0, members))]
+        action = ACTIONS[int(driver.integers(0, len(ACTIONS)))]
+        _both(worlds, lambda w: w.service.request_free_service(who, action))
+    roll = driver.random()
+    who_i = int(driver.integers(0, members))
+    who = ref.ids[who_i]
+    media = ref.platform.media.media_of(who)
+    if roll < 0.15 and media:
+        package = catalog.one_time_packages[int(driver.integers(0, len(catalog.one_time_packages)))]
+        media_id = media[int(driver.integers(0, len(media)))].media_id
+        _both(worlds, lambda w: w.service.purchase_one_time_likes(who, package, media_id))
+    elif roll < 0.22:
+        tier = catalog.monthly_tiers[int(driver.integers(0, len(catalog.monthly_tiers)))]
+        _both(worlds, lambda w: w.service.purchase_monthly_plan(who, tier) and None)
+    elif roll < 0.27:
+        _both(worlds, lambda w: w.service.purchase_no_outbound(who))
+    elif roll < 0.35:
+        for world in worlds:
+            world.platform.media.create(who, tick)
+    elif roll < 0.45:
+        cap = float(driver.integers(1, 6))
+        for world in worlds:
+            world.service._recipient_caps[who] = cap
+    elif roll < 0.50:
+        for world in worlds:
+            world.service.cancel_customer(who)
+    elif roll < 0.56:
+        trial = int(driver.integers(6, 48))
+        if ref.service.customers[who].cancelled:
+            for world in worlds:
+                world.register(who_i, trial_ticks=trial)
+    elif roll < 0.66:
+        followers = sorted(ref.platform.graph.followers(who))
+        if followers:
+            src = followers[int(driver.integers(0, len(followers)))]
+            for world in worlds:
+                world.platform.graph.unfollow(src, who)
+    for world in worlds:
+        cm = world.platform.countermeasures
+        for policy, window in ((world.like_block, LIKE_BLOCK), (world.follow_block, FOLLOW_BLOCK)):
+            if tick == window.start:
+                cm.add_policy(policy)
+            elif tick == window.stop:
+                cm.remove_policy(policy)
+
+
+@pytest.mark.parametrize("members", [7, 16])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fulfilment_matches_per_attempt_loop(seed, members):
+    worlds = (
+        _World(PerAttemptCollusionService, seed, members),
+        _World(CollusionNetworkService, seed, members),
+    )
+    oracle, production = worlds
+    driver = derive_rng(seed, "driver")
+    # member 0 has no media: its free like orders can never issue
+    _both(worlds, lambda w: w.service.request_free_service(w.ids[0], ActionType.LIKE))
+    seen_rows = 0
+    saturated = capped = stalled_free = 0
+    pool_sizes = set()
+    for tick in range(TICKS):
+        _script(worlds, driver, tick, members)
+        for world in worlds:
+            world.service.tick()
+        assert production.state() == oracle.state(), f"tick {tick}"
+        assert production.rows(seen_rows) == oracle.rows(seen_rows), f"tick {tick}"
+        seen_rows = len(oracle.platform.log)
+        service = production.service
+        saturated += len(service._saturated_follows)
+        day = production.platform.clock.day
+        capped += sum(
+            service._recipient_attempts.get((r, day), 0) >= cap
+            for r, cap in service._recipient_caps.items()
+        )
+        stalled_free += sum(
+            o.action_type is ActionType.LIKE
+            and o.single_media is None
+            and not production.platform.media.media_of(o.customer)
+            for o in service._orders
+        )
+        pool_sizes.add(len(service._pool_cache))
+        for world in worlds:
+            world.platform.clock.advance(1)
+    # the script reached every shortcut it exists to check
+    assert saturated > 0
+    assert capped > 0
+    assert stalled_free > 0
+    assert len(pool_sizes) > 2
+    assert production.service.outcome_counts[IssueOutcome.BLOCKED] > 0
+    assert production.service.outcome_counts[IssueOutcome.DELIVERED] > 0
+
+
+def test_recipient_tallies_keep_only_today():
+    world = _World(CollusionNetworkService, 4, 10)
+    service = world.service
+    for tick in range(3 * 24):
+        if tick % 3 == 0:
+            service.request_free_service(world.ids[tick % 10], ActionType.LIKE)
+        service.tick()
+        day = world.platform.clock.day
+        assert all(key_day == day for _, key_day in service._recipient_attempts)
+        world.platform.clock.advance(1)
+    assert service._recipient_attempts
