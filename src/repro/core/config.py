@@ -244,11 +244,11 @@ class StudyConfig:
         return replace(self, measurement_days=days_)
 
 
-def resolve_workers(cli_value: int | None = None, default: int = 1) -> int:
-    """Worker-process count for fleet runs: CLI flag, env, or ``default``.
+def resolve_workers(cli_value: int | None = None) -> int:
+    """Worker-process count for fleet runs: CLI flag, env, or 1.
 
     Precedence: an explicit ``--workers`` value wins, then the
-    ``REPRO_WORKERS`` environment variable, then ``default``.
+    ``REPRO_WORKERS`` environment variable, then a single worker.
     Lives here because this module is the sanctioned home for
     environment reads (the DET006 lint exemption); worker count only
     scales wall-clock fan-out — merged fleet output is byte-identical
@@ -262,9 +262,7 @@ def resolve_workers(cli_value: int | None = None, default: int = 1) -> int:
         return cli_value
     raw = os.environ.get("REPRO_WORKERS", "").strip()
     if not raw:
-        if default < 1:
-            raise ValueError("default workers must be >= 1")
-        return default
+        return 1
     try:
         value = int(raw)
     except ValueError as exc:

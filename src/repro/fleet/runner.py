@@ -16,8 +16,9 @@ Three strategies, one merge contract:
   optional disk store, and only then building it from its parent's
   frozen bytes. Replicas are grouped by leaf node and dispatched whole.
 * ``flat`` — the historical grouping by ``(config digest, prefix)``:
-  each group builds its entire chain once. Kept as the tree's bench
-  baseline and as a bisection aid.
+  each group builds its entire chain once. Kept as the tree's
+  baseline (its phase ledger is pinned against the tree's in
+  ``tests/test_fleet_tree.py``) and as a bisection aid.
 * ``no-reuse`` — every replica rebuilds its own chain (the
   ``reuse_prefix=False`` baseline that prices what reuse saves).
 
@@ -194,7 +195,7 @@ class FleetRunner:
     scheduling code path, so the pooled and serial outputs are
     byte-comparable by construction. ``reuse_prefix=False`` forces the
     ``no-reuse`` strategy (every replica pays its own chain) — the
-    bench baseline that prices what reuse saves.
+    baseline that prices what reuse saves.
 
     ``store`` plugs in a :class:`~repro.fleet.store.SnapshotStore` for
     cross-invocation node reuse; ``cache`` a (bounded)
@@ -417,8 +418,9 @@ def _stable_stats(stats: dict) -> dict:
 def materialize_tree(specs: Sequence[ReplicaSpec], store: SnapshotStore) -> TreePlan:
     """Populate a disk store with every reuse-tree node for ``specs``.
 
-    A warm-up helper (used by benches and smoke jobs): after it runs, a
-    tree-strategy fleet over the same specs performs zero prefix builds.
+    A warm-up helper (perfbench's ``sweep`` set-up and the warm-store
+    tests): after it runs, a tree-strategy fleet over the same specs
+    performs zero prefix builds.
     """
     plan = plan_tree(specs)
     blobs: Dict[str, bytes] = {}

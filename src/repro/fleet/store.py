@@ -283,8 +283,8 @@ def temporary_store_root(prefix: str = "repro-snap-store-") -> str:
     """A throwaway store root directory (caller removes it when done).
 
     Lives here because ``tempfile`` is confined to the fleet layer by
-    ARCH004 — bench scenarios and smoke scripts get their scratch store
-    through this helper instead of importing tempfile themselves.
+    ARCH004 — tests and scripts get their scratch store through this
+    helper instead of importing tempfile themselves.
     """
     return tempfile.mkdtemp(prefix=prefix)
 

@@ -12,9 +12,10 @@ Subcommands:
   ranking; uses the deterministic cost-model attrs when the trace was
   recorded with ``--profile``, tick spans otherwise. (This replaced
   the old ``summarize --hot-phases`` view.)
-* ``regress HISTORY`` — diff the newest ``BENCH_HISTORY.jsonl`` record
-  against its baseline with noise-floor-aware verdicts; exits 1 only
-  on off-noise-floor regressions.
+* ``regress HISTORY`` — check every ``BENCH_HISTORY.jsonl`` record
+  against the end-to-end bounds of the ``BENCHMARK.json`` beside it
+  (:mod:`repro.obs.history`); exits 1 naming ``file:line`` and the key
+  of each failure.
 * ``diff OLD NEW`` — compare the instrument coverage and span names of
   two traces; exits 1 when NEW *lost* coverage (a span name or metric
   series present in OLD is gone), the regression CI should catch.
@@ -22,7 +23,7 @@ Subcommands:
   failure.
 
 Exit codes: 0 success, 1 validation failure / coverage or perf
-regression, 2 usage error. Mirrors the ``repro.bench`` CLI conventions.
+regression, 2 usage error.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from collections import defaultdict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.flame import FlameNode, build_forest, flame_payload, render_text
-from repro.obs.history import DEFAULT_MIN_NOISE, read_history, regress
+from repro.obs.history import check_history
 from repro.obs.metrics import format_metric
 from repro.obs.schema import validate_trace
 from repro.obs.trace import read_trace_lines, split_segments
@@ -346,37 +347,14 @@ def cmd_flame(args: argparse.Namespace) -> int:
 
 
 def cmd_regress(args: argparse.Namespace) -> int:
-    records = read_history(args.history)
-    if not records:
-        print(f"{args.history}: no history records; nothing to compare")
+    findings, count = check_history(args.history)
+    if not count:
+        print(f"note: {args.history}: no history records; nothing to check")
         return 0
-    verdicts, notes = regress(
-        records,
-        benchmark=args.benchmark,
-        baseline_offset=args.baseline,
-        min_noise=args.min_noise,
-    )
-    for note in notes:
-        print(f"note: {note}")
-    failed = 0
-    for verdict in verdicts:
-        if verdict.regressed:
-            failed += 1
-            flag = "REGRESSED"
-        elif verdict.status == "improved":
-            flag = "improved"
-        else:
-            flag = "ok"
-        print(
-            f"{verdict.benchmark}/{verdict.mode} {verdict.result}: "
-            f"best {verdict.baseline_best_s:.6g}s -> {verdict.current_best_s:.6g}s  "
-            f"ratio={verdict.ratio:.3f}  noise<={verdict.noise:.3f}  {flag}"
-        )
-    if not verdicts:
-        print("no comparable record pairs")
-    elif failed:
-        print(f"{failed} regression(s) beyond the noise floor")
-    return 1 if failed else 0
+    for finding in findings:
+        print(finding)
+    print(f"{count} record(s), {len(findings)} finding(s)")
+    return 1 if findings else 0
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
@@ -493,30 +471,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     regress_cmd = sub.add_parser(
         "regress",
-        help="diff the newest BENCH_HISTORY.jsonl record against a baseline",
+        help="check BENCH_HISTORY.jsonl against the bounds in BENCHMARK.json beside it",
     )
     regress_cmd.add_argument("history", help="path to BENCH_HISTORY.jsonl")
-    regress_cmd.add_argument(
-        "--benchmark", default=None, help="only check this scenario (default: all)"
-    )
-    regress_cmd.add_argument(
-        "--min-noise",
-        type=float,
-        default=DEFAULT_MIN_NOISE,
-        help=(
-            "smallest relative shift treated as signal (default "
-            f"{DEFAULT_MIN_NOISE}); measured cv/runner-up gaps widen the band"
-        ),
-    )
-    regress_cmd.add_argument(
-        "--baseline",
-        type=int,
-        default=None,
-        help=(
-            "compare against the record N places before the newest instead "
-            "of the latest same-config-digest record"
-        ),
-    )
 
     diff = sub.add_parser("diff", help="compare coverage/values of two traces")
     diff.add_argument("old", help="baseline trace")

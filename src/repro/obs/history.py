@@ -1,304 +1,107 @@
-"""Append-only bench history and noise-floor-aware regression verdicts.
+"""The committed cross-PR performance record and its ``regress`` check.
 
-``BENCH_*.json`` files are latest-only snapshots: a perf regression
-between two PRs is invisible once the newer file overwrites the older.
-This module keeps the trajectory: every bench run appends one compact
-JSONL record to ``BENCH_HISTORY.jsonl`` (scenario, schema version,
-config digest, git SHA, stats, derived speedups), and
-``python -m repro.obs regress`` diffs the newest record against a
-baseline.
+``BENCH_HISTORY.jsonl`` holds one compact JSON line per accepted change,
+in the benchmark pipeline's own shape::
 
-Verdicts reuse the bench-v3 noise methodology: the harness's min-of-N
-estimator bounds its own noise by the ``best_s``/``runnerup_s`` gap and
-the ``cv`` of the repetitions. A ratio shift smaller than the larger of
-those (on either side, floored at ``min_noise``) is noise, not a
-regression — ``regress`` exits nonzero only for off-noise-floor slowdowns.
+    {"pr": 16, "git_sha": "<full sha>",
+     "claim": null | {"metric": "actions_per_s", "workload": "interventions"},
+     "medians": {"<workload>/<metric>": {"parent": x, "change": y, "unit": u}}}
 
-Records are compared only against records with the same ``benchmark``,
-``mode``, and (by default) ``config_digest`` — changing bench settings
-starts a new comparable lineage rather than producing a bogus verdict.
+The values are ``perfbench/run.py`` medians, already host-normalized.
+:func:`check_history` reads each end-to-end metric's ``better`` and
+``bound`` from the ``BENCHMARK.json`` beside the history file and
+reports, as ``file:line: key: reason``, every record that
+
+(a) misses an end-to-end metric of a workload it names, or holds a
+    non-numeric or non-positive value;
+(b) has a ``change`` worse than its ``parent`` by more than the bound;
+(c) claims a metric that did not improve on the claimed workload;
+(d) has a ``change`` worse than the previous record's ``change`` by more
+    than the bound, on keys both records share.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
-#: bumped whenever the history record shape changes incompatibly
-HISTORY_SCHEMA_VERSION = 1
-
-#: the canonical history file name, appended next to the BENCH_*.json files
-HISTORY_FILE_NAME = "BENCH_HISTORY.jsonl"
-
-#: smallest relative shift ever treated as signal; measured noise
-#: (cv / runner-up gap) widens the band beyond this floor
-DEFAULT_MIN_NOISE = 0.05
+#: the manifest the bounds come from, looked up beside the history file
+BENCHMARK_FILE_NAME = "BENCHMARK.json"
 
 
-def config_digest(settings: Dict[str, object]) -> str:
-    """Short stable digest of a bench settings block."""
-    canonical = json.dumps(settings, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.blake2b(canonical.encode("utf-8"), digest_size=8).hexdigest()
-
-
-def read_git_sha(start: Union[str, Path] = ".") -> str:
-    """Current commit SHA by reading ``.git`` directly; "unknown" if none.
-
-    Deliberately subprocess-free (and clock-free — OBS003 applies here
-    too): walks up from ``start`` for a ``.git`` directory, resolves
-    ``HEAD`` through one level of ref indirection, and falls back to
-    ``packed-refs``. Any surprise shape yields "unknown" rather than an
-    exception — history append must never fail a bench run.
-    """
-    try:
-        current = Path(start).resolve()
-        for candidate in (current, *current.parents):
-            git_dir = candidate / ".git"
-            if not git_dir.is_dir():
-                continue
-            head = (git_dir / "HEAD").read_text(encoding="utf-8").strip()
-            if not head.startswith("ref: "):
-                return head or "unknown"
-            ref = head[len("ref: "):].strip()
-            ref_path = git_dir / ref
-            if ref_path.is_file():
-                return ref_path.read_text(encoding="utf-8").strip() or "unknown"
-            packed = git_dir / "packed-refs"
-            if packed.is_file():
-                for raw in packed.read_text(encoding="utf-8").splitlines():
-                    line = raw.strip()
-                    if line.endswith(" " + ref):
-                        return line.split(" ", 1)[0]
-            return "unknown"
-    except OSError:
-        pass
-    return "unknown"
-
-
-def history_record(
-    payload: Dict[str, object],
-    git_sha: Optional[str] = None,
-    source_dir: Union[str, Path] = ".",
-) -> Dict[str, object]:
-    """One history record distilled from a bench payload.
-
-    Keeps the stats and derived speedups (the comparable signal) and
-    drops the bulky per-scenario extras; provenance is the settings
-    digest plus the git SHA.
-    """
-    settings = payload.get("settings")
-    derived = payload.get("derived")
-    results = payload.get("results")
-    record: Dict[str, object] = {
-        "kind": "bench-history",
-        "schema_version": HISTORY_SCHEMA_VERSION,
-        "benchmark": payload.get("benchmark"),
-        "bench_schema_version": payload.get("schema_version"),
-        "mode": payload.get("mode"),
-        "config_digest": config_digest(settings if isinstance(settings, dict) else {}),
-        "git_sha": git_sha if git_sha is not None else read_git_sha(source_dir),
-        "results": [
-            {"name": entry.get("name"), "stats": entry.get("stats")}
-            for entry in (results if isinstance(results, list) else [])
-            if isinstance(entry, dict)
-        ],
-        "derived_speedups": {
-            key: value
-            for key, value in (derived if isinstance(derived, dict) else {}).items()
-            if isinstance(value, dict) and "value" in value
-        },
+def _load_bounds(path: Path) -> Dict[str, Tuple[str, float]]:
+    """``metric -> (better, bound)`` for every end-to-end metric."""
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    return {
+        entry["name"]: (entry["better"], float(entry["bound"]))
+        for entry in manifest["end_to_end"]
     }
-    return record
 
 
-def append_history(path: Union[str, Path], record: Dict[str, object]) -> Path:
-    """Append one compact JSON line; creates the file (and parents)."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    with target.open("a", encoding="utf-8") as handle:
-        handle.write(line + "\n")
-    return target
+def _worse(value: float, reference: float, better: str, bound: float) -> bool:
+    """Whether ``value`` is worse than ``reference`` by more than ``bound``."""
+    if better == "higher":
+        return value < reference * (1.0 - bound)
+    return value > reference * (1.0 + bound)
 
 
-def read_history(path: Union[str, Path]) -> List[Dict[str, object]]:
-    """Parse a history file; raises ``ValueError`` with the bad line."""
-    records: List[Dict[str, object]] = []
-    text = Path(path).read_text(encoding="utf-8")
-    for number, raw in enumerate(text.splitlines(), start=1):
+def _positive(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and value > 0
+
+
+def check_history(path: Union[str, Path]) -> Tuple[List[str], int]:
+    """Findings over every record of ``path``, and the number of records."""
+    bounds = _load_bounds(Path(path).resolve().parent / BENCHMARK_FILE_NAME)
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    findings: List[str] = []
+    previous: Dict[str, float] = {}
+    count = 0
+    for number, raw in enumerate(lines, start=1):
         if not raw.strip():
             continue
+        count += 1
+        where = f"{path}:{number}"
         try:
-            parsed = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{number}: not valid JSON ({exc})") from exc
-        if isinstance(parsed, dict):
-            records.append(parsed)
-    return records
-
-
-@dataclass(frozen=True)
-class RegressVerdict:
-    """One scenario's newest-vs-baseline comparison."""
-
-    benchmark: str
-    mode: str
-    result: str
-    baseline_best_s: float
-    current_best_s: float
-    #: current / baseline best_s; > 1 means slower
-    ratio: float
-    #: the noise band the shift must exceed to count as signal
-    noise: float
-    #: "ok", "regressed", or "improved"
-    status: str
-
-    @property
-    def regressed(self) -> bool:
-        return self.status == "regressed"
-
-
-def _stats_of(record: Dict[str, object], name: str) -> Optional[Dict[str, object]]:
-    results = record.get("results")
-    if not isinstance(results, list):
-        return None
-    for entry in results:
-        if isinstance(entry, dict) and entry.get("name") == name:
-            stats = entry.get("stats")
-            return stats if isinstance(stats, dict) else None
-    return None
-
-
-def _float_field(stats: Dict[str, object], key: str) -> Optional[float]:
-    value = stats.get(key)
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    return None
-
-
-def _gap(stats: Dict[str, object]) -> float:
-    """Relative best-to-runnerup gap — the estimator's own noise bound."""
-    best = _float_field(stats, "best_s")
-    runnerup = _float_field(stats, "runnerup_s")
-    if best is None or runnerup is None or best <= 0.0:
-        return 0.0
-    return max((runnerup - best) / best, 0.0)
-
-
-def compare_stats(
-    name: str,
-    benchmark: str,
-    mode: str,
-    baseline: Dict[str, object],
-    current: Dict[str, object],
-    min_noise: float = DEFAULT_MIN_NOISE,
-) -> Optional[RegressVerdict]:
-    """Noise-floor-aware verdict for one result's stats pair."""
-    base_best = _float_field(baseline, "best_s")
-    cur_best = _float_field(current, "best_s")
-    if base_best is None or cur_best is None or base_best <= 0.0:
-        return None
-    noise = max(
-        _gap(baseline),
-        _gap(current),
-        _float_field(baseline, "cv") or 0.0,
-        _float_field(current, "cv") or 0.0,
-        min_noise,
-    )
-    ratio = cur_best / base_best
-    if ratio - 1.0 > noise:
-        status = "regressed"
-    elif 1.0 - ratio > noise:
-        status = "improved"
-    else:
-        status = "ok"
-    return RegressVerdict(
-        benchmark=benchmark,
-        mode=mode,
-        result=name,
-        baseline_best_s=base_best,
-        current_best_s=cur_best,
-        ratio=ratio,
-        noise=noise,
-        status=status,
-    )
-
-
-def compare_records(
-    baseline: Dict[str, object],
-    current: Dict[str, object],
-    min_noise: float = DEFAULT_MIN_NOISE,
-) -> List[RegressVerdict]:
-    """Verdicts for every result name present in both records."""
-    verdicts: List[RegressVerdict] = []
-    benchmark = str(current.get("benchmark"))
-    mode = str(current.get("mode"))
-    results = current.get("results")
-    for entry in results if isinstance(results, list) else []:
-        if not isinstance(entry, dict):
+            record = json.loads(raw)
+        except ValueError:
+            record = None
+        medians = record.get("medians") if isinstance(record, dict) else None
+        if not isinstance(record, dict) or not isinstance(medians, dict) or not medians:
+            findings.append(f"{where}: not a record with medians")
             continue
-        name = entry.get("name")
-        if not isinstance(name, str):
-            continue
-        cur_stats = _stats_of(current, name)
-        base_stats = _stats_of(baseline, name)
-        if cur_stats is None or base_stats is None:
-            continue
-        verdict = compare_stats(name, benchmark, mode, base_stats, cur_stats, min_noise)
-        if verdict is not None:
-            verdicts.append(verdict)
-    return verdicts
-
-
-def regress(
-    records: Sequence[Dict[str, object]],
-    benchmark: Optional[str] = None,
-    baseline_offset: Optional[int] = None,
-    min_noise: float = DEFAULT_MIN_NOISE,
-) -> Tuple[List[RegressVerdict], List[str]]:
-    """Newest-vs-baseline verdicts per (benchmark, mode) lineage.
-
-    The newest record of each group is "current". The default baseline
-    is the latest earlier record sharing its ``config_digest`` (same
-    settings → comparable); ``baseline_offset=N`` instead picks the
-    record N places before the newest regardless of digest. Groups with
-    no usable baseline produce a note, not a verdict.
-    """
-    groups: Dict[Tuple[str, str], List[Dict[str, object]]] = {}
-    for record in records:
-        if record.get("kind") != "bench-history":
-            continue
-        name = str(record.get("benchmark"))
-        if benchmark is not None and name != benchmark:
-            continue
-        groups.setdefault((name, str(record.get("mode"))), []).append(record)
-
-    verdicts: List[RegressVerdict] = []
-    notes: List[str] = []
-    for (name, mode), group in sorted(groups.items()):
-        current = group[-1]
-        baseline: Optional[Dict[str, object]] = None
-        if baseline_offset is not None:
-            index = len(group) - 1 - baseline_offset
-            if 0 <= index < len(group) - 1:
-                baseline = group[index]
-            else:
-                notes.append(f"{name}/{mode}: no record at baseline offset {baseline_offset}")
+        change: Dict[str, float] = {}
+        for key, entry in sorted(medians.items()):
+            metric = key.partition("/")[2]
+            if metric not in bounds or not isinstance(entry, dict):
+                findings.append(f"{where}: {key}: not an end-to-end metric entry")
                 continue
-        else:
-            digest = current.get("config_digest")
-            for candidate in reversed(group[:-1]):
-                if candidate.get("config_digest") == digest:
-                    baseline = candidate
-                    break
-            if baseline is None:
-                notes.append(
-                    f"{name}/{mode}: no earlier record with config digest {digest}; "
-                    "nothing to compare"
+            if not (_positive(entry.get("parent")) and _positive(entry.get("change"))):
+                findings.append(f"{where}: {key}: parent and change must be positive numbers")
+                continue
+            better, bound = bounds[metric]
+            change[key] = entry["change"]
+            if _worse(entry["change"], entry["parent"], better, bound):
+                findings.append(f"{where}: {key}: change worse than parent beyond {bound:.0%}")
+            if key in previous and _worse(entry["change"], previous[key], better, bound):
+                findings.append(
+                    f"{where}: {key}: change worse than the previous record beyond {bound:.0%}"
                 )
-                continue
-        verdicts.extend(compare_records(baseline, current, min_noise))
-    return verdicts, notes
+        for workload in sorted({key.partition("/")[0] for key in medians}):
+            findings.extend(
+                f"{where}: {workload}/{metric}: missing"
+                for metric in sorted(bounds)
+                if f"{workload}/{metric}" not in medians
+            )
+        claim = record.get("claim")
+        if claim is not None:
+            key = "claim"
+            if isinstance(claim, dict):
+                key = f"{claim.get('workload')}/{claim.get('metric')}"
+            # a worse-by-more-than-zero parent is an improved change
+            if key not in change or not _worse(
+                medians[key]["parent"], change[key], bounds[key.partition("/")[2]][0], 0.0
+            ):
+                findings.append(f"{where}: {key}: claimed metric did not improve")
+        previous = change
+    return findings, count

@@ -1,11 +1,10 @@
 """Pure-python validators for obs payloads.
 
-Same philosophy as :mod:`repro.bench.schema`: no ``jsonschema``
-dependency, just explicit checks that return a list of human-readable
+No ``jsonschema`` dependency, just explicit checks that return a list of human-readable
 error strings (empty means valid). Two payload shapes:
 
-* **snapshot** — the metrics registry dump embedded in traces and
-  ``BENCH_*.json`` files (``schema_version``
+* **snapshot** — the metrics registry dump embedded in traces
+  (``schema_version``
   :data:`repro.obs.metrics.SNAPSHOT_SCHEMA_VERSION`).
 * **trace** — a parsed JSONL trace: a header line, zero or more span
   lines, and a final snapshot line (``schema_version``

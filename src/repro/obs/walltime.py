@@ -12,7 +12,7 @@ host probe in the tree funnels through here.
 Containment rules, mirrored by the waiver's reason string:
 
 * nothing here feeds back into simulation state — callers only ever
-  attach the readings to closed span records or bench payloads;
+  attach the readings to closed span records;
 * the resulting ``wall_s`` / ``peak_rss_kb`` fields are stripped by
   :func:`repro.obs.trace.canonical_lines`, so canonical traces remain
   bit-identical across hosts and runs.

@@ -64,12 +64,11 @@ class TestResolveWorkers:
 
     def test_env_beats_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "2")
-        assert resolve_workers(None, default=4) == 2
+        assert resolve_workers(None) == 2
 
     def test_default_when_nothing_set(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
         assert resolve_workers(None) == 1
-        assert resolve_workers(None, default=4) == 4
 
     def test_invalid_values_rejected(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)

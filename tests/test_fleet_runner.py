@@ -22,6 +22,8 @@ from repro.fleet import (
     ReplicaSpec,
     SnapshotCache,
     SnapshotStore,
+    SweepManifest,
+    expand_manifest,
     materialize_tree,
     remove_store_root,
     resolve_arm,
@@ -202,6 +204,34 @@ class TestStrategyEquivalence:
             ]
         finally:
             remove_store_root(root)
+
+
+class TestTreeVersusFlatLedger:
+    """The tree's advantage over flat is an exact phase-build count.
+
+    One seed, two honeypot spans and two measurement windows: four
+    replicas of depth 3, so 12 phase units. Flat keys its groups on the
+    whole config, so each replica rebuilds world, honeypot and
+    signatures (12 builds). The tree builds one world, forks the two
+    honeypot spans off it and lets both windows share each chain (5).
+    """
+
+    def test_tree_builds_5_of_12_units_where_flat_builds_12(self) -> None:
+        manifest = SweepManifest(
+            name="tree-vs-flat",
+            preset="tiny",
+            seeds=(21,),
+            honeypot_days=(2, 3),
+            measurement_days=(1, 2),
+        )
+        specs = expand_manifest(manifest)
+        flat = FleetRunner(workers=1, strategy="flat").run(specs)
+        tree = FleetRunner(workers=1, strategy="tree").run(specs)
+        assert (flat.phase_units, tree.phase_units) == (12, 12)
+        assert flat.phase_builds == 12
+        assert tree.phase_builds == 5
+        assert tree.build_cost_avoided_frac > flat.build_cost_avoided_frac
+        assert [r.payload for r in flat.replicas] == [r.payload for r in tree.replicas]
 
 
 class TestBoundedCache:

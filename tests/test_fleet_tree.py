@@ -25,18 +25,21 @@ from repro.fleet import (
     PREFIX_HONEYPOT,
     PREFIX_SIGNATURES,
     PREFIXES,
+    ArmSpec,
     FleetRunner,
     ReplicaSpec,
     SnapshotStore,
+    SweepManifest,
     advance_prefix,
     build_prefix,
+    expand_manifest,
     materialize_tree,
     remove_store_root,
     restore_study,
     snapshot_study,
     temporary_store_root,
 )
-from repro.fleet.runner import _run_replica
+from repro.fleet.runner import _group_specs, _run_replica
 from repro.fleet.tree import (
     HONEYPOT_FIELDS,
     POST_PREFIX_FIELDS,
@@ -157,6 +160,66 @@ class TestPlanTree:
         assert len(plan.nodes) == 3  # world + honeypot + signatures, no dupes
         assert plan.leaf_keys[0] == plan.levels[0][0]
         assert plan.leaf_keys[1] == plan.levels[2][0]
+
+
+def _orchestrator_grid(prefix: str) -> list[ReplicaSpec]:
+    """24 replicas: 2 seeds x 2 honeypot spans x 2 windows x 3 arms."""
+    manifest = SweepManifest(
+        name="orchestrator-grid",
+        preset="tiny",
+        prefix=prefix,
+        seeds=(42, 43),
+        honeypot_days=(4, 8),
+        measurement_days=(2, 4),
+        arms=(
+            ArmSpec(arm="standard"),
+            ArmSpec(arm="report"),
+            ArmSpec(
+                arm="narrow",
+                options=(
+                    ("measurement_days", 0),
+                    ("narrow_days", 1),
+                    ("calibration_days", 1),
+                ),
+            ),
+        ),
+    )
+    return expand_manifest(manifest)
+
+
+class TestPlannedLedger:
+    """Phase builds the tree plans against flat's, by planning alone.
+
+    Flat groups specs by the whole config digest and builds each group's
+    chain once; the tree builds each distinct phase sub-digest once.
+    """
+
+    @pytest.mark.parametrize(
+        ("prefix", "units", "tree_builds", "flat_builds"),
+        [
+            (PREFIX_BUILD_WORLD, 24, 2, 8),
+            (PREFIX_HONEYPOT, 48, 6, 16),
+            (PREFIX_SIGNATURES, 72, 10, 24),
+        ],
+    )
+    def test_tree_and_flat_phase_builds(
+        self, prefix: str, units: int, tree_builds: int, flat_builds: int
+    ) -> None:
+        specs = _orchestrator_grid(prefix)
+        assert len(specs) == 24
+        assert sum(spec.depth for spec in specs) == units
+        assert len(plan_tree(specs).nodes) == tree_builds
+        assert sum(PREFIX_DEPTH[group[0][1].prefix] for group in _group_specs(specs)) == (
+            flat_builds
+        )
+
+    def test_full_depth_avoided_fractions(self) -> None:
+        specs = _orchestrator_grid(PREFIX_SIGNATURES)
+        units = sum(spec.depth for spec in specs)
+        tree = 1.0 - len(plan_tree(specs).nodes) / units
+        flat = 1.0 - sum(PREFIX_DEPTH[g[0][1].prefix] for g in _group_specs(specs)) / units
+        assert round(tree, 3) == 0.861
+        assert round(flat, 3) == 0.667
 
 
 class TestGraftConfig:

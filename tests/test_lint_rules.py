@@ -208,7 +208,7 @@ class TestArchitectureRules:
         assert "ARCH004" in fired("import pickle\n", path="src/repro/platform/sample.py")
         assert "ARCH004" in fired(
             "from concurrent.futures import ProcessPoolExecutor\n",
-            path="src/repro/bench/sample.py",
+            path="src/repro/analysis/sample.py",
         )
         assert "ARCH004" in fired(
             "from multiprocessing.pool import Pool\n", path="src/repro/obs/sample.py"
@@ -226,7 +226,7 @@ class TestArchitectureRules:
     def test_arch004_scratch_space_confined_to_fleet(self):
         # tempfile/shutil joined the banned set with the disk snapshot
         # store: scratch directories are fleet-owned filesystem state
-        assert "ARCH004" in fired("import tempfile\n", path="src/repro/bench/sample.py")
+        assert "ARCH004" in fired("import tempfile\n", path="src/repro/interventions/sample.py")
         assert "ARCH004" in fired(
             "from shutil import rmtree\n", path="src/repro/core/sample.py"
         )
@@ -311,7 +311,6 @@ class TestObservabilityRules:
         snippet = 'print("report line")\n'
         for path in (
             "src/repro/cli.py",
-            "src/repro/bench/cli.py",
             "src/repro/lint/cli.py",
             "src/repro/obs/cli.py",
             "src/repro/obs/report.py",

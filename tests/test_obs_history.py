@@ -1,206 +1,198 @@
-"""Tests for bench history records and the `repro.obs regress` gate."""
+"""Tests for the committed performance record and `repro.obs regress`."""
 
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
+from typing import Callable, Dict, Tuple
 
 import pytest
 
-from repro.obs import append_history, history_record, read_history, regress
 from repro.obs.cli import main
-from repro.obs.history import compare_stats, config_digest, read_git_sha
+
+ROOT = Path(__file__).resolve().parents[1]
+HISTORY = ROOT / "BENCH_HISTORY.jsonl"
 
 
-def _stats(best: float, runnerup: float | None = None, cv: float = 0.0) -> dict:
-    runnerup = best * 1.01 if runnerup is None else runnerup
-    return {
-        "best_s": best,
-        "runnerup_s": runnerup,
-        "mean_s": (best + runnerup) / 2,
-        "median_s": (best + runnerup) / 2,
-        "stdev_s": 0.0,
-        "cv": cv,
-        "repeats": 3,
-    }
+def _regress(path: Path, capsys: pytest.CaptureFixture[str]) -> Tuple[int, str]:
+    code = main(["regress", str(path)])
+    return code, capsys.readouterr().out
 
 
-def _payload(best: float, settings: dict | None = None, benchmark: str = "tick_loop") -> dict:
-    return {
-        "benchmark": benchmark,
-        "schema_version": 3,
-        "mode": "smoke",
-        "settings": settings if settings is not None else {"population": 260, "days": 2},
-        "results": [
-            {"name": "fast", "stats": _stats(best), "extra": "dropped"},
-            {"name": "naive", "stats": _stats(best * 2)},
-        ],
-        "derived": {
-            "speedup": {"value": 2.0, "from": "naive", "to": "fast"},
-            "note": "not a dict with value",
+def _with_record(tmp_path: Path, mutate: Callable[[Dict[str, object]], None]) -> Tuple[Path, int]:
+    """A copy of the committed history plus one record, and that record's line.
+
+    The new record repeats the last record's ``change`` medians as both
+    its parent and its change, so it passes every check until ``mutate``
+    edits it.
+    """
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
+    lines = HISTORY.read_text(encoding="utf-8").splitlines()
+    last = json.loads(lines[-1])
+    record: Dict[str, object] = {
+        "pr": last["pr"] + 1,
+        "git_sha": "0" * 40,
+        "claim": None,
+        "medians": {
+            key: {"parent": entry["change"], "change": entry["change"], "unit": entry["unit"]}
+            for key, entry in last["medians"].items()
         },
     }
+    mutate(record)
+    path = tmp_path / "BENCH_HISTORY.jsonl"
+    path.write_text("\n".join(lines + [json.dumps(record)]) + "\n", encoding="utf-8")
+    return path, len(lines) + 1
 
 
-class TestHistoryRecord:
-    def test_record_shape_keeps_the_comparable_signal(self) -> None:
-        record = history_record(_payload(0.5), git_sha="abc123")
-        assert record["kind"] == "bench-history"
-        assert record["benchmark"] == "tick_loop"
-        assert record["bench_schema_version"] == 3
-        assert record["mode"] == "smoke"
-        assert record["git_sha"] == "abc123"
-        assert [entry["name"] for entry in record["results"]] == ["fast", "naive"]
-        assert "extra" not in record["results"][0]
-        assert list(record["derived_speedups"]) == ["speedup"]
-
-    def test_config_digest_is_stable_and_settings_sensitive(self) -> None:
-        one = history_record(_payload(0.5), git_sha="x")
-        two = history_record(_payload(0.9), git_sha="y")  # timings differ, settings same
-        other = history_record(_payload(0.5, settings={"population": 900}), git_sha="x")
-        assert one["config_digest"] == two["config_digest"]
-        assert one["config_digest"] != other["config_digest"]
-        assert config_digest({"b": 1, "a": 2}) == config_digest({"a": 2, "b": 1})
-
-    def test_read_git_sha_resolves_this_repo(self) -> None:
-        sha = read_git_sha(Path(__file__).parent)
-        assert sha == "unknown" or (len(sha) == 40 and all(c in "0123456789abcdef" for c in sha))
-
-    def test_read_git_sha_outside_any_repo(self, tmp_path: Path) -> None:
-        assert read_git_sha(tmp_path) in ("unknown",) or isinstance(read_git_sha(tmp_path), str)
+def _medians(record: Dict[str, object]) -> Dict[str, Dict[str, object]]:
+    medians = record["medians"]
+    assert isinstance(medians, dict)
+    return medians
 
 
-class TestAppendRead:
-    def test_round_trip(self, tmp_path: Path) -> None:
-        path = tmp_path / "nested" / "BENCH_HISTORY.jsonl"
-        first = history_record(_payload(0.5), git_sha="a")
-        second = history_record(_payload(0.4), git_sha="b")
-        append_history(path, first)
-        append_history(path, second)
-        assert read_history(path) == [first, second]
+class TestCommittedHistory:
+    def test_committed_file_passes(self, capsys: pytest.CaptureFixture[str]) -> None:
+        code, out = _regress(HISTORY, capsys)
+        assert code == 0, out
+        assert "0 finding(s)" in out
 
-    def test_records_are_compact_single_lines(self, tmp_path: Path) -> None:
-        path = tmp_path / "BENCH_HISTORY.jsonl"
-        append_history(path, history_record(_payload(0.5), git_sha="a"))
-        (line,) = path.read_text().splitlines()
-        assert "\n" not in line and json.loads(line)["kind"] == "bench-history"
+    def test_records_are_consecutive_prs_with_full_shas(self) -> None:
+        records = [json.loads(line) for line in HISTORY.read_text().splitlines()]
+        prs = [record["pr"] for record in records]
+        assert prs[0] == 13
+        assert prs == list(range(13, 13 + len(prs)))
+        for record in records:
+            sha = record["git_sha"]
+            assert len(sha) == 40 and int(sha, 16) >= 0
 
-    def test_read_rejects_bad_json_with_location(self, tmp_path: Path) -> None:
-        path = tmp_path / "BENCH_HISTORY.jsonl"
-        path.write_text('{"kind": "bench-history"}\n{broken\n', encoding="utf-8")
-        with pytest.raises(ValueError, match=":2"):
-            read_history(path)
+    def test_unchanged_appended_record_passes(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        path, _ = _with_record(tmp_path, lambda record: None)
+        code, out = _regress(path, capsys)
+        assert code == 0, out
 
-
-class TestCompareStats:
-    def test_within_noise_is_ok(self) -> None:
-        verdict = compare_stats("fast", "b", "smoke", _stats(1.0), _stats(1.03))
-        assert verdict is not None and verdict.status == "ok"
-        assert not verdict.regressed
-
-    def test_off_floor_slowdown_regresses(self) -> None:
-        verdict = compare_stats("fast", "b", "smoke", _stats(1.0), _stats(1.5))
-        assert verdict is not None and verdict.regressed
-        assert verdict.ratio == pytest.approx(1.5)
-
-    def test_off_floor_speedup_improves(self) -> None:
-        verdict = compare_stats("fast", "b", "smoke", _stats(1.0), _stats(0.5))
-        assert verdict is not None and verdict.status == "improved"
-
-    def test_measured_noise_widens_the_band(self) -> None:
-        # a noisy baseline (runner-up 60% above best) absorbs a 1.5x shift
-        noisy = _stats(1.0, runnerup=1.6)
-        verdict = compare_stats("fast", "b", "smoke", noisy, _stats(1.5))
-        assert verdict is not None and verdict.status == "ok"
-        assert verdict.noise == pytest.approx(0.6)
-
-    def test_cv_also_widens_the_band(self) -> None:
-        verdict = compare_stats("fast", "b", "smoke", _stats(1.0), _stats(1.3, cv=0.4))
-        assert verdict is not None and verdict.status == "ok"
-
-    def test_unusable_stats_yield_no_verdict(self) -> None:
-        assert compare_stats("fast", "b", "smoke", {}, _stats(1.0)) is None
-        assert compare_stats("fast", "b", "smoke", _stats(0.0), _stats(1.0)) is None
-
-
-class TestRegress:
-    def _records(self, *bests: float, settings: dict | None = None) -> list[dict]:
-        return [
-            history_record(_payload(best, settings=settings), git_sha=f"sha{i}")
-            for i, best in enumerate(bests)
-        ]
-
-    def test_newest_vs_latest_same_digest(self) -> None:
-        verdicts, notes = regress(self._records(1.0, 0.98, 1.01))
-        assert notes == []
-        assert {v.result for v in verdicts} == {"fast", "naive"}
-        assert all(v.status == "ok" for v in verdicts)
-
-    def test_seeded_regression_is_caught(self) -> None:
-        verdicts, _ = regress(self._records(1.0, 10.0))
-        assert any(v.regressed for v in verdicts)
-
-    def test_digest_mismatch_is_a_note_not_a_verdict(self) -> None:
-        records = self._records(1.0) + self._records(
-            10.0, settings={"population": 9000}
-        )
-        verdicts, notes = regress(records)
-        assert verdicts == []
-        assert len(notes) == 1 and "no earlier record" in notes[0]
-
-    def test_baseline_offset_overrides_digest_matching(self) -> None:
-        records = self._records(1.0, 1.0, 10.0)
-        verdicts, notes = regress(records, baseline_offset=2)
-        assert notes == []
-        assert any(v.regressed for v in verdicts)
-        _, bad_notes = regress(records, baseline_offset=5)
-        assert bad_notes and "offset" in bad_notes[0]
-
-    def test_benchmark_filter(self) -> None:
-        records = self._records(1.0, 1.0)
-        records += [
-            history_record(_payload(1.0, benchmark="world_build"), git_sha="x"),
-            history_record(_payload(9.0, benchmark="world_build"), git_sha="y"),
-        ]
-        verdicts, _ = regress(records, benchmark="tick_loop")
-        assert {v.benchmark for v in verdicts} == {"tick_loop"}
-
-    def test_non_history_lines_are_ignored(self) -> None:
-        records = [{"kind": "something-else"}] + self._records(1.0, 1.0)
-        verdicts, notes = regress(records)
-        assert verdicts and notes == []
-
-
-class TestRegressCli:
-    def _write(self, path: Path, *bests: float) -> str:
-        for i, best in enumerate(bests):
-            append_history(path, history_record(_payload(best), git_sha=f"sha{i}"))
-        return str(path)
-
-    def test_identical_runs_exit_zero(self, tmp_path: Path, capsys) -> None:
-        path = self._write(tmp_path / "BENCH_HISTORY.jsonl", 1.0, 1.0)
-        assert main(["regress", path]) == 0
-        out = capsys.readouterr().out
-        assert "tick_loop/smoke fast:" in out and "ok" in out
-
-    def test_seeded_regression_exits_nonzero(self, tmp_path: Path, capsys) -> None:
-        path = self._write(tmp_path / "BENCH_HISTORY.jsonl", 1.0, 10.0)
-        assert main(["regress", path]) == 1
-        out = capsys.readouterr().out
-        assert "REGRESSED" in out and "beyond the noise floor" in out
-
-    def test_min_noise_can_absorb_a_shift(self, tmp_path: Path) -> None:
-        path = self._write(tmp_path / "BENCH_HISTORY.jsonl", 1.0, 1.4)
-        assert main(["regress", path]) == 1
-        assert main(["regress", path, "--min-noise", "0.5"]) == 0
-
-    def test_single_record_exits_zero_with_note(self, tmp_path: Path, capsys) -> None:
-        path = self._write(tmp_path / "BENCH_HISTORY.jsonl", 1.0)
-        assert main(["regress", path]) == 0
-        assert "note:" in capsys.readouterr().out
-
-    def test_empty_history_exits_zero(self, tmp_path: Path, capsys) -> None:
+    def test_empty_file_passes_with_a_note(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
         path = tmp_path / "BENCH_HISTORY.jsonl"
         path.write_text("", encoding="utf-8")
-        assert main(["regress", str(path)]) == 0
-        assert "nothing to compare" in capsys.readouterr().out
+        code, out = _regress(path, capsys)
+        assert code == 0
+        assert "note:" in out and "no history records" in out
+
+
+class TestRegressFailures:
+    def test_halved_throughput_fails_against_parent(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        def halve(record: Dict[str, object]) -> None:
+            entry = _medians(record)["study/actions_per_s"]
+            entry["change"] = float(entry["change"]) / 2
+
+        path, line = _with_record(tmp_path, halve)
+        code, out = _regress(path, capsys)
+        assert code == 1
+        assert f"{path}:{line}: study/actions_per_s: change worse than parent beyond 20%" in out
+
+    def test_memory_growth_fails_on_a_lower_is_better_metric(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        def grow(record: Dict[str, object]) -> None:
+            entry = _medians(record)["interventions/peak_rss_mb"]
+            entry["change"] = float(entry["change"]) * 1.11
+
+        path, line = _with_record(tmp_path, grow)
+        code, out = _regress(path, capsys)
+        assert code == 1
+        assert f"{path}:{line}: interventions/peak_rss_mb: change worse than parent" in out
+
+    def test_memory_growth_within_the_bound_passes(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        def grow(record: Dict[str, object]) -> None:
+            entry = _medians(record)["interventions/peak_rss_mb"]
+            entry["change"] = float(entry["change"]) * 1.09
+
+        path, _ = _with_record(tmp_path, grow)
+        code, out = _regress(path, capsys)
+        assert code == 0, out
+
+    def test_missing_metric_fails(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        path, line = _with_record(tmp_path, lambda record: _medians(record).pop("sweep/setup_s"))
+        code, out = _regress(path, capsys)
+        assert code == 1
+        assert f"{path}:{line}: sweep/setup_s: missing" in out
+
+    @pytest.mark.parametrize("value", ["fast", 0, -1.0, None, True])
+    def test_non_numeric_or_non_positive_value_fails(
+        self, value: object, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        def spoil(record: Dict[str, object]) -> None:
+            _medians(record)["study/setup_s"]["parent"] = value
+
+        path, line = _with_record(tmp_path, spoil)
+        code, out = _regress(path, capsys)
+        assert code == 1
+        assert f"{path}:{line}: study/setup_s: parent and change must be positive" in out
+
+    def test_unmet_claim_fails(self, tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
+        def claim(record: Dict[str, object]) -> None:
+            record["claim"] = {"metric": "actions_per_s", "workload": "interventions"}
+
+        path, line = _with_record(tmp_path, claim)
+        code, out = _regress(path, capsys)
+        assert code == 1
+        assert f"{path}:{line}: interventions/actions_per_s: claimed metric did not improve" in out
+
+    def test_met_claim_passes(self, tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
+        def claim(record: Dict[str, object]) -> None:
+            record["claim"] = {"metric": "setup_s", "workload": "sweep"}
+            entry = _medians(record)["sweep/setup_s"]
+            entry["change"] = float(entry["change"]) * 0.9
+
+        path, _ = _with_record(tmp_path, claim)
+        code, out = _regress(path, capsys)
+        assert code == 0, out
+
+    def test_drop_between_records_fails(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        # parent and change agree, so only the check against the previous
+        # record's change can see the drop
+        def drop(record: Dict[str, object]) -> None:
+            entry = _medians(record)["sweep/actions_per_s"]
+            slower = float(entry["change"]) * 0.7
+            entry["parent"] = entry["change"] = slower
+
+        path, line = _with_record(tmp_path, drop)
+        code, out = _regress(path, capsys)
+        assert code == 1
+        assert (
+            f"{path}:{line}: sweep/actions_per_s: change worse than the previous record" in out
+        )
+        assert "worse than parent" not in out
+
+    def test_unparseable_line_fails(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
+        path = tmp_path / "BENCH_HISTORY.jsonl"
+        path.write_text(HISTORY.read_text() + "{not json\n", encoding="utf-8")
+        code, out = _regress(path, capsys)
+        assert code == 1
+        lines = len(HISTORY.read_text().splitlines())
+        assert f"{path}:{lines + 1}: not a record with medians" in out
+
+    def test_missing_manifest_is_an_error(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        path = tmp_path / "BENCH_HISTORY.jsonl"
+        shutil.copy(HISTORY, path)
+        code, out = _regress(path, capsys)
+        assert code == 1
+        assert "BENCHMARK.json" in out
