@@ -48,6 +48,9 @@ class IssueOutcome(enum.Enum):
     LOST_ACCESS = "lost-access"  # credentials revoked
     FAILED = "failed"
 
+    #: identity hash in C (see :class:`repro.platform.models.ActionType`)
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class ServiceDescriptor:

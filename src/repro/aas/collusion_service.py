@@ -177,12 +177,14 @@ class CollusionNetworkService(AccountAutomationService):
         self._recipient_attempts: dict[tuple[AccountId, int], int] = {}
         #: per-tick fulfilment state: the active source pool of tick
         #: ``_pool_cache_tick`` with each record's index, that pool minus
-        #: each recipient visited, and the recipients whose every source
+        #: each recipient visited, per recipient the pool sources found
+        #: already following it, and the recipients whose every source
         #: already follows them (``_fulfil_follow``)
         self._pool_cache: list[CustomerRecord] = []
         self._pool_index: dict[AccountId, int] = {}
         self._pool_cache_tick: Optional[int] = None
         self._pools_excluding: dict[AccountId, list[CustomerRecord]] = {}
+        self._found_following: dict[AccountId, set[AccountId]] = {}
         self._saturated_follows: set[AccountId] = set()
         #: epilogue state: consecutive blocked days and the sales flag
         self._blocked_day_streak = 0
@@ -405,24 +407,29 @@ class CollusionNetworkService(AccountAutomationService):
         """FOLLOW fulfilment. A source already following the recipient
         is an INVALID attempt: it draws no RNG and mutates nothing.
 
-        ``size`` such attempts in a row have probed every pool member,
-        and within this tick the pool is fixed and edges into the
-        recipient only grow, so every later attempt this tick is INVALID
-        too: the rest of this visit, and every later visit this tick
-        (via ``_saturated_follows``), only advance the cursor."""
+        Within a tick the recipient's pool is fixed and edges into the
+        recipient only grow, so a source found following it keeps doing
+        so until the tick ends. Each such source goes into the
+        recipient's ``_found_following`` set, across all of the tick's
+        visits; once the set covers the pool every later attempt this
+        tick is INVALID too, and the rest of this visit, and every later
+        visit this tick (via ``_saturated_follows``), only advance the
+        cursor."""
         customer = order.customer
         size = len(pool)
         max_attempts = budget * 4
         if customer in self._saturated_follows:
             self._source_cursor = (self._source_cursor + max_attempts) % size
             return
+        found = self._found_following.get(customer)
+        if found is None:
+            found = self._found_following[customer] = set()
         # raw out-edge rows: `customer in row` is is_following() without
         # the method call; the list is live storage, so re-check its
         # length each probe — deliveries inside the loop can extend it
         out_rows = self.platform.graph.out_rows()
         cursor = self._source_cursor
         attempts = 0
-        misses = 0  # consecutive INVALID attempts
         observe = self.detector.observe
         while budget > 0 and attempts < max_attempts:
             attempts += 1
@@ -435,13 +442,12 @@ class CollusionNetworkService(AccountAutomationService):
             source_id = source.account_id
             row = out_rows[source_id] if source_id < len(out_rows) else None
             if row is not None and customer in row:
-                misses += 1
-                if misses == size:
+                found.add(source_id)
+                if len(found) == size:
                     self._saturated_follows.add(customer)
                     cursor = (cursor + max_attempts - attempts) % size
                     break
                 continue
-            misses = 0
             self._source_cursor = cursor  # keep shared state exact before issuing
             outcome = self._issue(
                 source,
@@ -615,6 +621,7 @@ class CollusionNetworkService(AccountAutomationService):
     def tick(self) -> None:
         """One simulated hour of collusion-network fulfilment."""
         now = self.platform.clock.now
+        self._found_following.clear()
         self._saturated_follows.clear()
         live = []
         for order in self._orders:

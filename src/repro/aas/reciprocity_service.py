@@ -69,6 +69,28 @@ class ReciprocityServiceConfig:
                 raise ValueError(f"daily budget for {action_type} must be positive")
         if self.unfollow_after_days < 1:
             raise ValueError("unfollow_after_days must be at least one day")
+        if self.like_retarget_cooldown_days < 0:
+            raise ValueError("like_retarget_cooldown_days must be non-negative")
+
+
+class _LikeCooldown:
+    """One customer's like targets still inside the retarget cooldown.
+
+    A read-only membership view over the customer's ``target -> last
+    like tick`` map: a target is excluded while its last like is newer
+    than ``since``. Entries older than that are dead weight until the
+    daily prune drops them; the view ignores them without copying.
+    """
+
+    __slots__ = ("recent", "since")
+
+    def __init__(self, recent: dict[AccountId, int], since: int):
+        self.recent = recent
+        self.since = since
+
+    def __contains__(self, target: object) -> bool:
+        tick = self.recent.get(target)  # type: ignore[call-overload]
+        return tick is not None and tick > self.since
 
 
 class ReciprocityAbuseService(AccountAutomationService):
@@ -96,7 +118,8 @@ class ReciprocityAbuseService(AccountAutomationService):
         self._last_block: dict[tuple[AccountId, ActionType], int] = {}
         #: (due_tick, customer_id, target) queue for auto-unfollow
         self._unfollow_queue: deque[tuple[int, AccountId, AccountId]] = deque()
-        #: per-customer recently-liked targets with their last-like tick
+        #: per-customer recently-liked targets with their last-like tick;
+        #: entries outside the cooldown are dropped by the daily pass
         self._recent_like_targets: dict[AccountId, dict[AccountId, int]] = {}
         #: cached hashtag audiences: tag tuple -> (tick computed, accounts)
         self._audience_cache: dict[tuple[str, ...], tuple[int, set[AccountId]]] = {}
@@ -149,17 +172,21 @@ class ReciprocityAbuseService(AccountAutomationService):
             throttle.on_blocking(now)
             self._last_block[(record.account_id, action_type)] = now
 
-    def _like_exclusions(self, record: CustomerRecord) -> set[AccountId]:
-        """Targets liked within the cooldown window (pruned in place)."""
+    def _like_exclusions(self, record: CustomerRecord) -> _LikeCooldown:
+        """Targets liked within the cooldown window, as a live view."""
         recent = self._recent_like_targets.get(record.account_id)
-        if not recent:
-            return set()
-        now = self.platform.clock.now
-        cooldown = days(self.config.like_retarget_cooldown_days)
-        for target, tick in list(recent.items()):
-            if now - tick >= cooldown:
+        if recent is None:
+            recent = self._recent_like_targets[record.account_id] = {}
+        since = self.platform.clock.now - days(self.config.like_retarget_cooldown_days)
+        return _LikeCooldown(recent, since)
+
+    def _prune_like_cooldowns(self) -> None:
+        """Drop like targets whose cooldown has run out (daily pass)."""
+        since = self.platform.clock.now - days(self.config.like_retarget_cooldown_days)
+        for recent in self._recent_like_targets.values():
+            stale = [target for target, tick in recent.items() if tick <= since]
+            for target in stale:
                 del recent[target]
-        return set(recent)
 
     def _audience_for(self, record: CustomerRecord) -> set[AccountId] | None:
         """The customer's hashtag audience, refreshed every few hours."""
@@ -176,15 +203,17 @@ class ReciprocityAbuseService(AccountAutomationService):
         return audience
 
     def _do_like(self, record: CustomerRecord) -> None:
-        exclude = self._like_exclusions(record) | {record.account_id}
+        exclude = self._like_exclusions(record)
         targets = self.targeting.select(
-            1, exclude=exclude, restrict_to=self._audience_for(record)
+            1,
+            exclude=exclude,
+            restrict_to=self._audience_for(record),
+            own=record.account_id,
         )
         if not targets:
             return
         target = targets[0]
-        media = self.platform.media.media_of(target)
-        candidates = [m for m in media if not self.platform.media.has_liked(m.media_id, record.account_id)]
+        candidates = self.platform.media.unliked_of(target, record.account_id)
         if not candidates:
             return
         choice = candidates[int(self.rng.integers(0, len(candidates)))]
@@ -194,15 +223,16 @@ class ReciprocityAbuseService(AccountAutomationService):
                 session, choice.media_id, endpoint, ApiSurface.PRIVATE_MOBILE
             ),
         )
-        self._recent_like_targets.setdefault(record.account_id, {})[target] = self.platform.clock.now
+        exclude.recent[target] = self.platform.clock.now
         self._note_outcome(record, ActionType.LIKE, outcome)
 
     def _do_follow(self, record: CustomerRecord) -> None:
         targets = self.targeting.select(
             1,
-            exclude=record.targeted | {record.account_id},
+            exclude=record.targeted,
             use_curated=False,
             restrict_to=self._audience_for(record),
+            own=record.account_id,
         )
         if not targets:
             return
@@ -225,7 +255,7 @@ class ReciprocityAbuseService(AccountAutomationService):
                 self._unfollow_queue.append((due, record.account_id, target))
 
     def _do_comment(self, record: CustomerRecord) -> None:
-        targets = self.targeting.select(1, exclude={record.account_id}, use_curated=False)
+        targets = self.targeting.select(1, exclude=(), use_curated=False, own=record.account_id)
         if not targets:
             return
         media = self.platform.media.media_of(targets[0])
@@ -274,12 +304,14 @@ class ReciprocityAbuseService(AccountAutomationService):
                 record.targeted.discard(target)
 
     def _adjust_throttles(self) -> None:
-        """Daily adaptation pass: probe suppressed accounts back up, and
-        consider migrating infrastructure when blocking is pervasive."""
+        """Daily adaptation pass: probe suppressed accounts back up,
+        prune expired like cooldowns, and consider migrating
+        infrastructure when blocking is pervasive."""
         now = self.platform.clock.now
         if self.platform.clock.day == self._last_adjust_tick:
             return
         self._last_adjust_tick = self.platform.clock.day
+        self._prune_like_cooldowns()
         suppressed_accounts: dict[ActionType, int] = {}
         active_accounts = max(len(self.active_customers(now)), 1)
         for (account_id, action_type), throttle in self._throttles.items():

@@ -17,7 +17,9 @@ measurement.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Container
 
 import numpy as np
 
@@ -80,17 +82,18 @@ class ReciprocityTargeting:
         total = scores.sum()
         if total <= 0:
             raise ValueError("degenerate candidate scores")
-        self._cumulative = np.cumsum(scores / total)
+        # scalar sampling runs on bisect over a plain list: element-for-
+        # element identical to np.searchsorted(side='left') on the same
+        # floats (test-pinned), minus the per-call numpy dispatch cost
+        self._cumulative: list[float] = np.cumsum(scores / total).tolist()
 
     def refresh(self) -> None:
         """Public hook: services re-score periodically as the graph drifts."""
         self._refresh_scores()
 
     def _sample_scored(self) -> AccountId:
-        draw = self.rng.random()
-        index = int(np.searchsorted(self._cumulative, draw))
-        index = min(index, len(self.candidates) - 1)
-        return self.candidates[index]
+        index = bisect_left(self._cumulative, self.rng.random())
+        return self.candidates[min(index, len(self.candidates) - 1)]
 
     def _sample_curated(self) -> AccountId:
         assert self.curated is not None
@@ -100,12 +103,16 @@ class ReciprocityTargeting:
     def select(
         self,
         n: int,
-        exclude: set[AccountId],
+        exclude: Container[AccountId],
         use_curated: bool = True,
         restrict_to: set[AccountId] | None = None,
+        own: AccountId | None = None,
     ) -> list[AccountId]:
-        """Pick up to ``n`` fresh targets not in ``exclude``.
+        """Pick up to ``n`` distinct targets, none in ``exclude`` and
+        none equal to ``own`` (the customer's own account).
 
+        ``exclude`` is only probed with ``in``, never copied or mutated,
+        so callers pass their live per-customer state as it is.
         May return fewer than ``n`` when the universe is nearly
         exhausted for this customer (bounded retries, no spinning).
         ``use_curated=False`` bypasses the curated recipient list — it is
@@ -116,7 +123,7 @@ class ReciprocityTargeting:
         if n < 0:
             raise ValueError("n must be non-negative")
         picked: list[AccountId] = []
-        seen = set(exclude)
+        chosen: set[AccountId] = set()
         attempts = 0
         max_attempts = 12 * max(n, 1)
         while len(picked) < n and attempts < max_attempts:
@@ -127,12 +134,12 @@ class ReciprocityTargeting:
                 and self.rng.random() < self.curated.mix_fraction
             )
             candidate = self._sample_curated() if from_curated else self._sample_scored()
-            if candidate in seen:
+            if candidate == own or candidate in exclude or candidate in chosen:
                 continue
             if restrict_to is not None and candidate not in restrict_to:
                 continue
             if not self.platform.account_exists(candidate):
                 continue
-            seen.add(candidate)
+            chosen.add(candidate)
             picked.append(candidate)
         return picked

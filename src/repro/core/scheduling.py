@@ -12,7 +12,7 @@ clientele and organic drivers, the service engines) must report
 the seeded results. Only agents whose idle tick is verifiably a no-op
 (no RNG, no platform calls) may park themselves; the collusion-honeypot
 driver is the canonical example. The golden-digest suite in
-``tests/test_core_fastpath_equivalence.py`` pins the seeded study these
+``tests/test_core_golden_digests.py`` pins the seeded study these
 rules produce.
 
 Within a tick, due agents always run in registration order.

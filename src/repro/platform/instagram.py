@@ -163,8 +163,8 @@ class InstagramPlatform:
     def action_batch(self) -> Iterator[None]:
         """Open one actor-tick's batch scope.
 
-        Inside the scope, delivered like/follow actions apply their
-        platform mutations (graph edges, media likes, notifications)
+        Inside the scope, delivered like/follow/unfollow actions apply
+        their platform mutations (graph edges, media likes, notifications)
         immediately — later actions in the same scope depend on them —
         but their log rows accumulate and land in one
         :meth:`ActionLog.append_batch` at scope exit, in exact submission
@@ -192,9 +192,9 @@ class InstagramPlatform:
     def _flush_batch(self) -> None:
         """Write pending rows out mid-scope, preserving log order.
 
-        Called by the action paths that do not defer (unfollow, comment,
-        post, and any path needing a materialized record): their scalar
-        append must not overtake rows already submitted in this scope.
+        Called by the action paths that do not defer (comment, post, and
+        any path needing a materialized record): their scalar append
+        must not overtake rows already submitted in this scope.
         """
         batch = self._batch
         if batch is not None and batch.rows:
@@ -436,8 +436,32 @@ class InstagramPlatform:
         api: ApiSurface = ApiSurface.PRIVATE_MOBILE,
     ) -> ActionRecord:
         """Withdraw a follow. No notification (Instagram is silent here)."""
-        if self._batch is not None:
-            self._flush_batch()  # scalar append must not overtake the scope
+        batch = self._batch
+        if batch is not None:
+            # batched path: same checks and mutation in the same order
+            # (validate, actor lookup, not-following reject, vacuous
+            # ALLOW, unfollow) with the log row deferred
+            actor = self.auth.validate(session)
+            account = self._accounts.get(actor)
+            if account is None or account.is_deleted:
+                raise UnknownAccountError(f"account {actor} not found")
+            if not self.graph.is_following(actor, target):
+                raise InvalidActionError(f"{actor} does not follow {target}")
+            self.graph.unfollow(actor, target)
+            batch.rows.append(
+                (
+                    ActionType.UNFOLLOW,
+                    actor,
+                    self.clock.now,
+                    endpoint,
+                    api,
+                    ActionStatus.DELIVERED,
+                    target,
+                    None,
+                    None,
+                )
+            )
+            return None
         actor = self._authorize(session)
         if not self.graph.is_following(actor, target):
             raise InvalidActionError(f"{actor} does not follow {target}")

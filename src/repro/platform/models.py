@@ -21,6 +21,10 @@ class ActionType(enum.Enum):
     POST = "post"
     UNFOLLOW = "unfollow"
 
+    #: identity hash in C: members are singletons compared by identity,
+    #: and ``Enum.__hash__`` is a Python-level call on every dict probe
+    __hash__ = object.__hash__
+
 
 class ActionStatus(enum.Enum):
     """Lifecycle of a logged action under countermeasures."""

@@ -1,5 +1,6 @@
 """Tests for the AAS base framework and targeting engine."""
 
+import numpy as np
 import pytest
 
 from repro.aas.base import (
@@ -195,8 +196,6 @@ class TestReciprocityTargeting:
             in_degree_bias=1.5,
         )
         picks = [targeting.select(1, exclude=set())[0] for _ in range(300)]
-        import numpy as np
-
         pick_out = np.median([platform.following_count(a) for a in picks])
         pick_in = np.median([platform.follower_count(a) for a in picks])
         assert pick_out >= population.median_out_degree
@@ -228,3 +227,51 @@ class TestReciprocityTargeting:
             CuratedPool(accounts=[], mix_fraction=0.5)
         with pytest.raises(ValueError):
             CuratedPool(accounts=[1], mix_fraction=1.5)
+
+
+class _Draws:
+    """A stand-in RNG replaying fixed ``random()`` draws."""
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
+
+    def random(self):
+        return next(self._draws)
+
+
+class TestSampleScoredPin:
+    """``_sample_scored`` bisects a plain list; it must pick exactly what
+    ``np.searchsorted`` (side='left', clamped to the last candidate) picks
+    on the same floats."""
+
+    @staticmethod
+    def _reference(cumulative, candidates, draw):
+        index = int(np.searchsorted(np.asarray(cumulative, dtype=float), draw))
+        return candidates[min(index, len(candidates) - 1)]
+
+    def test_matches_searchsorted_on_seeded_draws(self, targeting_world):
+        platform, population = targeting_world
+        targeting = ReciprocityTargeting(
+            platform, population.account_ids, derive_rng(47, "t"), in_degree_bias=1.5
+        )
+        draws = derive_rng(47, "t")  # the same stream, replayed
+        for _ in range(3000):
+            expected = self._reference(targeting._cumulative, targeting.candidates, draws.random())
+            assert targeting._sample_scored() == expected
+        assert targeting.rng.bit_generator.state == draws.bit_generator.state
+
+    def test_ties_edges_and_draws_past_the_last_value(self, targeting_world):
+        platform, population = targeting_world
+        targeting = ReciprocityTargeting(platform, population.account_ids[:4], derive_rng(48, "t"))
+        # a repeated value (a zero score) and a total below 1.0, as float
+        # rounding can leave it: draws above it must clamp to the last
+        targeting._cumulative = [0.25, 0.5, 0.5, 0.9]
+        draws = [0.0, 0.25, np.nextafter(0.25, 1.0), 0.5, 0.7, 0.9,
+                 np.nextafter(0.9, 1.0), 0.95, 1.0]
+        targeting.rng = _Draws(draws)
+        picks = [targeting._sample_scored() for _ in draws]
+        expected = [self._reference(targeting._cumulative, targeting.candidates, d) for d in draws]
+        assert picks == expected
+        last = targeting.candidates[-1]
+        assert picks[-3:] == [last, last, last]
+        assert picks[3] == targeting.candidates[1]  # a tie resolves left

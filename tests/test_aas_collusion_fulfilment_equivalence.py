@@ -243,3 +243,51 @@ def test_recipient_tallies_keep_only_today():
         assert all(key_day == day for _, key_day in service._recipient_attempts)
         world.platform.clock.advance(1)
     assert service._recipient_attempts
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_follows_saturate_across_visits(seed):
+    """A pool larger than one visit's ``4 * budget`` attempts saturates
+    over several visits of the same tick, and stays equal to the oracle.
+
+    Two recipients request free follows every hour, so each has several
+    open orders visited per tick; between ticks a few sources drop their
+    follow, so saturation clears and forms again.
+    """
+    members = 24
+    worlds = (
+        _World(PerAttemptCollusionService, seed, members),
+        _World(CollusionNetworkService, seed, members),
+    )
+    oracle, production = worlds
+    for world in worlds:
+        for i in range(members):
+            world.service.customers[world.ids[i]].trial_expires = 10**6
+    recipients = production.ids[1:3]
+    script_rng = derive_rng(seed, "saturation-script")
+    seen_rows = 0
+    saturated_ticks = 0
+    budget = production.service.config.free_delivery_per_hour
+    for tick in range(48):
+        for who in recipients:
+            for _ in range(2):
+                _both(worlds, lambda w: w.service.request_free_service(who, ActionType.FOLLOW))
+        if tick % 6 == 5:
+            for who in recipients:
+                followers = sorted(production.platform.graph.followers(who))
+                for _ in range(min(int(script_rng.integers(1, 4)), len(followers))):
+                    src = followers.pop(int(script_rng.integers(0, len(followers))))
+                    for world in worlds:
+                        world.platform.graph.unfollow(src, who)
+        for world in worlds:
+            world.service.tick()
+        assert production.state() == oracle.state(), f"tick {tick}"
+        assert production.rows(seen_rows) == oracle.rows(seen_rows), f"tick {tick}"
+        seen_rows = len(oracle.platform.log)
+        service = production.service
+        pool = len(service._pool_cache) - 1
+        assert pool > 4 * budget
+        saturated_ticks += bool(service._saturated_follows & set(recipients))
+        for world in worlds:
+            world.platform.clock.advance(1)
+    assert saturated_ticks > 0

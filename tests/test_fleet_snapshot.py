@@ -99,6 +99,17 @@ class TestEnvelope:
         with pytest.raises(SnapshotError, match="schema_version"):
             restore_study(pickle.dumps(envelope))
 
+    def test_version_2_envelope_rejected(self) -> None:
+        """Version 3 added the collusion engine's per-tick follow state and
+        prunes like cooldowns daily; a version-2 envelope is refused, not
+        thawed into the new layout."""
+        assert SNAPSHOT_SCHEMA_VERSION == 3
+        blob = snapshot_study(build_prefix(StudyConfig.tiny(seed=11), PREFIX_BUILD_WORLD), PREFIX_BUILD_WORLD)
+        envelope = pickle.loads(blob)
+        envelope["schema_version"] = 2
+        with pytest.raises(SnapshotError, match="schema_version 2 != current 3"):
+            restore_study(pickle.dumps(envelope))
+
     def test_envelope_without_study_rejected(self) -> None:
         blob = pickle.dumps({"schema_version": SNAPSHOT_SCHEMA_VERSION, "study": "nope"})
         with pytest.raises(SnapshotError, match="does not carry a Study"):

@@ -316,3 +316,74 @@ class TestActionBatchScope:
         scalar, scalar_outcomes = _run_unscoped(policy, ops)
         assert scoped_outcomes == scalar_outcomes
         assert _state(scoped) == _state(scalar)
+
+
+#: follow, like and unfollow interleaved, with a comment forcing a flush
+#: mid-scope and a second unfollow of the same edge (invalid)
+_UNFOLLOW_OPS = [
+    ("follow", 1, 2, 0),
+    ("follow", 1, 3, 0),
+    ("like", 1, 3, 0),
+    ("unfollow", 1, 2, 0),
+    ("follow", 4, 1, 0),
+    ("comment", 4, 1, 1),
+    ("unfollow", 1, 3, 0),
+    ("unfollow", 1, 3, 0),
+    ("unfollow", 4, 1, 0),
+    ("follow", 1, 2, 0),
+]
+
+
+class TestBatchedUnfollow:
+    def test_scope_matches_scalar_path(self):
+        scoped, scoped_outcomes = _run_scoped(None, _UNFOLLOW_OPS, scope_len=len(_UNFOLLOW_OPS))
+        scalar, scalar_outcomes = _run_unscoped(None, _UNFOLLOW_OPS)
+        assert scoped_outcomes == scalar_outcomes
+        assert scoped_outcomes.count("InvalidActionError") == 1
+        # rows (with their ids), edges, likes and inboxes all match
+        assert _state(scoped) == _state(scalar)
+        kinds = [r.action_type for r in scoped.log]
+        assert kinds.count(ActionType.UNFOLLOW) == 3
+
+    def test_unfollow_defers_its_row_but_mutates_the_graph(self):
+        platform, sessions, media = _world()
+        platform.follow(sessions[1], 2, _HOME)
+        before = len(platform.log)
+        with platform.action_batch():
+            assert platform.unfollow(sessions[1], 2, _HOME) is None
+            assert not platform.graph.is_following(1, 2)
+            assert len(platform.log) == before
+            platform.follow(sessions[1], 2, _HOME)
+        assert len(platform.log) == before + 2
+        unfollow, follow = list(platform.log)[before:]
+        assert (unfollow.action_id, unfollow.action_type) == (before, ActionType.UNFOLLOW)
+        assert (unfollow.actor, unfollow.target_account) == (1, 2)
+        assert unfollow.status is ActionStatus.DELIVERED
+        assert (follow.action_id, follow.action_type) == (before + 1, ActionType.FOLLOW)
+
+    def test_invalid_unfollow_raises_and_appends_nothing(self):
+        platform, sessions, media = _world()
+        platform.follow(sessions[1], 2, _HOME)
+        before = len(platform.log)
+        with platform.action_batch():
+            platform.unfollow(sessions[1], 2, _HOME)
+            with pytest.raises(PlatformError, match="does not follow"):
+                platform.unfollow(sessions[1], 2, _HOME)
+            with pytest.raises(PlatformError, match="does not follow"):
+                platform.unfollow(sessions[3], 4, _HOME)
+        assert len(platform.log) == before + 1
+        assert not platform.graph.is_following(1, 2)
+
+    def test_installed_policy_takes_the_scalar_path(self):
+        policy = _FixedPolicy(CountermeasureDecision.ALLOW)
+        platform, sessions, media = _world(policy)
+        platform.follow(sessions[1], 2, _HOME)
+        before = len(platform.log)
+        with platform.action_batch():
+            record = platform.unfollow(sessions[1], 2, _HOME)
+            assert record is not None and record.action_id == before
+            assert len(platform.log) == before + 1
+        scoped, scoped_outcomes = _run_scoped(policy, _UNFOLLOW_OPS, scope_len=4)
+        scalar, scalar_outcomes = _run_unscoped(policy, _UNFOLLOW_OPS)
+        assert scoped_outcomes == scalar_outcomes
+        assert _state(scoped) == _state(scalar)
