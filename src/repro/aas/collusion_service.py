@@ -24,11 +24,12 @@ across all orders. Likes (free and single-media) run one inlined loop,
 follows another, comments the generic per-attempt loop. A visit costs
 time in proportion to the actions it issues: attempts that provably
 cannot issue — every one after the recipient's daily like cap is
-reached or when it has no media, and every one at a recipient whose
-pool already follows it — only advance the cursor. The shortcuts rely
-on invariants of the service's own tick (DESIGN.md §8, "Collusion
-fulfilment"); ``tests/oracles/collusion.py`` is the per-attempt
-reference they are tested against.
+reached or when it has no media, every one at a recipient whose pool
+already follows it, and every one at a recipient whose pool already
+likes the photo (for free likes, every photo) — only advance the
+cursor. The shortcuts rely on invariants of the service's own tick
+(DESIGN.md §8, "Collusion fulfilment"); ``tests/oracles/collusion.py``
+is the per-attempt reference they are tested against.
 """
 
 from __future__ import annotations
@@ -177,13 +178,15 @@ class CollusionNetworkService(AccountAutomationService):
         self._recipient_attempts: dict[tuple[AccountId, int], int] = {}
         #: per-tick fulfilment state: the active source pool of tick
         #: ``_pool_cache_tick`` with each record's index, that pool minus
-        #: each recipient visited, per recipient the pool sources found
-        #: already following it, and the recipients whose every source
-        #: already follows them (``_fulfil_follow``)
+        #: each recipient visited and its account ids (``_fulfil_like``),
+        #: per recipient the pool sources found already following it, and
+        #: the recipients whose every source already follows them
+        #: (``_fulfil_follow``)
         self._pool_cache: list[CustomerRecord] = []
         self._pool_index: dict[AccountId, int] = {}
         self._pool_cache_tick: Optional[int] = None
         self._pools_excluding: dict[AccountId, list[CustomerRecord]] = {}
+        self._pool_ids: dict[AccountId, set[AccountId]] = {}
         self._found_following: dict[AccountId, set[AccountId]] = {}
         self._saturated_follows: set[AccountId] = set()
         #: epilogue state: consecutive blocked days and the sales flag
@@ -327,6 +330,7 @@ class CollusionNetworkService(AccountAutomationService):
                 record.account_id: i for i, record in enumerate(self._pool_cache)
             }
             self._pools_excluding.clear()
+            self._pool_ids.clear()
         # The active pool minus ``exclude``, built once per recipient per
         # tick by slicing around the (at most one) excluded element.
         # Callers only read and index the pool, so returning the cache
@@ -339,6 +343,13 @@ class CollusionNetworkService(AccountAutomationService):
         if pool is None:
             pool = self._pools_excluding[exclude] = cache[:i] + cache[i + 1:]
         return pool
+
+    def _pool_ids_of(self, recipient: AccountId, pool: list[CustomerRecord]) -> set[AccountId]:
+        """The account ids of ``recipient``'s pool, once per recipient per tick."""
+        ids = self._pool_ids.get(recipient)
+        if ids is None:
+            ids = self._pool_ids[recipient] = {record.account_id for record in pool}
+        return ids
 
     def _next_source(self, pool: list[CustomerRecord]) -> CustomerRecord:
         self._source_cursor = (self._source_cursor + 1) % len(pool)
@@ -478,13 +489,23 @@ class CollusionNetworkService(AccountAutomationService):
         action is issued, and the media list is fixed within the tick,
         so once the cap is reached or the media list is empty, every
         remaining attempt is an RNG-free FAILED: the cursor jumps past
+        them and the visit ends.
+
+        Likes only grow within the tick, so once every pool source likes
+        the order's photo (for a free order: every photo of the
+        recipient), every remaining attempt is an INVALID that draws
+        only its media pick. The test runs at visit entry, behind the
+        cap check, and again after each delivered like; when it holds,
+        the remaining picks are drawn in one call, the cursor jumps past
         them and the visit ends."""
         customer = order.customer
         media_id = order.single_media
-        media = None if media_id is not None else self.platform.media.media_of(customer)
+        store = self.platform.media
+        media = None if media_id is not None else store.media_of(customer)
         no_media = media is not None and not media
         integers = self.rng.integers
-        has_liked = self.platform.media.has_liked
+        has_liked = store.has_liked
+        liked_by_all = store.liked_by_all
         caps_get = self._recipient_caps.get
         tallies = self._recipient_attempts
         day_key = (customer, self.platform.clock.day)
@@ -494,10 +515,24 @@ class CollusionNetworkService(AccountAutomationService):
         size = len(pool)
         attempts = 0
         max_attempts = budget * 4
+        saturation_due = True
         while budget > 0 and attempts < max_attempts:
             if no_media or (cap is not None and count >= cap):
                 cursor = (cursor + max_attempts - attempts) % size
                 break
+            if saturation_due:
+                saturation_due = False
+                pool_ids = self._pool_ids_of(customer, pool)
+                if (
+                    liked_by_all(media_id, pool_ids)
+                    if media is None
+                    else all(liked_by_all(m.media_id, pool_ids) for m in media)
+                ):
+                    remaining = max_attempts - attempts
+                    if media is not None:
+                        integers(0, len(media), size=remaining)
+                    cursor = (cursor + remaining) % size
+                    break
             attempts += 1
             cursor += 1
             if cursor >= size:
@@ -523,6 +558,7 @@ class CollusionNetworkService(AccountAutomationService):
             if outcome is IssueOutcome.DELIVERED:
                 order.delivered += 1
                 budget -= 1
+                saturation_due = True  # only a delivered like grows the likers
             elif outcome is IssueOutcome.BLOCKED:
                 budget -= 1
         self._source_cursor = cursor

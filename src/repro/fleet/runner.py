@@ -53,9 +53,11 @@ tree depth each span's root phase belongs to (see
 
 from __future__ import annotations
 
+import gc
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from multiprocessing import get_context
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.config import StudyConfig
 from repro.fleet.snapshot import (
@@ -112,6 +114,25 @@ def _run_replica(spec: ReplicaSpec, study: object, prefix_reused: bool) -> Repli
     )
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic collector for a restore.
+
+    Unpickling a study allocates enough container objects to trigger
+    full collections, and each one re-walks whatever earlier replicas
+    left behind. The replica loops collect once at each replica
+    boundary instead. The collector's prior state comes back even when
+    the body raises.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _build_node_blob(
     config: StudyConfig, phase: str, parent_blob: Optional[bytes]
 ) -> bytes:
@@ -135,13 +156,17 @@ def _run_leaf_group(group: _LeafGroup, blob: bytes) -> List[Tuple[int, ReplicaRe
 
     Each replica forks its own study from the shared envelope bytes and
     grafts its own config back on (sharers may differ in post-prefix
-    fields such as ``measurement_days``).
+    fields such as ``measurement_days``). The study is cyclic, so each
+    one is dropped and collected before the next restore.
     """
     results: List[Tuple[int, ReplicaResult]] = []
     for index, spec, charged in group:
-        study = restore_study(blob)
+        with _collector_paused():
+            study = restore_study(blob)
         graft_config(study, spec.config, depth=spec.depth)
         results.append((index, _run_replica(spec, study, prefix_reused=not charged)))
+        del study
+        gc.collect()
     return results
 
 
@@ -150,28 +175,33 @@ def _run_group(
 ) -> Tuple[List[Tuple[int, ReplicaResult]], int, int]:
     """Run one flat prefix-sharing group; returns (results, builds, restores).
 
+    As in ``_run_leaf_group``, restores run with the collector paused
+    and each replica's study is collected before the next one starts.
+
     Module-level on purpose: spawn workers resolve it by qualified name,
     and its arguments (specs + a bool) pickle without custom support.
     """
     results: List[Tuple[int, ReplicaResult]] = []
     builds = 0
     restores = 0
+    cache = SnapshotCache()
+    for index, spec in group:
+        with _collector_paused():
+            if reuse_prefix:
+                study, hit = cache.get_or_build(spec.config, spec.prefix)
+            else:
+                # build fresh, but still round-trip through an envelope so
+                # the starting state is identical to the reuse path (a
+                # dump/load normalizes hash-table layout either way)
+                blob = snapshot_study(build_prefix(spec.config, spec.prefix), spec.prefix)
+                study, hit = restore_study(blob), False
+                builds += 1
+                restores += 1
+        results.append((index, _run_replica(spec, study, prefix_reused=hit)))
+        del study
+        gc.collect()
     if reuse_prefix:
-        cache = SnapshotCache()
-        for index, spec in group:
-            study, hit = cache.get_or_build(spec.config, spec.prefix)
-            results.append((index, _run_replica(spec, study, prefix_reused=hit)))
         builds, restores = cache.builds, cache.restores
-    else:
-        for index, spec in group:
-            # build fresh, but still round-trip through an envelope so
-            # the starting state is identical to the reuse path (a
-            # dump/load normalizes hash-table layout either way)
-            built = build_prefix(spec.config, spec.prefix)
-            study = restore_study(snapshot_study(built, spec.prefix))
-            builds += 1
-            restores += 1
-            results.append((index, _run_replica(spec, study, prefix_reused=False)))
     return results, builds, restores
 
 
@@ -424,7 +454,7 @@ def materialize_tree(specs: Sequence[ReplicaSpec], store: SnapshotStore) -> Tree
     """
     plan = plan_tree(specs)
     blobs: Dict[str, bytes] = {}
-    for level in plan.levels:
+    for depth0, level in enumerate(plan.levels):
         for key in level:
             node = plan.nodes[key]
             blob = store.get(key)
@@ -433,6 +463,11 @@ def materialize_tree(specs: Sequence[ReplicaSpec], store: SnapshotStore) -> Tree
                 blob = _build_node_blob(node.config, node.phase, parent_blob)
                 store.put(key, blob)
             blobs[key] = blob
+        if depth0 >= 1:
+            # the frontier rule of ``_run_tree``: a built level's parents
+            # are needed by no deeper level
+            for key in plan.levels[depth0 - 1]:
+                del blobs[key]
     return plan
 
 

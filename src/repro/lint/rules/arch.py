@@ -145,20 +145,22 @@ class StarImportRule(Rule):
 
 
 class ProcessMachineryRule(Rule):
-    """ARCH004 — process fan-out and serialization live in fleet only."""
+    """ARCH004 — process fan-out, serialization and collector control
+    live in fleet only."""
 
     rule_id: ClassVar[str] = "ARCH004"
     summary: ClassVar[str] = (
         "multiprocessing / concurrent.futures / pickle / tempfile / "
-        "shutil imports are confined to repro/fleet/; everywhere else "
-        "they smuggle in process topology, serialized state, or "
-        "filesystem scratch space the determinism contract can't see "
-        "(fleet owns the snapshot envelope, the spawn pool, and the "
-        "disk snapshot store)"
+        "shutil / gc imports are confined to repro/fleet/; everywhere "
+        "else they smuggle in process topology, serialized state, "
+        "filesystem scratch space, or collector pauses the determinism "
+        "contract and the replica memory profile can't see (fleet owns "
+        "the snapshot envelope, the spawn pool, the disk snapshot store, "
+        "and the one collection per replica)"
     )
 
     _banned_roots = frozenset(
-        {"multiprocessing", "pickle", "concurrent", "tempfile", "shutil"}
+        {"multiprocessing", "pickle", "concurrent", "tempfile", "shutil", "gc"}
     )
 
     def _offends(self, module: str) -> bool:

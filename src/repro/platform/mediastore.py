@@ -8,6 +8,8 @@ from typing import Optional
 from repro.platform.errors import InvalidActionError, UnknownMediaError
 from repro.platform.models import AccountId, Media, MediaId
 
+_NO_LIKERS: frozenset[AccountId] = frozenset()
+
 
 class MediaStore:
     """Owns all media objects plus their like/comment state."""
@@ -144,6 +146,15 @@ class MediaStore:
 
     def has_liked(self, media_id: MediaId, liker: AccountId) -> bool:
         return liker in self._likers[media_id]
+
+    def liked_by_all(self, media_id: MediaId, accounts: set[AccountId]) -> bool:
+        """Whether every account in ``accounts`` likes ``media_id``.
+
+        One C-level superset test. Reads with ``.get()``: indexing the
+        likers defaultdict would insert an entry for a media nobody has
+        liked, and the probe must leave the store exactly as it found it.
+        """
+        return self._likers.get(media_id, _NO_LIKERS).issuperset(accounts)
 
     def comment(self, media_id: MediaId, author: AccountId, text: str) -> None:
         self.get(media_id)

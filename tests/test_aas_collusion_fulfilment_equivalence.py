@@ -8,9 +8,11 @@ same random script: free requests, one-time packages, monthly plans,
 media, a small pool whose follows saturate, customers joining, leaving
 and expiring (so pool membership changes across ticks), follow edges
 withdrawn between ticks, and a blanket ASN block so issues come back
-BLOCKED. After every tick the cursor, the service RNG, the log rows,
-every order's progress, the like tallies and caps, and the outcome
-counts must be equal.
+BLOCKED. Scripted cases add like saturation: photos the whole pool
+already likes, saturation reached mid-visit, a like withdrawn between
+ticks, and a recipient both capped and saturated. After every tick the
+cursor, the service RNG, the log rows, every order's progress, the like
+tallies and caps, and the outcome counts must be equal.
 """
 
 from __future__ import annotations
@@ -291,3 +293,166 @@ def test_follows_saturate_across_visits(seed):
         for world in worlds:
             world.platform.clock.advance(1)
     assert saturated_ticks > 0
+
+
+class TestLikeSaturation:
+    """Like visits to a recipient whose pool already likes the photo
+    (or, for free likes, every photo) equal the per-attempt loop.
+
+    Each script pre-likes photos of one recipient from its pool, then
+    runs the two worlds in lockstep, comparing them after every tick.
+    A spy on the production ``MediaStore.liked_by_all`` records each
+    saturation test as ``(tick, media_id, result)``, so every script
+    can check that the shortcut it exists for was taken.
+    """
+
+    MEMBERS = 7
+
+    def _worlds(self, seed: int = 8):
+        worlds = (
+            _World(PerAttemptCollusionService, seed, self.MEMBERS),
+            _World(CollusionNetworkService, seed, self.MEMBERS),
+        )
+        for world in worlds:
+            for record in world.service.customers.values():
+                record.trial_expires = 10**6  # a fixed pool
+        return worlds
+
+    @staticmethod
+    def _spy(world) -> list[tuple[int, int, bool]]:
+        tests: list[tuple[int, int, bool]] = []
+        store = world.platform.media
+        real = store.liked_by_all
+
+        def liked_by_all(media_id, accounts):
+            result = real(media_id, accounts)
+            tests.append((world.platform.clock.now, media_id, result))
+            return result
+
+        store.liked_by_all = liked_by_all
+        return tests
+
+    @staticmethod
+    def _photos(world, who: int) -> list[int]:
+        return [m.media_id for m in world.platform.media.media_of(world.ids[who])]
+
+    @staticmethod
+    def _pool_likes(worlds, who: int, photos, skip: int = 0) -> None:
+        """Every pool source but the first ``skip`` likes ``photos``."""
+        for world in worlds:
+            sources = [a for a in world.ids if a != world.ids[who]][skip:]
+            for media_id in photos:
+                for source in sources:
+                    world.platform.media.like(media_id, source)
+
+    @staticmethod
+    def _lockstep(worlds, ticks: int, before_tick=lambda tick: None) -> None:
+        oracle, production = worlds
+        seen_rows = len(oracle.platform.log)
+        for tick in range(ticks):
+            before_tick(tick)
+            for world in worlds:
+                world.service.tick()
+            assert production.state() == oracle.state(), f"tick {tick}"
+            assert production.rows(seen_rows) == oracle.rows(seen_rows), f"tick {tick}"
+            seen_rows = len(oracle.platform.log)
+            for world in worlds:
+                world.platform.clock.advance(1)
+
+    def test_monthly_plan_photo_liked_by_the_whole_pool(self):
+        worlds = self._worlds()
+        oracle, production = worlds
+        tests = self._spy(production)
+        saturated = self._photos(production, 3)[0]
+        self._pool_likes(worlds, 3, [saturated])
+        tier = production.service.config.catalog.monthly_tiers[0]
+        _both(worlds, lambda w: w.service.purchase_monthly_plan(w.ids[3], tier) and None)
+        self._lockstep(worlds, 12)
+        assert (0, saturated, True) in tests
+        # the saturated photo gains nothing; the plan's other photos do
+        plan = production.service.monthly_plans[production.ids[3]]
+        assert plan.progress[saturated] == 0
+        assert sum(plan.progress.values()) > 0
+
+    def test_free_likes_to_a_recipient_with_every_photo_liked(self):
+        worlds = self._worlds()
+        oracle, production = worlds
+        tests = self._spy(production)
+        photos = self._photos(production, 3)
+        assert len(photos) == 3
+        self._pool_likes(worlds, 3, photos)
+        states = []
+
+        def request(tick):
+            if tick < 4:
+                _both(worlds, lambda w: w.service.request_free_service(w.ids[3], ActionType.LIKE))
+            states.append(production.service.rng.bit_generator.state)
+
+        self._lockstep(worlds, 6, request)
+        assert {result for _, _, result in tests} == {True}
+        assert all(o.delivered == 0 for o in production.orders)
+        # every remaining media pick was still drawn, in one call
+        assert production.service.rng.bit_generator.state != states[-1]
+
+    def test_saturation_reached_mid_visit(self):
+        worlds = self._worlds(seed=4)  # a seed whose one visit saturates early
+        oracle, production = worlds
+        tests = self._spy(production)
+        liked, half_liked = self._photos(production, 2)
+        self._pool_likes(worlds, 2, [liked])
+        self._pool_likes(worlds, 2, [half_liked], skip=2)
+        _both(worlds, lambda w: w.service.request_free_service(w.ids[2], ActionType.LIKE))
+        self._lockstep(worlds, 1)
+        # one visit: unsaturated at entry, saturated after its two likes,
+        # with attempts (and so media picks) left to make in one call
+        assert [result for _, media_id, result in tests if media_id == half_liked] == [
+            False,
+            False,
+            True,
+        ]
+        (order,) = production.orders
+        assert order.delivered == 2 and order.open
+
+    def test_withdrawn_like_unsaturates_the_photo_next_tick(self):
+        worlds = self._worlds()
+        oracle, production = worlds
+        tests = self._spy(production)
+        photos = self._photos(production, 3)
+        self._pool_likes(worlds, 3, photos)
+        withdrawn = (photos[1], production.ids[5])
+
+        def script(tick):
+            if tick % 2 == 0:
+                _both(worlds, lambda w: w.service.request_free_service(w.ids[3], ActionType.LIKE))
+            if tick == 3:  # a delayed removal, between ticks 2 and 3
+                for world in worlds:
+                    world.platform.media.unlike(*withdrawn)
+
+        self._lockstep(worlds, 8, script)
+        assert all(result for tick, _, result in tests if tick != 3)
+        # the tick of the withdrawal probes again until the source likes
+        # the photo back, then the visit stops probing
+        withdrawn_tests = [result for tick, media_id, result in tests if tick == 3 and media_id == photos[1]]
+        assert withdrawn_tests[0] is False and withdrawn_tests[-1] is True
+        assert production.platform.media.has_liked(*withdrawn)
+        assert sum(o.delivered for o in production.orders) == 1
+
+    def test_capped_and_saturated_recipient_draws_nothing(self):
+        worlds = self._worlds()
+        oracle, production = worlds
+        tests = self._spy(production)
+        recipient = production.ids[3]
+        self._pool_likes(worlds, 3, self._photos(production, 3))
+        states = []
+
+        def script(tick):
+            _both(worlds, lambda w: w.service.request_free_service(recipient, ActionType.LIKE))
+            for world in worlds:
+                world.service._recipient_caps[recipient] = 2.0
+                world.service._recipient_attempts[(recipient, world.platform.clock.day)] = 2
+            states.append(production.service.rng.bit_generator.state)
+
+        self._lockstep(worlds, 3, script)
+        assert tests == []  # the cap wins: no saturation test, no draw
+        after = production.service.rng.bit_generator.state
+        assert states[-1] == after

@@ -9,27 +9,35 @@ shared across the assertions.
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 import pytest
 
 from repro.core.config import StudyConfig
 from repro.fleet import (
     FLEET_SCHEMA_VERSION,
+    PREFIX_BUILD_WORLD,
     FleetResult,
     FleetRunner,
     ReplicaResult,
     ReplicaSpec,
     SnapshotCache,
+    SnapshotError,
     SnapshotStore,
     SweepManifest,
     expand_manifest,
     materialize_tree,
     remove_store_root,
     resolve_arm,
+    restore_study,
     seed_sweep,
     temporary_store_root,
 )
+from repro.fleet import arms as arms_module
+from repro.fleet import runner as runner_module
+from repro.fleet import snapshot as snapshot_module
 from repro.obs import Observability, split_segments
 from repro.obs.schema import validate_trace
 
@@ -277,6 +285,63 @@ class TestBoundedCache:
         assert [r.payload for r in tight.replicas] == [
             r.payload for r in fleets[1].replicas
         ]
+
+
+class TestReplicaCollection:
+    """Each replica's study is dropped and collected at the replica
+    boundary, and restores run with the collector paused."""
+
+    @staticmethod
+    def _spec(i: int) -> ReplicaSpec:
+        return ReplicaSpec(
+            name=f"r{i}", config=StudyConfig.tiny(seed=21), prefix=PREFIX_BUILD_WORLD
+        )
+
+    @pytest.mark.parametrize("strategy", ["tree", "flat", "no-reuse"])
+    def test_previous_study_is_unreachable_when_the_next_restore_starts(
+        self, monkeypatch, strategy
+    ) -> None:
+        studies: list[weakref.ref] = []
+        restore = runner_module.restore_study
+
+        def tracked_restore(blob: bytes):
+            assert all(ref() is None for ref in studies)
+            study = restore(blob)
+            studies.append(weakref.ref(study))
+            return study
+
+        monkeypatch.setattr(runner_module, "restore_study", tracked_restore)
+        monkeypatch.setattr(snapshot_module, "restore_study", tracked_restore)
+        # a trivial arm: nothing it allocates can trigger a collection
+        monkeypatch.setattr(
+            arms_module, "resolve_arm", lambda name: lambda study, options: {}
+        )
+        specs = [self._spec(i) for i in range(3)]
+        if strategy == "tree":
+            blob = runner_module._build_node_blob(specs[0].config, PREFIX_BUILD_WORLD, None)
+            results = runner_module._run_leaf_group(
+                [(i, spec, i == 0) for i, spec in enumerate(specs)], blob
+            )
+        else:
+            results, _, _ = runner_module._run_group(
+                list(enumerate(specs)), reuse_prefix=strategy == "flat"
+            )
+        assert [index for index, _ in results] == [0, 1, 2]
+        assert len(studies) == 3
+        assert studies[-1]() is None
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_failed_restore_leaves_the_collector_as_it_was(self, enabled) -> None:
+        was_enabled = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            with pytest.raises(SnapshotError, match="unreadable"):
+                with runner_module._collector_paused():
+                    assert not gc.isenabled()
+                    restore_study(b"not a pickle")
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
 
 
 class TestRunnerValidation:

@@ -99,16 +99,26 @@ class TestEnvelope:
         with pytest.raises(SnapshotError, match="schema_version"):
             restore_study(pickle.dumps(envelope))
 
+    @staticmethod
+    def _envelope_of_version(version: int) -> bytes:
+        blob = snapshot_study(build_prefix(StudyConfig.tiny(seed=11), PREFIX_BUILD_WORLD), PREFIX_BUILD_WORLD)
+        envelope = pickle.loads(blob)
+        envelope["schema_version"] = version
+        return pickle.dumps(envelope)
+
     def test_version_2_envelope_rejected(self) -> None:
         """Version 3 added the collusion engine's per-tick follow state and
         prunes like cooldowns daily; a version-2 envelope is refused, not
         thawed into the new layout."""
-        assert SNAPSHOT_SCHEMA_VERSION == 3
-        blob = snapshot_study(build_prefix(StudyConfig.tiny(seed=11), PREFIX_BUILD_WORLD), PREFIX_BUILD_WORLD)
-        envelope = pickle.loads(blob)
-        envelope["schema_version"] = 2
-        with pytest.raises(SnapshotError, match="schema_version 2 != current 3"):
-            restore_study(pickle.dumps(envelope))
+        with pytest.raises(SnapshotError, match="schema_version 2 != current 4"):
+            restore_study(self._envelope_of_version(2))
+
+    def test_version_3_envelope_rejected(self) -> None:
+        """Version 4 added the collusion engine's per-tick pool ids (the
+        like saturation test); a version-3 envelope is refused too."""
+        assert SNAPSHOT_SCHEMA_VERSION == 4
+        with pytest.raises(SnapshotError, match="schema_version 3 != current 4"):
+            restore_study(self._envelope_of_version(3))
 
     def test_envelope_without_study_rejected(self) -> None:
         blob = pickle.dumps({"schema_version": SNAPSHOT_SCHEMA_VERSION, "study": "nope"})

@@ -232,6 +232,16 @@ class TestArchitectureRules:
         )
         assert fired("import tempfile\nimport shutil\n", path="src/repro/fleet/store.py") == []
 
+    def test_arch004_collector_control_confined_to_fleet(self):
+        # the runner pauses the cyclic collector around restores and
+        # collects once per replica; nothing else may steer it
+        assert "ARCH004" in fired("import gc\n", path="src/repro/core/sample.py")
+        assert "ARCH004" in fired(
+            "from gc import collect\n", path="src/repro/platform/sample.py"
+        )
+        assert fired("import gc\n", path="src/repro/fleet/runner.py") == []
+        assert "ARCH004" not in fired("import gcd\n", path="src/repro/core/sample.py")
+
     def test_arch004_silent_on_lookalike_names_and_outside_the_package(self):
         assert "ARCH004" not in fired("import pickleball\n", path="src/repro/core/sample.py")
         assert "ARCH004" not in fired("import multiprocessing\n", path="tests/test_sample.py")

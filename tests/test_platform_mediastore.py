@@ -27,6 +27,24 @@ class TestMediaStore:
         store.unlike(media.media_id, 2)
         assert not store.has_liked(media.media_id, 2)
 
+    def test_liked_by_all(self):
+        store = MediaStore()
+        media = store.create(1, 0)
+        store.like(media.media_id, 2)
+        store.like(media.media_id, 3)
+        assert store.liked_by_all(media.media_id, {2, 3})
+        assert store.liked_by_all(media.media_id, {2})
+        assert not store.liked_by_all(media.media_id, {2, 3, 4})
+        store.unlike(media.media_id, 3)
+        assert not store.liked_by_all(media.media_id, {2, 3})
+
+    def test_liked_by_all_leaves_unliked_media_unrecorded(self):
+        store = MediaStore()
+        media = store.create(1, 0)
+        assert not store.liked_by_all(media.media_id, {2})
+        assert store.liked_by_all(media.media_id, set())
+        assert media.media_id not in store._likers  # the probe inserted nothing
+
     def test_double_like_rejected(self):
         store = MediaStore()
         media = store.create(1, 0)

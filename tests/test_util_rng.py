@@ -1,6 +1,7 @@
 """Tests for repro.util.rng."""
 
 import numpy as np
+import pytest
 
 from repro.util.rng import SeedSequenceFactory, derive_rng
 
@@ -23,6 +24,29 @@ class TestDeriveRng:
 
     def test_returns_numpy_generator(self):
         assert isinstance(derive_rng(1, "z"), np.random.Generator)
+
+
+class TestBatchedIntegers:
+    """The collusion engine draws a saturated free-like visit's remaining
+    media picks in one ``integers(0, n, size=k)`` call, where the
+    per-attempt loop makes ``k`` scalar draws. That is exact only while
+    NumPy gives both the same values and the same generator state; a
+    NumPy upgrade that breaks it fails here, not only in the golden
+    digests."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 2**31 + 5])
+    @pytest.mark.parametrize("k", [1, 5, 320])
+    @pytest.mark.parametrize("warmup", [0, 1])
+    def test_one_call_equals_scalar_draws(self, n, k, warmup):
+        scalar = derive_rng(11, "batched-integers")
+        batched = derive_rng(11, "batched-integers")
+        for rng in (scalar, batched):
+            # an odd number of 32-bit draws leaves half a word buffered
+            for _ in range(warmup):
+                rng.integers(0, 5)
+        values = [int(scalar.integers(0, n)) for _ in range(k)]
+        assert batched.integers(0, n, size=k).tolist() == values
+        assert batched.bit_generator.state == scalar.bit_generator.state
 
 
 class TestSeedSequenceFactory:
