@@ -13,17 +13,24 @@ Policies are pluggable: the interventions package supplies the paper's
 threshold-and-bin policy, while tests use simple lambdas. The engine
 asks every registered policy and applies the *strictest* decision
 (BLOCK > DELAY_REMOVE > ALLOW).
+
+The platform consults the engine once per attempted action, on the
+scalar path and inside action-batch scopes alike (DESIGN.md §15), so a
+decision is on the hot path of every policed action: contexts are
+plain named tuples, decisions hash by identity, and a delayed removal
+names its log row by action id — the row may still be pending in a
+batch when the removal is scheduled, and is resolved from the log only
+when the removal fires.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Callable, Optional, Protocol
+from typing import Callable, NamedTuple, Optional, Protocol
 
 from repro.netsim.client import ClientEndpoint
 from repro.platform.clock import SimClock
-from repro.platform.models import AccountId, ActionRecord, ActionType, MediaId
+from repro.platform.models import AccountId, ActionRecord, ActionStatus, ActionType, MediaId
 from repro.util.timeutils import days
 
 
@@ -34,10 +41,23 @@ class CountermeasureDecision(enum.Enum):
     DELAY_REMOVE = 1
     BLOCK = 2
 
+    #: identity hash in C: members are singletons compared by identity,
+    #: and ``Enum.__hash__`` is a Python-level call on every dict probe
+    #: (policies tally ``decisions_applied`` per decision)
+    __hash__ = object.__hash__
 
-@dataclass(frozen=True)
-class ActionContext:
-    """What a policy may inspect when deciding on a prospective action."""
+
+_ALLOW = CountermeasureDecision.ALLOW
+_DELAY_REMOVE = CountermeasureDecision.DELAY_REMOVE
+_BLOCK = CountermeasureDecision.BLOCK
+
+
+class ActionContext(NamedTuple):
+    """What a policy may inspect when deciding on a prospective action.
+
+    Immutable; one is built per policed action, so it is a named tuple
+    rather than a frozen dataclass (no per-field ``object.__setattr__``).
+    """
 
     actor: AccountId
     action_type: ActionType
@@ -78,34 +98,52 @@ class CountermeasureEngine:
     def has_policies(self) -> bool:
         """Whether any policy is registered.
 
-        With none, :meth:`decide` is vacuously ALLOW for every context —
-        the invariant the platform's batch scope relies on to skip
-        building :class:`ActionContext` objects per action.
+        With none, :meth:`decide` is vacuously ALLOW for every context,
+        so the platform skips building :class:`ActionContext` objects.
+        Its action-batch scope reads this once at entry and polices every
+        action in the scope accordingly, which is sound because policies
+        are only (un)installed between agent runs (DESIGN.md §15).
         """
         return bool(self._policies)
 
     def decide(self, context: ActionContext) -> CountermeasureDecision:
-        """Strictest decision across all policies (ALLOW if none)."""
-        decision = CountermeasureDecision.ALLOW
+        """Strictest decision across all policies (ALLOW if none).
+
+        Every policy is asked, even after a BLOCK: policies count the
+        attempts they see.
+        """
+        decision = _ALLOW
         for policy in self._policies:
             verdict = policy.decide(context)
-            if verdict.value > decision.value:
-                decision = verdict
+            if verdict is _BLOCK:
+                decision = _BLOCK
+            elif verdict is _DELAY_REMOVE and decision is _ALLOW:
+                decision = _DELAY_REMOVE
         return decision
 
-    def schedule_removal(self, record: ActionRecord, undo: Callable[[ActionRecord], bool]) -> None:
-        """Arrange for ``record`` to be undone ``removal_delay_ticks`` later.
+    def schedule_removal(
+        self,
+        action_id: int,
+        resolve: Callable[[int], ActionRecord],
+        undo: Callable[[ActionRecord], bool],
+    ) -> None:
+        """Arrange for action ``action_id`` to be undone ``removal_delay_ticks`` later.
 
-        ``undo`` reverses the action's platform effect (drop the follow
-        edge, withdraw the like) and returns True if there was anything
-        left to undo — the actor may have reversed the action themselves
-        in the meantime (e.g. an AAS-issued unfollow), in which case the
-        record keeps its DELIVERED status.
+        ``resolve`` maps the id to its log row when the removal fires (the
+        platform passes ``log.get``): a row deferred in an action-batch
+        scope is written by then, because clock callbacks fire only in
+        :meth:`SimClock.advance`, outside every scope. ``undo`` reverses
+        the action's platform effect (drop the follow edge, withdraw the
+        like) and returns True if there was anything left to undo — the
+        actor may have reversed the action themselves in the meantime
+        (e.g. an AAS-issued unfollow), in which case the row keeps its
+        DELIVERED status.
         """
         self.delayed_removal_count += 1
 
         def _fire(tick: int) -> None:
-            if record.status.name != "DELIVERED":
+            record = resolve(action_id)
+            if record.status is not ActionStatus.DELIVERED:
                 return
             if undo(record):
                 record.mark_removed(tick)

@@ -44,6 +44,10 @@ from repro.platform.models import (
 from repro.platform.notifications import Notification, NotificationCenter
 from repro.util.timeutils import days
 
+_ALLOW = CountermeasureDecision.ALLOW
+_DELAY_REMOVE = CountermeasureDecision.DELAY_REMOVE
+_BLOCK = CountermeasureDecision.BLOCK
+
 
 class _PendingBatch:
     """Deferred log rows for one open action-batch scope.
@@ -51,14 +55,18 @@ class _PendingBatch:
     ``base`` is the log length at scope entry (or after the last
     intra-scope flush): pending row *i* will become action id
     ``base + i``, which is how the facade hands out final action ids —
-    for notifications, e.g. — before the rows are written.
+    for notifications and delayed removals, e.g. — before the rows are
+    written. ``policed`` records whether a countermeasure policy was
+    installed at scope entry, i.e. whether the scope's actions consult
+    the engine.
     """
 
-    __slots__ = ("base", "rows")
+    __slots__ = ("base", "rows", "policed")
 
-    def __init__(self, base: int):
+    def __init__(self, base: int, policed: bool):
         self.base = base
         self.rows: list[tuple] = []
+        self.policed = policed
 
 
 class InstagramPlatform:
@@ -163,25 +171,29 @@ class InstagramPlatform:
     def action_batch(self) -> Iterator[None]:
         """Open one actor-tick's batch scope.
 
-        Inside the scope, delivered like/follow/unfollow actions apply
-        their platform mutations (graph edges, media likes, notifications)
+        Inside the scope, like/follow/unfollow actions apply their
+        platform mutations (graph edges, media likes, notifications)
         immediately — later actions in the same scope depend on them —
-        but their log rows accumulate and land in one
-        :meth:`ActionLog.append_batch` at scope exit, in exact submission
-        order with the same action ids the per-action path would have
-        assigned.
+        but their log rows, BLOCKED rows included, accumulate and land in
+        one :meth:`ActionLog.append_batch` at scope exit, in exact
+        submission order with the same action ids the per-action path
+        would have assigned.
 
-        The scope only defers when it can do so invisibly. With a
-        countermeasure policy installed (policies need per-action
-        contexts, BLOCK rows, and removal scheduling — the scalar path),
-        or when nested inside an open scope, it is a no-op context.
-        Policies are only ever (un)installed between agent runs, so the
-        entry check cannot go stale mid-scope.
+        With a countermeasure policy installed, each action still builds
+        its :class:`ActionContext` and consults the engine at the same
+        point of its checks as the scalar path; a BLOCK raises
+        :class:`ActionBlockedError` after queueing its row, and a delayed
+        removal is scheduled against the deferred row's final id.
+        Whether to police is read once, at entry: policies are only ever
+        (un)installed between agent runs, so the check cannot go stale
+        mid-scope. Nested inside an open scope, the scope is a no-op.
         """
-        if self._batch is not None or self.countermeasures.has_policies:
+        if self._batch is not None:
             yield
             return
-        batch = self._batch = _PendingBatch(self.log.next_id())
+        batch = self._batch = _PendingBatch(
+            self.log.next_id(), self.countermeasures.has_policies
+        )
         try:
             yield
         finally:
@@ -252,29 +264,49 @@ class InstagramPlatform:
         if not self.countermeasures.has_policies:
             # with no policy installed every decision is vacuously ALLOW
             # (and decide() is side-effect free), so skip building the
-            # frozen per-action context
-            return CountermeasureDecision.ALLOW
-        context = ActionContext(
-            actor=actor,
-            action_type=action_type,
-            endpoint=endpoint,
-            tick=self.clock.now,
-            target_account=target_account,
-            target_media=target_media,
+            # per-action context
+            return _ALLOW
+        return self._police(action_type, actor, endpoint, api, target_account, target_media)
+
+    def _police(
+        self,
+        action_type: ActionType,
+        actor: AccountId,
+        endpoint: ClientEndpoint,
+        api: ApiSurface,
+        target_account: Optional[AccountId],
+        target_media: Optional[MediaId],
+    ) -> CountermeasureDecision:
+        """Ask the installed policies about one action.
+
+        A BLOCK is counted, logs a BLOCKED row (deferred when a batch
+        scope is open) and raises :class:`ActionBlockedError`.
+        """
+        tick = self.clock.now
+        decision = self.countermeasures.decide(
+            ActionContext(actor, action_type, endpoint, tick, target_account, target_media)
         )
-        decision = self.countermeasures.decide(context)
-        if decision is CountermeasureDecision.BLOCK:
+        if decision is _BLOCK:
             self.countermeasures.note_block()
-            self._log_action(
+            row = (
                 action_type,
                 actor,
+                tick,
                 endpoint,
                 api,
                 ActionStatus.BLOCKED,
-                target_account=target_account,
-                target_media=target_media,
+                target_account,
+                target_media,
+                None,
             )
-            raise ActionBlockedError(f"{action_type.value} by {actor} blocked")
+            batch = self._batch
+            if batch is not None:
+                batch.rows.append(row)
+            else:
+                self.log.log_action(*row)
+            # ``_value_`` is the member's plain attribute; ``.value`` is
+            # a Python-level descriptor call
+            raise ActionBlockedError(f"{action_type._value_} by {actor} blocked")
         return decision
 
     def _notify(self, record: ActionRecord, recipient: AccountId) -> None:
@@ -299,15 +331,23 @@ class InstagramPlatform:
         """Like a media item; notifies the owner."""
         batch = self._batch
         if batch is not None:
-            # batched path: same checks and mutations in the same
-            # order (validate, account/media lookups, dup-like reject,
-            # vacuous ALLOW, like, notify) with the log row deferred
+            # batched path: same checks, decision and mutations in the
+            # same order (validate, account/media lookups, dup-like
+            # reject, decide, like, removal, notify) with the log row
+            # deferred
             actor = self.auth.validate(session)
             account = self._accounts.get(actor)
             if account is None or account.is_deleted:
                 raise UnknownAccountError(f"account {actor} not found")
-            media = self.media.like_new(media_id, actor)
-            owner = media.owner
+            if batch.policed:
+                owner = self.media.get(media_id).owner
+                if self.media.has_liked(media_id, actor):
+                    raise InvalidActionError(f"{actor} already likes media {media_id}")
+                decision = self._police(ActionType.LIKE, actor, endpoint, api, owner, media_id)
+                self.media.like(media_id, actor)
+            else:
+                owner = self.media.like_new(media_id, actor).owner
+                decision = _ALLOW
             rows = batch.rows
             action_id = batch.base + len(rows)
             tick = self.clock.now
@@ -324,6 +364,8 @@ class InstagramPlatform:
                     None,
                 )
             )
+            if decision is _DELAY_REMOVE:
+                self.countermeasures.schedule_removal(action_id, self.log.get, self._undo_like)
             if owner != actor:
                 self.notifications.push(
                     Notification(
@@ -353,8 +395,8 @@ class InstagramPlatform:
             target_account=media.owner,
             target_media=media_id,
         )
-        if decision is CountermeasureDecision.DELAY_REMOVE:
-            self.countermeasures.schedule_removal(record, self._undo_like)
+        if decision is _DELAY_REMOVE:
+            self.countermeasures.schedule_removal(record.action_id, self.log.get, self._undo_like)
         if media.owner != actor:
             self._notify(record, media.owner)
         return record
@@ -379,6 +421,10 @@ class InstagramPlatform:
                 raise UnknownAccountError(f"account {target} not found")
             if self.graph.is_following(actor, target):
                 raise InvalidActionError(f"{actor} already follows {target}")
+            if batch.policed:
+                decision = self._police(ActionType.FOLLOW, actor, endpoint, api, target, None)
+            else:
+                decision = _ALLOW
             self.graph.follow(actor, target)
             rows = batch.rows
             action_id = batch.base + len(rows)
@@ -396,6 +442,8 @@ class InstagramPlatform:
                     None,
                 )
             )
+            if decision is _DELAY_REMOVE:
+                self.countermeasures.schedule_removal(action_id, self.log.get, self._undo_follow)
             self.notifications.push(
                 Notification(
                     recipient=target,
@@ -423,8 +471,8 @@ class InstagramPlatform:
             ActionStatus.DELIVERED,
             target_account=target,
         )
-        if decision is CountermeasureDecision.DELAY_REMOVE:
-            self.countermeasures.schedule_removal(record, self._undo_follow)
+        if decision is _DELAY_REMOVE:
+            self.countermeasures.schedule_removal(record.action_id, self.log.get, self._undo_follow)
         self._notify(record, target)
         return record
 
@@ -438,15 +486,17 @@ class InstagramPlatform:
         """Withdraw a follow. No notification (Instagram is silent here)."""
         batch = self._batch
         if batch is not None:
-            # batched path: same checks and mutation in the same order
-            # (validate, actor lookup, not-following reject, vacuous
-            # ALLOW, unfollow) with the log row deferred
+            # batched path: same checks, decision and mutation in the
+            # same order (validate, actor lookup, not-following reject,
+            # decide, unfollow) with the log row deferred
             actor = self.auth.validate(session)
             account = self._accounts.get(actor)
             if account is None or account.is_deleted:
                 raise UnknownAccountError(f"account {actor} not found")
             if not self.graph.is_following(actor, target):
                 raise InvalidActionError(f"{actor} does not follow {target}")
+            if batch.policed:
+                self._police(ActionType.UNFOLLOW, actor, endpoint, api, target, None)
             self.graph.unfollow(actor, target)
             batch.rows.append(
                 (

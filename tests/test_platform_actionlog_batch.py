@@ -17,17 +17,20 @@ pickle round-trips taken mid-sequence.
 
 One level up, the platform's ``action_batch`` scope must be invisible:
 the same action sequence issued inside a scope and outside any scope
-(the scalar path) leaves the same log, graph, media and notifications.
+(the scalar path) leaves the same log, graph, media and notifications,
+with or without a countermeasure policy installed (the policy suite is
+``tests/test_platform_policy_batch_equivalence.py``).
 """
 
 import pickle
+from contextlib import nullcontext
 
 import pytest
 
 from repro.netsim.client import ClientEndpoint, DeviceFingerprint
 from repro.platform.actions import ActionLog, ActionView
 from repro.platform.countermeasures import CountermeasureDecision
-from repro.platform.errors import PlatformError
+from repro.platform.errors import ActionBlockedError, PlatformError
 from repro.platform.instagram import InstagramPlatform
 from repro.platform.models import ActionStatus, ActionType, ApiSurface
 from repro.util.rng import derive_rng
@@ -301,16 +304,30 @@ class TestActionBatchScope:
             assert len(platform.log) == before
         assert len(platform.log) == before + 1
 
-    def test_installed_policy_makes_scope_defer_nothing(self):
+    def test_installed_policy_scope_defers_rows(self):
         policy = _FixedPolicy(CountermeasureDecision.DELAY_REMOVE)
         platform, sessions, media = _world(policy)
         before = len(platform.log)
         with platform.action_batch():
-            record = platform.like(sessions[1], media[2][0], _HOME)
-            assert record is not None and record.action_id == before
-            assert len(platform.log) == before + 1
-            platform.follow(sessions[1], 2, _HOME)
-            assert len(platform.log) == before + 2
+            assert platform.like(sessions[1], media[2][0], _HOME) is None
+            assert platform.follow(sessions[1], 2, _HOME) is None
+            assert len(platform.log) == before
+        assert len(platform.log) == before + 2
+        # a BLOCKED row is deferred too, and gets the scalar path's id
+        blocked_ids = []
+        for scoped in (True, False):
+            platform, sessions, media = _world()
+            platform.countermeasures.add_policy(_FixedPolicy(CountermeasureDecision.BLOCK))
+            before = len(platform.log)
+            with platform.action_batch() if scoped else nullcontext():
+                with pytest.raises(ActionBlockedError):
+                    platform.follow(sessions[1], 2, _HOME)
+                assert len(platform.log) == (before if scoped else before + 1)
+            blocked = platform.log.get(before)
+            assert blocked.action_type is ActionType.FOLLOW
+            assert blocked.status is ActionStatus.BLOCKED
+            blocked_ids.append(blocked.action_id)
+        assert blocked_ids == [before, before]
         ops = _action_script(5)
         scoped, scoped_outcomes = _run_scoped(policy, ops, scope_len=12)
         scalar, scalar_outcomes = _run_unscoped(policy, ops)
@@ -374,15 +391,17 @@ class TestBatchedUnfollow:
         assert len(platform.log) == before + 1
         assert not platform.graph.is_following(1, 2)
 
-    def test_installed_policy_takes_the_scalar_path(self):
+    def test_installed_policy_defers_unfollow_rows(self):
         policy = _FixedPolicy(CountermeasureDecision.ALLOW)
         platform, sessions, media = _world(policy)
         platform.follow(sessions[1], 2, _HOME)
         before = len(platform.log)
         with platform.action_batch():
-            record = platform.unfollow(sessions[1], 2, _HOME)
-            assert record is not None and record.action_id == before
-            assert len(platform.log) == before + 1
+            assert platform.unfollow(sessions[1], 2, _HOME) is None
+            assert not platform.graph.is_following(1, 2)
+            assert len(platform.log) == before
+        assert len(platform.log) == before + 1
+        assert platform.log.get(before).action_type is ActionType.UNFOLLOW
         scoped, scoped_outcomes = _run_scoped(policy, _UNFOLLOW_OPS, scope_len=4)
         scalar, scalar_outcomes = _run_unscoped(policy, _UNFOLLOW_OPS)
         assert scoped_outcomes == scalar_outcomes

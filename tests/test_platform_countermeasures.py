@@ -1,5 +1,7 @@
 """Tests for the countermeasure engine."""
 
+import itertools
+
 import pytest
 
 from repro.netsim.client import ClientEndpoint, DeviceFingerprint
@@ -66,7 +68,7 @@ class TestCountermeasureEngine:
             target_account=2,
         )
         undone = []
-        engine.schedule_removal(record, lambda r: undone.append(r) or True)
+        engine.schedule_removal(0, [record].__getitem__, lambda r: undone.append(r) or True)
         clock.advance(23)
         assert record.status is ActionStatus.DELIVERED
         clock.advance(1)
@@ -87,7 +89,7 @@ class TestCountermeasureEngine:
             status=ActionStatus.DELIVERED,
             target_account=2,
         )
-        engine.schedule_removal(record, lambda r: False)
+        engine.schedule_removal(0, [record].__getitem__, lambda r: False)
         clock.advance(20)
         assert record.status is ActionStatus.DELIVERED  # actor undid it first
 
@@ -96,3 +98,59 @@ class TestCountermeasureEngine:
         engine = CountermeasureEngine(clock)
         engine.note_block()
         assert engine.blocked_count == 1
+
+
+class _CountingPolicy:
+    def __init__(self, decision):
+        self.decision = decision
+        self.calls = 0
+
+    def decide(self, context):
+        self.calls += 1
+        return self.decision
+
+
+class TestDecisionPath:
+    @pytest.mark.parametrize(
+        "verdicts", list(itertools.product(CountermeasureDecision, repeat=3))
+    )
+    def test_strictest_of_three_and_every_policy_asked(self, verdicts):
+        engine = CountermeasureEngine(SimClock())
+        policies = [_CountingPolicy(v) for v in verdicts]
+        for policy in policies:
+            engine.add_policy(policy)
+        strictest = max(verdicts, key=lambda d: d.value)
+        assert engine.decide(make_context()) is strictest
+        # policies count attempts, so a BLOCK never short-circuits
+        assert [p.calls for p in policies] == [1, 1, 1]
+
+    def test_context_is_immutable(self):
+        context = make_context()
+        with pytest.raises(AttributeError):
+            context.actor = 2
+        with pytest.raises(AttributeError):
+            context.target_account = 3
+
+    def test_context_builds_from_keywords_with_defaults(self):
+        endpoint = ClientEndpoint(1, 7, DeviceFingerprint("android"))
+        context = ActionContext(
+            actor=1, action_type=ActionType.LIKE, endpoint=endpoint, tick=5, target_media=9
+        )
+        assert (context.actor, context.action_type, context.endpoint, context.tick) == (
+            1,
+            ActionType.LIKE,
+            endpoint,
+            5,
+        )
+        assert context.target_account is None and context.target_media == 9
+        assert context == ActionContext(1, ActionType.LIKE, endpoint, 5, None, 9)
+
+    def test_decisions_hash_by_identity(self):
+        # C-level identity hashing, like ActionType's: policies key their
+        # per-decision tallies on the members
+        for enum_type in (CountermeasureDecision, ActionType):
+            assert enum_type.__hash__ is object.__hash__
+            for member in enum_type:
+                assert hash(member) == object.__hash__(member)
+        tally = {CountermeasureDecision.BLOCK: 1}
+        assert tally[CountermeasureDecision.BLOCK] == 1
