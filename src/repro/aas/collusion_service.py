@@ -21,15 +21,21 @@ Fulfilment: each tick visits every live order once. A visit makes up to
 ``4 * budget`` round-robin attempts over the source pool (active,
 outbound-allowed customers minus the recipient), sharing one cursor
 across all orders. Likes (free and single-media) run one inlined loop,
-follows another, comments the generic per-attempt loop. A visit costs
-time in proportion to the actions it issues: attempts that provably
-cannot issue — every one after the recipient's daily like cap is
-reached or when it has no media, every one at a recipient whose pool
-already follows it, and every one at a recipient whose pool already
-likes the photo (for free likes, every photo) — only advance the
-cursor. The shortcuts rely on invariants of the service's own tick
-(DESIGN.md §8, "Collusion fulfilment"); ``tests/oracles/collusion.py``
-is the per-attempt reference they are tested against.
+follows another, comments the generic per-attempt loop. A tick costs
+time in proportion to the actions it issues plus the recipients it
+visits: attempts that provably cannot issue — every one after the
+recipient's daily like cap is reached or when it has no media, every
+one at a recipient whose pool already follows it, and every one at a
+recipient whose pool already likes the photo (for free likes, every
+photo) — only advance the cursor. Saturation is decided once per
+recipient per tick: a follow recipient's count of pool sources not yet
+following it is made on its first visit and drops with each delivered
+follow, and once it is zero the tick loop moves the cursor for that
+recipient's later orders without visiting them; a free like recipient
+found saturated is not tested again that tick. The shortcuts rely on
+invariants of the service's own tick (DESIGN.md §8, "Collusion
+fulfilment"); ``tests/oracles/collusion.py`` is the per-attempt
+reference they are tested against.
 """
 
 from __future__ import annotations
@@ -178,17 +184,18 @@ class CollusionNetworkService(AccountAutomationService):
         self._recipient_attempts: dict[tuple[AccountId, int], int] = {}
         #: per-tick fulfilment state: the active source pool of tick
         #: ``_pool_cache_tick`` with each record's index, that pool minus
-        #: each recipient visited and its account ids (``_fulfil_like``),
-        #: per recipient the pool sources found already following it, and
-        #: the recipients whose every source already follows them
-        #: (``_fulfil_follow``)
+        #: each recipient visited and its account ids; per follow
+        #: recipient the number of its pool sources not yet following it
+        #: (``_fulfil_follow``, and ``tick`` once it is zero); and the free
+        #: like recipients whose pool already likes every photo
+        #: (``_fulfil_like``)
         self._pool_cache: list[CustomerRecord] = []
         self._pool_index: dict[AccountId, int] = {}
         self._pool_cache_tick: Optional[int] = None
         self._pools_excluding: dict[AccountId, list[CustomerRecord]] = {}
         self._pool_ids: dict[AccountId, set[AccountId]] = {}
-        self._found_following: dict[AccountId, set[AccountId]] = {}
-        self._saturated_follows: set[AccountId] = set()
+        self._unfollowed: dict[AccountId, int] = {}
+        self._free_likes_saturated: set[AccountId] = set()
         #: epilogue state: consecutive blocked days and the sales flag
         self._blocked_day_streak = 0
         self.sales_suspended = False
@@ -419,26 +426,34 @@ class CollusionNetworkService(AccountAutomationService):
         is an INVALID attempt: it draws no RNG and mutates nothing.
 
         Within a tick the recipient's pool is fixed and edges into the
-        recipient only grow, so a source found following it keeps doing
-        so until the tick ends. Each such source goes into the
-        recipient's ``_found_following`` set, across all of the tick's
-        visits; once the set covers the pool every later attempt this
-        tick is INVALID too, and the rest of this visit, and every later
-        visit this tick (via ``_saturated_follows``), only advance the
-        cursor."""
+        recipient only grow, so the number of pool sources not yet
+        following it (``_unfollowed``) is counted once, on the
+        recipient's first visit of the tick, and then only drops: by one
+        per delivered follow, since a follow is issued only from a
+        source not yet following. At zero every attempt this tick is
+        INVALID, so the visit only advances the cursor — unless the
+        delivery that reached zero spent the last of the budget, which
+        ends the visit where it is. ``tick`` makes the same jump for
+        later orders to the recipient without calling in here."""
         customer = order.customer
         size = len(pool)
         max_attempts = budget * 4
-        if customer in self._saturated_follows:
-            self._source_cursor = (self._source_cursor + max_attempts) % size
-            return
-        found = self._found_following.get(customer)
-        if found is None:
-            found = self._found_following[customer] = set()
         # raw out-edge rows: `customer in row` is is_following() without
         # the method call; the list is live storage, so re-check its
         # length each probe — deliveries inside the loop can extend it
         out_rows = self.platform.graph.out_rows()
+        unfollowed = self._unfollowed.get(customer)
+        if unfollowed is None:
+            unfollowed = 0
+            for source in pool:
+                source_id = source.account_id
+                row = out_rows[source_id] if source_id < len(out_rows) else None
+                if row is None or customer not in row:
+                    unfollowed += 1
+            self._unfollowed[customer] = unfollowed
+        if not unfollowed:
+            self._source_cursor = (self._source_cursor + max_attempts) % size
+            return
         cursor = self._source_cursor
         attempts = 0
         observe = self.detector.observe
@@ -453,11 +468,6 @@ class CollusionNetworkService(AccountAutomationService):
             source_id = source.account_id
             row = out_rows[source_id] if source_id < len(out_rows) else None
             if row is not None and customer in row:
-                found.add(source_id)
-                if len(found) == size:
-                    self._saturated_follows.add(customer)
-                    cursor = (cursor + max_attempts - attempts) % size
-                    break
                 continue
             self._source_cursor = cursor  # keep shared state exact before issuing
             outcome = self._issue(
@@ -474,8 +484,14 @@ class CollusionNetworkService(AccountAutomationService):
             if outcome is IssueOutcome.DELIVERED:
                 order.delivered += 1
                 budget -= 1
+                unfollowed -= 1
+                if not unfollowed:
+                    if budget:
+                        cursor = (cursor + max_attempts - attempts) % size
+                    break
             elif outcome is IssueOutcome.BLOCKED:
                 budget -= 1
+        self._unfollowed[customer] = unfollowed
         self._source_cursor = cursor
 
     def _fulfil_like(self, order: Order, pool: list[CustomerRecord], budget: int) -> None:
@@ -497,7 +513,9 @@ class CollusionNetworkService(AccountAutomationService):
         only its media pick. The test runs at visit entry, behind the
         cap check, and again after each delivered like; when it holds,
         the remaining picks are drawn in one call, the cursor jumps past
-        them and the visit ends."""
+        them and the visit ends. A free recipient found saturated stays
+        so for the rest of the tick (``_free_likes_saturated``), so its
+        later visits skip the per-photo test."""
         customer = order.customer
         media_id = order.single_media
         store = self.platform.media
@@ -522,12 +540,16 @@ class CollusionNetworkService(AccountAutomationService):
                 break
             if saturation_due:
                 saturation_due = False
-                pool_ids = self._pool_ids_of(customer, pool)
-                if (
-                    liked_by_all(media_id, pool_ids)
-                    if media is None
-                    else all(liked_by_all(m.media_id, pool_ids) for m in media)
-                ):
+                if media is None:
+                    saturated = liked_by_all(media_id, self._pool_ids_of(customer, pool))
+                elif customer in self._free_likes_saturated:
+                    saturated = True
+                else:
+                    pool_ids = self._pool_ids_of(customer, pool)
+                    saturated = all(liked_by_all(m.media_id, pool_ids) for m in media)
+                    if saturated:
+                        self._free_likes_saturated.add(customer)
+                if saturated:
                     remaining = max_attempts - attempts
                     if media is not None:
                         integers(0, len(media), size=remaining)
@@ -657,11 +679,22 @@ class CollusionNetworkService(AccountAutomationService):
     def tick(self) -> None:
         """One simulated hour of collusion-network fulfilment."""
         now = self.platform.clock.now
-        self._found_following.clear()
-        self._saturated_follows.clear()
+        unfollowed = self._unfollowed
+        unfollowed.clear()
+        self._free_likes_saturated.clear()
         live = []
         for order in self._orders:
             if order.open and not order.expired(now):
+                customer = order.customer
+                if order.action_type is ActionType.FOLLOW and unfollowed.get(customer) == 0:
+                    # every pool source already follows the recipient: its
+                    # earlier visit this tick found it live with a non-empty
+                    # pool, so this visit would only move the cursor
+                    size = len(self._pool_cache) - (customer in self._pool_index)
+                    budget = min(max(1, order.per_hour), order.quantity - order.delivered)
+                    self._source_cursor = (self._source_cursor + 4 * budget) % size
+                    live.append(order)
+                    continue
                 self._fulfil_order(order)
                 if order.open:
                     live.append(order)

@@ -53,7 +53,7 @@ from repro.fleet.spec import (
 from repro.obs.facade import NULL_OBS, Observability
 
 #: bumped whenever Study's pickled layout or the envelope shape changes
-SNAPSHOT_SCHEMA_VERSION = 4
+SNAPSHOT_SCHEMA_VERSION = 5
 
 
 class SnapshotError(RuntimeError):

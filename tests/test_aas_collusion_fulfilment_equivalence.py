@@ -10,9 +10,13 @@ and expiring (so pool membership changes across ticks), follow edges
 withdrawn between ticks, and a blanket ASN block so issues come back
 BLOCKED. Scripted cases add like saturation: photos the whole pool
 already likes, saturation reached mid-visit, a like withdrawn between
-ticks, and a recipient both capped and saturated. After every tick the
-cursor, the service RNG, the log rows, every order's progress, the like
-tallies and caps, and the outcome counts must be equal.
+ticks, a recipient both capped and saturated, and the free-like verdict
+living one tick. Others add follow saturation: reached on a visit's
+last budget unit, a saturated recipient's orders interleaved with
+orders of other pool sizes, and a saturated recipient deleted between
+ticks. After every tick the cursor, the service RNG, the log rows,
+every order's progress, the like tallies and caps, and the outcome
+counts must be equal.
 """
 
 from __future__ import annotations
@@ -210,7 +214,7 @@ def test_fulfilment_matches_per_attempt_loop(seed, members):
         assert production.rows(seen_rows) == oracle.rows(seen_rows), f"tick {tick}"
         seen_rows = len(oracle.platform.log)
         service = production.service
-        saturated += len(service._saturated_follows)
+        saturated += sum(not unfollowed for unfollowed in service._unfollowed.values())
         day = production.platform.clock.day
         capped += sum(
             service._recipient_attempts.get((r, day), 0) >= cap
@@ -289,10 +293,37 @@ def test_follows_saturate_across_visits(seed):
         service = production.service
         pool = len(service._pool_cache) - 1
         assert pool > 4 * budget
-        saturated_ticks += bool(service._saturated_follows & set(recipients))
+        saturated_ticks += any(service._unfollowed.get(who) == 0 for who in recipients)
         for world in worlds:
             world.platform.clock.advance(1)
     assert saturated_ticks > 0
+
+
+def _fixed_pool_worlds(seed: int, members: int = 7):
+    """Twin worlds whose customers never expire: a fixed pool."""
+    worlds = (
+        _World(PerAttemptCollusionService, seed, members),
+        _World(CollusionNetworkService, seed, members),
+    )
+    for world in worlds:
+        for record in world.service.customers.values():
+            record.trial_expires = 10**6
+    return worlds
+
+
+def _lockstep(worlds, ticks: int, before_tick=lambda tick: None) -> None:
+    """Tick both worlds ``ticks`` times, equal after every tick."""
+    oracle, production = worlds
+    seen_rows = len(oracle.platform.log)
+    for tick in range(ticks):
+        before_tick(tick)
+        for world in worlds:
+            world.service.tick()
+        assert production.state() == oracle.state(), f"tick {tick}"
+        assert production.rows(seen_rows) == oracle.rows(seen_rows), f"tick {tick}"
+        seen_rows = len(oracle.platform.log)
+        for world in worlds:
+            world.platform.clock.advance(1)
 
 
 class TestLikeSaturation:
@@ -305,18 +336,6 @@ class TestLikeSaturation:
     saturation test as ``(tick, media_id, result)``, so every script
     can check that the shortcut it exists for was taken.
     """
-
-    MEMBERS = 7
-
-    def _worlds(self, seed: int = 8):
-        worlds = (
-            _World(PerAttemptCollusionService, seed, self.MEMBERS),
-            _World(CollusionNetworkService, seed, self.MEMBERS),
-        )
-        for world in worlds:
-            for record in world.service.customers.values():
-                record.trial_expires = 10**6  # a fixed pool
-        return worlds
 
     @staticmethod
     def _spy(world) -> list[tuple[int, int, bool]]:
@@ -345,29 +364,15 @@ class TestLikeSaturation:
                 for source in sources:
                     world.platform.media.like(media_id, source)
 
-    @staticmethod
-    def _lockstep(worlds, ticks: int, before_tick=lambda tick: None) -> None:
-        oracle, production = worlds
-        seen_rows = len(oracle.platform.log)
-        for tick in range(ticks):
-            before_tick(tick)
-            for world in worlds:
-                world.service.tick()
-            assert production.state() == oracle.state(), f"tick {tick}"
-            assert production.rows(seen_rows) == oracle.rows(seen_rows), f"tick {tick}"
-            seen_rows = len(oracle.platform.log)
-            for world in worlds:
-                world.platform.clock.advance(1)
-
     def test_monthly_plan_photo_liked_by_the_whole_pool(self):
-        worlds = self._worlds()
+        worlds = _fixed_pool_worlds(8)
         oracle, production = worlds
         tests = self._spy(production)
         saturated = self._photos(production, 3)[0]
         self._pool_likes(worlds, 3, [saturated])
         tier = production.service.config.catalog.monthly_tiers[0]
         _both(worlds, lambda w: w.service.purchase_monthly_plan(w.ids[3], tier) and None)
-        self._lockstep(worlds, 12)
+        _lockstep(worlds, 12)
         assert (0, saturated, True) in tests
         # the saturated photo gains nothing; the plan's other photos do
         plan = production.service.monthly_plans[production.ids[3]]
@@ -375,7 +380,7 @@ class TestLikeSaturation:
         assert sum(plan.progress.values()) > 0
 
     def test_free_likes_to_a_recipient_with_every_photo_liked(self):
-        worlds = self._worlds()
+        worlds = _fixed_pool_worlds(8)
         oracle, production = worlds
         tests = self._spy(production)
         photos = self._photos(production, 3)
@@ -388,21 +393,21 @@ class TestLikeSaturation:
                 _both(worlds, lambda w: w.service.request_free_service(w.ids[3], ActionType.LIKE))
             states.append(production.service.rng.bit_generator.state)
 
-        self._lockstep(worlds, 6, request)
+        _lockstep(worlds, 6, request)
         assert {result for _, _, result in tests} == {True}
         assert all(o.delivered == 0 for o in production.orders)
         # every remaining media pick was still drawn, in one call
         assert production.service.rng.bit_generator.state != states[-1]
 
     def test_saturation_reached_mid_visit(self):
-        worlds = self._worlds(seed=4)  # a seed whose one visit saturates early
+        worlds = _fixed_pool_worlds(4)  # a seed whose one visit saturates early
         oracle, production = worlds
         tests = self._spy(production)
         liked, half_liked = self._photos(production, 2)
         self._pool_likes(worlds, 2, [liked])
         self._pool_likes(worlds, 2, [half_liked], skip=2)
         _both(worlds, lambda w: w.service.request_free_service(w.ids[2], ActionType.LIKE))
-        self._lockstep(worlds, 1)
+        _lockstep(worlds, 1)
         # one visit: unsaturated at entry, saturated after its two likes,
         # with attempts (and so media picks) left to make in one call
         assert [result for _, media_id, result in tests if media_id == half_liked] == [
@@ -414,7 +419,7 @@ class TestLikeSaturation:
         assert order.delivered == 2 and order.open
 
     def test_withdrawn_like_unsaturates_the_photo_next_tick(self):
-        worlds = self._worlds()
+        worlds = _fixed_pool_worlds(8)
         oracle, production = worlds
         tests = self._spy(production)
         photos = self._photos(production, 3)
@@ -428,7 +433,7 @@ class TestLikeSaturation:
                 for world in worlds:
                     world.platform.media.unlike(*withdrawn)
 
-        self._lockstep(worlds, 8, script)
+        _lockstep(worlds, 8, script)
         assert all(result for tick, _, result in tests if tick != 3)
         # the tick of the withdrawal probes again until the source likes
         # the photo back, then the visit stops probing
@@ -438,7 +443,7 @@ class TestLikeSaturation:
         assert sum(o.delivered for o in production.orders) == 1
 
     def test_capped_and_saturated_recipient_draws_nothing(self):
-        worlds = self._worlds()
+        worlds = _fixed_pool_worlds(8)
         oracle, production = worlds
         tests = self._spy(production)
         recipient = production.ids[3]
@@ -452,7 +457,155 @@ class TestLikeSaturation:
                 world.service._recipient_attempts[(recipient, world.platform.clock.day)] = 2
             states.append(production.service.rng.bit_generator.state)
 
-        self._lockstep(worlds, 3, script)
+        _lockstep(worlds, 3, script)
         assert tests == []  # the cap wins: no saturation test, no draw
         after = production.service.rng.bit_generator.state
         assert states[-1] == after
+
+    def test_free_like_verdict_lasts_one_tick(self):
+        """A free recipient found saturated is not tested again that
+        tick, and the verdict does not outlive the tick: a photo posted,
+        or a like withdrawn, between ticks is seen on the next tick."""
+        worlds = _fixed_pool_worlds(8)
+        oracle, production = worlds
+        tests = self._spy(production)
+        recipient = production.ids[3]
+        photos = self._photos(production, 3)
+        self._pool_likes(worlds, 3, photos)
+        withdrawn = (photos[0], production.ids[5])
+        posted = []
+
+        def script(tick):
+            for _ in range(2):
+                _both(worlds, lambda w: w.service.request_free_service(recipient, ActionType.LIKE))
+            if tick == 2:
+                for world in worlds:
+                    posted.append(world.platform.media.create(recipient, tick).media_id)
+            if tick == 4:
+                for world in worlds:
+                    world.platform.media.unlike(*withdrawn)
+
+        _lockstep(worlds, 6, script)
+
+        def tested(tick):
+            return [(media_id, result) for t, media_id, result in tests if t == tick]
+
+        # two, then four open orders: one visit tests every photo, the
+        # rest hit the verdict
+        assert tested(0) == tested(1) == [(media_id, True) for media_id in photos]
+        assert production.service._free_likes_saturated == {recipient}
+        assert (posted[1], False) in tested(2)
+        assert tested(4)[0] == (photos[0], False)
+        assert production.platform.media.has_liked(*withdrawn)
+        assert sum(o.delivered for o in production.orders) > 0
+
+
+class TestFollowSaturation:
+    """Follow visits to a recipient whose pool already follows it equal
+    the per-attempt loop: the per-tick count of pool sources not yet
+    following it, and the tick loop's jump once it is zero."""
+
+    @staticmethod
+    def _follow_from_pool(worlds, who: int, skip=()) -> None:
+        """Every other member but those at pool positions ``skip``
+        follows member ``who``."""
+        for world in worlds:
+            pool = [a for a in world.ids if a != world.ids[who]]
+            for position, source in enumerate(pool):
+                if position not in skip:
+                    world.platform.graph.follow(source, world.ids[who])
+
+    @staticmethod
+    def _spy(world) -> list[tuple[int, int]]:
+        """Record the ``(tick, recipient)`` of each production follow visit."""
+        visits: list[tuple[int, int]] = []
+        service = world.service
+        real = service._fulfil_order
+
+        def fulfil_order(order):
+            if order.action_type is ActionType.FOLLOW:
+                visits.append((world.platform.clock.now, order.customer))
+            real(order)
+
+        service._fulfil_order = fulfil_order
+        return visits
+
+    def test_saturation_on_the_last_budget_unit_keeps_the_cursor(self):
+        """The delivery that leaves no pool source unfollowing also
+        spends the visit's last budget unit: the visit ends there, and
+        the cursor stays on the source that issued it."""
+        worlds = _fixed_pool_worlds(8)
+        oracle, production = worlds
+        service = production.service
+        recipient = production.ids[3]
+        budget = service.config.free_delivery_per_hour
+        assert service._source_cursor == 0
+        # the only non-followers are the next ``budget`` sources the
+        # cursor reaches, so every attempt delivers
+        self._follow_from_pool(worlds, 3, skip=range(1, budget + 1))
+        _both(worlds, lambda w: w.service.request_free_service(w.ids[3], ActionType.FOLLOW))
+        _lockstep(worlds, 1)
+        (order,) = production.orders
+        assert order.delivered == budget and order.open
+        assert service._unfollowed[recipient] == 0
+        pool = service._source_pool(recipient)
+        (last,) = production.rows(len(production.platform.log) - 1)
+        assert pool[service._source_cursor].account_id == last[2]
+        assert service._source_cursor == budget
+        # a jump past the 3 * budget attempts left would have moved it
+        assert (3 * budget) % len(pool)
+        _lockstep(worlds, 3)  # the open order's later visits only jump
+
+    def test_saturated_recipient_is_visited_once_per_tick(self):
+        """A recipient whose pool follows it, with several open orders
+        interleaved with orders to recipients of other pool sizes: the
+        tick loop visits it once per tick and jumps over the rest."""
+        worlds = _fixed_pool_worlds(9)
+        oracle, production = worlds
+        visits = self._spy(production)
+        saturated, outsider, other = (production.ids[i] for i in (3, 5, 1))
+        self._follow_from_pool(worlds, 3)
+        # the outsider opts out of the pool, so its orders draw on the
+        # whole pool: one source more than the other recipients' orders
+        _both(worlds, lambda w: w.service.purchase_no_outbound(outsider))
+
+        def script(tick):
+            for who in (saturated, outsider, saturated, other):
+                _both(worlds, lambda w: w.service.request_free_service(who, ActionType.FOLLOW))
+
+        _lockstep(worlds, 6, script)
+        service = production.service
+        pool_size = len(service._pool_cache)
+        assert pool_size - 1 == len(service._source_pool(saturated))
+        assert pool_size == len(service._source_pool(outsider))
+        for tick in range(6):
+            assert visits.count((tick, saturated)) == 1
+        assert sum(o.customer == saturated for o in service._orders) == 12
+        assert sum(o.delivered for o in production.orders if o.customer == outsider) > 0
+
+    def test_deleted_recipient_orders_close_next_tick(self):
+        """The tick loop's jump is per tick: a saturated recipient
+        deleted between ticks has every open order closed out on the
+        next tick's visits."""
+        worlds = _fixed_pool_worlds(9)
+        oracle, production = worlds
+        visits = self._spy(production)
+        recipient = production.ids[3]
+        self._follow_from_pool(worlds, 3)
+
+        def request(w):
+            return w.service.request_free_service(recipient, ActionType.FOLLOW)
+
+        def script(tick):
+            if tick < 2:
+                _both(worlds, request)
+                _both(worlds, request)
+            if tick == 2:
+                for world in worlds:
+                    world.platform.delete_account(recipient)
+
+        _lockstep(worlds, 4, script)
+        assert visits.count((1, recipient)) == 1
+        assert visits.count((2, recipient)) == 4
+        assert not production.service._orders
+        assert all(o.delivered == o.quantity for o in production.orders)

@@ -110,15 +110,22 @@ class TestEnvelope:
         """Version 3 added the collusion engine's per-tick follow state and
         prunes like cooldowns daily; a version-2 envelope is refused, not
         thawed into the new layout."""
-        with pytest.raises(SnapshotError, match="schema_version 2 != current 4"):
+        with pytest.raises(SnapshotError, match="schema_version 2 != current 5"):
             restore_study(self._envelope_of_version(2))
 
     def test_version_3_envelope_rejected(self) -> None:
         """Version 4 added the collusion engine's per-tick pool ids (the
         like saturation test); a version-3 envelope is refused too."""
-        assert SNAPSHOT_SCHEMA_VERSION == 4
-        with pytest.raises(SnapshotError, match="schema_version 3 != current 4"):
+        with pytest.raises(SnapshotError, match="schema_version 3 != current 5"):
             restore_study(self._envelope_of_version(3))
+
+    def test_version_4_envelope_rejected(self) -> None:
+        """Version 5 replaced the collusion engine's per-tick follow state
+        with a count per recipient and added its free-like saturation
+        verdicts; a version-4 envelope is refused."""
+        assert SNAPSHOT_SCHEMA_VERSION == 5
+        with pytest.raises(SnapshotError, match="schema_version 4 != current 5"):
+            restore_study(self._envelope_of_version(4))
 
     def test_envelope_without_study_rejected(self) -> None:
         blob = pickle.dumps({"schema_version": SNAPSHOT_SCHEMA_VERSION, "study": "nope"})
