@@ -75,14 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
             default="",
             help="write a repro.obs JSONL trace (spans + metrics) to this path",
         )
-        sub.add_argument(
-            "--profile",
-            action="store_true",
-            help=(
-                "attach the deterministic cost-model profiler: spans in the "
-                "trace carry cost_total/cost_self attrs for repro.obs flame"
-            ),
-        )
 
     run_study = subparsers.add_parser("run-study", help="measurement pipeline + business tables")
     add_common(run_study)
@@ -172,14 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
             "segment per replica) to this path"
         ),
     )
-    sweep.add_argument(
-        "--profile",
-        action="store_true",
-        help=(
-            "profile every replica: spans carry cost attrs and the fleet "
-            "segment rolls self-costs up by tree depth"
-        ),
-    )
 
     subparsers.add_parser("list-presets", help="show available scale presets")
     return parser
@@ -192,17 +176,14 @@ def _make_study(config: StudyConfig, args) -> Study:
     requests for it); otherwise the config switch decides. Traces
     written by the CLI carry wall-clock span durations and peak-RSS
     stamps — the waived, non-canonical extras — since a human asked for
-    them. ``--profile`` additionally attaches the deterministic cost
-    profiler (it implies telemetry: cost attrs ride on spans).
+    them.
     """
-    profile = bool(getattr(args, "profile", False))
     wants_obs = bool(getattr(args, "verbose", False) or getattr(args, "trace", ""))
     tracing = bool(getattr(args, "trace", ""))
     obs = Observability(
-        enabled=config.observability or wants_obs or profile,
+        enabled=config.observability or wants_obs,
         wall_source=read_wall_seconds if tracing else None,
         rss_source=read_peak_rss_kb if tracing else None,
-        profile=profile,
     )
     if getattr(args, "verbose", False):
         obs.add_listener(ConsoleReporter(sys.stderr))
@@ -250,8 +231,6 @@ def _run_study_fleet(args, out: TextIO) -> int:
 
     seeds = _parse_seeds(args.seeds)
     config = PRESETS[args.preset](seed=seeds[0])
-    if getattr(args, "profile", False):
-        config = dataclasses.replace(config, profile=True)
     arm_options: tuple[tuple[str, object], ...] = ()
     if getattr(args, "measurement_days", 0):
         arm_options = (("measurement_days", args.measurement_days),)
@@ -339,13 +318,6 @@ def cmd_sweep(args, out: TextIO) -> int:
     except ManifestError as exc:
         raise SystemExit(f"sweep: {exc}")
     specs = expand_manifest(manifest)
-    if getattr(args, "profile", False):
-        specs = [
-            dataclasses.replace(
-                spec, config=dataclasses.replace(spec.config, profile=True)
-            )
-            for spec in specs
-        ]
     store = (
         SnapshotStore(args.store, max_bytes=args.store_max_bytes) if args.store else None
     )

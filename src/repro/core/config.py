@@ -136,11 +136,6 @@ class StudyConfig:
     #: either way (test-enforced); False skips instrument registration
     #: entirely so hot paths touch shared no-op instruments.
     observability: bool = True
-    #: attach the deterministic cost-model profiler
-    #: (:mod:`repro.obs.prof`): phase spans gain ``cost_total``/
-    #: ``cost_self`` work-unit attrs. Requires ``observability``;
-    #: study payloads are bit-identical either way (test-enforced).
-    profile: bool = False
     #: arm services with post-block migration (the Section 6.4 epilogue:
     #: ASN moves, and for the Insta* parent an extensive proxy network).
     #: Off by default — the tabled analyses predate the epilogue.

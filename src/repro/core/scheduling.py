@@ -18,9 +18,9 @@ rules produce.
 Within a tick, due agents always run in registration order.
 
 ``core.scheduler.agent_runs`` — one increment per agent actually run —
-doubles as the scheduler's work unit for the cost profiler
-(:mod:`repro.obs.prof`): a phase span's ``sched`` cost is the number of
-agent-runs that happened inside it.
+doubles as the scheduler's work unit: perfbench reports its delta over
+the timed region as ``obs.cost_units.scheduler`` (classified by
+:mod:`repro.obs.prof`).
 """
 
 from __future__ import annotations

@@ -101,11 +101,7 @@ class Study:
         #: telemetry handle; callers may pass a pre-built one (the CLI
         #: does, to attach reporters/wall-clock timing before the world
         #: is built) — otherwise one is created per the config switch
-        self.obs = (
-            obs
-            if obs is not None
-            else Observability(enabled=config.observability, profile=config.profile)
-        )
+        self.obs = obs if obs is not None else Observability(enabled=config.observability)
         self.seeds = SeedSequenceFactory(config.seed, obs=self.obs)
         self.clock = SimClock()
         self.obs.bind_tick_source(lambda: self.clock.now)

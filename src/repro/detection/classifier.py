@@ -126,8 +126,9 @@ class AASClassifier:
         _obs.gauge("detection.classifier.signatures").set(len(self.signatures))
         self._obs_memo_hit = _obs.counter("detection.classifier.memo", result="hit")
         self._obs_memo_miss = _obs.counter("detection.classifier.memo", result="miss")
-        #: signature.matches() probes — the classifier's work unit for
-        #: the cost profiler; memo hits cost zero comparisons
+        #: signature.matches() probes — the classifier's work unit in
+        #: perfbench's obs.cost_units.classifier; memo hits cost zero
+        #: comparisons
         self._obs_comparisons = _obs.counter("detection.classifier.comparisons")
         self._obs_sweep_tier = {
             tier: _obs.counter("detection.classifier.sweeps", tier=tier)

@@ -39,16 +39,6 @@ Why the fan-out preserves determinism:
   re-imports the code fresh, so no parent-process state leaks in.
 * Results carry their original spec index home and are re-slotted by
   it; the merge is a pure function of the spec list.
-
-Cost attribution survives the fan-out: when profiling is on
-(``StudyConfig.profile``) each worker's replica trace carries the
-deterministic ``cost_total``/``cost_self`` span attrs written by
-:class:`repro.obs.prof.CostProfiler` — :func:`canonical_lines` keeps
-them (they are seed-pure, unlike ``wall_s``) — and the merged
-``__fleet__`` segment rolls the per-replica self-costs up into
-``fleet.cost.self_units{depth,kind}`` counters bucketed by the prefix
-tree depth each span's root phase belongs to (see
-:meth:`repro.fleet.spec.FleetResult.fleet_trace_segment`).
 """
 
 from __future__ import annotations

@@ -96,16 +96,6 @@ class ReplicaResult:
 #: label carried by the fleet-level roll-up trace segment
 FLEET_TRACE_REPLICA = "__fleet__"
 
-#: root span name -> chain-depth label for the fleet cost roll-up: which
-#: prefix-chain link a span's cost belongs to (anything else is work
-#: past the snapshot chain — arms, measurement, analysis)
-_COST_ROOT_DEPTH = {
-    "build-world": "1",
-    "honeypot-phase": "2",
-    "learn-signatures": "3",
-}
-_COST_POST_DEPTH = "post"
-
 
 @dataclass
 class FleetResult:
@@ -184,49 +174,6 @@ class FleetResult:
                 merged.extend(replica.trace)
         return merged
 
-    def _self_cost_by_depth(self) -> dict[tuple[str, str], int]:
-        """Profiler self-costs summed by (prefix-chain depth, kind).
-
-        Walks every replica trace's span lines: a span's ``cost_self``
-        dict (present when the fleet ran with profiling on) is charged
-        to the chain link its *root* span names — ``build-world`` is
-        depth 1, ``honeypot-phase`` depth 2, ``learn-signatures`` depth
-        3, everything else ``post``. Summing *self* costs keeps the
-        ledger double-count-free: each work unit is charged exactly
-        once. Pure function of the merged result, so the roll-up is
-        byte-identical for any worker count.
-        """
-        totals: dict[tuple[str, str], int] = {}
-        for replica in self.replicas:
-            if replica.trace is None:
-                continue
-            spans = [
-                line
-                for line in replica.trace
-                if isinstance(line, dict) and line.get("kind") == "span"
-            ]
-            by_id = {
-                span["id"]: span
-                for span in spans
-                if isinstance(span.get("id"), int)
-            }
-            for span in spans:
-                attrs = span.get("attrs")
-                if not isinstance(attrs, dict):
-                    continue
-                self_cost = attrs.get("cost_self")
-                if not isinstance(self_cost, dict):
-                    continue
-                root = span
-                while root.get("parent") is not None and root.get("parent") in by_id:
-                    root = by_id[root["parent"]]
-                depth = _COST_ROOT_DEPTH.get(str(root.get("name")), _COST_POST_DEPTH)
-                for kind, units in self_cost.items():
-                    if isinstance(units, int) and not isinstance(units, bool) and units:
-                        key = (depth, str(kind))
-                        totals[key] = totals.get(key, 0) + units
-        return totals
-
     def fleet_trace_segment(self) -> list[dict]:
         """A roll-up trace segment for the whole fleet.
 
@@ -266,10 +213,6 @@ class FleetResult:
             obs.counter("fleet.snapshot.evictions").inc(self.cache_stats.get("evictions", 0))
             if "bytes" in self.cache_stats:
                 obs.gauge("fleet.snapshot.bytes").set(self.cache_stats["bytes"])
-        # per-tree-depth cost attribution: where the fleet's work units
-        # actually went, chain link by chain link (profiled runs only)
-        for (depth, kind), units in sorted(self._self_cost_by_depth().items()):
-            obs.counter("fleet.cost.self_units", depth=depth, kind=kind).inc(units)
         meta = {
             "replica": FLEET_TRACE_REPLICA,
             "fleet": {

@@ -20,17 +20,13 @@ fixes this without perturbing determinism:
   instrumented hot paths cost one dead method call.
 * :mod:`repro.obs.trace` / :mod:`repro.obs.schema` — the JSONL trace
   sink and the pure-python validators CI runs over emitted traces.
-* :mod:`repro.obs.prof` — the deterministic cost-model profiler:
-  work-unit counters (RNG derivations, log appends, graph edge ops,
-  classifier comparisons, scheduler agent-runs) charged to the
-  enclosing span as ``cost_total``/``cost_self`` attrs.
-* :mod:`repro.obs.flame` — flamegraph rendering over the span cost
-  tree (text and JSON).
+* :mod:`repro.obs.prof` — the counter classifier behind perfbench's
+  ``obs.cost_units.*`` metrics.
 * :mod:`repro.obs.history` — the checker of the committed cross-PR
   performance record, ``BENCH_HISTORY.jsonl`` (perfbench medians).
 * ``python -m repro.obs`` (:mod:`repro.obs.cli`) — summarize a trace,
-  diff two traces for coverage regressions, validate schemas, render
-  flamegraphs, check the performance record.
+  diff two traces for coverage regressions, validate schemas, check
+  the performance record.
 
 Telemetry is strictly write-only from the simulation's perspective:
 nothing in this package is ever read back by simulation code, which is
@@ -41,7 +37,6 @@ golden-digest suite, ``tests/test_core_golden_digests.py``).
 from __future__ import annotations
 
 from repro.obs.facade import NULL_OBS, Observability
-from repro.obs.flame import FLAME_SCHEMA_VERSION, FlameNode, build_forest, flame_payload
 from repro.obs.history import check_history
 from repro.obs.metrics import (
     SNAPSHOT_SCHEMA_VERSION,
@@ -50,7 +45,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.prof import COST_SELF_ATTR, COST_TOTAL_ATTR, CostProfiler, strip_cost_attrs
 from repro.obs.report import ConsoleReporter
 from repro.obs.schema import TRACE_SCHEMA_VERSION, validate_snapshot, validate_trace
 from repro.obs.spans import Span, SpanListener, Tracer
@@ -64,16 +58,11 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "COST_SELF_ATTR",
-    "COST_TOTAL_ATTR",
-    "FLAME_SCHEMA_VERSION",
     "NULL_OBS",
     "SNAPSHOT_SCHEMA_VERSION",
     "TRACE_SCHEMA_VERSION",
     "ConsoleReporter",
-    "CostProfiler",
     "Counter",
-    "FlameNode",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -81,14 +70,11 @@ __all__ = [
     "Span",
     "SpanListener",
     "Tracer",
-    "build_forest",
     "canonical_lines",
     "check_history",
-    "flame_payload",
     "label_replica",
     "read_trace_lines",
     "split_segments",
-    "strip_cost_attrs",
     "trace_lines",
     "validate_snapshot",
     "validate_trace",

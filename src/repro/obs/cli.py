@@ -1,4 +1,4 @@
-"""``python -m repro.obs`` — summarize, flame, regress, diff, validate.
+"""``python -m repro.obs`` — summarize, regress, diff, validate.
 
 Subcommands:
 
@@ -7,11 +7,6 @@ Subcommands:
   counter/gauge tables, histogram percentile rows. Several traces (or
   one fleet-merged multi-segment file) are merged: counters sum, gauges
   average, histograms combine count/min/max.
-* ``flame TRACE`` — render the span tree as a text (or ``--json``)
-  flamegraph with self/total cost columns and a ``--top N`` hot-path
-  ranking; uses the deterministic cost-model attrs when the trace was
-  recorded with ``--profile``, tick spans otherwise. (This replaced
-  the old ``summarize --hot-phases`` view.)
 * ``regress HISTORY`` — check every ``BENCH_HISTORY.jsonl`` record
   against the end-to-end bounds of the ``BENCHMARK.json`` beside it
   (:mod:`repro.obs.history`); exits 1 naming ``file:line`` and the key
@@ -29,13 +24,11 @@ regression, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections import defaultdict
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.flame import FlameNode, build_forest, flame_payload, render_text
 from repro.obs.history import check_history
 from repro.obs.metrics import format_metric
 from repro.obs.schema import validate_trace
@@ -322,30 +315,6 @@ def cmd_summarize(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_flame(args: argparse.Namespace) -> int:
-    lines = _load(args.trace)
-    segments: List[Tuple[str, str, List[FlameNode]]] = []
-    for segment in split_segments(lines):
-        header = segment[0]
-        assert isinstance(header, dict)
-        meta = header.get("meta")
-        meta = meta if isinstance(meta, dict) else {}
-        replica = str(meta.get("replica") or header.get("replica") or "")
-        basis, roots = build_forest(_span_lines(segment))
-        segments.append((replica, basis, roots))
-    if args.json:
-        print(json.dumps(flame_payload(segments), indent=2, sort_keys=True))
-        return 0
-    blocks: List[str] = []
-    for replica, basis, roots in segments:
-        text = render_text(basis, roots, top=args.top)
-        if len(segments) > 1:
-            text = f"segment {replica or '?'}:\n{text}"
-        blocks.append(text)
-    print("\n".join(blocks), end="")
-    return 0
-
-
 def cmd_regress(args: argparse.Namespace) -> int:
     findings, count = check_history(args.history)
     if not count:
@@ -452,23 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    flame = sub.add_parser(
-        "flame",
-        help="render the span tree as a flamegraph with self/total costs",
-    )
-    flame.add_argument("trace", help="JSONL trace path (single or fleet-merged)")
-    flame.add_argument(
-        "--top",
-        type=int,
-        default=10,
-        help="hot spans to rank by self cost (default 10; 0 or less shows all)",
-    )
-    flame.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the flame tree as a JSON payload instead of text",
-    )
-
     regress_cmd = sub.add_parser(
         "regress",
         help="check BENCH_HISTORY.jsonl against the bounds in BENCHMARK.json beside it",
@@ -489,7 +441,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
         "summarize": cmd_summarize,
-        "flame": cmd_flame,
         "regress": cmd_regress,
         "diff": cmd_diff,
         "validate": cmd_validate,

@@ -31,19 +31,11 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.prof import CostProfiler
 from repro.obs.spans import Span, SpanListener, Tracer
 
 
 class Observability:
-    """Metrics + tracing behind one enable switch.
-
-    ``profile=True`` attaches a :class:`~repro.obs.prof.CostProfiler`
-    to the tracer: every span closed thereafter carries deterministic
-    ``cost_total``/``cost_self`` attrs. The profiler only *adds* span
-    attrs — metrics and control flow are untouched, so profiled and
-    unprofiled runs produce bit-identical payloads (test-enforced).
-    """
+    """Metrics + tracing behind one enable switch."""
 
     def __init__(
         self,
@@ -51,35 +43,12 @@ class Observability:
         tick_source: Optional[Callable[[], int]] = None,
         wall_source: Optional[Callable[[], float]] = None,
         rss_source: Optional[Callable[[], int]] = None,
-        profile: bool = False,
     ) -> None:
         self.enabled = enabled
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(
             tick_source=tick_source, wall_source=wall_source, rss_source=rss_source
         )
-        self.profiler: Optional[CostProfiler] = None
-        if profile and enabled:
-            self.profiler = CostProfiler(self.metrics)
-            self.tracer.add_listener(self.profiler)
-
-    def __getstate__(self) -> Dict[str, object]:
-        # plain dict capture; the asymmetry lives in the Tracer, which
-        # drops its listeners (the profiler among them) on pickle
-        return dict(self.__dict__)
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        """Re-attach the profiler listener after unpickling.
-
-        :class:`Tracer` drops its listeners on pickle (they are
-        per-process wiring); the profiler, however, is part of the
-        deterministic run configuration and must survive a snapshot
-        restore, so the handle re-registers it here.
-        """
-        self.__dict__.update(state)
-        self.__dict__.setdefault("profiler", None)
-        if self.profiler is not None:
-            self.tracer.add_listener(self.profiler)
 
     def bind_tick_source(self, tick_source: Callable[[], int]) -> None:
         """Pin span timestamps to a simulation clock (e.g. SimClock.now)."""

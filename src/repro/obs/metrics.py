@@ -219,22 +219,6 @@ class MetricsRegistry:
         assert isinstance(instrument, Counter)
         return instrument.value
 
-    def counter_items(self) -> List[Tuple[str, int]]:
-        """``(name, value)`` for every counter, labels folded together.
-
-        The cost profiler's read surface: it only needs per-name totals
-        (kind classification ignores labels), so labeled series collapse
-        into one entry per name here. Iteration order follows insertion,
-        which is itself deterministic, but callers aggregate rather than
-        rely on order.
-        """
-        items: List[Tuple[str, int]] = []
-        for (name, _label_items_key), (kind, instrument) in self._instruments.items():
-            if kind == "counter":
-                assert isinstance(instrument, Counter)
-                items.append((name, instrument.value))
-        return items
-
     def snapshot(self) -> Dict[str, object]:
         """Schema-versioned, JSON-serializable, deterministically ordered."""
         entries: List[Dict[str, object]] = []

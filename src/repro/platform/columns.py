@@ -23,8 +23,8 @@ media, and tick values are all non-negative by construction.
 
 The ``platform.actionlog.*`` counters written here and by
 :mod:`repro.platform.actions` (appends, column appends, window queries
-by path) are the "log" work units the cost profiler
-(:mod:`repro.obs.prof`) charges to the enclosing phase span.
+by path) are the "log" work units that perfbench reports as
+``obs.cost_units.log`` (classified by :mod:`repro.obs.prof`).
 """
 
 from __future__ import annotations

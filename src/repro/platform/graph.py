@@ -64,13 +64,14 @@ class FollowerGraph:
     """Directed follow edges on columnar, dense-indexed adjacency rows.
 
     Edge mutations count into ``platform.graph.edge_ops{op=...}`` — the
-    "graph" work units the cost profiler (:mod:`repro.obs.prof`)
-    attributes to phase spans. CSR rebuilds are deliberately *not*
-    counted: the lazy index re-derives after every snapshot restore, so
-    its rebuild count depends on how many envelope boundaries a study
-    crossed (a scheduling artifact), which would break the
-    reuse-vs-rebuild trace equivalence. Write-only telemetry: obs-off
-    runs are bit-identical.
+    "graph" work units that perfbench reports as
+    ``obs.cost_units.graph`` (classified by :mod:`repro.obs.prof`).
+    CSR rebuilds are deliberately *not* counted: the lazy index
+    re-derives after every snapshot restore, so its rebuild count
+    depends on how many envelope boundaries a study crossed (a
+    scheduling artifact), and a cost unit must be invariant under
+    re-scheduling (DESIGN.md §8). Write-only telemetry: obs-off runs
+    are bit-identical.
     """
 
     def __init__(self, obs: Observability | None = None):

@@ -76,12 +76,12 @@ class SeedSequenceFactory:
     the same subsystem share one stream (and therefore one evolving
     state), while distinct labels are statistically independent.
 
-    When built with an ``obs`` handle the factory counts its work for
-    the cost profiler (:mod:`repro.obs.prof`): ``util.rng.derivations``
-    per new stream derived (by path) and ``util.rng.lookups`` per
-    memoized hit. Stream *derivations*, not individual draws, are the
-    countable RNG unit — wrapping every Generator method would tax the
-    hot paths the profiler exists to measure.
+    When built with an ``obs`` handle the factory counts its work:
+    ``util.rng.derivations`` per new stream derived (by path) and
+    ``util.rng.lookups`` per memoized hit. perfbench reports their sum
+    as ``obs.cost_units.rng`` (classified by :mod:`repro.obs.prof`).
+    Stream *derivations*, not individual draws, are the countable RNG
+    unit — wrapping every Generator method would tax the hot paths.
     """
 
     def __init__(self, seed: int, obs: Optional[SupportsObs] = None):

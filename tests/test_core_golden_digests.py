@@ -1,4 +1,4 @@
-"""Whole-study golden digests, plus obs-off and profiler-on identity.
+"""Whole-study golden digests, plus obs-off identity.
 
 The seed-314 tiny pipeline (3 honeypot days, signatures, a 1-day
 stability probe, 3 measurement days, a broad intervention) is pinned by
@@ -210,56 +210,3 @@ def test_obs_off_collects_nothing(dark) -> None:
     dark_study, _ = dark
     assert dark_study.obs.metrics.snapshot()["metrics"] == []
     assert dark_study.obs.tracer.finished == ()
-
-
-# ----------------------------------------------------------------------
-# The cost profiler must be write-only too: profiler-on runs produce
-# bit-identical payloads, and the only trace delta is the cost attrs.
-# ----------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def profiled():
-    """The pipeline rerun with the cost profiler attached."""
-    study, outcomes = _run(replace(_config(), profile=True))
-    return study, outcomes[3]
-
-
-def test_profiler_on_action_log_identical(golden_run, profiled) -> None:
-    study, _ = golden_run
-    profiled_study, _ = profiled
-    assert profiled_study.obs.profiler is not None
-    assert _log_rows(profiled_study) == _log_rows(study)
-
-
-def test_profiler_on_intervention_identical(golden_run, profiled) -> None:
-    _, outcomes = golden_run
-    _, prof_broad = profiled
-    fast_broad = outcomes[3]
-    prof_ids = {k: [r.action_id for r in v.records] for k, v in prof_broad.attributed.items()}
-    fast_ids = {k: [r.action_id for r in v.records] for k, v in fast_broad.attributed.items()}
-    assert prof_ids == fast_ids
-
-
-def test_profiled_trace_is_plain_trace_plus_cost_attrs(golden_run, profiled) -> None:
-    from repro.obs import strip_cost_attrs
-
-    study, _ = golden_run
-    profiled_study, _ = profiled
-    plain = canonical_lines(study.obs.trace_lines())
-    prof = canonical_lines(profiled_study.obs.trace_lines())
-    prof_spans = [line for line in prof if line.get("kind") == "span"]
-    assert prof_spans and all(
-        "cost_total" in line["attrs"] and "cost_self" in line["attrs"]
-        for line in prof_spans
-    )
-    assert strip_cost_attrs(prof) == plain
-
-
-def test_profiled_cost_tree_is_seed_deterministic(profiled) -> None:
-    """Same seed, independent run -> byte-identical cost attrs."""
-    profiled_study, _ = profiled
-    rerun, _ = _run(replace(_config(), profile=True))
-    assert canonical_lines(rerun.obs.trace_lines()) == canonical_lines(
-        profiled_study.obs.trace_lines()
-    )

@@ -10,8 +10,14 @@ shared across the assertions.
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
+import os
+import signal
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +34,9 @@ from repro.fleet import (
     SnapshotStore,
     SweepManifest,
     expand_manifest,
+    load_manifest,
     materialize_tree,
+    plan_tree,
     remove_store_root,
     resolve_arm,
     restore_study,
@@ -38,6 +46,7 @@ from repro.fleet import (
 from repro.fleet import arms as arms_module
 from repro.fleet import runner as runner_module
 from repro.fleet import snapshot as snapshot_module
+from repro.fleet.store import STORE_SCHEMA_VERSION
 from repro.obs import Observability, split_segments
 from repro.obs.schema import validate_trace
 
@@ -212,6 +221,120 @@ class TestStrategyEquivalence:
             ]
         finally:
             remove_store_root(root)
+
+
+#: the CI ``sweep-smoke`` shape: a 3-level tree, two seeds, four replicas
+_SMOKE_MANIFEST = {
+    "schema_version": 1,
+    "name": "interrupted",
+    "preset": "tiny",
+    "seeds": [5, 6],
+    "honeypot_days": [2],
+    "measurement_days": [1, 2],
+    "arms": [{"arm": "standard"}],
+}
+
+
+def _sweep_command(manifest: Path, store: Path, output: Path, workers: int) -> list[str]:
+    return [
+        sys.executable, "-m", "repro", "sweep", str(manifest),
+        "--workers", str(workers), "--store", str(store), "--output", str(output),
+    ]
+
+
+def _child_env() -> dict[str, str]:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    inherited = os.environ.get("PYTHONPATH")  # repro-lint: ignore[DET006] -- propagating the runner's import path to a child process, not reading configuration
+    return {
+        "PATH": "/usr/bin:/bin",
+        "PYTHONPATH": src if not inherited else os.pathsep.join([src, inherited]),
+    }
+
+
+class TestInterruptedSweep:
+    def test_rerun_after_sigkill_builds_only_missing_nodes(self, tmp_path) -> None:
+        """A sweep killed mid-tree leaves complete envelopes only; the
+        rerun restores exactly those and builds the rest, and its
+        replica payloads equal a cold uninterrupted run. These are
+        invariants, so they hold wherever the kill lands."""
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(_SMOKE_MANIFEST), encoding="utf-8")
+        store = tmp_path / "S"
+        envelopes = store / "envelopes"
+        # its own session, so the kill reaches the pool workers too
+        child = subprocess.Popen(
+            _sweep_command(manifest, store, tmp_path / "killed.json", workers=2),
+            env=_child_env(),
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            start_new_session=True,
+        )
+        try:
+            for _poll in range(24_000):  # 5 ms each, two minutes at most
+                if envelopes.is_dir() and any(envelopes.glob("*.snap")):
+                    break
+                try:
+                    child.wait(timeout=0.005)
+                except subprocess.TimeoutExpired:
+                    continue
+                # the sweep ended on its own; it must have written one
+                assert envelopes.is_dir() and any(envelopes.glob("*.snap")), (
+                    child.stderr.read() if child.stderr else ""
+                )
+                break
+            else:
+                pytest.fail("no envelope written")
+        finally:
+            try:
+                os.killpg(child.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            child.wait()
+            if child.stderr is not None:
+                child.stderr.close()
+
+        specs = expand_manifest(load_manifest(str(manifest)))
+        missing = [
+            key for key in plan_tree(specs).nodes if not (envelopes / f"{key}.snap").exists()
+        ]
+        present = sorted(envelopes.glob("*.snap"))
+        assert present
+        # a put killed between its write and its os.replace leaves a
+        # complete temp file; plant one under a missing node's key, with
+        # a header that verifies, whether or not the kill left one
+        if missing:
+            _header, blob = present[0].read_bytes().split(b"\n", 1)
+            header = json.dumps(
+                {
+                    "store_schema": STORE_SCHEMA_VERSION,
+                    "key": missing[0],
+                    "payload_bytes": len(blob),
+                    "payload_digest": hashlib.blake2b(blob, digest_size=16).hexdigest(),
+                },
+                sort_keys=True,
+            ).encode("ascii")
+            (envelopes / f"{missing[0]}.snap.1.tmp").write_bytes(header + b"\n" + blob)
+
+        rerun = subprocess.run(
+            _sweep_command(manifest, store, tmp_path / "rerun.json", workers=1),
+            env=_child_env(),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert rerun.returncode == 0, rerun.stderr
+        payload = json.loads((tmp_path / "rerun.json").read_text(encoding="utf-8"))
+        tree = payload["snapshot"]["tree"]
+        levels = tree["levels"]
+        from_store = sum(level["from_store"] for level in levels)
+        assert from_store == len(present)
+        assert sum(level["built"] for level in levels) == tree["nodes"] - from_store
+        assert sum(level["from_memory"] for level in levels) == 0
+
+        cold = FleetRunner(workers=1).run(specs).merged_payload()
+        assert json.dumps(payload["replicas"], sort_keys=True) == json.dumps(
+            cold["replicas"], sort_keys=True
+        )
 
 
 class TestTreeVersusFlatLedger:

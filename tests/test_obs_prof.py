@@ -1,29 +1,8 @@
-"""Unit tests for the deterministic cost-model profiler."""
+"""The counter classifier behind perfbench's ``obs.cost_units.*`` metrics."""
 
 from __future__ import annotations
 
-from repro.obs import CostProfiler, Observability, strip_cost_attrs
-from repro.obs.prof import COST_SELF_ATTR, COST_TOTAL_ATTR, KIND_NAMES, classify_counter
-
-
-def _profiled_obs() -> Observability:
-    obs = Observability(enabled=True, profile=True)
-    clock = {"now": 0}
-    obs.bind_tick_source(lambda: clock["now"])
-    return obs
-
-
-def _run_sample(obs: Observability) -> None:
-    """A fixed synthetic workload: nested spans charging three kinds."""
-    with obs.span("build-world"):
-        obs.counter("util.rng.derivations", path="get").inc(3)
-        obs.counter("platform.graph.edge_ops", op="bulk").inc(40)
-    with obs.span("measurement-window"):
-        obs.counter("platform.actionlog.appends").inc(10)
-        with obs.span("sweep"):
-            obs.counter("detection.classifier.comparisons").inc(7)
-            obs.counter("platform.actionlog.window_query", path="index").inc(2)
-        obs.counter("platform.actionlog.appends").inc(5)
+from repro.obs.prof import classify_counter
 
 
 class TestClassifyCounter:
@@ -31,6 +10,13 @@ class TestClassifyCounter:
         assert classify_counter("util.rng.derivations") == "rng"
         assert classify_counter("platform.actionlog.window_query") == "log"
         assert classify_counter("platform.graph.edge_ops") == "graph"
+
+    def test_batch_rows_stay_out_of_the_log_kind(self) -> None:
+        """``batch_rows`` sits under the ``platform.actionlog.`` prefix;
+        were it classified "log", ``obs.cost_units.log`` would move with
+        how many rows a batch scope deferred."""
+        assert classify_counter("platform.actionlog.batch_rows") == "log_batch"
+        assert classify_counter("platform.actionlog.appends") == "log"
 
     def test_exact_patterns_do_not_spill_over(self) -> None:
         assert classify_counter("detection.classifier.comparisons") == "classifier"
@@ -45,99 +31,3 @@ class TestClassifyCounter:
     def test_scheduler_unit_is_agent_runs_only(self) -> None:
         assert classify_counter("core.scheduler.agent_runs") == "sched"
         assert classify_counter("core.scheduler.idle_ticks") is None
-
-
-class TestCostAttribution:
-    def test_every_span_carries_full_kind_dicts(self) -> None:
-        obs = _profiled_obs()
-        _run_sample(obs)
-        for span in obs.tracer.finished:
-            total = span.attrs[COST_TOTAL_ATTR]
-            self_cost = span.attrs[COST_SELF_ATTR]
-            assert tuple(total) == KIND_NAMES
-            assert tuple(self_cost) == KIND_NAMES
-
-    def test_parent_total_includes_children_self_does_not(self) -> None:
-        obs = _profiled_obs()
-        _run_sample(obs)
-        by_name = {span.name: span for span in obs.tracer.finished}
-        window = by_name["measurement-window"]
-        sweep = by_name["sweep"]
-        assert sweep.attrs[COST_TOTAL_ATTR]["classifier"] == 7
-        assert sweep.attrs[COST_TOTAL_ATTR]["log"] == 2
-        # the window's total log cost = its own 15 appends + the sweep's 2
-        assert window.attrs[COST_TOTAL_ATTR]["log"] == 17
-        assert window.attrs[COST_SELF_ATTR]["log"] == 15
-        # classifier work happened only inside the child
-        assert window.attrs[COST_TOTAL_ATTR]["classifier"] == 7
-        assert window.attrs[COST_SELF_ATTR]["classifier"] == 0
-
-    def test_sibling_spans_do_not_leak_costs(self) -> None:
-        obs = _profiled_obs()
-        _run_sample(obs)
-        by_name = {span.name: span for span in obs.tracer.finished}
-        build = by_name["build-world"]
-        assert build.attrs[COST_TOTAL_ATTR]["rng"] == 3
-        assert build.attrs[COST_TOTAL_ATTR]["graph"] == 40
-        assert build.attrs[COST_TOTAL_ATTR]["log"] == 0
-        window = by_name["measurement-window"]
-        assert window.attrs[COST_TOTAL_ATTR]["rng"] == 0
-        assert window.attrs[COST_TOTAL_ATTR]["graph"] == 0
-
-    def test_identical_workloads_produce_identical_cost_trees(self) -> None:
-        first = _profiled_obs()
-        second = _profiled_obs()
-        _run_sample(first)
-        _run_sample(second)
-        first_attrs = [dict(span.attrs) for span in first.tracer.finished]
-        second_attrs = [dict(span.attrs) for span in second.tracer.finished]
-        assert first_attrs == second_attrs
-
-    def test_mid_span_attach_leaves_open_span_uncharged(self) -> None:
-        obs = Observability(enabled=True)
-        clock = {"now": 0}
-        obs.bind_tick_source(lambda: clock["now"])
-        with obs.span("already-open"):
-            profiler = CostProfiler(obs.metrics)
-            obs.add_listener(profiler)
-            obs.counter("util.rng.derivations", path="get").inc()
-            with obs.span("inner"):
-                obs.counter("platform.actionlog.appends").inc(4)
-        spans = {span.name: span for span in obs.tracer.finished}
-        # the span the profiler never saw open stays cost-free...
-        assert COST_TOTAL_ATTR not in spans["already-open"].attrs
-        # ...while spans opened after the attach are charged normally
-        assert spans["inner"].attrs[COST_TOTAL_ATTR]["log"] == 4
-
-    def test_counters_created_mid_span_are_still_charged(self) -> None:
-        obs = _profiled_obs()
-        with obs.span("phase"):
-            # instrument did not exist when the span's baseline was taken
-            obs.counter("platform.graph.edge_ops", op="follow").inc(6)
-        (span,) = obs.tracer.finished
-        assert span.attrs[COST_TOTAL_ATTR]["graph"] == 6
-
-
-class TestStripCostAttrs:
-    def test_stripping_restores_the_plain_trace(self) -> None:
-        profiled = _profiled_obs()
-        plain = Observability(enabled=True)
-        clock = {"now": 0}
-        plain.bind_tick_source(lambda: clock["now"])
-        _run_sample(profiled)
-        _run_sample(plain)
-        assert strip_cost_attrs(profiled.trace_lines()) == plain.trace_lines()
-
-    def test_strip_is_a_noop_on_unprofiled_lines(self) -> None:
-        plain = Observability(enabled=True)
-        clock = {"now": 0}
-        plain.bind_tick_source(lambda: clock["now"])
-        _run_sample(plain)
-        lines = plain.trace_lines()
-        assert strip_cost_attrs(lines) == lines
-
-    def test_profile_flag_on_disabled_handle_stays_inert(self) -> None:
-        obs = Observability(enabled=False, profile=True)
-        assert obs.profiler is None
-        with obs.span("anything") as record:
-            assert record is None
