@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from repro.lint.findings import PARSE_RULE, Finding
-from repro.lint.rules import ModuleContext, ProjectRule, Rule, all_project_rules, all_rules
+from repro.lint.rules import ModuleContext, Rule, all_rules
 from repro.lint.sources import (
     SKIP_DIR_NAMES,
-    content_digest,
     iter_python_files,
     module_name_for,
     parse_suppressions,
@@ -33,11 +32,9 @@ from repro.lint.waivers import find_waiver
 
 __all__ = [
     "SKIP_DIR_NAMES",
-    "changed_files",
     "iter_python_files",
     "lint_paths",
     "lint_source",
-    "lint_whole_program",
     "module_name_for",
     "parse_suppressions",
 ]
@@ -96,60 +93,3 @@ def lint_paths(
         source = file_path.read_text(encoding="utf-8")
         findings.extend(lint_source(source, file_path.as_posix(), rules=active))
     return sorted(findings)
-
-
-# -- whole-program pass ------------------------------------------------------
-
-
-def lint_whole_program(
-    paths: Iterable[str | Path],
-    rules: Sequence[ProjectRule] | None = None,
-    cache_path: str | Path | None = None,
-    obs: object = None,
-) -> list[Finding]:
-    """Run the cross-module rules over a project index built from ``paths``.
-
-    This is phase two of the analyzer (DESIGN.md §12): phase one builds —
-    or loads from the digest-keyed cache at ``cache_path`` — a
-    :class:`~repro.lint.project.ProjectIndex`, and the project rules then
-    walk that index instead of individual ASTs. Findings flow through the
-    same suppression/waiver machinery as the per-file pass, keyed by the
-    suppression tables the index recorded per file.
-    """
-    from repro.lint.project import build_index
-
-    active = list(rules) if rules is not None else all_project_rules()
-    index = build_index(paths, cache_path=cache_path, obs=obs)
-    findings: list[Finding] = []
-    for rule in active:
-        for finding in rule.check_project(index):
-            facts = index.facts_for_path(finding.path)
-            if facts is not None and _is_suppressed(finding, facts.suppression_map()):
-                continue
-            module = facts.module if facts is not None else module_name_for(finding.path)
-            if find_waiver(finding.rule, module) is not None:
-                continue
-            findings.append(finding)
-    return sorted(findings)
-
-
-def changed_files(
-    paths: Iterable[str | Path],
-    cache_path: str | Path,
-) -> list[Path]:
-    """Files under ``paths`` whose content digest differs from the cache.
-
-    The fast pre-push path: a file whose digest matches its cache entry
-    was already analyzed bit-identically, so re-linting it cannot change
-    the verdict. Files missing from the cache (new, or never indexed)
-    always count as changed.
-    """
-    from repro.lint.project import IndexCache
-
-    cache = IndexCache(Path(cache_path))
-    changed: list[Path] = []
-    for file_path in iter_python_files(paths):
-        source = file_path.read_text(encoding="utf-8")
-        if cache.lookup(file_path.as_posix(), content_digest(source)) is None:
-            changed.append(file_path)
-    return changed

@@ -22,11 +22,8 @@ from repro.lint.rules.base import ModuleContext, Rule
 LAYER_RANK: dict[str, int] = {
     "util": 0,
     "netsim": 0,
+    "lint": 0,
     "obs": 1,
-    # the linter is tooling that observes the codebase, not simulation
-    # substrate: it sits above obs so its index cache can report
-    # hit-rate counters through the same telemetry as everything else
-    "lint": 2,
     "platform": 2,
     "behavior": 3,
     "aas": 4,
@@ -67,7 +64,7 @@ class LayeringRule(Rule):
 
     rule_id: ClassVar[str] = "ARCH001"
     summary: ClassVar[str] = (
-        "cross-layer imports must point strictly downward (util/netsim -> "
+        "cross-layer imports must point strictly downward (util/netsim/lint -> "
         "obs -> platform -> behavior -> aas -> honeypot|detection -> "
         "analysis|interventions -> core -> fleet); the substrate "
         "never sees its observers"

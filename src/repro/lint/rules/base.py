@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar, Iterator
+from typing import ClassVar, Iterator
 
 from repro.lint.findings import Finding
 
@@ -67,31 +67,6 @@ class Rule:
             rule=self.rule_id,
             message=message,
         )
-
-
-class ProjectRule:
-    """Base class for whole-program rules (phase two of the analyzer).
-
-    Where :class:`Rule` sees one parsed module at a time, a project rule
-    receives the assembled :class:`~repro.lint.project.ProjectIndex` and
-    may reason across modules: chase re-exports, walk the approximate
-    call graph, or take transitive closures over class-attribute edges.
-    Findings still anchor to a concrete (path, line, col) so the shared
-    suppression/waiver machinery applies unchanged.
-    """
-
-    rule_id: ClassVar[str] = ""
-    summary: ClassVar[str] = ""
-
-    def check_project(self, index: "ProjectIndex") -> Iterator[Finding]:
-        raise NotImplementedError
-
-    def finding(self, path: str, line: int, col: int, message: str) -> Finding:
-        return Finding(path=path, line=line, col=col, rule=self.rule_id, message=message)
-
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (project imports sources only)
-    from repro.lint.project import ProjectIndex
 
 
 def dotted_name(node: ast.expr) -> str | None:

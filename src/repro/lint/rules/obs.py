@@ -11,13 +11,10 @@ reporter itself — are in the business of writing to a terminal.
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, ClassVar, Iterator
+from typing import ClassVar, Iterator
 
 from repro.lint.findings import Finding
-from repro.lint.rules.base import ModuleContext, ProjectRule, Rule
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.lint.project import ProjectIndex
+from repro.lint.rules.base import ModuleContext, Rule
 
 #: the sanctioned terminal writers: command-line front ends plus the
 #: obs console reporter (which exists to render spans for --verbose)
@@ -107,45 +104,3 @@ class HostProbeConfinementRule(Rule):
 
 
 OBS_RULES: tuple[type[Rule], ...] = (DirectPrintRule, HostProbeConfinementRule)
-
-
-class ObsWriteOnlyRule(ProjectRule):
-    """OBS002 — obs state is write-only outside ``repro/obs/``.
-
-    The "obs-off runs are bit-identical" claim (DESIGN.md §7) holds
-    structurally only if no library code ever *reads* a counter value,
-    metrics snapshot, or tracer record back into data that influences
-    control flow or outputs. Export helpers (``trace_lines`` /
-    ``dump_trace``) are the sanctioned way trace data leaves the
-    process — they serialize at the boundary without feeding values back
-    into the computation, so calling them is not a read.
-    """
-
-    rule_id: ClassVar[str] = "OBS002"
-    summary: ClassVar[str] = (
-        "modules outside repro/obs/ must not read metrics/tracer state "
-        "(counter .value, metrics.snapshot(), tracer records) into values "
-        "that influence control flow or outputs; obs must stay write-only "
-        "so obs-off runs are structurally bit-identical"
-    )
-
-    def check_project(self, index: "ProjectIndex") -> Iterator[Finding]:
-        instrument_attrs = index.instrument_attrs()
-        for facts in index.iter_repro_modules():
-            module = facts.module or ""
-            if module == "repro.obs" or module.startswith("repro.obs."):
-                continue
-            for site in facts.obs_reads:
-                if site.attr and site.attr not in instrument_attrs:
-                    # receiver attr never holds an instrument anywhere in
-                    # the project — enum/.value-style access, not obs
-                    continue
-                yield self.finding(
-                    facts.path,
-                    site.line,
-                    site.col,
-                    f"reads obs state (`{site.expr}`) outside repro/obs/; "
-                    "observability is write-only in library code so disabling "
-                    "it cannot change behavior — export through "
-                    "trace_lines/dump_trace or move the logic into repro.obs",
-                )

@@ -1,15 +1,12 @@
-"""Source-level helpers shared by the per-file and whole-program passes.
+"""Source-level helpers: the suppression parser, the path→module
+mapping and the directory walk.
 
 This module is a deliberate leaf: it imports nothing from the rest of
-:mod:`repro.lint`, so both :mod:`repro.lint.engine` (the per-file pass)
-and :mod:`repro.lint.project` (the whole-program indexer) can share the
-suppression parser, the path→module mapping, the directory walk, and the
-content digest that keys the incremental index cache.
+:mod:`repro.lint`.
 """
 
 from __future__ import annotations
 
-import hashlib
 import io
 import re
 import tokenize
@@ -101,12 +98,3 @@ def iter_python_files(paths: Iterable[Union[str, Path]]) -> Iterator[Path]:
             if candidate not in seen:
                 seen.add(candidate)
                 yield candidate
-
-
-def content_digest(source: str) -> str:
-    """Stable hex digest of one file's text — the index cache key.
-
-    BLAKE2 (not ``hash()``) so the cache survives process restarts and
-    ``PYTHONHASHSEED`` changes; 16 bytes is ample for a per-repo cache.
-    """
-    return hashlib.blake2b(source.encode("utf-8"), digest_size=16).hexdigest()

@@ -50,15 +50,6 @@ WAIVERS: tuple[Waiver, ...] = (
             "canonical_lines() before any determinism comparison"
         ),
     ),
-    Waiver(
-        rule="OBS002",
-        module_prefix="repro.lint",
-        reason=(
-            "--stats reads the linter's own index-cache counters to "
-            "print hit rates; the linter is tooling that never runs "
-            "inside a study, so obs-off equivalence is not at stake"
-        ),
-    ),
 )
 
 

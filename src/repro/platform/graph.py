@@ -372,7 +372,8 @@ class FollowerGraph:
         return state
 
     def __setstate__(self, state: dict) -> None:
-        # the explicit twin of __getstate__ (SNAP003): restore the raw
+        # the explicit twin of __getstate__ (tests/test_fleet_pickle_surface.py
+        # checks that every restored class pairs the two): restore the raw
         # columns as-is; views and the CSR rebuild lazily on first read.
         # Graphs pickled before the edge-op counters existed resurface
         # un-instrumented rather than failing to unpickle.

@@ -14,13 +14,6 @@ from typing import Optional, Protocol
 
 import numpy as np
 
-#: The sanctioned RNG injection points. Every generator in the system
-#: must be reachable from one of these (the whole-program linter's API003
-#: taint rule reads this declaration to know its roots); add a name here
-#: only when introducing a new, seed-derived construction path.
-RNG_ROOTS: tuple[str, ...] = ("derive_rng", "SeedSequenceFactory")
-
-
 class SupportsCounter(Protocol):
     """Write-only counter shape (structurally, a repro.obs Counter)."""
 

@@ -17,6 +17,7 @@ import signal
 import subprocess
 import sys
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -221,6 +222,28 @@ class TestStrategyEquivalence:
             ]
         finally:
             remove_store_root(root)
+
+
+class TestObservabilityOff:
+    def test_obs_off_replicas_match_obs_on_payloads(self, fleets) -> None:
+        """Switching telemetry off changes no replica payload.
+
+        The golden-digest suite pins this for one study; here it holds
+        through the fleet layer, for one ``standard`` and one ``narrow``
+        replica. Library code that read a counter or a metrics snapshot
+        back into control flow would make the two runs diverge.
+        """
+        lit = fleets[1].replicas[:2]
+        dark = FleetRunner(workers=1).run(
+            [
+                replace(spec, config=replace(spec.config, observability=False))
+                for spec in _specs()[:2]
+            ]
+        )
+        assert [r.arm for r in dark.replicas] == ["standard", "narrow"]
+        assert [r.payload for r in dark.replicas] == [r.payload for r in lit]
+        assert all(r.trace is None for r in dark.replicas)
+        assert all(r.trace is not None for r in lit)
 
 
 #: the CI ``sweep-smoke`` shape: a 3-level tree, two seeds, four replicas

@@ -6,7 +6,9 @@ forward, from the study that produced it. The property test here runs
 the same pipeline twice — once uninterrupted, once through a
 snapshot/restore cycle at the signatures prefix — and demands
 byte-identical spans, metrics snapshots, and rendered reports, across
-multiple presets and seeds.
+multiple presets and seeds. The tiny preset is also restored at every
+earlier prefix, so a field dropped on write at ``build-world`` or
+``honeypot`` fails too.
 """
 
 from __future__ import annotations
@@ -21,9 +23,11 @@ from repro.core.experiments import render_study_report
 from repro.fleet import (
     PREFIX_BUILD_WORLD,
     PREFIX_SIGNATURES,
+    PREFIXES,
     SNAPSHOT_SCHEMA_VERSION,
     SnapshotCache,
     SnapshotError,
+    advance_prefix,
     build_prefix,
     config_digest,
     restore_study,
@@ -33,8 +37,9 @@ from repro.obs.schema import validate_trace
 from repro.obs.trace import canonical_lines, render_trace, trace_lines
 
 
-def _configs() -> list[tuple[str, StudyConfig, int]]:
-    """(label, config, measurement days) across >=2 presets x >=2 seeds.
+def _configs() -> list[tuple[str, StudyConfig, int, str]]:
+    """(label, config, measurement days, prefix): >=2 presets x >=2 seeds
+    at the signatures prefix, plus tiny at every earlier prefix.
 
     The small preset keeps its world scale but runs a shortened honeypot
     phase and window — snapshot fidelity is independent of phase length,
@@ -42,9 +47,11 @@ def _configs() -> list[tuple[str, StudyConfig, int]]:
     """
     cases = []
     for seed in (11, 12):
-        cases.append((f"tiny-{seed}", StudyConfig.tiny(seed=seed), 2))
+        cases.append((f"tiny-{seed}", StudyConfig.tiny(seed=seed), 2, PREFIX_SIGNATURES))
         small = dataclasses.replace(StudyConfig.small(seed=seed), honeypot_days=3)
-        cases.append((f"small-{seed}", small, 1))
+        cases.append((f"small-{seed}", small, 1, PREFIX_SIGNATURES))
+    for prefix in PREFIXES[:-1]:
+        cases.append((f"tiny-11-{prefix}", StudyConfig.tiny(seed=11), 2, prefix))
     return cases
 
 
@@ -55,16 +62,17 @@ def _fingerprint(study: Study, dataset) -> tuple[str, dict, str]:
 
 
 @pytest.mark.parametrize(
-    "label,config,days", _configs(), ids=[case[0] for case in _configs()]
+    "label,config,days,prefix", _configs(), ids=[case[0] for case in _configs()]
 )
-def test_restored_study_runs_to_end_bit_identically(label, config, days) -> None:
+def test_restored_study_runs_to_end_bit_identically(label, config, days, prefix) -> None:
     direct = Study(config)
     direct.run_honeypot_phase()
     direct.learn_signatures()
     direct_dataset = direct.run_measurement(days_=days)
 
-    built = build_prefix(config, PREFIX_SIGNATURES)
-    restored = restore_study(snapshot_study(built, PREFIX_SIGNATURES))
+    restored = restore_study(snapshot_study(build_prefix(config, prefix), prefix))
+    for phase in PREFIXES[PREFIXES.index(prefix) + 1 :]:
+        advance_prefix(restored, phase)
     restored_dataset = restored.run_measurement(days_=days)
 
     direct_trace, direct_metrics, direct_report = _fingerprint(direct, direct_dataset)

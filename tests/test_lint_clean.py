@@ -8,7 +8,7 @@ upward-pointing import fails this test, not a review comment.
 
 from pathlib import Path
 
-from repro.lint import lint_paths, lint_whole_program
+from repro.lint import lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -31,15 +31,6 @@ def test_tests_are_lint_clean():
     explicitly, as ``test_lint_rules.py`` does).
     """
     _assert_clean(REPO_ROOT / "tests")
-
-
-def test_src_repro_is_whole_program_clean():
-    """The cross-module invariants hold tree-wide: zero non-waived
-    findings from the RNG taint, spawn/pickle safety, and obs purity
-    rules (the acceptance gate for the whole-program analyzer)."""
-    findings = lint_whole_program([REPO_ROOT / "src" / "repro"])
-    rendered = "\n".join(finding.render() for finding in findings)
-    assert findings == [], f"whole-program findings in src/repro:\n{rendered}"
 
 
 def test_fixture_corpus_is_dirty():

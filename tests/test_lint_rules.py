@@ -181,6 +181,12 @@ class TestArchitectureRules:
         snippet = "from repro.detection.signals import learn_signature\n"
         assert fired(snippet, path="tests/test_sample.py") == []
 
+    def test_arch001_lint_is_a_leaf(self):
+        snippet = "from repro.obs.facade import Observability\n"
+        assert fired(snippet, path="src/repro/lint/sample.py") == ["ARCH001"]
+        snippet = "from repro.lint.findings import Finding\n"
+        assert fired(snippet, path="src/repro/lint/sample.py") == []
+
     def test_arch002_observers_must_not_reach_service_internals(self):
         snippet = "from repro.aas.services.instalex import make_instalex\n"
         assert fired(snippet, path="src/repro/analysis/sample.py") == ["ARCH002"]
