@@ -303,10 +303,3 @@ class AccountAutomationService(abc.ABC):
     @abc.abstractmethod
     def tick(self) -> None:
         """Run one simulated hour of the service's automation."""
-
-    def next_wake_tick(self, now: int) -> int:
-        """When the scheduler must next run this service (``now + 1`` =
-        due every tick). Engines draw per-customer RNG each tick, so the
-        default never skips; an engine may override only if its idle
-        tick is verifiably free of RNG and platform calls."""
-        return now + 1

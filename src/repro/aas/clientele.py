@@ -417,11 +417,6 @@ class ClienteleDriver:
         elif isinstance(self.service, CollusionNetworkService):
             self._run_collusion_usage()
 
-    def next_wake_tick(self, now: int) -> int:
-        """Always due: the birth process draws from the RNG every tick,
-        so skipping a tick would shift the seeded draw sequence."""
-        return now + 1
-
     # ------------------------------------------------------------------
 
     @property

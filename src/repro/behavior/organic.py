@@ -323,8 +323,3 @@ class OrganicActivityDriver:
         """Run one simulated hour of organic behaviour."""
         self._run_reciprocity()
         self._run_background()
-
-    def next_wake_tick(self, now: int) -> int:
-        """Always due: background traffic is a Poisson draw per tick, so
-        skipping would shift the seeded draw sequence."""
-        return now + 1

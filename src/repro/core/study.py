@@ -21,7 +21,7 @@ from repro.behavior.organic import OrganicActivityDriver
 from repro.behavior.population import OrganicPopulation
 from repro.behavior.reciprocity import ReciprocityModel
 from repro.core.config import StudyConfig
-from repro.core.scheduling import NEVER, TimingWheel
+from repro.core.scheduling import TimingWheel
 from repro.detection.classifier import AASClassifier, AttributedActivity
 from repro.detection.customers import CustomerBaseAnalytics
 from repro.detection.signals import ServiceSignature, learn_signature
@@ -138,7 +138,7 @@ class Study:
         """A Study serializes wholesale; only live wiring is rebuilt.
 
         Everything that determines future behaviour — the platform log,
-        every driver's RNG position, the timing wheel's buckets, the
+        every driver's RNG position, the agent loop's registrations, the
         telemetry collected so far — is plain state and pickles as-is
         (the tracer drops its clock closure and listeners itself, see
         ``Tracer.__getstate__``). ``__setstate__`` re-binds the one
@@ -339,40 +339,18 @@ class Study:
     def _build_wheel(self) -> TimingWheel:
         """Register every per-tick agent, in the world's visit order.
 
-        Registration order is the wheel's tie-break within a tick: the
-        clientele drivers, the collusion-honeypot driver, the services,
-        then organic traffic. Changing it changes seeded results.
+        Registration order is the run order within a tick: the clientele
+        drivers, the collusion-honeypot driver, the services, then
+        organic traffic. Changing it changes seeded results.
         """
-        wheel = TimingWheel(obs=self.obs, run_scope=self.platform.action_batch)
+        wheel = TimingWheel(self.platform.action_batch, obs=self.obs)
         for name, driver in self.clientele.items():
-            wheel.add(f"clientele:{name}", driver.tick, driver.next_wake_tick)
-        wheel.add(
-            "collusion-honeypots", self._drive_collusion_honeypots, self._collusion_next_wake
-        )
+            wheel.add(f"clientele:{name}", driver.tick)
+        wheel.add("collusion-honeypots", self._drive_collusion_honeypots)
         for name, service in self.services.items():
-            wheel.add(f"service:{name}", service.tick, service.next_wake_tick)
-        wheel.add("organic", self.organic.tick, self.organic.next_wake_tick)
+            wheel.add(f"service:{name}", service.tick)
+        wheel.add("organic", self.organic.tick)
         return wheel
-
-    def _collusion_next_wake(self, now: int) -> int | None:
-        """The one agent allowed to idle-skip: its idle tick is RNG-free.
-
-        A collusion honeypot's enrollment horizon (trial or paid window)
-        never extends — honeypots never pay — so once every enrollment
-        has lapsed the driver is a permanent no-op and parks. Registering
-        a new collusion honeypot must call :meth:`_wake_collusion`.
-        """
-        upcoming = now + 1
-        for service, honeypot in self._collusion_honeypots:
-            if honeypot.deleted:
-                continue
-            record = service.customers.get(honeypot.account_id)
-            if record is not None and record.service_active(upcoming):
-                return upcoming
-        return NEVER
-
-    def _wake_collusion(self) -> None:
-        self._wheel.wake("collusion-honeypots", self.clock.now)
 
     def tick(self) -> None:
         """One simulated hour of the whole world."""
@@ -381,9 +359,9 @@ class Study:
 
     def run_hours(self, hours: int) -> None:
         if hours > 0:
-            # batched stepping: one wheel call drains all `hours` tick
-            # buckets (same per-tick work as tick(), minus the Python
-            # call overhead of re-entering tick/run_due per hour)
+            # batched stepping: one wheel call runs all `hours` ticks
+            # (same per-tick work as tick(), minus the Python call
+            # overhead of re-entering tick/run_due per hour)
             self._wheel.run_window(
                 self.clock.now, hours, lambda: self.clock.advance(1)
             )
@@ -430,7 +408,6 @@ class Study:
                 trial_ticks=days(self.config.honeypot_days + 1),
             )
             self._collusion_honeypots.append((service, honeypot))
-        self._wake_collusion()
 
     def _drive_collusion_honeypots(self) -> None:
         """Honeypots enrolled in collusion networks request free actions
@@ -558,7 +535,6 @@ class Study:
             )
             if isinstance(service, CollusionNetworkService):
                 self._collusion_honeypots.append((service, honeypot))
-                self._wake_collusion()
             probes.append((label, honeypot))
         self.run_days(probe_days)
         consistent: dict[str, bool] = {}

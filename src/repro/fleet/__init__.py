@@ -21,7 +21,6 @@ from repro.fleet.manifest import (
 from repro.fleet.runner import FleetRunner, materialize_tree
 from repro.fleet.snapshot import (
     SNAPSHOT_SCHEMA_VERSION,
-    SnapshotCache,
     SnapshotError,
     advance_prefix,
     build_prefix,
@@ -78,7 +77,6 @@ __all__ = [
     "PrefixNode",
     "ReplicaResult",
     "ReplicaSpec",
-    "SnapshotCache",
     "SnapshotError",
     "SnapshotStore",
     "SweepManifest",

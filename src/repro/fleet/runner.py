@@ -6,26 +6,20 @@ over shared-nothing worker processes and merges the results back in
 merged trace are byte-identical for any worker count (enforced by
 ``tests/test_fleet_runner.py``).
 
-Three strategies, one merge contract:
-
-* ``tree`` (default) — nested prefix reuse. The planner
-  (:func:`repro.fleet.tree.plan_tree`) derives the maximal reuse tree
-  from the spec list; the runner materializes it level by level
-  (parents strictly before children, siblings dispatched to the worker
-  pool), resolving each node through the in-memory cache, then the
-  optional disk store, and only then building it from its parent's
-  frozen bytes. Replicas are grouped by leaf node and dispatched whole.
-* ``flat`` — the historical grouping by ``(config digest, prefix)``:
-  each group builds its entire chain once. Kept as the tree's
-  baseline (its phase ledger is pinned against the tree's in
-  ``tests/test_fleet_tree.py``) and as a bisection aid.
-* ``no-reuse`` — every replica rebuilds its own chain (the
-  ``reuse_prefix=False`` baseline that prices what reuse saves).
+The runner reuses prefixes through a nested tree. The planner
+(:func:`repro.fleet.tree.plan_tree`) derives the maximal reuse tree from
+the spec list; :func:`_materialize_levels` resolves it level by level
+(parents strictly before children, siblings dispatched to the worker
+pool), taking each node from the optional disk store or else building
+it from its parent's frozen bytes. Replicas are grouped by leaf node and
+dispatched whole. The reference every replica is compared against —
+build the prefix, round-trip it through an envelope, run the arm — lives
+with the tests (``tests/oracles/fleet.py``).
 
 Why the fan-out preserves determinism:
 
 * The reuse tree, the build set, and the charged replicas are computed
-  in the parent as pure functions of (spec list, cache/store state) —
+  in the parent as pure functions of (spec list, store state) —
   scheduling cannot change who builds what.
 * Node blobs travel to workers by value (pickled with the submission);
   workers never touch the disk store, so there are no cross-process
@@ -51,30 +45,18 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.config import StudyConfig
 from repro.fleet.snapshot import (
-    SnapshotCache,
     advance_prefix,
     build_prefix,
-    config_digest,
     restore_study,
     snapshot_study,
 )
-from repro.fleet.spec import (
-    PREFIX_DEPTH,
-    FleetResult,
-    ReplicaResult,
-    ReplicaSpec,
-)
+from repro.fleet.spec import PREFIX_DEPTH, FleetResult, ReplicaResult, ReplicaSpec
 from repro.fleet.store import SnapshotStore
 from repro.fleet.tree import TreePlan, graft_config, plan_tree
 from repro.obs.trace import canonical_lines, label_replica, trace_lines
 
-#: one flat group = the (spec index, spec) pairs sharing a prefix snapshot
-_Group = List[Tuple[int, ReplicaSpec]]
-
-#: one tree leaf group = (spec index, spec, charged-for-a-build) triples
+#: one leaf group = (spec index, spec, charged-for-a-build) triples
 _LeafGroup = List[Tuple[int, ReplicaSpec, bool]]
-
-_STRATEGIES = ("tree", "flat", "no-reuse")
 
 
 def _run_replica(spec: ReplicaSpec, study: object, prefix_reused: bool) -> ReplicaResult:
@@ -110,7 +92,7 @@ def _collector_paused() -> Iterator[None]:
 
     Unpickling a study allocates enough container objects to trigger
     full collections, and each one re-walks whatever earlier replicas
-    left behind. The replica loops collect once at each replica
+    left behind. The replica loop collects once at each replica
     boundary instead. The collector's prior state comes back even when
     the body raises.
     """
@@ -160,52 +142,74 @@ def _run_leaf_group(group: _LeafGroup, blob: bytes) -> List[Tuple[int, ReplicaRe
     return results
 
 
-def _run_group(
-    group: _Group, reuse_prefix: bool
-) -> Tuple[List[Tuple[int, ReplicaResult]], int, int]:
-    """Run one flat prefix-sharing group; returns (results, builds, restores).
+def _dispatch(
+    pool: Optional[ProcessPoolExecutor], fn: Callable, tasks: Sequence[tuple]
+) -> List[object]:
+    """Run ``fn(*task)`` for every task, pooled when it pays off.
 
-    As in ``_run_leaf_group``, restores run with the collector paused
-    and each replica's study is collected before the next one starts.
-
-    Module-level on purpose: spawn workers resolve it by qualified name,
-    and its arguments (specs + a bool) pickle without custom support.
+    Results come back in task order regardless of completion order.
     """
-    results: List[Tuple[int, ReplicaResult]] = []
-    builds = 0
-    restores = 0
-    cache = SnapshotCache()
-    for index, spec in group:
-        with _collector_paused():
-            if reuse_prefix:
-                study, hit = cache.get_or_build(spec.config, spec.prefix)
+    if pool is None or len(tasks) <= 1:
+        return [fn(*task) for task in tasks]
+    futures = [pool.submit(fn, *task) for task in tasks]
+    return [future.result() for future in futures]
+
+
+def _materialize_levels(
+    plan: TreePlan,
+    store: Optional[SnapshotStore],
+    pool: Optional[ProcessPoolExecutor] = None,
+) -> Tuple[Dict[str, bytes], List[dict], List[str]]:
+    """Resolve every node of ``plan``, parents strictly before children.
+
+    A node comes from ``store`` when it holds the key; otherwise it is
+    built from its parent's frozen bytes — on ``pool`` when there is
+    one, in this process when not — and written to the store. Once a
+    level is resolved its parents are dropped unless they are leaves,
+    so residency tracks the tree's frontier, not its total size.
+
+    Returns the resident envelopes (every leaf among them), one stats
+    dict per level, and the built node keys in build order.
+    """
+    blobs: Dict[str, bytes] = {}
+    level_stats: List[dict] = []
+    built: List[str] = []
+    leaves = set(plan.leaf_keys)
+    for depth0, level in enumerate(plan.levels):
+        to_build: List[str] = []
+        for key in level:
+            blob = store.get(key) if store is not None else None
+            if blob is None:
+                to_build.append(key)
             else:
-                # build fresh, but still round-trip through an envelope so
-                # the starting state is identical to the reuse path (a
-                # dump/load normalizes hash-table layout either way)
-                blob = snapshot_study(build_prefix(spec.config, spec.prefix), spec.prefix)
-                study, hit = restore_study(blob), False
-                builds += 1
-                restores += 1
-        results.append((index, _run_replica(spec, study, prefix_reused=hit)))
-        del study
-        gc.collect()
-    if reuse_prefix:
-        builds, restores = cache.builds, cache.restores
-    return results, builds, restores
-
-
-def _group_specs(specs: Sequence[ReplicaSpec]) -> List[_Group]:
-    """Group specs by (config digest, prefix), first-appearance order."""
-    groups: Dict[Tuple[str, str], _Group] = {}
-    order: List[Tuple[str, str]] = []
-    for index, spec in enumerate(specs):
-        key = (config_digest(spec.config), spec.prefix)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append((index, spec))
-    return [groups[key] for key in order]
+                blobs[key] = blob
+        tasks = []
+        for key in to_build:
+            node = plan.nodes[key]
+            parent_blob = blobs[node.parent] if node.parent is not None else None
+            tasks.append((node.config, node.phase, parent_blob))
+        for key, blob in zip(to_build, _dispatch(pool, _build_node_blob, tasks)):
+            assert isinstance(blob, bytes)
+            blobs[key] = blob
+            if store is not None:
+                store.put(key, blob)
+        built.extend(to_build)
+        level_stats.append(
+            {
+                "phase": plan.nodes[level[0]].phase,
+                "nodes": len(level),
+                "built": len(to_build),
+                # nothing outlives one run in memory; kept for the
+                # payload shape
+                "from_memory": 0,
+                "from_store": len(level) - len(to_build),
+            }
+        )
+        if depth0 >= 1:
+            for key in plan.levels[depth0 - 1]:
+                if key not in leaves:
+                    del blobs[key]
+    return blobs, level_stats, built
 
 
 class FleetRunner:
@@ -213,51 +217,24 @@ class FleetRunner:
 
     ``workers <= 1`` runs everything in-process through the *same*
     scheduling code path, so the pooled and serial outputs are
-    byte-comparable by construction. ``reuse_prefix=False`` forces the
-    ``no-reuse`` strategy (every replica pays its own chain) — the
-    baseline that prices what reuse saves.
-
-    ``store`` plugs in a :class:`~repro.fleet.store.SnapshotStore` for
-    cross-invocation node reuse; ``cache`` a (bounded)
-    :class:`~repro.fleet.snapshot.SnapshotCache` shared across ``run``
-    calls. Both are tree-strategy features. Only the parent process
-    touches them — workers receive node bytes by value.
+    byte-comparable by construction. ``store`` plugs in a
+    :class:`~repro.fleet.store.SnapshotStore` for cross-invocation node
+    reuse; only the parent process touches it — workers receive node
+    bytes by value. ``strategy`` accepts only ``"tree"``.
     """
 
     def __init__(
         self,
         workers: int = 1,
-        reuse_prefix: bool = True,
         strategy: str = "tree",
         store: Optional[SnapshotStore] = None,
-        cache: Optional[SnapshotCache] = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if strategy not in _STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r} (known: {_STRATEGIES})")
+        if strategy != "tree":
+            raise ValueError(f"unknown strategy {strategy!r} (known: 'tree')")
         self.workers = workers
-        self.reuse_prefix = reuse_prefix
-        self.strategy = strategy if reuse_prefix else "no-reuse"
         self.store = store
-        self.cache = cache
-
-    # -- dispatch helper ------------------------------------------------
-
-    def _dispatch(
-        self,
-        pool: Optional[ProcessPoolExecutor],
-        fn: Callable,
-        tasks: Sequence[tuple],
-    ) -> List[object]:
-        """Run ``fn(*task)`` for every task, pooled when it pays off.
-
-        Results come back in task order regardless of completion order.
-        """
-        if pool is None or len(tasks) <= 1:
-            return [fn(*task) for task in tasks]
-        futures = [pool.submit(fn, *task) for task in tasks]
-        return [future.result() for future in futures]
 
     def _make_pool(self, parallelism: int) -> Optional[ProcessPoolExecutor]:
         if self.workers <= 1 or parallelism <= 1:
@@ -267,8 +244,6 @@ class FleetRunner:
             max_workers=min(self.workers, parallelism), mp_context=context
         )
 
-    # -- strategies -----------------------------------------------------
-
     def run(self, specs: Sequence[ReplicaSpec]) -> FleetResult:
         specs = list(specs)
         names = [spec.name for spec in specs]
@@ -276,150 +251,48 @@ class FleetRunner:
             raise ValueError("replica names must be unique within a fleet")
         if not specs:
             return FleetResult(
-                replicas=[],
-                prefix_builds=0,
-                prefix_restores=0,
-                prefix_groups=0,
-                strategy=self.strategy,
+                replicas=[], prefix_builds=0, prefix_restores=0, prefix_groups=0
             )
-        if self.strategy == "tree":
-            return self._run_tree(specs)
-        return self._run_flat(specs, reuse=self.strategy == "flat")
-
-    def _run_flat(self, specs: List[ReplicaSpec], reuse: bool) -> FleetResult:
-        groups = _group_specs(specs)
-        pool = self._make_pool(len(groups))
-        try:
-            outcomes = self._dispatch(
-                pool, _run_group, [(group, reuse) for group in groups]
-            )
-        finally:
-            if pool is not None:
-                pool.shutdown()
-        indexed: List[Tuple[int, ReplicaResult]] = []
-        builds = 0
-        restores = 0
-        for group_results, group_builds, group_restores in outcomes:  # type: ignore[misc]
-            indexed.extend(group_results)
-            builds += group_builds
-            restores += group_restores
-        indexed.sort(key=lambda pair: pair[0])
-        phase_units = sum(spec.depth for spec in specs)
-        if reuse:
-            # each group built its whole chain exactly once
-            phase_builds = sum(PREFIX_DEPTH[group[0][1].prefix] for group in groups)
-        else:
-            phase_builds = phase_units
-        return FleetResult(
-            replicas=[result for _, result in indexed],
-            prefix_builds=builds,
-            prefix_restores=restores,
-            prefix_groups=len(groups),
-            phase_units=phase_units,
-            phase_builds=phase_builds,
-            strategy="flat" if reuse else "no-reuse",
-        )
-
-    def _run_tree(self, specs: List[ReplicaSpec]) -> FleetResult:
         plan = plan_tree(specs)
-        cache = self.cache if self.cache is not None else SnapshotCache()
-        builds = 0
-        restores = 0
-        charged: set[int] = set()
-        level_stats: List[dict] = []
-        #: this run's working set of node envelopes; parents are dropped
-        #: as soon as no deeper level (and no leaf group) needs them, so
-        #: residency tracks the tree's frontier, not its total size
-        blobs: Dict[str, bytes] = {}
-        needed_as_leaf = set(plan.leaf_keys)
-        max_parallelism = max(
-            max((len(level) for level in plan.levels), default=1),
-            len(set(plan.leaf_keys)),
+        parallelism = max(
+            max(len(level) for level in plan.levels), len(set(plan.leaf_keys))
         )
-        pool = self._make_pool(max_parallelism)
+        pool = self._make_pool(parallelism)
         try:
-            for depth0, level in enumerate(plan.levels):
-                stats = {
-                    "phase": plan.nodes[level[0]].phase if level else "",
-                    "nodes": len(level),
-                    "built": 0,
-                    "from_memory": 0,
-                    "from_store": 0,
-                }
-                to_build: List[str] = []
-                for key in level:
-                    blob = cache.get_blob(key)
-                    if blob is not None:
-                        stats["from_memory"] += 1
-                    elif self.store is not None:
-                        blob = self.store.get(key)
-                        if blob is not None:
-                            stats["from_store"] += 1
-                            cache.put_blob(key, blob)
-                    if blob is None:
-                        to_build.append(key)
-                    else:
-                        blobs[key] = blob
-                tasks = []
-                for key in to_build:
-                    node = plan.nodes[key]
-                    parent_blob = blobs[node.parent] if node.parent is not None else None
-                    tasks.append((node.config, node.phase, parent_blob))
-                built = self._dispatch(pool, _build_node_blob, tasks)
-                for key, blob in zip(to_build, built):
-                    assert isinstance(blob, bytes)
-                    node = plan.nodes[key]
-                    blobs[key] = blob
-                    builds += 1
-                    stats["built"] += 1
-                    if node.parent is not None:
-                        restores += 1  # the build restored its parent
-                    charged.add(plan.first_needed[key])
-                    cache.put_blob(key, blob)
-                    if self.store is not None:
-                        self.store.put(key, blob)
-                level_stats.append(stats)
-                if depth0 >= 1:
-                    for key in plan.levels[depth0 - 1]:
-                        if key not in needed_as_leaf:
-                            blobs.pop(key, None)
-
-            leaf_order: List[str] = []
-            group_map: Dict[str, _LeafGroup] = {}
+            blobs, level_stats, built = _materialize_levels(plan, self.store, pool)
+            charged = {plan.first_needed[key] for key in built}
+            groups: Dict[str, _LeafGroup] = {}
             for index, spec in enumerate(specs):
-                key = plan.leaf_keys[index]
-                if key not in group_map:
-                    group_map[key] = []
-                    leaf_order.append(key)
-                group_map[key].append((index, spec, index in charged))
-            outcomes = self._dispatch(
+                groups.setdefault(plan.leaf_keys[index], []).append(
+                    (index, spec, index in charged)
+                )
+            outcomes = _dispatch(
                 pool,
                 _run_leaf_group,
-                [(group_map[key], blobs[key]) for key in leaf_order],
+                [(group, blobs[key]) for key, group in groups.items()],
             )
         finally:
             if pool is not None:
                 pool.shutdown()
-        restores += len(specs)
         indexed: List[Tuple[int, ReplicaResult]] = []
         for group_results in outcomes:
             indexed.extend(group_results)  # type: ignore[arg-type]
         indexed.sort(key=lambda pair: pair[0])
+        # each non-root build restored its parent; each replica its leaf
+        restores = sum(plan.nodes[key].parent is not None for key in built) + len(specs)
         return FleetResult(
             replicas=[result for _, result in indexed],
-            prefix_builds=builds,
+            prefix_builds=len(built),
             prefix_restores=restores,
-            prefix_groups=len(leaf_order),
+            prefix_groups=len(groups),
             phase_units=sum(spec.depth for spec in specs),
-            phase_builds=builds,
-            strategy="tree",
+            phase_builds=len(built),
             tree_stats={
                 "depth": plan.depth,
                 "nodes": len(plan.nodes),
                 "levels": level_stats,
             },
             store_stats=_stable_stats(self.store.stats()) if self.store is not None else None,
-            cache_stats=_stable_stats(cache.stats()),
         )
 
 
@@ -430,7 +303,7 @@ def _stable_stats(stats: dict) -> dict:
     (hash-randomized container layouts pickle to different lengths), so
     raw ``bytes`` totals would leak the worker count into the merged
     result. Counts are scheduling-independent; bytes stay available on
-    :meth:`SnapshotStore.stats` / :meth:`SnapshotCache.stats` directly.
+    :meth:`SnapshotStore.stats` directly.
     """
     return {key: value for key, value in stats.items() if key != "bytes"}
 
@@ -439,25 +312,11 @@ def materialize_tree(specs: Sequence[ReplicaSpec], store: SnapshotStore) -> Tree
     """Populate a disk store with every reuse-tree node for ``specs``.
 
     A warm-up helper (perfbench's ``sweep`` set-up and the warm-store
-    tests): after it runs, a tree-strategy fleet over the same specs
-    performs zero prefix builds.
+    tests): after it runs, a fleet over the same specs performs zero
+    prefix builds.
     """
     plan = plan_tree(specs)
-    blobs: Dict[str, bytes] = {}
-    for depth0, level in enumerate(plan.levels):
-        for key in level:
-            node = plan.nodes[key]
-            blob = store.get(key)
-            if blob is None:
-                parent_blob = blobs[node.parent] if node.parent is not None else None
-                blob = _build_node_blob(node.config, node.phase, parent_blob)
-                store.put(key, blob)
-            blobs[key] = blob
-        if depth0 >= 1:
-            # the frontier rule of ``_run_tree``: a built level's parents
-            # are needed by no deeper level
-            for key in plan.levels[depth0 - 1]:
-                del blobs[key]
+    _materialize_levels(plan, store)
     return plan
 
 

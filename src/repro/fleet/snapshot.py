@@ -1,4 +1,4 @@
-"""World-snapshot prefix cache.
+"""World snapshots: freeze a study after a prefix phase, fork it later.
 
 The N intervention arms and ablation variants of one seeded config all
 share an expensive common prefix — build the world, run the honeypot
@@ -24,13 +24,13 @@ make that hold:
   their views (hash-table layout is a function of mutation *history*,
   which a dump/load cycle does not preserve).
 
-Invalidation rule: cache keys include the config digest, the prefix
-phase, and :data:`SNAPSHOT_SCHEMA_VERSION`; bumping the version (any
-time Study state layout changes incompatibly) orphans every old
-envelope, and :func:`restore_study` refuses envelopes from another
-version rather than guessing. The nested reuse tree
-(:mod:`repro.fleet.tree`) folds the same version into every node key,
-so disk-store entries are orphaned by the same bump.
+Invalidation rule: every envelope records
+:data:`SNAPSHOT_SCHEMA_VERSION`; bumping the version (any time Study
+state layout changes incompatibly) orphans every old envelope, and
+:func:`restore_study` refuses envelopes from another version rather
+than guessing. The nested reuse tree (:mod:`repro.fleet.tree`) folds
+the same version into every node key, so disk-store entries are
+orphaned by the same bump.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import enum
 import hashlib
 import json
 import pickle
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 from repro.core.config import StudyConfig
 from repro.core.study import Study
@@ -50,10 +50,9 @@ from repro.fleet.spec import (
     PREFIX_SIGNATURES,
     PREFIXES,
 )
-from repro.obs.facade import NULL_OBS, Observability
 
 #: bumped whenever Study's pickled layout or the envelope shape changes
-SNAPSHOT_SCHEMA_VERSION = 6
+SNAPSHOT_SCHEMA_VERSION = 7
 
 
 class SnapshotError(RuntimeError):
@@ -180,129 +179,11 @@ def restore_study(blob: bytes) -> Study:
     return study
 
 
-class SnapshotCache:
-    """Bounded in-memory envelope cache, LRU-evicted, obs-instrumented.
-
-    Two access levels share one LRU store:
-
-    * ``get_or_build(config, prefix)`` — the whole-chain interface:
-      returns a *live study* forked from the cached envelope (every
-      caller gets an independent copy — the envelope bytes are never
-      mutated), plus whether the call hit the cache. Envelopes that
-      fail verification are evicted and rebuilt, never trusted.
-    * ``get_blob``/``put_blob`` — raw string-keyed envelope bytes, used
-      by the tree scheduler whose keys are reuse-node digests rather
-      than ``(config, prefix)`` pairs.
-
-    ``max_entries``/``max_bytes`` bound residency (``None`` = unbounded,
-    the historical behaviour): inserting past either limit evicts
-    least-recently-used envelopes first. Residency and eviction counts
-    are published on the ``fleet.snapshot.bytes`` gauge and
-    ``fleet.snapshot.evictions`` counter of the optional ``obs`` handle,
-    so a long sweep's memory profile shows up in its trace.
-    """
-
-    def __init__(
-        self,
-        max_entries: Optional[int] = None,
-        max_bytes: Optional[int] = None,
-        obs: Observability = NULL_OBS,
-    ) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be >= 1")
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self._cache: Dict[str, bytes] = {}
-        self.builds = 0
-        self.restores = 0
-        self.evictions = 0
-        self._bytes_gauge = obs.gauge("fleet.snapshot.bytes")
-        self._eviction_counter = obs.counter("fleet.snapshot.evictions")
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    @property
-    def bytes_cached(self) -> int:
-        return sum(len(blob) for blob in self._cache.values())
-
-    def stats(self) -> dict:
-        return {
-            "entries": len(self._cache),
-            "bytes": self.bytes_cached,
-            "builds": self.builds,
-            "restores": self.restores,
-            "evictions": self.evictions,
-        }
-
-    # -- raw blob access (tree-node keys) -------------------------------
-
-    def get_blob(self, key: str) -> Optional[bytes]:
-        """The cached envelope under ``key``, refreshed as most-recent."""
-        blob = self._cache.pop(key, None)
-        if blob is None:
-            return None
-        self._cache[key] = blob  # reinsert: dict order is the LRU order
-        return blob
-
-    def put_blob(self, key: str, blob: bytes) -> None:
-        """Insert an envelope, evicting LRU entries past the bounds."""
-        self._cache.pop(key, None)
-        self._cache[key] = blob
-        self._evict()
-        self._bytes_gauge.set(self.bytes_cached)
-
-    def drop(self, key: str) -> None:
-        """Forget one entry (without counting it as an eviction)."""
-        self._cache.pop(key, None)
-        self._bytes_gauge.set(self.bytes_cached)
-
-    def _evict(self) -> None:
-        while self._cache and (
-            (self.max_entries is not None and len(self._cache) > self.max_entries)
-            or (self.max_bytes is not None and self.bytes_cached > self.max_bytes)
-        ):
-            oldest = next(iter(self._cache))
-            del self._cache[oldest]
-            self.evictions += 1
-            self._eviction_counter.inc()
-
-    # -- whole-chain interface ------------------------------------------
-
-    def _key(self, config: StudyConfig, prefix: str) -> str:
-        return f"{config_digest(config)}:{prefix}:v{SNAPSHOT_SCHEMA_VERSION}"
-
-    def get_or_build(self, config: StudyConfig, prefix: str) -> Tuple[Study, bool]:
-        key = self._key(config, prefix)
-        blob = self.get_blob(key)
-        if blob is not None:
-            try:
-                study = restore_study(blob)
-            except SnapshotError:
-                self.drop(key)
-            else:
-                self.restores += 1
-                return study, True
-        self.builds += 1
-        built = build_prefix(config, prefix)
-        blob = snapshot_study(built, prefix)
-        self.put_blob(key, blob)
-        # hand back a fork of the frozen bytes, not the builder study:
-        # every replica then starts from the identical restored state,
-        # including the one that happened to pay for the build
-        study = restore_study(blob)
-        self.restores += 1
-        return study, False
-
-
 __all__ = [
     "SNAPSHOT_SCHEMA_VERSION",
     "PREFIX_BUILD_WORLD",
     "PREFIX_HONEYPOT",
     "PREFIX_SIGNATURES",
-    "SnapshotCache",
     "SnapshotError",
     "advance_prefix",
     "build_prefix",

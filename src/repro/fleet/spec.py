@@ -21,7 +21,7 @@ actually executed; their ratio is the headline
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.config import StudyConfig
 
@@ -104,8 +104,8 @@ class FleetResult:
     ``prefix_builds``/``prefix_restores`` count snapshot-node builds and
     envelope restores; ``phase_units``/``phase_builds`` are the
     phase-granular cost ledger (see the module docstring).
-    ``tree_stats``/``store_stats`` are present when the run used the
-    tree scheduler / a disk snapshot store.
+    ``tree_stats`` is present when the fleet ran any replica,
+    ``store_stats`` when it used a disk snapshot store.
     """
 
     replicas: list[ReplicaResult]
@@ -114,26 +114,21 @@ class FleetResult:
     prefix_groups: int
     phase_units: int = 0
     phase_builds: int = 0
-    #: "tree" (nested prefix reuse), "flat" (whole-chain groups), or
-    #: "no-reuse" (every replica rebuilds its own chain)
-    strategy: str = "flat"
     tree_stats: dict | None = None
     store_stats: dict | None = None
-    cache_stats: dict | None = field(default=None, repr=False)
 
     @property
     def build_cost_avoided_frac(self) -> float:
         """Fraction of no-reuse phase-steps the fleet did not execute."""
-        if self.phase_units > 0:
-            return 1.0 - self.phase_builds / self.phase_units
-        if not self.replicas:
+        if self.phase_units == 0:
             return 0.0
-        return 1.0 - self.prefix_builds / len(self.replicas)
+        return 1.0 - self.phase_builds / self.phase_units
 
     def merged_payload(self) -> dict:
         """The spec-order merged payload (worker count independent)."""
         snapshot: dict = {
-            "strategy": self.strategy,
+            # the runner's only strategy; the key keeps the payload shape
+            "strategy": "tree",
             "prefix_groups": self.prefix_groups,
             "prefix_builds": self.prefix_builds,
             "prefix_restores": self.prefix_restores,
@@ -201,22 +196,15 @@ class FleetResult:
                 obs.counter("fleet.node.restores", phase=phase, source="disk").inc(
                     level.get("from_store", 0)
                 )
-                obs.counter("fleet.node.restores", phase=phase, source="memory").inc(
-                    level.get("from_memory", 0)
-                )
         if self.store_stats is not None:
             for key in ("hits", "misses", "writes", "corruptions", "evictions"):
                 obs.counter(f"fleet.store.{key}").inc(self.store_stats.get(key, 0))
             if "bytes" in self.store_stats:
                 obs.gauge("fleet.store.bytes").set(self.store_stats["bytes"])
-        if self.cache_stats is not None:
-            obs.counter("fleet.snapshot.evictions").inc(self.cache_stats.get("evictions", 0))
-            if "bytes" in self.cache_stats:
-                obs.gauge("fleet.snapshot.bytes").set(self.cache_stats["bytes"])
         meta = {
             "replica": FLEET_TRACE_REPLICA,
             "fleet": {
-                "strategy": self.strategy,
+                "strategy": "tree",
                 "replica_count": len(self.replicas),
                 "prefix_groups": self.prefix_groups,
                 "phase_units": self.phase_units,

@@ -1,9 +1,9 @@
 """Nested prefix-snapshot reuse trees.
 
-The flat cache keys a whole prefix chain by ``(config digest, prefix)``
-— two configs differing only in ``honeypot_days`` share *nothing*, even
-though they build the identical world. This module replaces that key
-with a **reuse tree**: one node per (chain position, phase-relevant
+Keying a whole prefix chain by ``(config digest, prefix)`` would let
+two configs differing only in ``honeypot_days`` share *nothing*, even
+though they build the identical world. This module keys snapshots by a
+**reuse tree** instead: one node per (chain position, phase-relevant
 config slice), where a child snapshot is derived from its parent's
 frozen bytes. Replicas that share a world but diverge at honeypot
 config fork at the deepest common ancestor, and a 200-replica threshold
@@ -28,7 +28,7 @@ Each chain link consumes a disjoint slice of :class:`StudyConfig`:
 A node's key is the running BLAKE2 digest of its ancestry — parent key,
 phase name, the canonical JSON of the phase slice, and
 :data:`~repro.fleet.snapshot.SNAPSHOT_SCHEMA_VERSION` (so a schema bump
-orphans on-disk nodes the same way it orphans in-memory envelopes).
+orphans on-disk nodes the same way it orphans every envelope).
 Equal keys ⇒ byte-equivalent snapshots, because every ancestor slice
 agreed.
 

@@ -176,7 +176,7 @@ class TestSweep:
              "--trace", str(trace_path), "--store", str(store_root)]
         ) == 0
         err = capsys.readouterr().err
-        assert "sweep cli-smoke: 1 replicas, strategy=tree" in err
+        assert "sweep cli-smoke: 1 replicas, phase builds 3/3" in err
 
         payload = json.loads(payload_path.read_text())
         assert payload["replica_count"] == 1
@@ -212,7 +212,7 @@ class TestSweep:
 
     def test_sweep_parser_defaults(self):
         args = build_parser().parse_args(["sweep", "manifest.json"])
-        assert args.strategy == "tree"
+        assert not hasattr(args, "strategy")
         assert args.store == ""
         assert args.store_max_bytes is None
         assert args.workers is None

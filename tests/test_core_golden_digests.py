@@ -175,14 +175,13 @@ def test_span_stream_identical_to_golden(golden_run) -> None:
     _assert_golden("span_stream", golden_run)
 
 
-def test_wheel_parks_collusion_driver_after_expiry(golden_run) -> None:
-    """The only idle-skipping agent actually parks once enrollments lapse."""
+def test_every_agent_runs_every_tick(golden_run) -> None:
+    """No agent skips a tick: agent runs are agents x ticks elapsed."""
     study, _ = golden_run
-    # by the end of the run every collusion-honeypot enrollment (trial
-    # honeypot_days + 1) is long past, so the driver must be parked
-    assert study._wheel.scheduled_tick("collusion-honeypots") is None
-    # always-due agents stay scheduled for the next tick
-    assert study._wheel.scheduled_tick("organic") == study.clock.now
+    agents = study.obs.metrics.gauge("core.scheduler.agents").value
+    runs = study.obs.metrics.get_counter_value("core.scheduler.agent_runs")
+    assert agents > 0
+    assert runs == agents * study.clock.now
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 The runner's contract (DESIGN.md §10): the merged payload and merged
 trace are a pure function of the spec list — identical for ``workers``
-1, 2, and 4, and the prefix-reuse cache changes wall-clock only, never
-replica payloads. The expensive fleets are built once per module and
-shared across the assertions.
+1, 2, and 4 — and prefix reuse changes wall-clock only, never replica
+payloads: every replica equals the no-reuse reference in
+``tests/oracles/fleet.py``. The expensive fleets are built once per
+module and shared across the assertions.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from repro.fleet import (
     FleetRunner,
     ReplicaResult,
     ReplicaSpec,
-    SnapshotCache,
     SnapshotError,
     SnapshotStore,
     SweepManifest,
@@ -46,10 +46,10 @@ from repro.fleet import (
 )
 from repro.fleet import arms as arms_module
 from repro.fleet import runner as runner_module
-from repro.fleet import snapshot as snapshot_module
 from repro.fleet.store import STORE_SCHEMA_VERSION
-from repro.obs import Observability, split_segments
+from repro.obs import split_segments
 from repro.obs.schema import validate_trace
+from tests.oracles.fleet import flat_phase_builds, run_without_reuse
 
 SEEDS = (21, 22)
 WORKER_COUNTS = (1, 2, 4)
@@ -89,8 +89,8 @@ def fleets() -> dict[int, FleetResult]:
 
 
 @pytest.fixture(scope="module")
-def serial_no_reuse() -> FleetResult:
-    return FleetRunner(workers=1, reuse_prefix=False).run(_specs())
+def serial_no_reuse() -> list[ReplicaResult]:
+    return run_without_reuse(_specs())
 
 
 class TestWorkerCountInvariance:
@@ -119,7 +119,7 @@ class TestMergeContract:
         # world → honeypot → signatures chain (3 node builds), and the
         # two arms of a seed share that chain's leaf
         for fleet in fleets.values():
-            assert fleet.strategy == "tree"
+            assert fleet.merged_payload()["snapshot"]["strategy"] == "tree"
             assert fleet.prefix_groups == len(SEEDS)
             assert fleet.prefix_builds == 3 * len(SEEDS)
             # restores: every non-root node restores its parent blob
@@ -150,8 +150,7 @@ class TestMergeContract:
 class TestPrefixReuseEquivalence:
     def test_reuse_changes_wall_clock_only_never_payloads(self, fleets, serial_no_reuse) -> None:
         reused = fleets[1]
-        assert serial_no_reuse.prefix_builds == len(serial_no_reuse.replicas)
-        assert all(not replica.prefix_reused for replica in serial_no_reuse.replicas)
+        assert len(serial_no_reuse) == len(reused.replicas)
         # spans are identical too, once the only legitimate delta — the
         # prefix_reused header flag — is ignored
         def strip(lines):
@@ -164,32 +163,20 @@ class TestPrefixReuseEquivalence:
                 stripped.append(line)
             return stripped
 
-        for with_cache, without_cache in zip(reused.replicas, serial_no_reuse.replicas):
-            assert with_cache.payload == without_cache.payload
-            assert with_cache.trace is not None
-            assert strip(with_cache.trace) == strip(without_cache.trace)
+        for with_reuse, without_reuse in zip(reused.replicas, serial_no_reuse):
+            assert with_reuse.payload == without_reuse.payload
+            assert with_reuse.trace is not None
+            assert strip(with_reuse.trace) == strip(without_reuse.trace)
 
 
 class TestStrategyEquivalence:
-    """Flat, tree, and warm-store runs differ in scheduling only."""
-
-    def test_flat_and_tree_payloads_identical(self, fleets) -> None:
-        flat = FleetRunner(workers=1, strategy="flat").run(_specs())
-        tree = fleets[1]
-        assert flat.strategy == "flat"
-        assert [r.payload for r in flat.replicas] == [r.payload for r in tree.replicas]
-        assert flat.phase_units == tree.phase_units
-        # same specs, different ledgers: flat rebuilt nothing extra here
-        # (the two seeds share nothing), so the costs happen to agree
-        assert flat.prefix_groups == len(SEEDS)
+    """Cold, warm-store and corrupt-store runs differ in scheduling only."""
 
     def test_warm_store_run_builds_nothing(self, fleets) -> None:
         root = temporary_store_root()
         try:
             materialize_tree(_specs(), SnapshotStore(root))
-            warm = FleetRunner(
-                workers=1, strategy="tree", store=SnapshotStore(root)
-            ).run(_specs())
+            warm = FleetRunner(workers=1, store=SnapshotStore(root)).run(_specs())
             assert warm.prefix_builds == 0
             assert warm.build_cost_avoided_frac == 1.0
             assert all(replica.prefix_reused for replica in warm.replicas)
@@ -214,7 +201,7 @@ class TestStrategyEquivalence:
             with open(path, "wb") as handle:
                 handle.write(data[: len(data) // 3])
             store = SnapshotStore(root)
-            result = FleetRunner(workers=1, strategy="tree", store=store).run(_specs())
+            result = FleetRunner(workers=1, store=store).run(_specs())
             assert store.corruptions == 1
             assert result.prefix_builds == 1  # only the truncated node
             assert [r.payload for r in result.replicas] == [
@@ -361,12 +348,13 @@ class TestInterruptedSweep:
 
 
 class TestTreeVersusFlatLedger:
-    """The tree's advantage over flat is an exact phase-build count.
+    """The tree's advantage over whole-config grouping is an exact
+    phase-build count.
 
     One seed, two honeypot spans and two measurement windows: four
-    replicas of depth 3, so 12 phase units. Flat keys its groups on the
-    whole config, so each replica rebuilds world, honeypot and
-    signatures (12 builds). The tree builds one world, forks the two
+    replicas of depth 3, so 12 phase units. Grouping on the whole config
+    (``flat_phase_builds``) rebuilds world, honeypot and signatures for
+    every replica (12 builds). The tree builds one world, forks the two
     honeypot spans off it and lets both windows share each chain (5).
     """
 
@@ -379,57 +367,12 @@ class TestTreeVersusFlatLedger:
             measurement_days=(1, 2),
         )
         specs = expand_manifest(manifest)
-        flat = FleetRunner(workers=1, strategy="flat").run(specs)
-        tree = FleetRunner(workers=1, strategy="tree").run(specs)
-        assert (flat.phase_units, tree.phase_units) == (12, 12)
-        assert flat.phase_builds == 12
+        tree = FleetRunner(workers=1).run(specs)
+        assert tree.phase_units == 12
+        assert flat_phase_builds(specs) == 12
         assert tree.phase_builds == 5
-        assert tree.build_cost_avoided_frac > flat.build_cost_avoided_frac
-        assert [r.payload for r in flat.replicas] == [r.payload for r in tree.replicas]
-
-
-class TestBoundedCache:
-    def test_entry_bound_evicts_lru_and_counts(self) -> None:
-        obs = Observability(enabled=True)
-        cache = SnapshotCache(max_entries=2, obs=obs)
-        cache.put_blob("a", b"aa")
-        cache.put_blob("b", b"bb")
-        assert cache.get_blob("a") == b"aa"  # refresh a above b
-        cache.put_blob("c", b"cc")
-        assert cache.get_blob("b") is None
-        assert cache.get_blob("a") == b"aa"
-        assert cache.evictions == 1
-        entries = {
-            (entry["name"], entry["type"]): entry
-            for entry in obs.metrics.snapshot()["metrics"]
-        }
-        assert entries[("fleet.snapshot.evictions", "counter")]["value"] == 1
-        assert entries[("fleet.snapshot.bytes", "gauge")]["value"] == cache.bytes_cached
-
-    def test_byte_bound_holds(self) -> None:
-        cache = SnapshotCache(max_bytes=100)
-        for index in range(6):
-            cache.put_blob(f"k{index}", bytes([index]) * 40)
-        assert cache.bytes_cached <= 100
-        assert len(cache) == 2
-        assert cache.evictions == 4
-
-    def test_invalid_bounds_rejected(self) -> None:
-        with pytest.raises(ValueError, match="max_entries"):
-            SnapshotCache(max_entries=0)
-        with pytest.raises(ValueError, match="max_bytes"):
-            SnapshotCache(max_bytes=0)
-
-    def test_bounded_cache_changes_costs_not_payloads(self, fleets) -> None:
-        # a one-entry cache forces rebuilds the unbounded run avoided,
-        # but the replica bytes must not notice
-        tight = FleetRunner(
-            workers=1, strategy="tree", cache=SnapshotCache(max_entries=1)
-        ).run(_specs())
-        assert tight.cache_stats is not None
-        assert tight.cache_stats["entries"] <= 1
-        assert [r.payload for r in tight.replicas] == [
-            r.payload for r in fleets[1].replicas
+        assert [r.payload for r in tree.replicas] == [
+            r.payload for r in run_without_reuse(specs)
         ]
 
 
@@ -443,9 +386,8 @@ class TestReplicaCollection:
             name=f"r{i}", config=StudyConfig.tiny(seed=21), prefix=PREFIX_BUILD_WORLD
         )
 
-    @pytest.mark.parametrize("strategy", ["tree", "flat", "no-reuse"])
     def test_previous_study_is_unreachable_when_the_next_restore_starts(
-        self, monkeypatch, strategy
+        self, monkeypatch
     ) -> None:
         studies: list[weakref.ref] = []
         restore = runner_module.restore_study
@@ -457,21 +399,15 @@ class TestReplicaCollection:
             return study
 
         monkeypatch.setattr(runner_module, "restore_study", tracked_restore)
-        monkeypatch.setattr(snapshot_module, "restore_study", tracked_restore)
         # a trivial arm: nothing it allocates can trigger a collection
         monkeypatch.setattr(
             arms_module, "resolve_arm", lambda name: lambda study, options: {}
         )
         specs = [self._spec(i) for i in range(3)]
-        if strategy == "tree":
-            blob = runner_module._build_node_blob(specs[0].config, PREFIX_BUILD_WORLD, None)
-            results = runner_module._run_leaf_group(
-                [(i, spec, i == 0) for i, spec in enumerate(specs)], blob
-            )
-        else:
-            results, _, _ = runner_module._run_group(
-                list(enumerate(specs)), reuse_prefix=strategy == "flat"
-            )
+        blob = runner_module._build_node_blob(specs[0].config, PREFIX_BUILD_WORLD, None)
+        results = runner_module._run_leaf_group(
+            [(i, spec, i == 0) for i, spec in enumerate(specs)], blob
+        )
         assert [index for index, _ in results] == [0, 1, 2]
         assert len(studies) == 3
         assert studies[-1]() is None
@@ -499,6 +435,11 @@ class TestRunnerValidation:
     def test_zero_workers_rejected(self) -> None:
         with pytest.raises(ValueError, match="workers"):
             FleetRunner(workers=0)
+
+    def test_only_the_tree_strategy_is_accepted(self) -> None:
+        assert FleetRunner(strategy="tree").workers == 1
+        with pytest.raises(ValueError, match="unknown strategy"):
+            FleetRunner(strategy="flat")
 
     def test_unknown_arm_rejected(self) -> None:
         with pytest.raises(ValueError, match="unknown arm"):
@@ -534,7 +475,12 @@ class TestSpecHelpers:
             for i in range(3)
         ]
         result = FleetResult(
-            replicas=replicas, prefix_builds=1, prefix_restores=3, prefix_groups=1
+            replicas=replicas,
+            prefix_builds=1,
+            prefix_restores=3,
+            prefix_groups=1,
+            phase_units=3,
+            phase_builds=1,
         )
         merged = result.merged_payload()
         assert merged["schema_version"] == FLEET_SCHEMA_VERSION

@@ -25,7 +25,6 @@ from repro.fleet import (
     PREFIX_SIGNATURES,
     PREFIXES,
     SNAPSHOT_SCHEMA_VERSION,
-    SnapshotCache,
     SnapshotError,
     advance_prefix,
     build_prefix,
@@ -114,33 +113,25 @@ class TestEnvelope:
         envelope["schema_version"] = version
         return pickle.dumps(envelope)
 
-    def test_version_2_envelope_rejected(self) -> None:
-        """Version 3 added the collusion engine's per-tick follow state and
-        prunes like cooldowns daily; a version-2 envelope is refused, not
-        thawed into the new layout."""
-        with pytest.raises(SnapshotError, match="schema_version 2 != current 6"):
-            restore_study(self._envelope_of_version(2))
-
-    def test_version_3_envelope_rejected(self) -> None:
-        """Version 4 added the collusion engine's per-tick pool ids (the
-        like saturation test); a version-3 envelope is refused too."""
-        with pytest.raises(SnapshotError, match="schema_version 3 != current 6"):
-            restore_study(self._envelope_of_version(3))
-
-    def test_version_4_envelope_rejected(self) -> None:
-        """Version 5 replaced the collusion engine's per-tick follow state
-        with a count per recipient and added its free-like saturation
-        verdicts; a version-4 envelope is refused."""
-        with pytest.raises(SnapshotError, match="schema_version 4 != current 6"):
-            restore_study(self._envelope_of_version(4))
-
-    def test_version_5_envelope_rejected(self) -> None:
-        """Version 6 dropped ``StudyConfig.profile`` and the pickled
-        ``Observability``'s profiler attribute; a version-5 envelope is
-        refused."""
-        assert SNAPSHOT_SCHEMA_VERSION == 6
-        with pytest.raises(SnapshotError, match="schema_version 5 != current 6"):
-            restore_study(self._envelope_of_version(5))
+    # What each version changed, so an envelope of any older version is
+    # refused rather than thawed into the current layout:
+    #
+    # | version | layout change over the version before                   |
+    # |---------|---------------------------------------------------------|
+    # | 3       | collusion engine's per-tick follow state; like          |
+    # |         | cooldowns pruned daily                                  |
+    # | 4       | collusion engine's per-tick pool ids (the like          |
+    # |         | saturation test)                                        |
+    # | 5       | per-recipient follow count replaces the per-tick follow |
+    # |         | state; free-like saturation verdicts                    |
+    # | 6       | ``StudyConfig.profile`` and the pickled                 |
+    # |         | ``Observability``'s profiler attribute dropped          |
+    # | 7       | the study's agent loop keeps no wake schedule           |
+    @pytest.mark.parametrize("version", range(2, SNAPSHOT_SCHEMA_VERSION))
+    def test_older_version_envelope_rejected(self, version: int) -> None:
+        expected = f"schema_version {version} != current {SNAPSHOT_SCHEMA_VERSION}"
+        with pytest.raises(SnapshotError, match=expected):
+            restore_study(self._envelope_of_version(version))
 
     def test_envelope_without_study_rejected(self) -> None:
         blob = pickle.dumps({"schema_version": SNAPSHOT_SCHEMA_VERSION, "study": "nope"})
@@ -160,21 +151,3 @@ class TestConfigDigest:
         assert config_digest(StudyConfig.tiny(seed=11)) == config_digest(StudyConfig.tiny(seed=11))
         assert config_digest(StudyConfig.tiny(seed=11)) != config_digest(StudyConfig.tiny(seed=12))
         assert config_digest(StudyConfig.tiny(seed=11)) != config_digest(StudyConfig.small(seed=11))
-
-
-class TestSnapshotCache:
-    def test_second_request_hits_and_builder_also_restores(self) -> None:
-        cache = SnapshotCache()
-        config = StudyConfig.tiny(seed=11)
-        first, hit_first = cache.get_or_build(config, PREFIX_BUILD_WORLD)
-        second, hit_second = cache.get_or_build(config, PREFIX_BUILD_WORLD)
-        assert (hit_first, hit_second) == (False, True)
-        assert (cache.builds, cache.restores) == (1, 2)
-        assert first is not second  # every caller gets an independent fork
-
-    def test_distinct_seeds_do_not_share_an_envelope(self) -> None:
-        cache = SnapshotCache()
-        cache.get_or_build(StudyConfig.tiny(seed=11), PREFIX_BUILD_WORLD)
-        _, hit = cache.get_or_build(StudyConfig.tiny(seed=12), PREFIX_BUILD_WORLD)
-        assert not hit
-        assert cache.builds == 2

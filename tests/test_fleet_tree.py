@@ -26,7 +26,6 @@ from repro.fleet import (
     PREFIX_SIGNATURES,
     PREFIXES,
     ArmSpec,
-    FleetRunner,
     ReplicaSpec,
     SnapshotStore,
     SweepManifest,
@@ -39,7 +38,7 @@ from repro.fleet import (
     snapshot_study,
     temporary_store_root,
 )
-from repro.fleet.runner import _group_specs, _run_replica
+from repro.fleet.runner import _run_replica
 from repro.fleet.tree import (
     HONEYPOT_FIELDS,
     POST_PREFIX_FIELDS,
@@ -49,6 +48,7 @@ from repro.fleet.tree import (
     phase_subdigest,
     plan_tree,
 )
+from tests.oracles.fleet import flat_phase_builds, run_without_reuse
 
 
 def _spec(config: StudyConfig, name: str) -> ReplicaSpec:
@@ -188,10 +188,11 @@ def _orchestrator_grid(prefix: str) -> list[ReplicaSpec]:
 
 
 class TestPlannedLedger:
-    """Phase builds the tree plans against flat's, by planning alone.
+    """Phase builds the tree plans against whole-config grouping's, by
+    planning alone.
 
-    Flat groups specs by the whole config digest and builds each group's
-    chain once; the tree builds each distinct phase sub-digest once.
+    Whole-config grouping builds one chain per distinct config digest;
+    the tree builds each distinct phase sub-digest once.
     """
 
     @pytest.mark.parametrize(
@@ -209,15 +210,13 @@ class TestPlannedLedger:
         assert len(specs) == 24
         assert sum(spec.depth for spec in specs) == units
         assert len(plan_tree(specs).nodes) == tree_builds
-        assert sum(PREFIX_DEPTH[group[0][1].prefix] for group in _group_specs(specs)) == (
-            flat_builds
-        )
+        assert flat_phase_builds(specs) == flat_builds
 
     def test_full_depth_avoided_fractions(self) -> None:
         specs = _orchestrator_grid(PREFIX_SIGNATURES)
         units = sum(spec.depth for spec in specs)
         tree = 1.0 - len(plan_tree(specs).nodes) / units
-        flat = 1.0 - sum(PREFIX_DEPTH[g[0][1].prefix] for g in _group_specs(specs)) / units
+        flat = 1.0 - flat_phase_builds(specs) / units
         assert round(tree, 3) == 0.861
         assert round(flat, 3) == 0.667
 
@@ -262,7 +261,7 @@ def _strip_reused(lines: list) -> list:
 @pytest.mark.parametrize("label,config", _presets())
 def test_restore_from_every_depth_is_byte_identical(label, config) -> None:
     spec = _spec(config, f"{label}/standard")
-    baseline = FleetRunner(workers=1, reuse_prefix=False).run([spec]).replicas[0]
+    (baseline,) = run_without_reuse([spec])
 
     root = temporary_store_root()
     try:

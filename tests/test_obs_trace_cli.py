@@ -36,7 +36,7 @@ def _sample_obs(wall: bool = False) -> Observability:
             obs.counter("detection.classifier.sweeps", tier="streamed").inc()
         clock["now"] = 144
     obs.gauge("core.scheduler.agents").set(5)
-    obs.histogram("core.scheduler.due_agents").observe(3)
+    obs.histogram("platform.actionlog.batch_fill").observe(3)
     return obs
 
 
@@ -217,7 +217,7 @@ class TestCli:
         assert "honeypot-phase" in out
         assert "platform.actionlog.window_query{path=index}" in out
         assert "core.scheduler.agents" in out
-        assert "core.scheduler.due_agents" in out
+        assert "platform.actionlog.batch_fill" in out
 
     def test_summarize_missing_file_is_an_error(self, capsys: pytest.CaptureFixture) -> None:
         assert main(["summarize", "definitely/not/a/trace.jsonl"]) == 1
