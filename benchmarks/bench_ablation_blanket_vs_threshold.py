@@ -20,8 +20,7 @@ from repro.util.tables import format_table
 
 def test_ablation_blanket_vs_threshold(benchmark, bench_study, bench_dataset):
     classifier = bench_study.classifier
-    records = list(bench_study.platform.log)
-    benign = classifier.benign_records(records, bench_dataset.start_tick, bench_dataset.end_tick)
+    benign = classifier.benign_records(bench_dataset.start_tick, bench_dataset.end_tick)
     subject_by_asn = bench_study._subject_by_asn()
     covered = set(subject_by_asn)
     benign_in_scope = [r for r in benign if r.endpoint.asn in covered]

@@ -36,8 +36,7 @@ def _benign_fp_rate(benign_records, aas_records, subject_by_asn, percentile):
 
 def test_ablation_threshold_percentile(benchmark, bench_study, bench_dataset):
     classifier = bench_study.classifier
-    records = list(bench_study.platform.log)
-    benign = classifier.benign_records(records, bench_dataset.start_tick, bench_dataset.end_tick)
+    benign = classifier.benign_records(bench_dataset.start_tick, bench_dataset.end_tick)
     aas = [
         r
         for activity in bench_dataset.attributed.values()

@@ -338,9 +338,7 @@ def fig34_target_bias(study: Study, dataset: MeasurementDataset, sample_size: in
     rng = study.seeds.fresh("fig34-sampling")
     out: dict[str, Any] = {}
     assert study.classifier is not None
-    benign = study.classifier.benign_records(
-        study.platform.log, dataset.start_tick, dataset.end_tick
-    )
+    benign = study.classifier.benign_records(dataset.start_tick, dataset.end_tick)
     baseline = sample_receiving_accounts(
         benign, rng, sample_size, dataset.start_tick, dataset.end_tick
     )

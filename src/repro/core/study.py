@@ -481,22 +481,21 @@ class Study:
                 signatures = _accumulate(
                     signatures, service_name, ServiceType.COLLUSION_NETWORK, records
                 )
-        self._set_classifier(AASClassifier(signatures, obs=self.obs))
+        self._set_classifier(AASClassifier(signatures, self.platform.log, obs=self.obs))
         assert self.classifier is not None
         return self.classifier
 
     def _set_classifier(self, classifier: AASClassifier) -> None:
-        """Install a classifier, managing the streaming attachment.
+        """Install a classifier bound to the platform log.
 
-        The classifier observes every future log append, so repeated
-        sweeps (interventions, the epilogue) are incremental
-        instead of rescanning the full log; replacing the classifier
-        (signature relearning) must detach the old observer first.
+        The classifier observes every log append, so repeated sweeps
+        (interventions, the epilogue) are slices of its streams instead
+        of rescans of the full log; replacing the classifier (signature
+        relearning) detaches the old one's observer.
         """
-        if self.classifier is not None and self.classifier.attached_log is not None:
+        if self.classifier is not None:
             self.classifier.detach()
         self.classifier = classifier
-        classifier.attach(self.platform.log)
 
     def teardown_honeypots(self) -> int:
         """Delete all honeypots (the paper's post-measurement cleanup)."""
@@ -573,7 +572,7 @@ class Study:
         """Sweep + analytics over an arbitrary window."""
         assert self.classifier is not None
         with self.obs.span("sweep", start_tick=start_tick, end_tick=end_tick):
-            attributed = self.classifier.sweep(self.platform.log, start_tick, end_tick)
+            attributed = self.classifier.sweep(start_tick, end_tick)
         analytics: dict[str, CustomerBaseAnalytics] = {}
         for name, activity in attributed.items():
             if name == "Followersgratis":
@@ -635,7 +634,7 @@ class Study:
             end_tick = self.clock.now
             controller.stop()
             with self.obs.span("sweep", start_tick=start_tick, end_tick=end_tick):
-                attributed = self.classifier.sweep(self.platform.log, start_tick, end_tick)
+                attributed = self.classifier.sweep(start_tick, end_tick)
             assert controller.thresholds is not None
         return InterventionOutcome(
             name=name,
@@ -699,7 +698,9 @@ class Study:
                 client_variants=existing.client_variants
                 | frozenset({service.fingerprint.variant}),
             )
-        self._set_classifier(AASClassifier(list(merged.values()), obs=self.obs))
+        self._set_classifier(
+            AASClassifier(list(merged.values()), self.platform.log, obs=self.obs)
+        )
 
     def run_epilogue(
         self,
@@ -754,6 +755,7 @@ class Study:
                     remaining -= segment
                     if remaining > 0:
                         self._relearn_from_current_infrastructure()
+                        controller.classifier = self.classifier
                         policy.thresholds = controller.calibrate(
                             max(0, self.clock.now - days(calibration_days)),
                             self.clock.now,

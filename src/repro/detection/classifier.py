@@ -8,30 +8,26 @@ matched actions are service customers, and for collusion networks the
 inbound-only accounts that pay the no-outbound fee — Section 5.2 counts
 them exactly this way).
 
-Two execution tiers produce identical results (the equivalence is
-property-tested in ``tests/test_detection_streaming_equivalence.py``):
+The classifier binds to one :class:`~repro.platform.actions.ActionLog`
+at construction: it attributes the rows already there, then registers
+as a log observer and attributes every later row once, on append, into
+per-service (and benign) record caches. A sweep of any window is a
+binary search plus one list slice per service. The log only accepts
+appends in tick order, so the caches stay sorted by tick. The
+reference semantics — every record in the window matched against the
+signature list, first matching signature wins — live with the tests
+(``tests/oracles/classifier.py``), and
+``tests/test_detection_streaming_equivalence.py`` checks the streams
+against them.
 
-1. **Brute force** — any iterable of records; every record in the window
-   is matched against the signature list (first matching signature
-   wins). The reference semantics. An unattached
-   :class:`~repro.platform.actions.ActionLog` is first narrowed to the
-   window with its tick index.
-2. **Streaming attribution** — :meth:`AASClassifier.attach` registers the
-   classifier as a log observer; records are attributed once, on append,
-   into per-service (and benign) record caches, so every later sweep over
-   the attached log is a binary search plus one list slice per service.
-   An out-of-order append invalidates the bisect and sends later sweeps
-   back to brute force.
-
-Both tiers share a per-(ASN, variant) match memo: signatures only inspect
-the endpoint, so distinct endpoints — not records — bound the matching
-work.
+A per-(ASN, variant) match memo bounds the matching work: signatures
+only inspect the endpoint, so distinct endpoints — not records — set
+how many signature comparisons run.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -85,21 +81,6 @@ class AttributedActivity:
 _UNSEEN = object()
 
 
-def _window(
-    records: Iterable[ActionRecord], start_tick: int, end_tick: int | None
-) -> Iterable[ActionRecord]:
-    """The records of ``records`` in ``[start_tick, end_tick)``, in order.
-
-    A log narrows with its tick index; any other iterable is filtered.
-    """
-    if isinstance(records, ActionLog):
-        return records.records_between(start_tick, end_tick)
-    return (
-        r for r in records
-        if r.tick >= start_tick and (end_tick is None or r.tick < end_tick)
-    )
-
-
 def _cut_window(values: list, ticks: list[int], start_tick: int, end_tick: int | None) -> list:
     """Slice ``values`` (parallel to sorted ``ticks``) to a tick window."""
     lo = bisect_left(ticks, start_tick)
@@ -108,7 +89,8 @@ def _cut_window(values: list, ticks: list[int], start_tick: int, end_tick: int |
 
 
 class AASClassifier:
-    """Attributes log records to services via learned signatures.
+    """Attributes the rows of one action log to services via learned
+    signatures.
 
     The signature list must not be mutated after construction (the match
     memo and streaming caches key off it); re-learning builds a new
@@ -116,7 +98,10 @@ class AASClassifier:
     """
 
     def __init__(
-        self, signatures: Iterable[ServiceSignature], obs: Optional[Observability] = None
+        self,
+        signatures: Iterable[ServiceSignature],
+        log: ActionLog,
+        obs: Optional[Observability] = None,
     ):
         self.signatures = list(signatures)
         names = [s.service for s in self.signatures]
@@ -130,26 +115,26 @@ class AASClassifier:
         #: perfbench's obs.cost_units.classifier; memo hits cost zero
         #: comparisons
         self._obs_comparisons = _obs.counter("detection.classifier.comparisons")
-        self._obs_sweep_tier = {
-            tier: _obs.counter("detection.classifier.sweeps", tier=tier)
-            for tier in ("streamed", "brute")
-        }
+        self._obs_sweeps = _obs.counter("detection.classifier.sweeps")
         #: (asn, variant) -> service-or-None; matching depends only on the
         #: endpoint, so distinct endpoints bound the matching work
         self._match_memo: dict[tuple[int, str], Optional[str]] = {}
-        #: interned endpoint id -> service-or-None for the attached
-        #: columnar log: the streaming observer's memo probe without
-        #: decoding the endpoint or building a key tuple. Ids are
-        #: per-log, so attach/detach resets it.
+        #: interned endpoint id -> service-or-None: the observer's memo
+        #: probe without decoding the endpoint or building a key tuple
+        #: (ids are per-log, and the classifier serves one log)
         self._eid_memo: dict[int, Optional[str]] = {}
-        # streaming-attribution state (populated by attach()); records are
-        # cached by reference so a window sweep is a bisect plus one slice
-        self._log: ActionLog | None = None
-        self._stream_records: dict[str, list[ActionRecord]] = {}
-        self._stream_ticks: dict[str, list[int]] = {}
+        # records are cached by reference, in tick order, so a window
+        # sweep is a bisect plus one slice
+        self._log = log
+        self._stream_records: dict[str, list[ActionRecord]] = {
+            s.service: [] for s in self.signatures
+        }
+        self._stream_ticks: dict[str, list[int]] = {s.service: [] for s in self.signatures}
         self._benign_records: list[ActionRecord] = []
         self._benign_ticks: list[int] = []
-        self._stream_ordered = True
+        for record in log:
+            self._observe(record)
+        log.add_observer(self._observe, batch=self._observe_batch)
 
     def attribute(self, record: ActionRecord) -> Optional[str]:
         """Service name for one record, or None if it looks benign."""
@@ -174,47 +159,13 @@ class AASClassifier:
         return service
 
     # ------------------------------------------------------------------
-    # Streaming attribution (the incremental fast path)
+    # Streaming attribution
     # ------------------------------------------------------------------
 
-    @property
-    def attached_log(self) -> ActionLog | None:
-        """The log this classifier streams from, if any."""
-        return self._log
-
-    def attach(self, log: ActionLog) -> None:
-        """Stream-attribute ``log``: existing records now, the rest on append.
-
-        Once attached, :meth:`sweep` and :meth:`benign_records` calls that
-        pass this log become index lookups over the cached attribution
-        instead of full rescans.
-        """
-        if self._log is log:
-            return
-        if self._log is not None:
-            self.detach()
-        self._log = log
-        self._eid_memo = {}
-        self._stream_records = {s.service: [] for s in self.signatures}
-        self._stream_ticks = {s.service: [] for s in self.signatures}
-        self._benign_records = []
-        self._benign_ticks = []
-        self._stream_ordered = True
-        for record in log:
-            self._observe(record)
-        log.add_observer(self._observe, batch=self._observe_batch)
-
     def detach(self) -> None:
-        """Stop observing; subsequent sweeps take the brute-force path."""
-        if self._log is None:
-            return
+        """Stop observing the log; sweeps then answer over the rows
+        appended before this call."""
         self._log.remove_observer(self._observe)
-        self._log = None
-        self._eid_memo = {}
-        self._stream_records = {}
-        self._stream_ticks = {}
-        self._benign_records = []
-        self._benign_ticks = []
 
     def _observe(self, record: ActionView) -> None:
         # the per-append hot path: one memo lookup, two list appends.
@@ -228,15 +179,12 @@ class AASClassifier:
             service = self._eid_memo[cols.endpoint_ids[row]] = self.attribute(record)
         else:
             self._obs_memo_hit.inc()
-        tick = cols.ticks[row]
         if service is None:
             records, ticks = self._benign_records, self._benign_ticks
         else:
             records, ticks = self._stream_records[service], self._stream_ticks[service]
-        if ticks and tick < ticks[-1]:
-            self._stream_ordered = False  # out-of-order append: bisect invalid
         records.append(record)
-        ticks.append(tick)
+        ticks.append(cols.ticks[row])
 
     def _observe_batch(self, cols, start: int, end: int) -> None:
         """Bulk ingestion for :meth:`ActionLog.append_batch` row ranges.
@@ -256,7 +204,6 @@ class AASClassifier:
         last_service: object = _UNSEEN
         records: list = benign[0]
         ticks: list = benign[1]
-        last_tick = None
         memo_hits = 0
         for row in range(start, end):
             record = ActionView(cols, row)
@@ -271,20 +218,10 @@ class AASClassifier:
                     records, ticks = benign
                 else:
                     records, ticks = stream_records[service], stream_ticks[service]
-                # re-read the stream's tail once per run of same-service
-                # rows; within the run the previous row's tick is local
-                last_tick = ticks[-1] if ticks else None
-            tick = col_ticks[row]
-            if last_tick is not None and tick < last_tick:
-                self._stream_ordered = False
-            last_tick = tick
             records.append(record)
-            ticks.append(tick)
+            ticks.append(col_ticks[row])
         if memo_hits:
-            self._obs_memo_hit.add(memo_hits)
-
-    def _streaming_for(self, records: Iterable[ActionRecord]) -> bool:
-        return self._log is not None and records is self._log and self._stream_ordered
+            self._obs_memo_hit.inc(memo_hits)
 
     # ------------------------------------------------------------------
     # Sweeps
@@ -292,36 +229,16 @@ class AASClassifier:
 
     def sweep(
         self,
-        records: Iterable[ActionRecord],
         start_tick: int = 0,
         end_tick: int | None = None,
         include_blocked: bool = True,
     ) -> dict[str, AttributedActivity]:
-        """Attribute every record in the window to a service (or drop it).
+        """Every logged record in ``[start_tick, end_tick)``, by service.
 
         Blocked attempts are included by default — they are still abuse
         attempts and the intervention analyses need them.
         """
-        if self._streaming_for(records):
-            self._obs_sweep_tier["streamed"].inc()
-            return self._sweep_streamed(start_tick, end_tick, include_blocked)
-        self._obs_sweep_tier["brute"].inc()
-        out = {
-            s.service: AttributedActivity(service=s.service, service_type=s.service_type)
-            for s in self.signatures
-        }
-        for record in _window(records, start_tick, end_tick):
-            if not include_blocked and record.status is ActionStatus.BLOCKED:
-                continue
-            service = self.attribute(record)
-            if service is not None:
-                out[service].records.append(record)
-        return out
-
-    def _sweep_streamed(
-        self, start_tick: int, end_tick: int | None, include_blocked: bool
-    ) -> dict[str, AttributedActivity]:
-        assert self._log is not None
+        self._obs_sweeps.inc()
         out = {}
         for signature in self.signatures:
             records = _cut_window(
@@ -340,26 +257,9 @@ class AASClassifier:
         return out
 
     def benign_records(
-        self,
-        records: Iterable[ActionRecord],
-        start_tick: int = 0,
-        end_tick: int | None = None,
+        self, start_tick: int = 0, end_tick: int | None = None
     ) -> list[ActionRecord]:
-        """Records matching no signature — the legitimate-traffic pool the
-        intervention thresholds are computed from (Section 6.2)."""
-        if self._streaming_for(records):
-            return _cut_window(self._benign_records, self._benign_ticks, start_tick, end_tick)
-        return [r for r in _window(records, start_tick, end_tick) if self.attribute(r) is None]
-
-    def daily_counts_by_account(
-        self,
-        records: Iterable[ActionRecord],
-        action_type=None,
-    ) -> dict[AccountId, dict[int, int]]:
-        """Per-account, per-day action counts (helper for thresholds)."""
-        counts: dict[AccountId, dict[int, int]] = defaultdict(lambda: defaultdict(int))
-        for record in records:
-            if action_type is not None and record.action_type is not action_type:
-                continue
-            counts[record.actor][record.day] += 1
-        return {a: dict(d) for a, d in counts.items()}
+        """Logged records in the window matching no signature — the
+        legitimate-traffic pool the intervention thresholds are computed
+        from (Section 6.2)."""
+        return _cut_window(self._benign_records, self._benign_ticks, start_tick, end_tick)

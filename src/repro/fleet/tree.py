@@ -162,15 +162,6 @@ class TreePlan:
     def depth(self) -> int:
         return len(self.levels)
 
-    def children(self, key: Optional[str]) -> List[str]:
-        """Child keys of ``key`` (None = the world roots), level order."""
-        return [
-            k
-            for level in self.levels
-            for k in level
-            if self.nodes[k].parent == key
-        ]
-
 
 def plan_tree(specs: Sequence[ReplicaSpec]) -> TreePlan:
     """Plan the maximal reuse tree for a replica set.

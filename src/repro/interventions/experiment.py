@@ -70,10 +70,9 @@ class InterventionController:
         subject_by_asn: dict[int, CountSubject],
     ) -> ThresholdTable:
         """Compute and freeze thresholds from a pre-experiment window."""
-        log = self.platform.log
-        attributed = self.classifier.sweep(log, calibration_start_tick, calibration_end_tick)
+        attributed = self.classifier.sweep(calibration_start_tick, calibration_end_tick)
         aas_records = [r for activity in attributed.values() for r in activity.records]
-        benign = self.classifier.benign_records(log, calibration_start_tick, calibration_end_tick)
+        benign = self.classifier.benign_records(calibration_start_tick, calibration_end_tick)
         self.thresholds = compute_thresholds(aas_records, benign, subject_by_asn)
         return self.thresholds
 

@@ -46,13 +46,17 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.report import ConsoleReporter
-from repro.obs.schema import TRACE_SCHEMA_VERSION, validate_snapshot, validate_trace
+from repro.obs.schema import (
+    TRACE_SCHEMA_VERSION,
+    split_segments,
+    validate_snapshot,
+    validate_trace,
+)
 from repro.obs.spans import Span, SpanListener, Tracer
 from repro.obs.trace import (
     canonical_lines,
     label_replica,
     read_trace_lines,
-    split_segments,
     trace_lines,
     write_trace,
 )

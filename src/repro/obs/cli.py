@@ -31,8 +31,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.history import check_history
 from repro.obs.metrics import format_metric
-from repro.obs.schema import validate_trace
-from repro.obs.trace import read_trace_lines, split_segments
+from repro.obs.schema import split_segments, validate_trace
+from repro.obs.trace import read_trace_lines
 
 _SeriesKey = Tuple[str, Tuple[Tuple[str, str], ...], str]
 

@@ -69,15 +69,6 @@ class Observability:
     def histogram(self, name: str, **labels: str) -> Histogram:
         return self.metrics.histogram(name, **labels) if self.enabled else NULL_HISTOGRAM
 
-    def bound_counter(self, name: str, **labels: str) -> Counter:
-        """A counter handle pre-resolved for a batched hot loop.
-
-        Same instrument as :meth:`counter`; the distinct spelling marks
-        call sites that resolve once and then ``handle.add(n)`` per
-        batch (DESIGN.md §15).
-        """
-        return self.metrics.bound_counter(name, **labels) if self.enabled else NULL_COUNTER
-
     # -- spans ----------------------------------------------------------
 
     @contextmanager

@@ -70,10 +70,6 @@ class Counter:
             raise ValueError("counters only go up; use a gauge for signed values")
         self.value += amount
 
-    #: the bound-handle spelling: batch call sites resolve the counter
-    #: once (``obs.bound_counter(...)``) and then do ``handle.add(n)``
-    add = inc
-
 
 class Gauge:
     """A last-write-wins float."""
@@ -132,8 +128,6 @@ class NullCounter(Counter):
 
     def inc(self, amount: int = 1) -> None:
         return None
-
-    add = inc  # the class-body alias binds early; re-alias the override
 
 
 class NullGauge(Gauge):
@@ -198,17 +192,6 @@ class MetricsRegistry:
         instrument = self._get_or_create("histogram", name, labels)
         assert isinstance(instrument, Histogram)
         return instrument
-
-    def bound_counter(self, name: str, **labels: str) -> Counter:
-        """Resolve a counter once for a hot loop.
-
-        Identical to :meth:`counter` — the registry already hands out a
-        shared instance per key — but named for the batched call sites:
-        the label dict is hashed here, exactly once, and the returned
-        handle is then driven with ``handle.add(n)`` per batch instead
-        of a labeled lookup per action.
-        """
-        return self.counter(name, **labels)
 
     def get_counter_value(self, name: str, **labels: str) -> Optional[int]:
         """Read a counter without creating it; ``None`` when unregistered."""

@@ -162,9 +162,15 @@ def _validate_segment(lines: Sequence[object], label: str, errors: List[str]) ->
                    f"{where}: peak_rss_kb must be a non-negative int", errors)
 
 
-def _split_segments(lines: Sequence[object]) -> List[List[object]]:
-    # local copy of repro.obs.trace.split_segments — trace.py imports
-    # this module, so importing it back would be a cycle
+def split_segments(lines: Sequence[object]) -> List[List[object]]:
+    """Split a (possibly merged) trace into per-segment line lists.
+
+    A segment starts at each ``header`` record. A single-run trace
+    yields one segment; a fleet-merged trace yields one per replica, in
+    merge (= spec) order. Lines before the first header — a malformed
+    trace — land in a leading headerless segment so validators can
+    reject them explicitly.
+    """
     segments: List[List[object]] = []
     for line in lines:
         if isinstance(line, dict) and line.get("kind") == "header":
@@ -185,7 +191,7 @@ def validate_trace(lines: Sequence[object]) -> List[str]:
     validated independently, with errors labelled ``trace.segment[i]``.
     """
     errors: List[str] = []
-    segments = _split_segments(lines)
+    segments = split_segments(lines)
     if len(segments) <= 1:
         _validate_segment(list(lines), "trace", errors)
         return errors

@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 from repro.obs.schema import TRACE_SCHEMA_VERSION
+from repro.obs.schema import split_segments as split_segments  # re-export
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.obs.facade import Observability
@@ -85,26 +86,6 @@ def label_replica(lines: Sequence[object], replica: str) -> List[object]:
         else:
             labeled.append(line)
     return labeled
-
-
-def split_segments(lines: Sequence[object]) -> List[List[object]]:
-    """Split a (possibly merged) trace into per-segment line lists.
-
-    A segment starts at each ``header`` record. A single-run trace
-    yields one segment; a fleet-merged trace yields one per replica, in
-    merge (= spec) order. Lines before the first header — a malformed
-    trace — land in a leading headerless segment so validators can
-    reject them explicitly.
-    """
-    segments: List[List[object]] = []
-    for line in lines:
-        if isinstance(line, dict) and line.get("kind") == "header":
-            segments.append([line])
-        elif segments:
-            segments[-1].append(line)
-        else:
-            segments.append([line])
-    return segments
 
 
 #: span fields sourced from host probes (repro.obs.walltime) rather

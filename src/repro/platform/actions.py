@@ -9,13 +9,13 @@ paper's authors had access to.
 The log is *indexed* (DESIGN.md "Performance architecture"): appends
 maintain a parallel tick array and per-actor/per-target tick arrays, so
 every ``[start_tick, end_tick)`` window query is a binary search plus a
-slice instead of a full-log scan. The platform appends in simulation
-order, so ticks are non-decreasing and the bisect fast path applies; a
-log built with out-of-order ticks (possible when tests append synthetic
-records) degrades transparently to the brute-force filters. Signature
-queries (:meth:`ActionLog.by_signature`) filter a tick window; the
-pipeline's attribution streams through the classifier's log observer
-instead (:mod:`repro.detection.classifier`).
+slice instead of a full-log scan. That rests on one invariant the log
+enforces itself: ticks never decrease. The platform stamps every append
+with the clock, which only advances; an append below the log's tail
+tick raises ``ValueError`` and changes nothing. Signature queries
+(:meth:`ActionLog.by_signature`) filter a tick window; the pipeline's
+attribution streams through the classifier's log observer instead
+(:mod:`repro.detection.classifier`).
 
 Storage is columnar (DESIGN.md §11 "Columnar world core"): rows live
 in :class:`~repro.platform.columns.ActionColumns` (parallel stdlib
@@ -26,7 +26,7 @@ vectors, and query results materialize transient
 Query results are bit-identical to the brute-force list-scan log in
 ``tests/oracles/actionlog.py`` (property-tested in
 ``tests/test_platform_columnar_log.py``): same ids, same field values,
-same ordering, including the out-of-order-append fallback paths.
+same ordering, and the same rejection of out-of-order appends.
 """
 
 from __future__ import annotations
@@ -65,20 +65,25 @@ def _window(
     return lo, max(hi, lo)
 
 
+def _out_of_order(tick: int, prev: int) -> ValueError:
+    """The rejection of a row stamped ``tick`` after a row at ``prev``."""
+    return ValueError(
+        f"out-of-order append: tick {tick} after tick {prev}; "
+        "the action log only accepts appends in tick order"
+    )
+
+
 class ActionLog:
     """Append-only action store with tick/actor/target indices."""
 
     def __init__(self, obs: Observability | None = None):
         _obs = obs if obs is not None else NULL_OBS
         self._obs_appends = _obs.counter("platform.actionlog.appends")
-        #: window queries answered by the bisect indices vs. ones that fell
-        #: back to a linear scan (out-of-order log) — the index hit rate
-        self._obs_query_index = _obs.counter("platform.actionlog.window_query", path="index")
-        self._obs_query_scan = _obs.counter("platform.actionlog.window_query", path="scan")
+        #: window queries, each a bisect over a tick index
+        self._obs_window_query = _obs.counter("platform.actionlog.window_query")
         #: rows routed through :meth:`append_batch` — the "log_batch"
-        #: cost kind (DESIGN.md §15). A pre-bound handle: the flush loop
-        #: charges it once per batch with ``add(n)``.
-        self._obs_batch_rows = _obs.bound_counter("platform.actionlog.batch_rows")
+        #: cost kind (DESIGN.md §15), charged once per batch
+        self._obs_batch_rows = _obs.counter("platform.actionlog.batch_rows")
         #: rows per flush; the mean is the batch amortization ratio the
         #: bench payloads report (histograms are never cost-classified,
         #: so per-flush telemetry cannot leak into the cost tree)
@@ -86,7 +91,6 @@ class ActionLog:
         self._observers: list[Callable[[StoredAction], None]] = []
         #: scalar observer -> its bulk implementation, when it has one
         self._batch_impls: dict[Callable[[StoredAction], None], Callable] = {}
-        self._monotonic = True
         self._cols = ActionColumns(obs=_obs)
         #: the bisect index IS the tick column — zero duplication
         self._ticks = self._cols.ticks
@@ -122,7 +126,8 @@ class ActionLog:
         )
 
     def append(self, record: ActionRecord) -> None:
-        """Append one pre-built record; ids must be the log's next index."""
+        """Append one pre-built record; ids must be the log's next index
+        and its tick no earlier than the log's tail."""
         if record.action_id != len(self):
             raise ValueError(
                 f"action_id {record.action_id} out of order; expected {len(self)}"
@@ -141,7 +146,9 @@ class ActionLog:
         target_account, target_media, comment_text)``. Semantically this
         is exactly ``for row in rows: log_action(*row)`` — same records,
         same indices, same observer ingestion order, same "log" cost
-        units (the batch property suite replays that loop against it).
+        units (the batch property suite replays that loop against it) —
+        except that an out-of-order row rejects the whole batch: the
+        ticks are checked before anything is stored.
         It takes the amortized path: one :meth:`ActionColumns.push_batch`,
         index updates with locals hoisted out of the loop, counters
         charged once per batch, and observers offered the whole row
@@ -152,27 +159,27 @@ class ActionLog:
             return len(self)
         cols = self._cols
         ticks = cols.ticks
-        prev_tick = ticks[-1] if ticks else None
+        prev = ticks[-1] if ticks else rows[0][2]
+        for row in rows:
+            tick = row[2]
+            if tick < prev:
+                raise _out_of_order(tick, prev)
+            prev = tick
         start = cols.push_batch(rows)
         by_actor = self._by_actor
         by_actor_ticks = self._by_actor_ticks
         by_target = self._by_target
         by_target_ticks = self._by_target_ticks
-        monotonic = self._monotonic
         # One pass over the original row tuples — cheaper than re-reading
-        # the freshly pushed columns — folding the monotonic check into
-        # the index walk. Run-length memos skip the per-row dict probes
-        # when consecutive rows share an actor or a target — the common
-        # shape for AAS delivery bursts.
+        # the freshly pushed columns. Run-length memos skip the per-row
+        # dict probes when consecutive rows share an actor or a target —
+        # the common shape for AAS delivery bursts.
         last_actor = last_target = None
         a_ids = a_ticks = t_ids = t_ticks = None
         i = start
         for row in rows:
             actor = row[1]
             tick = row[2]
-            if monotonic and prev_tick is not None and tick < prev_tick:
-                monotonic = False
-            prev_tick = tick
             if actor != last_actor:
                 last_actor = actor
                 a_ids = by_actor.get(actor)
@@ -194,11 +201,10 @@ class ActionLog:
                 t_ids.append(i)
                 t_ticks.append(tick)
             i += 1
-        self._monotonic = monotonic
         end = i
         count = end - start
-        self._obs_appends.add(count)
-        self._obs_batch_rows.add(count)
+        self._obs_appends.inc(count)
+        self._obs_batch_rows.inc(count)
         self._obs_batch_fill.observe(count)
         if self._observers:
             batch_impls = self._batch_impls
@@ -227,8 +233,8 @@ class ActionLog:
         """The scalar append: column pushes + int-keyed index updates."""
         cols = self._cols
         ticks = cols.ticks
-        if self._monotonic and ticks and tick < ticks[-1]:
-            self._monotonic = False
+        if ticks and tick < ticks[-1]:
+            raise _out_of_order(tick, ticks[-1])
         action_id = cols.push(
             action_type, actor, tick, endpoint, api, status,
             target_account, target_media, comment_text,
@@ -269,9 +275,6 @@ class ActionLog:
             raise IndexError(f"action_id {action_id} out of range")
         return ActionView(self._cols, action_id)
 
-    def _tick_of(self, action_id: int) -> int:
-        return self._ticks[action_id]
-
     # ------------------------------------------------------------------
     # Observers (streaming consumers, e.g. incremental attribution)
     # ------------------------------------------------------------------
@@ -304,21 +307,14 @@ class ActionLog:
     # Window queries (bisect fast path)
     # ------------------------------------------------------------------
 
-    @property
-    def ticks_monotonic(self) -> bool:
-        """Whether appends arrived in tick order (enables bisect paths)."""
-        return self._monotonic
-
     def records_between(
         self, start_tick: Optional[int] = None, end_tick: Optional[int] = None
     ) -> list[StoredAction]:
         """All records in ``[start_tick, end_tick)``, in log order."""
-        if self._monotonic:
-            self._obs_query_index.inc()
-            lo, hi = _window(self._ticks, start_tick, end_tick)
-            cols = self._cols
-            return [ActionView(cols, i) for i in range(lo, hi)]
-        return self.select(start_tick=start_tick, end_tick=end_tick)
+        self._obs_window_query.inc()
+        lo, hi = _window(self._ticks, start_tick, end_tick)
+        cols = self._cols
+        return [ActionView(cols, i) for i in range(lo, hi)]
 
     def _indexed_between(
         self,
@@ -328,23 +324,13 @@ class ActionLog:
         start_tick: Optional[int],
         end_tick: Optional[int],
     ) -> list[StoredAction]:
-        (self._obs_query_index if self._monotonic else self._obs_query_scan).inc()
+        self._obs_window_query.inc()
         indices = ids.get(key)
         if not indices:
             return []
-        if self._monotonic:
-            lo, hi = _window(ticks[key], start_tick, end_tick)
-            cols = self._cols
-            return [ActionView(cols, i) for i in indices[lo:hi]]
-        out = []
-        for i in indices:
-            tick = self._tick_of(i)
-            if start_tick is not None and tick < start_tick:
-                continue
-            if end_tick is not None and tick >= end_tick:
-                continue
-            out.append(self.get(i))
-        return out
+        lo, hi = _window(ticks[key], start_tick, end_tick)
+        cols = self._cols
+        return [ActionView(cols, i) for i in indices[lo:hi]]
 
     def by_actor(self, actor: AccountId) -> list[StoredAction]:
         """All actions performed by ``actor`` (any status), in time order."""
@@ -417,25 +403,18 @@ class ActionLog:
         end_tick: Optional[int] = None,
         predicate: Optional[Callable[[StoredAction], bool]] = None,
     ) -> list[StoredAction]:
-        """Filter the full log. ``end_tick`` is exclusive."""
+        """Filter the log, or its ``[start_tick, end_tick)`` window."""
         records: Iterable[StoredAction] = self
-        if self._monotonic and (start_tick is not None or end_tick is not None):
-            self._obs_query_index.inc()
+        if start_tick is not None or end_tick is not None:
+            self._obs_window_query.inc()
             lo, hi = _window(self._ticks, start_tick, end_tick)
             cols = self._cols
             records = [ActionView(cols, i) for i in range(lo, hi)]
-            start_tick = end_tick = None
-        elif start_tick is not None or end_tick is not None:
-            self._obs_query_scan.inc()
         out = []
         for record in records:
             if action_type is not None and record.action_type is not action_type:
                 continue
             if status is not None and record.status is not status:
-                continue
-            if start_tick is not None and record.tick < start_tick:
-                continue
-            if end_tick is not None and record.tick >= end_tick:
                 continue
             if predicate is not None and not predicate(record):
                 continue

@@ -46,10 +46,10 @@ class SlidingWindowLimiter:
         #: per-key sum of live bucket counts — the charged window load
         self._totals: dict[Hashable, int] = {}
         _obs = obs if obs is not None else NULL_OBS
-        self._obs_allowed = _obs.bound_counter(
+        self._obs_allowed = _obs.counter(
             "platform.ratelimit.decisions", limiter=name, outcome="allowed"
         )
-        self._obs_rejected = _obs.bound_counter(
+        self._obs_rejected = _obs.counter(
             "platform.ratelimit.decisions", limiter=name, outcome="rejected"
         )
 
@@ -103,9 +103,9 @@ class SlidingWindowLimiter:
         granted = min(count, max(self.limit - total, 0))
         if granted:
             self._charge(key, now, granted)
-            self._obs_allowed.add(granted)
+            self._obs_allowed.inc(granted)
         if count > granted:
-            self._obs_rejected.add(count - granted)
+            self._obs_rejected.inc(count - granted)
         return granted
 
     def remaining(self, key: Hashable, now: int) -> int:

@@ -4,7 +4,8 @@
 answers every query with a linear scan in log order. It shares the
 public API of :class:`repro.platform.actions.ActionLog` but none of its
 bisect or column logic, so the property suites can compare the
-production log against it.
+production log against it. Like the production log it only accepts
+appends in tick order, and a rejected call changes nothing.
 """
 
 from __future__ import annotations
@@ -71,11 +72,19 @@ class ListActionLog:
             raise ValueError(
                 f"action_id {record.action_id} out of order; expected {len(self._records)}"
             )
+        if self._records and record.tick < self._records[-1].tick:
+            raise ValueError(
+                f"out-of-order append: tick {record.tick} after tick {self._records[-1].tick}"
+            )
         self._records.append(record)
         for observer in self._observers:
             observer(record)
 
     def append_batch(self, rows: list) -> int:
+        ticks = [r.tick for r in self._records[-1:]] + [row[2] for row in rows]
+        for prev, tick in zip(ticks, ticks[1:]):
+            if tick < prev:
+                raise ValueError(f"out-of-order append: tick {tick} after tick {prev}")
         start = len(self._records)
         for row in rows:
             self.log_action(*row)
@@ -104,11 +113,6 @@ class ListActionLog:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-
-    @property
-    def ticks_monotonic(self) -> bool:
-        ticks = [r.tick for r in self._records]
-        return all(a <= b for a, b in zip(ticks, ticks[1:]))
 
     def select(
         self,

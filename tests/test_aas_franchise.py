@@ -93,7 +93,7 @@ class TestUndiscoveredFranchise:
             platform.clock.advance(1)
         known_records = platform.log.by_actor(customer.account_id)
         signature = learn_signature("Insta*", ServiceType.RECIPROCITY_ABUSE, known_records)
-        classifier = AASClassifier([signature])
+        classifier = AASClassifier([signature], platform.log)
 
         # a brand-new franchise in Brazil the defender never probed
         hidden = program.launch_franchise(

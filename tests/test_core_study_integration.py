@@ -95,7 +95,7 @@ class TestClassificationFidelity:
     def test_benign_actions_not_attributed(self, tiny_study, tiny_dataset):
         """Organic users acting from home endpoints never match."""
         benign = tiny_study.classifier.benign_records(
-            list(tiny_study.platform.log), tiny_dataset.start_tick, tiny_dataset.end_tick
+            tiny_dataset.start_tick, tiny_dataset.end_tick
         )
         service_asns = {
             asn for s in tiny_study.services.values() for asn in s.current_asns()

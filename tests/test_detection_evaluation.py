@@ -11,6 +11,7 @@ from repro.detection.evaluation import (
 )
 from repro.detection.signals import ServiceSignature
 from repro.netsim.client import ClientEndpoint, DeviceFingerprint
+from repro.platform.actions import ActionLog
 from repro.platform.models import ActionRecord, ActionStatus, ActionType, ApiSurface
 
 
@@ -34,7 +35,8 @@ def classifier():
             ServiceSignature(
                 "Svc", ServiceType.RECIPROCITY_ABUSE, frozenset({100}), frozenset({"aas-svc"})
             )
-        ]
+        ],
+        ActionLog(),
     )
 
 
@@ -78,7 +80,8 @@ class TestEvaluateClassifier:
     def test_organic_false_positive_counted(self):
         # an over-broad signature (no variant restriction) flags benign use
         broad = AASClassifier(
-            [ServiceSignature("Svc", ServiceType.RECIPROCITY_ABUSE, frozenset({100}), frozenset())]
+            [ServiceSignature("Svc", ServiceType.RECIPROCITY_ABUSE, frozenset({100}), frozenset())],
+            ActionLog(),
         )
         records = [make_record(0, 100, "stock")]
         reports = evaluate_classifier(broad, records, {"aas-svc": "Svc"})

@@ -6,6 +6,7 @@ from repro.aas.base import ServiceType
 from repro.detection.classifier import AASClassifier
 from repro.detection.signals import ServiceSignature, learn_signature
 from repro.netsim.client import ClientEndpoint, DeviceFingerprint
+from repro.platform.actions import ActionLog
 from repro.platform.models import ActionRecord, ActionStatus, ActionType, ApiSurface
 
 
@@ -53,15 +54,27 @@ class TestLearnSignature:
             a.merged_with(b)
 
 
+SIGNATURES = (
+    ServiceSignature(
+        "Recip", ServiceType.RECIPROCITY_ABUSE, frozenset({100}), frozenset({"aas-r"})
+    ),
+    ServiceSignature(
+        "Coll", ServiceType.COLLUSION_NETWORK, frozenset({200}), frozenset({"aas-c"})
+    ),
+)
+
+
+def bound(records) -> AASClassifier:
+    """A classifier bound to a fresh log holding ``records``."""
+    log = ActionLog()
+    for record in records:
+        log.append(record)
+    return AASClassifier(SIGNATURES, log)
+
+
 @pytest.fixture
 def classifier():
-    recip = ServiceSignature(
-        "Recip", ServiceType.RECIPROCITY_ABUSE, frozenset({100}), frozenset({"aas-r"})
-    )
-    collusion = ServiceSignature(
-        "Coll", ServiceType.COLLUSION_NETWORK, frozenset({200}), frozenset({"aas-c"})
-    )
-    return AASClassifier([recip, collusion])
+    return bound([])
 
 
 class TestAASClassifier:
@@ -73,60 +86,51 @@ class TestAASClassifier:
     def test_duplicate_signatures_rejected(self):
         signature = ServiceSignature("X", ServiceType.RECIPROCITY_ABUSE, frozenset({1}), frozenset())
         with pytest.raises(ValueError):
-            AASClassifier([signature, signature])
+            AASClassifier([signature, signature], ActionLog())
 
-    def test_sweep_partitions_by_service_and_window(self, classifier):
+    def test_sweep_partitions_by_service_and_window(self):
         records = [
             make_record(0, asn=100, variant="aas-r", tick=5),
             make_record(1, asn=200, variant="aas-c", tick=5),
-            make_record(2, asn=100, variant="aas-r", tick=50),  # outside window
-            make_record(3, asn=1, variant="stock", tick=5),  # benign
+            make_record(2, asn=1, variant="stock", tick=5),  # benign
+            make_record(3, asn=100, variant="aas-r", tick=50),  # outside window
         ]
-        out = classifier.sweep(records, start_tick=0, end_tick=10)
+        out = bound(records).sweep(start_tick=0, end_tick=10)
         assert len(out["Recip"].records) == 1
         assert len(out["Coll"].records) == 1
 
-    def test_sweep_blocked_included_by_default(self, classifier):
-        records = [make_record(0, asn=100, variant="aas-r", status=ActionStatus.BLOCKED)]
-        assert len(classifier.sweep(records)["Recip"].records) == 1
-        assert len(classifier.sweep(records, include_blocked=False)["Recip"].records) == 0
+    def test_sweep_blocked_included_by_default(self):
+        classifier = bound([make_record(0, asn=100, variant="aas-r", status=ActionStatus.BLOCKED)])
+        assert len(classifier.sweep()["Recip"].records) == 1
+        assert len(classifier.sweep(include_blocked=False)["Recip"].records) == 0
 
-    def test_benign_records(self, classifier):
+    def test_benign_records(self):
         records = [
             make_record(0, asn=100, variant="aas-r"),
             make_record(1, asn=5, variant="stock"),
         ]
-        benign = classifier.benign_records(records)
+        benign = bound(records).benign_records()
         assert len(benign) == 1
         assert benign[0].endpoint.asn == 5
 
-    def test_customer_identification_reciprocity(self, classifier):
+    def test_customer_identification_reciprocity(self):
         """Reciprocity customers are the actors, not the targets."""
         records = [make_record(0, asn=100, variant="aas-r", actor=7, target=8)]
-        activity = classifier.sweep(records)["Recip"]
+        activity = bound(records).sweep()["Recip"]
         assert activity.customers == {7}
         assert activity.inbound_only_accounts == set()
 
-    def test_customer_identification_collusion(self, classifier):
+    def test_customer_identification_collusion(self):
         """Collusion customers include recipients; inbound-only accounts
         are the no-outbound fee payers (Section 5.2)."""
         records = [
             make_record(0, asn=200, variant="aas-c", actor=7, target=8),
             make_record(1, asn=200, variant="aas-c", actor=8, target=9),
         ]
-        activity = classifier.sweep(records)["Coll"]
+        activity = bound(records).sweep()["Coll"]
         assert activity.customers == {7, 8, 9}
         assert activity.inbound_only_accounts == {9}
 
-    def test_daily_counts_by_account(self, classifier):
-        records = [
-            make_record(0, asn=100, variant="aas-r", actor=1, tick=0),
-            make_record(1, asn=100, variant="aas-r", actor=1, tick=3),
-            make_record(2, asn=100, variant="aas-r", actor=1, tick=30),
-        ]
-        counts = classifier.daily_counts_by_account(records)
-        assert counts[1] == {0: 2, 1: 1}
-
-    def test_observed_asns(self, classifier):
+    def test_observed_asns(self):
         records = [make_record(0, asn=100, variant="aas-r")]
-        assert classifier.sweep(records)["Recip"].observed_asns == {100}
+        assert bound(records).sweep()["Recip"].observed_asns == {100}

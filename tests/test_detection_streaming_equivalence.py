@@ -1,18 +1,19 @@
-"""Property tests: streaming attribution equals brute force.
+"""Property tests: streaming attribution equals the brute-force sweep.
 
-An :class:`AASClassifier` attached to a production :class:`ActionLog`
+An :class:`AASClassifier` bound to a production :class:`ActionLog`
 attributes every row on append; its sweeps and benign pools must equal
-what a fresh classifier computes by brute force over ``list(log)`` —
-same action ids per service, in the same order. The logs are built from
-a random mix of scalar ``log_action`` calls and ``append_batch`` rows
-(so both the per-row and the bulk observer run), with some BLOCKED rows
-and signatures that overlap, so first-match-wins decides the service of
-the shared endpoints.
+the reference sweep of ``tests/oracles/classifier.py`` over
+``list(log)`` — same action ids per service, in the same order. The
+logs are built from a random mix of scalar ``log_action`` calls and
+``append_batch`` rows (so both the per-row and the bulk observer run),
+with some BLOCKED rows and signatures that overlap, so first-match-wins
+decides the service of the shared endpoints.
 
-Four attachment histories are covered: attached before the first
-append, attached midway, detached and replaced by a new classifier (the
-signature-relearning path), and one out-of-order append, after which
-sweeps must fall back to brute force and still match.
+Three binding histories are covered: bound to an empty log, bound
+midway (the rows already logged are ingested at construction), and
+detached and replaced by a new classifier (the signature-relearning
+path), after which the detached one still answers over the rows it
+saw.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from repro.obs import Observability
 from repro.platform.actions import ActionLog
 from repro.platform.models import ActionStatus, ActionType, ApiSurface
 from repro.util.rng import derive_rng
+
+from tests.oracles import classifier as oracle
 
 ASNS = (100, 200, 300)
 VARIANTS = ("aas-a", "aas-b", "stock")
@@ -113,8 +116,8 @@ def _apply(log: ActionLog, ops) -> None:
             log.log_action(*rows[0])
 
 
-def _windows(log: ActionLog) -> list[tuple[int, int | None]]:
-    last = max(r.tick for r in log)
+def _windows(records) -> list[tuple[int, int | None]]:
+    last = max(r.tick for r in records)
     mid = last // 2
     return [
         (0, None),               # open-ended, whole log
@@ -132,20 +135,19 @@ def _ids(attributed) -> dict[str, list[int]]:
     return {service: [r.action_id for r in a.records] for service, a in attributed.items()}
 
 
-def _sweep_count(obs: Observability, tier: str) -> int:
-    return obs.metrics.get_counter_value("detection.classifier.sweeps", tier=tier)
+def _sweep_count(obs: Observability) -> int:
+    return obs.metrics.get_counter_value("detection.classifier.sweeps")
 
 
-def _assert_matches_brute(classifier: AASClassifier, log: ActionLog) -> None:
-    reference = AASClassifier(classifier.signatures)
-    records = list(log)
-    for start, end in _windows(log):
+def _assert_matches_oracle(classifier: AASClassifier, records: list) -> None:
+    signatures = classifier.signatures
+    for start, end in _windows(records):
         for include_blocked in (True, False):
-            assert _ids(classifier.sweep(log, start, end, include_blocked)) == _ids(
-                reference.sweep(records, start, end, include_blocked)
+            assert _ids(classifier.sweep(start, end, include_blocked)) == _ids(
+                oracle.sweep(signatures, records, start, end, include_blocked)
             ), (start, end, include_blocked)
-        assert [r.action_id for r in classifier.benign_records(log, start, end)] == [
-            r.action_id for r in reference.benign_records(records, start, end)
+        assert [r.action_id for r in classifier.benign_records(start, end)] == [
+            r.action_id for r in oracle.benign_records(signatures, records, start, end)
         ], (start, end)
 
 
@@ -160,65 +162,37 @@ def _assert_overlaps_exercised(signatures, log: ActionLog) -> None:
 def test_attached_before_appends(seed: int) -> None:
     obs = Observability()
     log = ActionLog()
-    classifier = AASClassifier(SIGNATURES, obs=obs)
-    classifier.attach(log)
+    classifier = AASClassifier(SIGNATURES, log, obs=obs)
     _apply(log, _script(seed))
     _assert_overlaps_exercised(SIGNATURES, log)
-    _assert_matches_brute(classifier, log)
-    assert _sweep_count(obs, "streamed") == 2 * len(_windows(log))
-    assert _sweep_count(obs, "brute") == 0
+    _assert_matches_oracle(classifier, list(log))
+    assert _sweep_count(obs) == 2 * len(_windows(list(log)))
 
 
 @pytest.mark.parametrize("seed", [3, 4])
 def test_attached_midway(seed: int) -> None:
-    obs = Observability()
     ops = _script(seed)
     log = ActionLog()
     _apply(log, ops[: len(ops) // 2])
-    classifier = AASClassifier(SIGNATURES, obs=obs)
-    classifier.attach(log)
-    _assert_matches_brute(classifier, log)
+    classifier = AASClassifier(SIGNATURES, log)
+    _assert_matches_oracle(classifier, list(log))
     _apply(log, ops[len(ops) // 2 :])
-    _assert_matches_brute(classifier, log)
-    assert _sweep_count(obs, "brute") == 0
+    _assert_matches_oracle(classifier, list(log))
 
 
 @pytest.mark.parametrize("seed", [5, 6])
 def test_detach_and_reattach_relearned(seed: int) -> None:
     ops = _script(seed)
     log = ActionLog()
-    first = AASClassifier(SIGNATURES)
-    first.attach(log)
+    first = AASClassifier(SIGNATURES, log)
     _apply(log, ops[: len(ops) // 3])
+    seen = list(log)
     first.detach()
-    relearned_obs = Observability()
-    relearned = AASClassifier(RELEARNED, obs=relearned_obs)
-    relearned.attach(log)
+    relearned = AASClassifier(RELEARNED, log)
     _apply(log, ops[len(ops) // 3 :])
     _assert_overlaps_exercised(RELEARNED, log)
-    _assert_matches_brute(relearned, log)
-    assert _sweep_count(relearned_obs, "brute") == 0
-    # the detached classifier no longer streams, but still answers
-    assert first.attached_log is None
-    _assert_matches_brute(first, log)
-
-
-@pytest.mark.parametrize("via", ["scalar", "batch"])
-def test_out_of_order_append_falls_back(via: str) -> None:
-    obs = Observability()
-    ops = _script(7)
-    log = ActionLog()
-    classifier = AASClassifier(SIGNATURES, obs=obs)
-    classifier.attach(log)
-    _apply(log, ops[: len(ops) // 2])
-    # one row stamped earlier than the log's tail, from an endpoint
-    # Wide attributes, so it lands in a stream that holds later ticks
-    late = (ActionType.LIKE, 1, 1, ENDPOINTS[0], ApiSurface.PRIVATE_MOBILE,
-            ActionStatus.DELIVERED, 2, None, None)
-    assert log.get(len(log) - 1).tick > 1
-    _apply(log, [(via, [late])])
-    _apply(log, ops[len(ops) // 2 :])
-    assert not log.ticks_monotonic
-    _assert_matches_brute(classifier, log)
-    assert _sweep_count(obs, "streamed") == 0
-    assert _sweep_count(obs, "brute") == 2 * len(_windows(log))
+    _assert_matches_oracle(relearned, list(log))
+    # the detached classifier stops streaming: it answers over the rows
+    # appended before detach() and ignores the rest
+    assert len(seen) < len(log)
+    _assert_matches_oracle(first, seen)

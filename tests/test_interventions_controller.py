@@ -40,7 +40,8 @@ def controller_world(endpoint):
                 frozenset({endpoint.asn}),
                 frozenset({"stock"}),
             )
-        ]
+        ],
+        platform.log,
     )
     controller = InterventionController(platform, classifier)
     return platform, controller, endpoint

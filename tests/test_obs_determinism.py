@@ -15,6 +15,7 @@ nonzero index-hit, sweep-tier, and scheduler park/wake counters.
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -76,13 +77,13 @@ class TestObserverEffect:
 
 
 class TestAcceptance:
-    """The standard pipeline trace reports nonzero index-hit, sweep-tier
+    """The standard pipeline trace reports nonzero window-query, sweep
     and scheduler counters."""
 
     def test_pipeline_counters_are_live(self, instrumented) -> None:
         metrics = instrumented.obs.metrics
-        assert metrics.get_counter_value("platform.actionlog.window_query", path="index") > 0
-        assert metrics.get_counter_value("detection.classifier.sweeps", tier="streamed") > 0
+        assert metrics.get_counter_value("platform.actionlog.window_query") > 0
+        assert metrics.get_counter_value("detection.classifier.sweeps") > 0
         assert metrics.get_counter_value("core.scheduler.agent_runs") > 0
         assert metrics.get_counter_value("platform.actionlog.appends") == len(
             instrumented.platform.log
@@ -92,13 +93,14 @@ class TestAcceptance:
         path = instrumented.obs.dump_trace(tmp_path / "trace.jsonl", meta={"seed": 314})
         assert obs_main(["summarize", str(path)]) == 0
         out = capsys.readouterr().out
-        for needle in (
-            "platform.actionlog.window_query{path=index}",
-            "detection.classifier.sweeps{tier=streamed}",
+        # unlabeled and nonzero: the counter name, then a count from 1 up
+        for name in (
+            "platform.actionlog.window_query",
+            "detection.classifier.sweeps",
             "core.scheduler.agent_runs",
-            "measurement-window",
         ):
-            assert needle in out, needle
+            assert re.search(rf"^\s+{re.escape(name)}\s+[1-9]", out, re.MULTILINE), name
+        assert "measurement-window" in out
 
     def test_phase_spans_cover_the_pipeline(self, instrumented) -> None:
         names = [span.name for span in instrumented.obs.tracer.finished]

@@ -32,8 +32,8 @@ def _sample_obs(wall: bool = False) -> Observability:
         clock["now"] = 72
     with obs.span("measurement-window", days=3):
         with obs.span("sweep", start_tick=72, end_tick=144):
-            obs.counter("platform.actionlog.window_query", path="index").inc(10)
-            obs.counter("detection.classifier.sweeps", tier="streamed").inc()
+            obs.counter("detection.classifier.memo", result="hit").inc(10)
+            obs.counter("detection.classifier.sweeps").inc()
         clock["now"] = 144
     obs.gauge("core.scheduler.agents").set(5)
     obs.histogram("platform.actionlog.batch_fill").observe(3)
@@ -134,7 +134,7 @@ class TestMergedTraces:
         out = capsys.readouterr().out
         assert "Merged 2 trace segment(s) from 2 file(s)  (6 spans)" in out
         # counters sum across segments: 10 per segment -> 20 merged
-        assert "platform.actionlog.window_query{path=index}" in out
+        assert "detection.classifier.memo{result=hit}" in out
         assert "20" in out
 
 
@@ -215,7 +215,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Top spans by total tick-span:" in out
         assert "honeypot-phase" in out
-        assert "platform.actionlog.window_query{path=index}" in out
+        assert "detection.classifier.memo{result=hit}" in out
         assert "core.scheduler.agents" in out
         assert "platform.actionlog.batch_fill" in out
 
@@ -243,11 +243,11 @@ class TestCli:
         self, trace_path: str, tmp_path: Path, capsys: pytest.CaptureFixture
     ) -> None:
         changed_obs = _sample_obs()
-        changed_obs.counter("platform.actionlog.window_query", path="index").inc(5)
+        changed_obs.counter("detection.classifier.memo", result="hit").inc(5)
         changed = str(write_trace(tmp_path / "changed.jsonl", changed_obs))
         assert main(["diff", trace_path, changed]) == 0
         out = capsys.readouterr().out
-        assert "~ metric platform.actionlog.window_query{path=index} value 10 -> 15" in out
+        assert "~ metric detection.classifier.memo{result=hit} value 10 -> 15" in out
 
     def test_diff_lost_coverage_exits_nonzero(
         self, trace_path: str, tmp_path: Path, capsys: pytest.CaptureFixture

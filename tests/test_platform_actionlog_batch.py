@@ -11,9 +11,8 @@ mark_removed calls interleaved) into three logs:
 * the brute-force :class:`tests.oracles.actionlog.ListActionLog` fed
   row-by-row (the storage oracle),
 
-and assert every query agrees — including the out-of-order fallback
-(ticks drawn unsorted, so the bisect paths must degrade to scans) and
-pickle round-trips taken mid-sequence.
+and assert every query agrees, also across pickle round-trips taken
+mid-sequence.
 
 One level up, the platform's ``action_batch`` scope must be invisible:
 the same action sequence issued inside a scope and outside any scope
@@ -64,7 +63,7 @@ def _random_row(rng, tick):
     )
 
 
-def _script(seed: int, steps: int, monotonic: bool):
+def _script(seed: int, steps: int):
     """A pure op list: ("batch", rows) | ("scalar", row) | ("remove", id, tick).
 
     Generated once so every log replays the *same* data — removals pick
@@ -80,10 +79,7 @@ def _script(seed: int, steps: int, monotonic: bool):
         size = int(rng.integers(1, 7)) if kind < 0.6 else 1
         rows = []
         for _ in range(size):
-            if monotonic:
-                tick += int(rng.integers(0, 3))
-            else:
-                tick = int(rng.integers(0, 50))
+            tick += int(rng.integers(0, 3))
             row = _random_row(rng, tick)
             if row[5] is ActionStatus.DELIVERED:
                 delivered.append(next_id)
@@ -114,8 +110,8 @@ def _apply(log, ops, batched: bool) -> None:
             log.get(op[1]).mark_removed(op[2])
 
 
-def _triple(seed: int, monotonic: bool, steps: int = 120):
-    ops = _script(seed, steps, monotonic)
+def _triple(seed: int, steps: int = 120):
+    ops = _script(seed, steps)
     batched = ActionLog()
     scalar_cols = ActionLog()
     ref = ListActionLog()
@@ -128,15 +124,7 @@ def _triple(seed: int, monotonic: bool, steps: int = 120):
 class TestAppendBatchEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_monotonic_interleavings(self, seed):
-        _, batched, scalar_cols, ref = _triple(seed, monotonic=True)
-        assert batched.ticks_monotonic
-        _assert_queries_equivalent(batched, scalar_cols)
-        _assert_queries_equivalent(batched, ref)
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_out_of_order_interleavings_fall_back(self, seed):
-        _, batched, scalar_cols, ref = _triple(seed, monotonic=False)
-        assert not batched.ticks_monotonic
+        _, batched, scalar_cols, ref = _triple(seed)
         _assert_queries_equivalent(batched, scalar_cols)
         _assert_queries_equivalent(batched, ref)
 
@@ -150,17 +138,24 @@ class TestAppendBatchEquivalence:
         assert log.append_batch([]) == 1
         assert len(log) == 1
 
-    @pytest.mark.parametrize("monotonic", [True, False])
-    def test_pickle_roundtrip_mid_sequence(self, monotonic):
-        ops = _script(3, 120, monotonic)
+    @pytest.mark.parametrize("batched_first_half", [True, False])
+    def test_pickle_roundtrip_mid_sequence(self, batched_first_half):
+        """A log restored mid-sequence, whether its rows so far came in
+        batches or one by one, keeps accepting batches with correct ids
+        and keeps rejecting rows below its tail."""
+        ops = _script(3, 120)
         half = len(ops) // 2
         batched = ActionLog()
         ref = ListActionLog()
-        _apply(batched, ops[:half], batched=True)
+        _apply(batched, ops[:half], batched=batched_first_half)
         _apply(ref, ops[:half], batched=False)
         batched = pickle.loads(pickle.dumps(batched))
         ref = pickle.loads(pickle.dumps(ref))
-        # the restored log keeps accepting batches with correct ids
+        tail = batched.get(len(batched) - 1).tick
+        late = _random_row(derive_rng(3, "late-row"), tail - 1)
+        for log in (batched, ref):
+            with pytest.raises(ValueError, match="out-of-order"):
+                log.append_batch([late])
         _apply(batched, ops[half:], batched=True)
         _apply(ref, ops[half:], batched=False)
         _assert_queries_equivalent(batched, ref)
@@ -168,7 +163,7 @@ class TestAppendBatchEquivalence:
     def test_observer_streams_identical(self):
         """Per-row observers and bulk batch observers see the same rows,
         in append order, as the scalar oracle's observers."""
-        ops = _script(11, 80, monotonic=True)
+        ops = _script(11, 80)
         batched = ActionLog()
         scalar_cols = ActionLog()
         seen_plain, seen_bulk, seen_scalar = [], [], []

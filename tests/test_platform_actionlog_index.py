@@ -1,9 +1,9 @@
 """Property-style tests: the ActionLog indices equal brute force.
 
-For randomly generated append sequences — monotonic ticks (the platform
-append path) and deliberately out-of-order ticks (synthetic test logs) —
-every indexed window query must return exactly what a linear filter over
-the raw record list returns, in the same order.
+For randomly generated append sequences in tick order (the only order
+the log accepts), every indexed window query must return exactly what a
+linear filter over the raw record list returns, in the same order. The
+rejection of out-of-order appends is ``tests/test_platform_actionlog_order.py``.
 """
 
 from __future__ import annotations
@@ -24,14 +24,11 @@ ACTION_TYPES = list(ActionType)
 STATUSES = [ActionStatus.DELIVERED, ActionStatus.BLOCKED]
 
 
-def _random_log(rng: np.random.Generator, n: int, monotonic: bool) -> ActionLog:
+def _random_log(rng: np.random.Generator, n: int) -> ActionLog:
     log = ActionLog()
     tick = 0
     for _ in range(n):
-        if monotonic:
-            tick += int(rng.integers(0, 3))
-        else:
-            tick = int(rng.integers(0, 40))
+        tick += int(rng.integers(0, 3))
         endpoint = ClientEndpoint(
             address=int(rng.integers(1, 50)),
             asn=ASNS[int(rng.integers(0, len(ASNS)))],
@@ -77,15 +74,12 @@ def _in_window(record: ActionRecord, start: int | None, end: int | None) -> bool
     return True
 
 
-@pytest.mark.parametrize("monotonic", [True, False], ids=["monotonic", "out-of-order"])
+@pytest.mark.parametrize("monotonic", [True], ids=["monotonic"])
 @pytest.mark.parametrize("seed_label", ["a", "b", "c"])
 def test_window_queries_equal_brute_force(monotonic: bool, seed_label: str) -> None:
     rng = derive_rng(99, f"actionlog-{seed_label}-{monotonic}")
-    log = _random_log(rng, n=300, monotonic=monotonic)
+    log = _random_log(rng, n=300)
     records = list(log)
-    assert log.ticks_monotonic == (monotonic or all(
-        records[i].tick <= records[i + 1].tick for i in range(len(records) - 1)
-    ))
 
     for start, end in _windows(rng, 6):
         expected = [r for r in records if _in_window(r, start, end)]
@@ -116,10 +110,10 @@ def test_window_queries_equal_brute_force(monotonic: bool, seed_label: str) -> N
                     ]
 
 
-@pytest.mark.parametrize("monotonic", [True, False], ids=["monotonic", "out-of-order"])
+@pytest.mark.parametrize("monotonic", [True], ids=["monotonic"])
 def test_select_and_daily_count_equal_brute_force(monotonic: bool) -> None:
     rng = derive_rng(7, f"actionlog-select-{monotonic}")
-    log = _random_log(rng, n=250, monotonic=monotonic)
+    log = _random_log(rng, n=250)
     records = list(log)
 
     for action_type in ACTION_TYPES:
@@ -140,7 +134,7 @@ def test_select_and_daily_count_equal_brute_force(monotonic: bool) -> None:
 
 def test_endpoints_are_interned() -> None:
     rng = derive_rng(13, "actionlog-intern")
-    log = _random_log(rng, n=120, monotonic=True)
+    log = _random_log(rng, n=120)
     canonical: dict[ClientEndpoint, ClientEndpoint] = {}
     for record in log:
         first = canonical.setdefault(record.endpoint, record.endpoint)
@@ -155,13 +149,15 @@ def test_observer_sees_every_append_once() -> None:
     log.add_observer(lambda r: seen.append(r.action_id))
     rng = derive_rng(14, "actionlog-observer")
     endpoint = ClientEndpoint(1, ASNS[0], DeviceFingerprint("android"))
-    for i in range(20):
+    tick = 0
+    for _ in range(20):
+        tick += int(rng.integers(0, 3))
         log.append(
             ActionRecord(
                 action_id=log.next_id(),
                 action_type=ActionType.LIKE,
                 actor=1,
-                tick=int(rng.integers(0, 5)) + i,
+                tick=tick,
                 endpoint=endpoint,
                 api=ApiSurface.PRIVATE_MOBILE,
                 status=ActionStatus.DELIVERED,

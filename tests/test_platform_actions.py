@@ -85,9 +85,9 @@ class TestActionLog:
     def test_daily_count(self):
         log = ActionLog()
         record(log, tick=0)
+        record(log, tick=3, status=ActionStatus.BLOCKED)
         record(log, tick=10)
         record(log, tick=25)
-        record(log, tick=3, status=ActionStatus.BLOCKED)
         assert log.daily_count(1, 0) == 2
         assert log.daily_count(1, 1) == 1
         assert log.daily_count(1, 0, ActionType.FOLLOW) == 0

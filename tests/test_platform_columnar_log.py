@@ -2,10 +2,7 @@
 
 Feed the production log and :class:`tests.oracles.actionlog.ListActionLog`
 the same append sequence and assert every query returns identical
-results — same ids, same field values, same ordering — including the
-out-of-order-append fallback (tests appending synthetic records can
-break tick monotonicity; the bisect fast paths must degrade to scans
-without changing answers).
+results — same ids, same field values, same ordering.
 """
 
 import pickle
@@ -78,18 +75,14 @@ def _random_append(log, rng: np.random.Generator, tick: int):
     )
 
 
-def _build_pair(seed: int, monotonic: bool) -> tuple[ActionLog, ListActionLog]:
+def _build_pair(seed: int) -> tuple[ActionLog, ListActionLog]:
     """Two logs (columnar, oracle) fed one randomized append sequence."""
     fast, ref = ActionLog(), ListActionLog()
     rng_fast, rng_ref = derive_rng(seed, "columnar-log"), derive_rng(seed, "columnar-log")
     tick = 0
     for step in range(300):
-        if monotonic:
-            tick += int(rng_fast.integers(0, 3))
-            rng_ref.integers(0, 3)
-        else:
-            tick = int(rng_fast.integers(0, 50))
-            rng_ref.integers(0, 50)
+        tick += int(rng_fast.integers(0, 3))
+        rng_ref.integers(0, 3)
         _random_append(fast, rng_fast, tick)
         record = _random_append(ref, rng_ref, tick)
         remove_draw = rng_ref.random()
@@ -103,7 +96,6 @@ def _build_pair(seed: int, monotonic: bool) -> tuple[ActionLog, ListActionLog]:
 
 def _assert_queries_equivalent(fast: ActionLog, ref) -> None:
     assert len(fast) == len(ref)
-    assert fast.ticks_monotonic == ref.ticks_monotonic
     assert _rows(iter(fast)) == _rows(iter(ref))
     windows = [(None, None), (0, 10), (5, 40), (20, 20), (None, 30), (10, None)]
     for account in range(1, 9):
@@ -140,14 +132,7 @@ def _assert_queries_equivalent(fast: ActionLog, ref) -> None:
 class TestColumnarLogEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_monotonic_append_sequences(self, seed):
-        fast, ref = _build_pair(seed, monotonic=True)
-        assert fast.ticks_monotonic and ref.ticks_monotonic
-        _assert_queries_equivalent(fast, ref)
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_out_of_order_appends_fall_back_identically(self, seed):
-        fast, ref = _build_pair(seed, monotonic=False)
-        assert not fast.ticks_monotonic and not ref.ticks_monotonic
+        fast, ref = _build_pair(seed)
         _assert_queries_equivalent(fast, ref)
 
     def test_synthetic_record_append_roundtrips(self):
@@ -172,7 +157,7 @@ class TestColumnarLogEquivalence:
 
     @pytest.mark.parametrize("seed", [0])
     def test_pickle_roundtrip(self, seed):
-        fast, ref = _build_pair(seed, monotonic=True)
+        fast, ref = _build_pair(seed)
         fast2 = pickle.loads(pickle.dumps(fast))
         ref2 = pickle.loads(pickle.dumps(ref))
         _assert_queries_equivalent(fast2, ref2)
