@@ -27,15 +27,15 @@ visits: attempts that provably cannot issue — every one after the
 recipient's daily like cap is reached or when it has no media, every
 one at a recipient whose pool already follows it, and every one at a
 recipient whose pool already likes the photo (for free likes, every
-photo) — only advance the cursor. Saturation is decided once per
-recipient per tick: a follow recipient's count of pool sources not yet
-following it is made on its first visit and drops with each delivered
-follow, and once it is zero the tick loop moves the cursor for that
-recipient's later orders without visiting them; a free like recipient
-found saturated is not tested again that tick. The shortcuts rely on
-invariants of the service's own tick (DESIGN.md §8, "Collusion
-fulfilment"); ``tests/oracles/collusion.py`` is the per-attempt
-reference they are tested against.
+photo) — only advance the cursor. A follow recipient's count of pool
+sources not yet following it is carried across ticks: it drops with
+each delivered follow, is recounted only when the tick pool changes or
+an edge into the recipient is removed, and once it is zero the tick
+loop moves the cursor for that recipient's later orders of the tick
+without visiting them. A free like recipient found saturated is not
+tested again that tick. The shortcuts rely on the invariants stated in
+DESIGN.md §8, "Collusion fulfilment"; ``tests/oracles/collusion.py`` is
+the per-attempt reference they are tested against.
 """
 
 from __future__ import annotations
@@ -184,18 +184,22 @@ class CollusionNetworkService(AccountAutomationService):
         self._recipient_attempts: dict[tuple[AccountId, int], int] = {}
         #: per-tick fulfilment state: the active source pool of tick
         #: ``_pool_cache_tick`` with each record's index, that pool minus
-        #: each recipient visited and its account ids; per follow
-        #: recipient the number of its pool sources not yet following it
-        #: (``_fulfil_follow``, and ``tick`` once it is zero); and the free
-        #: like recipients whose pool already likes every photo
-        #: (``_fulfil_like``)
+        #: each recipient visited and its account ids; the follow
+        #: recipients whose pool already follows them (``tick`` jumps
+        #: their later orders); and the free like recipients whose pool
+        #: already likes every photo (``_fulfil_like``)
         self._pool_cache: list[CustomerRecord] = []
         self._pool_index: dict[AccountId, int] = {}
         self._pool_cache_tick: Optional[int] = None
         self._pools_excluding: dict[AccountId, list[CustomerRecord]] = {}
         self._pool_ids: dict[AccountId, set[AccountId]] = {}
-        self._unfollowed: dict[AccountId, int] = {}
+        self._follows_saturated: set[AccountId] = set()
         self._free_likes_saturated: set[AccountId] = set()
+        #: per follow recipient, the number of its pool sources not yet
+        #: following it and the graph's ``removals_into(recipient)`` when
+        #: counted; carried across ticks, and dropped whole when the
+        #: rebuilt tick pool differs (``_fulfil_follow``)
+        self._unfollowed: dict[AccountId, tuple[int, int]] = {}
         #: epilogue state: consecutive blocked days and the sales flag
         self._blocked_day_streak = 0
         self.sales_suspended = False
@@ -333,9 +337,10 @@ class CollusionNetworkService(AccountAutomationService):
                 if record.account_id not in self.no_outbound and record.service_active(now)
             ]
             self._pool_cache_tick = now
-            self._pool_index = {
-                record.account_id: i for i, record in enumerate(self._pool_cache)
-            }
+            index = {record.account_id: i for i, record in enumerate(self._pool_cache)}
+            if index != self._pool_index:
+                self._unfollowed.clear()  # carried counts count the old pool
+            self._pool_index = index
             self._pools_excluding.clear()
             self._pool_ids.clear()
         # The active pool minus ``exclude``, built once per recipient per
@@ -425,33 +430,44 @@ class CollusionNetworkService(AccountAutomationService):
         """FOLLOW fulfilment. A source already following the recipient
         is an INVALID attempt: it draws no RNG and mutates nothing.
 
-        Within a tick the recipient's pool is fixed and edges into the
-        recipient only grow, so the number of pool sources not yet
-        following it (``_unfollowed``) is counted once, on the
-        recipient's first visit of the tick, and then only drops: by one
-        per delivered follow, since a follow is issued only from a
-        source not yet following. At zero every attempt this tick is
-        INVALID, so the visit only advances the cursor — unless the
-        delivery that reached zero spent the last of the budget, which
-        ends the visit where it is. ``tick`` makes the same jump for
-        later orders to the recipient without calling in here."""
+        ``_unfollowed`` carries, per recipient, the number of its pool
+        sources not yet following it, stamped with the graph's count of
+        edges ever removed into the recipient. The count is made again
+        only when the stamp no longer matches or the tick pool has
+        changed (``_source_pool`` drops every carried count then).
+        While neither happens, edges into the recipient from its pool
+        only grow, so the carried count is never below the true one: it
+        drops by one per delivered follow, as the true count does, and
+        follows from elsewhere lower only the true count. It reaches
+        zero only when every pool source follows the recipient; then
+        every attempt is INVALID, so the visit only advances the cursor
+        — unless the delivery that reached zero spent the last of the
+        budget, which ends the visit where it is — and ``tick`` makes
+        the same jump for the recipient's later orders of the tick
+        without calling in here. An overestimate only forgoes the jump:
+        the loop's INVALID attempts move the cursor as far."""
         customer = order.customer
         size = len(pool)
         max_attempts = budget * 4
+        graph = self.platform.graph
         # raw out-edge rows: `customer in row` is is_following() without
         # the method call; the list is live storage, so re-check its
         # length each probe — deliveries inside the loop can extend it
-        out_rows = self.platform.graph.out_rows()
-        unfollowed = self._unfollowed.get(customer)
-        if unfollowed is None:
+        out_rows = graph.out_rows()
+        removals = graph.removals_into(customer)
+        carried = self._unfollowed.get(customer)
+        if carried is not None and carried[1] == removals:
+            unfollowed = carried[0]
+        else:
             unfollowed = 0
             for source in pool:
                 source_id = source.account_id
                 row = out_rows[source_id] if source_id < len(out_rows) else None
                 if row is None or customer not in row:
                     unfollowed += 1
-            self._unfollowed[customer] = unfollowed
         if not unfollowed:
+            self._unfollowed[customer] = (0, removals)
+            self._follows_saturated.add(customer)
             self._source_cursor = (self._source_cursor + max_attempts) % size
             return
         cursor = self._source_cursor
@@ -491,7 +507,9 @@ class CollusionNetworkService(AccountAutomationService):
                     break
             elif outcome is IssueOutcome.BLOCKED:
                 budget -= 1
-        self._unfollowed[customer] = unfollowed
+        self._unfollowed[customer] = (unfollowed, removals)
+        if not unfollowed:
+            self._follows_saturated.add(customer)
         self._source_cursor = cursor
 
     def _fulfil_like(self, order: Order, pool: list[CustomerRecord], budget: int) -> None:
@@ -679,14 +697,14 @@ class CollusionNetworkService(AccountAutomationService):
     def tick(self) -> None:
         """One simulated hour of collusion-network fulfilment."""
         now = self.platform.clock.now
-        unfollowed = self._unfollowed
-        unfollowed.clear()
+        follows_saturated = self._follows_saturated
+        follows_saturated.clear()
         self._free_likes_saturated.clear()
         live = []
         for order in self._orders:
             if order.open and not order.expired(now):
                 customer = order.customer
-                if order.action_type is ActionType.FOLLOW and unfollowed.get(customer) == 0:
+                if order.action_type is ActionType.FOLLOW and customer in follows_saturated:
                     # every pool source already follows the recipient: its
                     # earlier visit this tick found it live with a non-empty
                     # pool, so this visit would only move the cursor

@@ -5,7 +5,15 @@ Advances the organic population one tick at a time:
 * **Reciprocity**: users check notifications (per-user hourly rate); for
   each inbound like/follow they may reciprocate per the
   :class:`~repro.behavior.reciprocity.ReciprocityModel`. This is the
-  channel reciprocity-abuse AASs exploit.
+  channel reciprocity-abuse AASs exploit. A checked inbox's response
+  candidates are all collected before any is acted on, and decided by
+  one draw call on the ``reciprocity`` stream. That equals drawing per
+  notification between responses because responding changes no actor's
+  existence or attractiveness: the actor is never the responder, a like
+  leaves the actor's ``media_of`` list untouched, a follow moves the
+  responder's following count and not the actor's, and the like pick
+  draws from the driver's own stream. Inboxes of accounts outside the
+  population, such as honeypots, are dropped unread.
 * **Background traffic**: users like and follow organically (media of
   accounts they follow, plus popularity-weighted discovery). This is the
   legitimate activity blended into mixed ASNs that intervention
@@ -167,21 +175,27 @@ class OrganicActivityDriver:
     def _process_inbox(self, account_id: AccountId) -> None:
         profile = self.population.profiles[account_id]
         notifications = self.platform.notifications.drain(account_id)
-        platform = self.platform
-        account_exists = platform.account_exists
-        respond = self.model.respond
+        account_exists = self.platform.account_exists
+        response_items = self.model.response_items
         propensity = profile.propensity
         affinity = profile.follow_on_like_affinity
         attractiveness_of = self._attractiveness
+        # every response candidate of the inbox first, then one draw
+        # call for all of them: responding changes no actor's existence
+        # or attractiveness (see the module docstring)
+        candidates: list[tuple[AccountId, ActionType, float]] = []
         for notification in notifications:
             actor = notification.actor
             if actor == account_id or not account_exists(actor):
                 continue
-            intents = respond(
+            for response_type, probability in response_items(
                 notification.action_type, attractiveness_of(actor), propensity, affinity
-            )
-            for intent in intents:
-                self._execute_response(account_id, actor, intent.response_type, profile)
+            ):
+                candidates.append((actor, response_type, probability))
+        draws = self.model.draws(len(candidates))
+        for (actor, response_type, probability), draw in zip(candidates, draws):
+            if draw < probability:
+                self._execute_response(account_id, actor, response_type, profile)
 
     def _execute_response(
         self,
@@ -216,10 +230,14 @@ class OrganicActivityDriver:
         rates_get = self._check_rates.get
         random = self._rng.random
         process = self._process_inbox
-        for account_id in self.platform.notifications.recipients_with_pending():
+        notifications = self.platform.notifications
+        for account_id in notifications.recipients_with_pending():
             rate = rates_get(account_id)
             if rate is None:
-                continue  # not an organic account (honeypot/customer drivers handle their own)
+                # not an organic account: nothing reads its inbox, so
+                # drop it rather than list it every tick
+                notifications.drain(account_id)
+                continue
             if random() < rate:
                 process(account_id)
 

@@ -86,7 +86,7 @@ class ReciprocityModel:
     def __init__(self, params: ReciprocityParams, rng: np.random.Generator):
         self.params = params
         self._rng = rng
-        #: memo of :meth:`_response_items` — a pure function of its
+        #: memo of :meth:`response_items` — a pure function of its
         #: arguments (``params`` is frozen), so caching is exact. Keys
         #: repeat heavily: attractiveness saturates (profile completeness
         #: is discrete, content/following contributions cap at 10) and
@@ -134,7 +134,7 @@ class ReciprocityModel:
             raw = {}
         return {k: min(v, 1.0) for k, v in raw.items() if v > 0.0}
 
-    def _response_items(
+    def response_items(
         self,
         inbound_type: ActionType,
         actor_attractiveness: float,
@@ -143,9 +143,9 @@ class ReciprocityModel:
     ) -> tuple[tuple[ActionType, float], ...]:
         """:meth:`response_probabilities` as a memoized item tuple.
 
-        Same values in the same (insertion) order the dict would yield —
-        the order :meth:`respond` draws in, so the memo cannot perturb
-        the RNG sequence.
+        Same values in the same (insertion) order the dict would yield:
+        one response candidate per item, each decided by one of
+        :meth:`draws` in this order.
         """
         # keyed on the dense column code rather than the enum member:
         # tuple hashing then costs three float hashes and an int hash
@@ -168,6 +168,13 @@ class ReciprocityModel:
             )
         return items
 
+    def draws(self, n: int) -> list[float]:
+        """``n`` uniform doubles in one call: a candidate is taken when
+        its draw is below its probability. Values and generator state
+        equal ``n`` scalar ``random()`` draws (``tests/test_util_rng.py``,
+        ``TestBatchedDoubles``)."""
+        return self._rng.random(n).tolist()
+
     def respond(
         self,
         inbound_type: ActionType,
@@ -176,14 +183,11 @@ class ReciprocityModel:
         follow_on_like_affinity: float = 1.0,
     ) -> list[ResponseIntent]:
         """Sample the recipient's reciprocal actions for one notification."""
-        items = self._response_items(
+        items = self.response_items(
             inbound_type, actor_attractiveness, recipient_propensity, follow_on_like_affinity
         )
-        random = self._rng.random
-        # listcomp draws left-to-right over the memoized items — the same
-        # one-draw-per-candidate order as an explicit loop
         return [
             ResponseIntent(response_type=response_type)
-            for response_type, probability in items
-            if random() < probability
+            for (response_type, probability), draw in zip(items, self.draws(len(items)))
+            if draw < probability
         ]

@@ -106,6 +106,8 @@ class FollowerGraph:
         #: removed is a subset of it.
         self._in_extra: dict[AccountId, set[AccountId]] = {}
         self._in_removed: dict[AccountId, set[AccountId]] = {}
+        #: edges ever removed into each account (``removals_into``)
+        self._removals: dict[AccountId, int] = {}
 
     # -- out-side plumbing ---------------------------------------------
 
@@ -203,6 +205,8 @@ class FollowerGraph:
         else:
             # the edge lives in the raw bulk columns: tombstone it
             self._in_removed.setdefault(dst, set()).add(src)
+        removals = self._removals
+        removals[dst] = removals.get(dst, 0) + 1
         self._out_views.pop(src, None)
         self._in_views.pop(dst, None)
         self._edge_count -= 1
@@ -287,6 +291,16 @@ class FollowerGraph:
         across follows); callers must never write through it.
         """
         return self._out
+
+    def removals_into(self, account: AccountId) -> int:
+        """How many edges into ``account`` were ever removed.
+
+        Every removal goes through :meth:`unfollow` (``drop_account``
+        included), so while this count stands still the followers of
+        ``account`` only grow. The collusion engine stamps its carried
+        follow counts with it.
+        """
+        return self._removals.get(account, 0)
 
     def following(self, account: AccountId) -> frozenset[AccountId]:
         """Accounts that ``account`` follows (an immutable snapshot)."""

@@ -31,6 +31,7 @@ class SetFollowerGraph:
         self._following: dict[AccountId, set[AccountId]] = defaultdict(set)
         self._followers: dict[AccountId, set[AccountId]] = defaultdict(set)
         self._edge_count = 0
+        self._removals: dict[AccountId, int] = defaultdict(int)
 
     def follow(self, src: AccountId, dst: AccountId) -> None:
         """Add edge src -> dst. Self-follows and duplicates are invalid."""
@@ -49,6 +50,7 @@ class SetFollowerGraph:
             raise InvalidActionError(f"{src} does not follow {dst}")
         self._following[src].remove(dst)
         self._followers[dst].remove(src)
+        self._removals[dst] += 1
         self._edge_count -= 1
         self._obs_unfollows.inc()
 
@@ -68,6 +70,10 @@ class SetFollowerGraph:
 
     def is_following(self, src: AccountId, dst: AccountId) -> bool:
         return dst in self._following[src]
+
+    def removals_into(self, account: AccountId) -> int:
+        """How many edges into ``account`` were ever removed."""
+        return self._removals[account]
 
     def following(self, account: AccountId) -> frozenset[AccountId]:
         """Accounts that ``account`` follows."""

@@ -14,7 +14,7 @@ from repro.behavior.degree import DegreeDistribution
 from repro.behavior.population import OrganicPopulation, PopulationConfig
 from repro.netsim import ASNRegistry, NetworkFabric
 from repro.platform import InstagramPlatform
-from repro.platform.models import ActionType, ApiSurface
+from repro.platform.models import ActionType
 from repro.util import derive_rng
 from repro.util.timeutils import days
 

@@ -9,7 +9,6 @@ from repro.behavior.population import OrganicPopulation, PopulationConfig
 from repro.netsim import ASNRegistry, NetworkFabric
 from repro.platform import InstagramPlatform
 from repro.util import derive_rng
-from repro.util.timeutils import days
 
 
 @pytest.fixture

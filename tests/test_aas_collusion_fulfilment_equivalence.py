@@ -14,12 +14,19 @@ ticks, a recipient both capped and saturated, and the free-like verdict
 living one tick. Others add follow saturation: reached on a visit's
 last budget unit, a saturated recipient's orders interleaved with
 orders of other pool sizes, and a saturated recipient deleted between
-ticks. After every tick the cursor, the service RNG, the log rows,
-every order's progress, the like tallies and caps, and the outcome
-counts must be equal.
+ticks. The follow counts carried across ticks get their own cases:
+pool churn, a withdrawn follow into a saturated recipient, a delayed
+removal under ``ThresholdBinPolicy``, a deleted source, a follow from
+outside the engine (a carried overestimate) and a snapshot/restore
+between ticks. After every tick the cursor, the service RNG, the log
+rows, every order's progress, the like tallies and caps, and the
+outcome counts must be equal, and every carried follow count whose
+stamp still holds must be at least a fresh recount.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 import pytest
@@ -34,7 +41,9 @@ from repro.aas.collusion_service import (
 )
 from repro.aas.pricing import HublaagramCatalog
 from repro.aas.services.hublaagram import HUBLAAGRAM_DESCRIPTOR
-from repro.interventions.policy import BlanketAsnPolicy
+from repro.interventions.bins import BinAssignment, account_bin
+from repro.interventions.policy import BlanketAsnPolicy, ThresholdBinPolicy
+from repro.interventions.thresholds import CountSubject, ThresholdEntry, ThresholdTable
 from repro.netsim import ASNRegistry, NetworkFabric
 from repro.platform import InstagramPlatform
 from repro.platform.models import ActionType
@@ -107,6 +116,19 @@ class _World:
             "suspended": service.sales_suspended,
         }
 
+    def restore(self) -> None:
+        """Pickle the world between ticks and carry on with the copy."""
+        blob = pickle.dumps(
+            (self.platform, self.service, self.orders, self.like_block, self.follow_block)
+        )
+        (
+            self.platform,
+            self.service,
+            self.orders,
+            self.like_block,
+            self.follow_block,
+        ) = pickle.loads(blob)
+
     def rows(self, start: int) -> list[tuple]:
         return [
             (
@@ -122,6 +144,31 @@ class _World:
             )
             for r in list(self.platform.log)[start:]
         ]
+
+
+def _recount(service: CollusionNetworkService, recipient: int) -> int:
+    """Pool sources of the service's last tick pool not following ``recipient``."""
+    graph = service.platform.graph
+    return sum(
+        not graph.is_following(record.account_id, recipient)
+        for record in service._pool_cache
+        if record.account_id != recipient
+    )
+
+
+def _check_carried_counts(service: CollusionNetworkService) -> int:
+    """Every carried follow count whose removal stamp still holds is at
+    least a recount over the pool it was made on (the carried counts
+    are dropped whenever the pool changes). Returns how many exceed it."""
+    graph = service.platform.graph
+    over = 0
+    for recipient, (count, removals) in service._unfollowed.items():
+        if removals != graph.removals_into(recipient):
+            continue  # stale: the next visit recounts
+        fresh = _recount(service, recipient)
+        assert count >= fresh, f"recipient {recipient}: carried {count} < {fresh}"
+        over += count > fresh
+    return over
 
 
 def _both(worlds, step) -> None:
@@ -214,7 +261,8 @@ def test_fulfilment_matches_per_attempt_loop(seed, members):
         assert production.rows(seen_rows) == oracle.rows(seen_rows), f"tick {tick}"
         seen_rows = len(oracle.platform.log)
         service = production.service
-        saturated += sum(not unfollowed for unfollowed in service._unfollowed.values())
+        _check_carried_counts(service)
+        saturated += len(service._follows_saturated)
         day = production.platform.clock.day
         capped += sum(
             service._recipient_attempts.get((r, day), 0) >= cap
@@ -291,9 +339,10 @@ def test_follows_saturate_across_visits(seed):
         assert production.rows(seen_rows) == oracle.rows(seen_rows), f"tick {tick}"
         seen_rows = len(oracle.platform.log)
         service = production.service
+        _check_carried_counts(service)
         pool = len(service._pool_cache) - 1
         assert pool > 4 * budget
-        saturated_ticks += any(service._unfollowed.get(who) == 0 for who in recipients)
+        saturated_ticks += any(who in service._follows_saturated for who in recipients)
         for world in worlds:
             world.platform.clock.advance(1)
     assert saturated_ticks > 0
@@ -311,10 +360,13 @@ def _fixed_pool_worlds(seed: int, members: int = 7):
     return worlds
 
 
-def _lockstep(worlds, ticks: int, before_tick=lambda tick: None) -> None:
-    """Tick both worlds ``ticks`` times, equal after every tick."""
+def _lockstep(worlds, ticks: int, before_tick=lambda tick: None) -> int:
+    """Tick both worlds ``ticks`` times, equal after every tick; returns
+    how many carried follow counts exceeded their recount, summed over
+    the ticks."""
     oracle, production = worlds
     seen_rows = len(oracle.platform.log)
+    over = 0
     for tick in range(ticks):
         before_tick(tick)
         for world in worlds:
@@ -322,8 +374,10 @@ def _lockstep(worlds, ticks: int, before_tick=lambda tick: None) -> None:
         assert production.state() == oracle.state(), f"tick {tick}"
         assert production.rows(seen_rows) == oracle.rows(seen_rows), f"tick {tick}"
         seen_rows = len(oracle.platform.log)
+        over += _check_carried_counts(production.service)
         for world in worlds:
             world.platform.clock.advance(1)
+    return over
 
 
 class TestLikeSaturation:
@@ -502,7 +556,7 @@ class TestLikeSaturation:
 
 class TestFollowSaturation:
     """Follow visits to a recipient whose pool already follows it equal
-    the per-attempt loop: the per-tick count of pool sources not yet
+    the per-attempt loop: the carried count of pool sources not yet
     following it, and the tick loop's jump once it is zero."""
 
     @staticmethod
@@ -547,7 +601,8 @@ class TestFollowSaturation:
         _lockstep(worlds, 1)
         (order,) = production.orders
         assert order.delivered == budget and order.open
-        assert service._unfollowed[recipient] == 0
+        assert service._unfollowed[recipient][0] == 0
+        assert recipient in service._follows_saturated
         pool = service._source_pool(recipient)
         (last,) = production.rows(len(production.platform.log) - 1)
         assert pool[service._source_cursor].account_id == last[2]
@@ -609,3 +664,176 @@ class TestFollowSaturation:
         assert visits.count((2, recipient)) == 4
         assert not production.service._orders
         assert all(o.delivered == o.quantity for o in production.orders)
+
+
+class TestCarriedFollowCounts:
+    """A follow recipient's count of unfollowing pool sources outlives
+    the tick. It must be recounted when the tick pool changes or an edge
+    into the recipient is removed; a follow from outside the engine
+    leaves it an overestimate, which only forgoes the jump. Every case
+    saturates (or half-saturates) one recipient, changes the world
+    between ticks, and runs both worlds in lockstep."""
+
+    RECIPIENT = 3
+
+    @staticmethod
+    def _request_every_tick(worlds, who: int):
+        def script(tick):
+            _both(worlds, lambda w: w.service.request_free_service(w.ids[who], ActionType.FOLLOW))
+
+        return script
+
+    def _saturated(self, seed: int = 8):
+        worlds = _fixed_pool_worlds(seed)
+        TestFollowSaturation._follow_from_pool(worlds, self.RECIPIENT)
+        return worlds
+
+    def test_pool_churn_recounts(self):
+        """A customer joining the pool of a saturated recipient is a
+        source not yet following it: the carried zero is dropped with
+        the old pool, and the newcomer's follow is delivered."""
+        worlds = self._saturated()
+        oracle, production = worlds
+        recipient = production.ids[self.RECIPIENT]
+        request = self._request_every_tick(worlds, self.RECIPIENT)
+        joined = []
+
+        def script(tick):
+            request(tick)
+            if tick == 3:
+                for world in worlds:
+                    account = world.platform.create_account("late", "pw-late")
+                    world.service.register_customer("late", "pw-late", set(ACTIONS), trial_ticks=10**6)
+                joined.append(account.account_id)
+            if tick == 5:
+                for world in worlds:
+                    world.service.cancel_customer(world.ids[6])
+
+        _lockstep(worlds, 8, script)
+        assert recipient in production.service._follows_saturated
+        assert production.platform.graph.is_following(joined[0], recipient)
+
+    def test_withdrawn_follow_into_saturated_recipient(self):
+        worlds = self._saturated()
+        oracle, production = worlds
+        recipient = production.ids[self.RECIPIENT]
+        withdrawn = production.ids[5]
+        request = self._request_every_tick(worlds, self.RECIPIENT)
+        stamps = []
+
+        def script(tick):
+            request(tick)
+            if tick == 3:
+                for world in worlds:
+                    world.platform.graph.unfollow(withdrawn, recipient)
+            stamps.append(production.service._unfollowed.get(recipient))
+
+        _lockstep(worlds, 6, script)
+        # saturated before the withdrawal, recounted after it
+        assert stamps[3] == (0, 0)
+        assert production.service._unfollowed[recipient] == (0, 1)
+        assert production.platform.graph.is_following(withdrawn, recipient)
+
+    def test_delayed_removal_under_threshold_policy(self):
+        """Follows past a per-recipient daily limit are delay-removed a
+        day later, inside ``clock.advance``: each removal restamps the
+        recipient, and the engine follows again from the same sources."""
+        worlds = _fixed_pool_worlds(8)
+        oracle, production = worlds
+        # a recipient in a treated bin (bin 0 is the control bin)
+        who = next(i for i in range(1, 7) if account_bin(production.ids[i]) != 0)
+        recipient = production.ids[who]
+        for world in worlds:
+            table = ThresholdTable()
+            for asn in sorted(world.service.current_asns()):
+                table.add(
+                    ThresholdEntry(asn, ActionType.FOLLOW, 1, CountSubject.TARGET, mixed_asn=False)
+                )
+            world.platform.countermeasures.add_policy(
+                ThresholdBinPolicy(thresholds=table, assignment=BinAssignment.broad_delay())
+            )
+        _lockstep(worlds, 40, self._request_every_tick(worlds, who))
+        graph = production.platform.graph
+        assert graph.removals_into(recipient) > 0
+        follows = [
+            row[2] for row in production.rows(0) if row[3] == "follow" and row[4] == recipient
+        ]
+        assert len(follows) > len(set(follows))  # a removed follow was issued again
+
+    def test_deleted_source_recounts(self):
+        """A source deleted between ticks is still in that tick's pool,
+        but its edges are gone: the removal restamps the recipient, and
+        the recount sends an attempt to the deleted source, which loses
+        the engine its access and so leaves the next tick's pool."""
+        worlds = self._saturated()
+        oracle, production = worlds
+        recipient = production.ids[self.RECIPIENT]
+        request = self._request_every_tick(worlds, self.RECIPIENT)
+        stamps = []
+
+        def script(tick):
+            request(tick)
+            if tick == 2:
+                for world in worlds:
+                    world.platform.delete_account(world.ids[5])
+            stamps.append(production.service._unfollowed.get(recipient))
+
+        _lockstep(worlds, 5, script)
+        assert stamps[2:4] == [(0, 0), (1, 1)]
+        assert production.service._unfollowed[recipient] == (0, 1)
+        assert production.service.outcome_counts[IssueOutcome.LOST_ACCESS] > 0
+
+    def test_follow_from_outside_is_a_carried_overestimate(self):
+        worlds = _fixed_pool_worlds(8)
+        oracle, production = worlds
+        recipient = production.ids[self.RECIPIENT]
+        # only the first pool source follows the recipient
+        TestFollowSaturation._follow_from_pool(worlds, self.RECIPIENT, skip=range(1, 6))
+        outsider_follow = []
+
+        def script(tick):
+            if tick == 0:
+                _both(worlds, lambda w: w.service.request_free_service(recipient, ActionType.FOLLOW))
+            if tick == 1:
+                # one of the two sources left follows on its own
+                (src, *_) = [
+                    r.account_id
+                    for r in production.service._source_pool(recipient)
+                    if not production.platform.graph.is_following(r.account_id, recipient)
+                ]
+                outsider_follow.append(src)
+                for world in worlds:
+                    world.platform.graph.follow(src, recipient)
+
+        over = _lockstep(worlds, 4, script)
+        assert outsider_follow
+        assert over > 0
+        # the pool follows the recipient, yet its count never reached
+        # zero: the visits ran their INVALID attempts instead of jumping
+        assert _recount(production.service, recipient) == 0
+        assert production.service._unfollowed[recipient][0] > 0
+
+    def test_snapshot_restore_between_ticks(self):
+        worlds = self._saturated()
+        oracle, production = worlds
+        recipient = production.ids[self.RECIPIENT]
+        withdrawn = production.ids[1]
+        request = self._request_every_tick(worlds, self.RECIPIENT)
+        carried = []
+
+        def script(tick):
+            request(tick)
+            if tick == 3:
+                carried.append(dict(production.service._unfollowed))
+                for world in worlds:
+                    world.restore()
+                assert production.service._unfollowed == carried[0]
+                assert production.platform.graph.removals_into(recipient) == 0
+            if tick == 5:
+                for world in worlds:
+                    world.platform.graph.unfollow(withdrawn, recipient)
+
+        _lockstep(worlds, 8, script)
+        assert carried[0][recipient] == (0, 0)
+        assert production.platform.graph.removals_into(recipient) == 1
+        assert production.platform.graph.is_following(withdrawn, recipient)

@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.aas.collusion_service import CollusionNetworkService
 from repro.aas.services import make_followersgratis, make_hublaagram
 from repro.platform import InstagramPlatform
 from repro.platform.countermeasures import ActionContext, CountermeasureDecision
-from repro.platform.models import ActionStatus, ActionType
+from repro.platform.models import ActionType
 from repro.netsim import ASNRegistry, NetworkFabric
 from repro.util import derive_rng
 from repro.util.timeutils import days

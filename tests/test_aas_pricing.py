@@ -8,8 +8,6 @@ from repro.aas.pricing import (
     HublaagramCatalog,
     INSTALEX_PRICING,
     INSTAZOOD_PRICING,
-    LikePackage,
-    MonthlyLikeTier,
     SubscriptionPricing,
     dollars,
 )

@@ -6,7 +6,6 @@ from repro.aas.base import IssueOutcome
 from repro.aas.services import make_boostgram, make_instalex
 from repro.behavior.degree import DegreeDistribution
 from repro.behavior.population import OrganicPopulation, PopulationConfig
-from repro.interventions.bins import BinAssignment
 from repro.netsim import ASNRegistry, NetworkFabric
 from repro.platform import InstagramPlatform
 from repro.platform.countermeasures import ActionContext, CountermeasureDecision

@@ -1,7 +1,5 @@
 """Tests for the five service factories' published facts (Tables 1, 7)."""
 
-import pytest
-
 from repro.aas.base import ServiceType
 from repro.aas.services.boostgram import BOOSTGRAM_DESCRIPTOR
 from repro.aas.services.followersgratis import FOLLOWERSGRATIS_DESCRIPTOR

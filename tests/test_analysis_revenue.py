@@ -3,12 +3,7 @@
 import pytest
 
 from repro.aas.base import ServiceType
-from repro.aas.pricing import (
-    BOOSTGRAM_PRICING,
-    HublaagramCatalog,
-    INSTAZOOD_PRICING,
-    SubscriptionPricing,
-)
+from repro.aas.pricing import BOOSTGRAM_PRICING, HublaagramCatalog, INSTAZOOD_PRICING
 from repro.analysis.revenue import (
     estimate_hublaagram_revenue,
     estimate_reciprocity_revenue,

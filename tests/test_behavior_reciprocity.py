@@ -100,3 +100,17 @@ class TestRespond:
             for _ in range(2000)
         )
         assert 300 <= hits <= 500  # ~0.2 of 2000
+
+    def test_respond_is_items_then_draws(self):
+        """``respond`` takes each memoized item whose draw is below its
+        probability, one scalar-equivalent draw per item in item order:
+        the organic driver batches those draws over a whole inbox."""
+        params = ReciprocityParams(like_to_like=0.5, like_to_follow=0.5)
+        model = ReciprocityModel(params, derive_rng(13, "reciprocity"))
+        scalar = derive_rng(13, "reciprocity")
+        for inbound in (ActionType.LIKE, ActionType.FOLLOW, ActionType.COMMENT, ActionType.POST) * 20:
+            items = model.response_items(inbound, LIVED_IN_ATTRACTIVENESS, 1.0, 1.0)
+            expected = [kind for kind, p in items if scalar.random() < p]
+            intents = model.respond(inbound, LIVED_IN_ATTRACTIVENESS, 1.0, 1.0)
+            assert [intent.response_type for intent in intents] == expected
+        assert model._rng.bit_generator.state == scalar.bit_generator.state

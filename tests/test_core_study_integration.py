@@ -7,7 +7,6 @@ simulation ground truth, and the qualitative shapes of the analyses.
 
 import pytest
 
-from repro.aas.base import ServiceType
 from repro.core import experiments as E
 from repro.core.study import INSTA_STAR
 from repro.honeypot.framework import HoneypotKind
@@ -40,6 +39,17 @@ class TestHoneypotPhase:
         for result in tiny_study.reciprocation_results:
             if result.outbound_type is ActionType.FOLLOW:
                 assert result.like_ratio == 0.0
+
+    def test_no_stale_inbox_outside_the_population(self, tiny_study):
+        """Honeypot inboxes are dropped by every reciprocity pass: only
+        the last tick's notifications can be pending."""
+        notifications = tiny_study.platform.notifications
+        last_tick = tiny_study.clock.now - 1
+        for account in notifications.recipients_with_pending():
+            if account not in tiny_study.population.profiles:
+                assert {n.tick for n in notifications.pending(account)} == {last_tick}
+        honeypots = [h.account_id for h in tiny_study.honeypots.accounts]
+        assert any(tiny_study.platform.log.inbound(h) for h in honeypots)
 
     def test_like_reciprocation_small(self, tiny_study):
         for result in tiny_study.reciprocation_results:

@@ -129,6 +129,8 @@ class TestEnvelope:
     # | 7       | the study's agent loop keeps no wake schedule           |
     # | 8       | the action log keeps no tick-order flag; the classifier |
     # |         | keeps no stream-order flag                              |
+    # | 9       | collusion follow counts carried across ticks with a     |
+    # |         | removal stamp; the graph's per-account removal counts   |
     @pytest.mark.parametrize("version", range(2, SNAPSHOT_SCHEMA_VERSION))
     def test_older_version_envelope_rejected(self, version: int) -> None:
         expected = f"schema_version {version} != current {SNAPSHOT_SCHEMA_VERSION}"

@@ -12,10 +12,7 @@ from repro.interventions.experiment import (
     NarrowInterventionPlan,
 )
 from repro.interventions.thresholds import CountSubject
-from repro.netsim.client import ClientEndpoint, DeviceFingerprint
 from repro.platform import InstagramPlatform
-from repro.platform.countermeasures import CountermeasureDecision
-from repro.platform.models import ActionType
 
 
 @pytest.fixture

@@ -15,7 +15,6 @@ from repro.core import Study, StudyConfig
 from repro.core import experiments as E
 from repro.core.study import INSTA_STAR
 from repro.interventions.experiment import BroadInterventionPlan, NarrowInterventionPlan
-from repro.interventions.metrics import daily_eligible_counts_by_group
 from repro.interventions.thresholds import CountSubject
 from repro.platform.models import ActionStatus, ActionType
 

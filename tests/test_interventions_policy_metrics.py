@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.interventions.bins import BIN_COUNT, BinAssignment, account_bin
+from repro.interventions.bins import BinAssignment, account_bin
 from repro.interventions.metrics import (
     daily_eligible_counts_by_group,
     eligible_flags,

@@ -1,7 +1,5 @@
 """Tests for dataset export/import."""
 
-import pytest
-
 from repro.io import export_records, iter_records, load_records, record_from_dict, record_to_dict
 from repro.netsim.client import ClientEndpoint, DeviceFingerprint
 from repro.platform.models import ActionRecord, ActionStatus, ActionType, ApiSurface

@@ -5,7 +5,6 @@ import pytest
 from repro.netsim.asn import ASKind, ASNRegistry
 from repro.netsim.client import ClientEndpoint, DeviceFingerprint
 from repro.netsim.fabric import NetworkFabric
-from repro.netsim.ipspace import Prefix
 from repro.netsim.proxies import ProxyPool
 from repro.util import derive_rng
 

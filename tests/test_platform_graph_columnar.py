@@ -7,7 +7,6 @@ identically.
 
 import pickle
 
-import numpy as np
 import pytest
 
 from repro.platform.errors import InvalidActionError
@@ -28,6 +27,7 @@ def _assert_equivalent(fast: FollowerGraph, ref: SetFollowerGraph) -> None:
         assert list(fast.followers_view(account)) == list(ref.followers_view(account))
         assert fast.out_degree(account) == ref.out_degree(account)
         assert fast.in_degree(account) == ref.in_degree(account)
+        assert fast.removals_into(account) == ref.removals_into(account)
 
 
 def _apply_both(fast, ref, op, *args):

@@ -14,7 +14,7 @@ from repro.platform.errors import (
     InvalidActionError,
     UnknownAccountError,
 )
-from repro.platform.models import ApiSurface, Profile
+from repro.platform.models import Profile
 
 
 @pytest.fixture

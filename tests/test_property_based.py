@@ -1,7 +1,6 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 import hypothesis.strategies as st
-import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.aas.ledger import Payment, PaymentLedger

@@ -49,6 +49,27 @@ class TestBatchedIntegers:
         assert batched.bit_generator.state == scalar.bit_generator.state
 
 
+class TestBatchedDoubles:
+    """The organic driver decides a checked inbox's response candidates
+    with one ``random(n)`` call on the ``reciprocity`` stream, where the
+    per-notification loop makes ``n`` scalar ``random()`` draws. That is
+    exact only while NumPy gives both the same values and the same
+    generator state."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 9, 1000])
+    @pytest.mark.parametrize("warmup", [0, 1])
+    def test_one_call_equals_scalar_draws(self, n, warmup):
+        scalar = derive_rng(13, "batched-doubles")
+        batched = derive_rng(13, "batched-doubles")
+        for rng in (scalar, batched):
+            # a buffered half-word from a 32-bit draw must not leak in
+            for _ in range(warmup):
+                rng.integers(0, 5)
+        values = [float(scalar.random()) for _ in range(n)]
+        assert batched.random(n).tolist() == values
+        assert batched.bit_generator.state == scalar.bit_generator.state
+
+
 class TestSeedSequenceFactory:
     def test_get_memoizes(self):
         factory = SeedSequenceFactory(3)
