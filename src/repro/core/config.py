@@ -245,7 +245,8 @@ def resolve_workers(cli_value: int | None = None) -> int:
     Precedence: an explicit ``--workers`` value wins, then the
     ``REPRO_WORKERS`` environment variable, then a single worker.
     Lives here because this module is the sanctioned home for
-    environment reads (the DET006 lint exemption); worker count only
+    environment reads (its DET006 allowlist entry in
+    ``tests/test_source_rules.py``); worker count only
     scales wall-clock fan-out — merged fleet output is byte-identical
     for any value (see :mod:`repro.fleet.runner`).
     """

@@ -31,8 +31,9 @@ pure function of the access history.
 
 This module is the repo's only sanctioned home for snapshot disk I/O
 (plus the ``tempfile``/``shutil`` throwaway-root helpers below): the
-ARCH004 lint rule confines those imports to ``repro/fleet/`` the same
-way it confines ``pickle`` and process pools.
+ARCH004 source rule (``tests/test_source_rules.py``) confines those
+imports to ``repro/fleet/`` the same way it confines ``pickle`` and
+process pools.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ fixes this without perturbing determinism:
   schema-versioned JSON payload.
 * :mod:`repro.obs.spans` — phase/span tracing pinned to the simulation
   clock (tick-stamped start/end, nested). Optional wall-clock durations
-  come only from :mod:`repro.obs.walltime`, the one module waived from
-  the DET003 wall-clock lint rule; they are stripped by
+  come only from :mod:`repro.obs.walltime`, the one module allowlisted
+  for the DET003 wall-clock source rule; they are stripped by
   :func:`repro.obs.trace.canonical_lines` so canonical traces are a
   pure function of the seed.
 * :mod:`repro.obs.facade` — :class:`Observability`, the handle threaded

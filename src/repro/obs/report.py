@@ -3,8 +3,9 @@
 A deliberately thin :class:`repro.obs.spans.SpanListener`: span starts
 become indented, tick-stamped progress lines on the given stream, and
 top-level span ends report how many simulated ticks the phase covered.
-This file (with the CLIs) is one of the sanctioned output sites exempt
-from the OBS001 no-direct-print lint rule.
+This file (with the CLIs) is one of the sanctioned output sites
+allowlisted for the OBS001 no-direct-print rule
+(``tests/test_source_rules.py``).
 """
 
 from __future__ import annotations

@@ -3,13 +3,12 @@
 Everything else in ``repro.obs`` is a pure function of simulation
 state; wall-clock span durations and RSS high-water marks are an
 explicit, opt-in extra for humans profiling a run. Reading the host
-clock violates DET003, and importing ``time``/``resource`` anywhere
-else violates OBS003 (``repro.lint``) — this module carries the
-standing module-scoped DET003 waiver for ``repro.obs.walltime`` (see
-``repro/lint/waivers.py``) and is OBS003's sole exempt path, so every
-host probe in the tree funnels through here.
+clock violates DET003, and importing ``time``/``resource`` violates
+OBS003. This file is the one path allowlisted for both rules in
+``tests/test_source_rules.py``, so every host probe in the tree
+funnels through here.
 
-Containment rules, mirrored by the waiver's reason string:
+Containment rules, summarized by the allowlist entries' reasons:
 
 * nothing here feeds back into simulation state — callers only ever
   attach the readings to closed span records;

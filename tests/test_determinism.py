@@ -1,13 +1,12 @@
 """Reproducibility guarantees: same seed => same world, across processes."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from repro.core import Study, StudyConfig
+from tests.childenv import child_pythonpath
 
 _PROBE = """
 from repro.core import Study, StudyConfig
@@ -18,16 +17,6 @@ ds = s.run_measurement(days_=2)
 print(len(s.platform.log), s.platform.graph.edge_count,
       sum(len(a.records) for a in ds.attributed.values()))
 """
-
-
-def _child_pythonpath() -> str:
-    """Import path for the probe subprocess: this repo's ``src`` tree
-    (derived from the test file's location, not the runner's cwd), plus
-    whatever the runner itself was launched with so editable installs
-    and site customizations keep working."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    inherited = os.environ.get("PYTHONPATH")  # repro-lint: ignore[DET006] -- propagating the runner's import path to a child process, not reading configuration
-    return src if not inherited else os.pathsep.join([src, inherited])
 
 
 def _world_fingerprint(seed: int) -> tuple:
@@ -89,7 +78,7 @@ class TestCrossProcessDeterminism:
                 env={
                     "PYTHONHASHSEED": hash_seed,
                     "PATH": "/usr/bin:/bin",
-                    "PYTHONPATH": _child_pythonpath(),
+                    "PYTHONPATH": child_pythonpath(),
                 },
                 timeout=300,
             )

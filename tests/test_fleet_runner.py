@@ -49,6 +49,7 @@ from repro.fleet import runner as runner_module
 from repro.fleet.store import STORE_SCHEMA_VERSION
 from repro.obs import split_segments
 from repro.obs.schema import validate_trace
+from tests.childenv import child_pythonpath
 from tests.oracles.fleet import flat_phase_builds, run_without_reuse
 
 SEEDS = (21, 22)
@@ -253,12 +254,7 @@ def _sweep_command(manifest: Path, store: Path, output: Path, workers: int) -> l
 
 
 def _child_env() -> dict[str, str]:
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    inherited = os.environ.get("PYTHONPATH")  # repro-lint: ignore[DET006] -- propagating the runner's import path to a child process, not reading configuration
-    return {
-        "PATH": "/usr/bin:/bin",
-        "PYTHONPATH": src if not inherited else os.pathsep.join([src, inherited]),
-    }
+    return {"PATH": "/usr/bin:/bin", "PYTHONPATH": child_pythonpath()}
 
 
 class TestInterruptedSweep:
