@@ -37,8 +37,8 @@ class TimingWheel:
         #: study passes :meth:`InstagramPlatform.action_batch`, so the
         #: batch boundary is exactly one actor-tick (DESIGN.md §15). The
         #: scope must be transparent to the agent: actions inside it
-        #: observe identical platform state, and deferred work is flushed
-        #: on exit, before the next agent runs.
+        #: observe identical platform state, and the scope's deferred log
+        #: rows are written on exit, before the next agent runs.
         self._run_scope = run_scope
         self._agents: dict[str, Callable[[], None]] = {}
         _obs = obs if obs is not None else NULL_OBS

@@ -138,11 +138,14 @@ class HoneypotFramework:
             count = min(int(self.rng.integers(lo, hi + 1)), len(pool))
             picks = self.rng.choice(len(pool), size=count, replace=False)
             session = self.platform.login(honeypot.username, honeypot.password, honeypot.endpoint)
-            for pick in picks:
-                target = pool[int(pick)]
-                if not self.platform.graph.is_following(honeypot.account_id, target):
-                    record = self.platform.follow(session, target, honeypot.endpoint)
-                    self.self_action_ids.add(record.action_id)
+            # one actor's set-up is one batch scope, like an agent run
+            with self.platform.action_batch():
+                for pick in picks:
+                    target = pool[int(pick)]
+                    if not self.platform.graph.is_following(honeypot.account_id, target):
+                        self.self_action_ids.add(
+                            self.platform.follow(session, target, honeypot.endpoint)
+                        )
         return honeypot
 
     def create_inactive(self, campaign: str = "baseline", photos: int = 10) -> HoneypotAccount:

@@ -117,8 +117,10 @@ class ActionLog:
     ) -> StoredAction:
         """Append one action from scalar fields; returns the stored row.
 
-        The platform's append path: the fields go straight into the
-        columns (no record object is ever built).
+        The fields go straight into the columns (no record object is
+        ever built). The platform writes every row through
+        :meth:`append_batch` (DESIGN.md §15); this is its one-row
+        reference, used by the test oracles and the log suites.
         """
         return self._push(
             action_type, actor, tick, endpoint, api, status,

@@ -23,7 +23,7 @@ from repro.netsim.client import ClientEndpoint
 from repro.platform.auth import Session
 from repro.platform.errors import RateLimitExceededError
 from repro.platform.instagram import InstagramPlatform
-from repro.platform.models import AccountId, ActionRecord, ApiSurface, Media, MediaId
+from repro.platform.models import AccountId, ApiSurface, Media, MediaId
 from repro.platform.ratelimit import SlidingWindowLimiter
 from repro.util.timeutils import hours
 
@@ -53,21 +53,21 @@ class _BaseAPI:
                 f"account {session.account_id} exceeded {self.surface.value} rate limit"
             )
 
-    def like(self, session: Session, media_id: MediaId, endpoint: ClientEndpoint) -> ActionRecord:
+    def like(self, session: Session, media_id: MediaId, endpoint: ClientEndpoint) -> int:
         self._charge(session)
         return self._platform.like(session, media_id, endpoint, api=self.surface)
 
-    def follow(self, session: Session, target: AccountId, endpoint: ClientEndpoint) -> ActionRecord:
+    def follow(self, session: Session, target: AccountId, endpoint: ClientEndpoint) -> int:
         self._charge(session)
         return self._platform.follow(session, target, endpoint, api=self.surface)
 
-    def unfollow(self, session: Session, target: AccountId, endpoint: ClientEndpoint) -> ActionRecord:
+    def unfollow(self, session: Session, target: AccountId, endpoint: ClientEndpoint) -> int:
         self._charge(session)
         return self._platform.unfollow(session, target, endpoint, api=self.surface)
 
     def comment(
         self, session: Session, media_id: MediaId, text: str, endpoint: ClientEndpoint
-    ) -> ActionRecord:
+    ) -> int:
         self._charge(session)
         return self._platform.comment(session, media_id, text, endpoint, api=self.surface)
 
@@ -77,13 +77,13 @@ class _BaseAPI:
         endpoint: ClientEndpoint,
         caption: str = "",
         hashtags: tuple[str, ...] = (),
-    ) -> tuple[ActionRecord, Media]:
+    ) -> tuple[int, Media]:
         self._charge(session)
         return self._platform.post(session, endpoint, caption=caption, hashtags=hashtags, api=self.surface)
 
     def submit_batch(
         self, session: Session, requests: Sequence[tuple], endpoint: ClientEndpoint
-    ) -> list:
+    ) -> list[int]:
         """Submit one client's burst of actions as a single request.
 
         ``requests`` holds ``("like", media_id)``, ``("follow", target)``,
@@ -92,18 +92,18 @@ class _BaseAPI:
         whole burst in one :meth:`SlidingWindowLimiter.allow_batch` call —
         the same quota bookkeeping as per-action charging — and the
         granted prefix executes inside the platform's action-batch scope,
-        so the log appends land via the bulk path. If the window cannot
-        cover the burst, the granted prefix still executes (exactly what
-        a per-action loop would have delivered before hitting the limit)
-        and :class:`RateLimitExceededError` is raised afterwards.
+        so its log rows land in one bulk append (or in the enclosing
+        scope's, when one is open). If the window cannot cover the burst,
+        the granted prefix still executes (exactly what a per-action loop
+        would have delivered before hitting the limit) and
+        :class:`RateLimitExceededError` is raised afterwards.
 
-        Returns the per-request results (records; ``None`` per row while
-        an enclosing batch scope defers materialization).
+        Returns the granted requests' action ids, in request order.
         """
         n = len(requests)
         granted = self._limiter.allow_batch(session.account_id, self._platform.clock.now, n)
         platform = self._platform
-        results: list = []
+        results: list[int] = []
         with platform.action_batch():
             for kind, *args in requests[:granted]:
                 if kind == "like":

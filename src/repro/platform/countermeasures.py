@@ -14,12 +14,12 @@ threshold-and-bin policy, while tests use simple lambdas. The engine
 asks every registered policy and applies the *strictest* decision
 (BLOCK > DELAY_REMOVE > ALLOW).
 
-The platform consults the engine once per attempted action, on the
-scalar path and inside action-batch scopes alike (DESIGN.md §15), so a
+The platform consults the engine once per attempted action, inside
+the action-batch scope every action runs in (DESIGN.md §15), so a
 decision is on the hot path of every policed action: contexts are
 plain named tuples, decisions hash by identity, and a delayed removal
-names its log row by action id — the row may still be pending in a
-batch when the removal is scheduled, and is resolved from the log only
+names its log row by action id — the row is still pending in the
+scope when the removal is scheduled, and is resolved from the log only
 when the removal fires.
 """
 
@@ -130,7 +130,7 @@ class CountermeasureEngine:
         """Arrange for action ``action_id`` to be undone ``removal_delay_ticks`` later.
 
         ``resolve`` maps the id to its log row when the removal fires (the
-        platform passes ``log.get``): a row deferred in an action-batch
+        platform passes ``log.get``): the row deferred in its action-batch
         scope is written by then, because clock callbacks fire only in
         :meth:`SimClock.advance`, outside every scope. ``undo`` reverses
         the action's platform effect (drop the follow edge, withdraw the

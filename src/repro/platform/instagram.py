@@ -27,6 +27,7 @@ from repro.platform.errors import (
     ActionBlockedError,
     InvalidActionError,
     UnknownAccountError,
+    UnknownMediaError,
 )
 from repro.platform.graph import FollowerGraph
 from repro.platform.mediastore import MediaStore
@@ -47,18 +48,18 @@ from repro.util.timeutils import days
 _ALLOW = CountermeasureDecision.ALLOW
 _DELAY_REMOVE = CountermeasureDecision.DELAY_REMOVE
 _BLOCK = CountermeasureDecision.BLOCK
+_DELIVERED = ActionStatus.DELIVERED
 
 
 class _PendingBatch:
     """Deferred log rows for one open action-batch scope.
 
-    ``base`` is the log length at scope entry (or after the last
-    intra-scope flush): pending row *i* will become action id
-    ``base + i``, which is how the facade hands out final action ids —
-    for notifications and delayed removals, e.g. — before the rows are
-    written. ``policed`` records whether a countermeasure policy was
-    installed at scope entry, i.e. whether the scope's actions consult
-    the engine.
+    ``base`` is the log length at scope entry, fixed for the scope's
+    lifetime: pending row *i* becomes action id ``base + i``, which is
+    how every action returns its final id — and hands it to
+    notifications and delayed removals — before the row is written.
+    ``policed`` records whether a countermeasure policy was installed at
+    scope entry, i.e. whether the scope's actions consult the engine.
     """
 
     __slots__ = ("base", "rows", "policed")
@@ -171,20 +172,21 @@ class InstagramPlatform:
     def action_batch(self) -> Iterator[None]:
         """Open one actor-tick's batch scope.
 
-        Inside the scope, like/follow/unfollow actions apply their
-        platform mutations (graph edges, media likes, notifications)
-        immediately — later actions in the same scope depend on them —
-        but their log rows, BLOCKED rows included, accumulate and land in
-        one :meth:`ActionLog.append_batch` at scope exit, in exact
-        submission order with the same action ids the per-action path
-        would have assigned.
+        Every action runs inside a scope. It applies its platform
+        mutations (graph edges, media likes, comments and posts,
+        notifications) immediately — later actions in the same scope
+        depend on them — and queues its log row, BLOCKED rows included.
+        The rows land in one :meth:`ActionLog.append_batch` at scope
+        exit, in submission order; each action returns its row's final
+        id (scope base + position). An action called with no scope open
+        opens a one-action scope itself, so its row is written when the
+        call returns.
 
-        With a countermeasure policy installed, each action still builds
-        its :class:`ActionContext` and consults the engine at the same
-        point of its checks as the scalar path; a BLOCK raises
+        With a countermeasure policy installed, each action builds its
+        :class:`ActionContext` and consults the engine; a BLOCK raises
         :class:`ActionBlockedError` after queueing its row, and a delayed
-        removal is scheduled against the deferred row's final id.
-        Whether to police is read once, at entry: policies are only ever
+        removal is scheduled against the row's final id. Whether to
+        police is read once, at entry: policies are only ever
         (un)installed between agent runs, so the check cannot go stale
         mid-scope. Nested inside an open scope, the scope is a no-op.
         """
@@ -201,72 +203,9 @@ class InstagramPlatform:
             if batch.rows:
                 self.log.append_batch(batch.rows)
 
-    def _flush_batch(self) -> None:
-        """Write pending rows out mid-scope, preserving log order.
-
-        Called by the action paths that do not defer (comment, post, and
-        any path needing a materialized record): their scalar append
-        must not overtake rows already submitted in this scope.
-        """
-        batch = self._batch
-        if batch is not None and batch.rows:
-            self.log.append_batch(batch.rows)
-            batch.rows = []
-            batch.base = self.log.next_id()
-
     # ------------------------------------------------------------------
     # Social actions
     # ------------------------------------------------------------------
-
-    def _authorize(self, session: Session) -> AccountId:
-        actor = self.auth.validate(session)
-        self.get_account(actor)  # deleted accounts cannot act
-        return actor
-
-    def _log_action(
-        self,
-        action_type: ActionType,
-        actor: AccountId,
-        endpoint: ClientEndpoint,
-        api: ApiSurface,
-        status: ActionStatus,
-        target_account: Optional[AccountId] = None,
-        target_media: Optional[MediaId] = None,
-        comment_text: Optional[str] = None,
-    ) -> ActionRecord:
-        record = self.log.log_action(
-            action_type,
-            actor,
-            self.clock.now,
-            endpoint,
-            api,
-            status,
-            target_account=target_account,
-            target_media=target_media,
-            comment_text=comment_text,
-        )
-        batch = self._batch
-        if batch is not None:
-            # a scalar append inside an open scope lands after the flushed
-            # rows; rows deferred from here on take the ids after it
-            batch.base = record.action_id + 1
-        return record
-
-    def _consult_countermeasures(
-        self,
-        action_type: ActionType,
-        actor: AccountId,
-        endpoint: ClientEndpoint,
-        api: ApiSurface,
-        target_account: Optional[AccountId],
-        target_media: Optional[MediaId],
-    ) -> CountermeasureDecision:
-        if not self.countermeasures.has_policies:
-            # with no policy installed every decision is vacuously ALLOW
-            # (and decide() is side-effect free), so skip building the
-            # per-action context
-            return _ALLOW
-        return self._police(action_type, actor, endpoint, api, target_account, target_media)
 
     def _police(
         self,
@@ -279,8 +218,8 @@ class InstagramPlatform:
     ) -> CountermeasureDecision:
         """Ask the installed policies about one action.
 
-        A BLOCK is counted, logs a BLOCKED row (deferred when a batch
-        scope is open) and raises :class:`ActionBlockedError`.
+        A BLOCK is counted, queues a BLOCKED row in the open scope and
+        raises :class:`ActionBlockedError`.
         """
         tick = self.clock.now
         decision = self.countermeasures.decide(
@@ -288,38 +227,14 @@ class InstagramPlatform:
         )
         if decision is _BLOCK:
             self.countermeasures.note_block()
-            row = (
-                action_type,
-                actor,
-                tick,
-                endpoint,
-                api,
-                ActionStatus.BLOCKED,
-                target_account,
-                target_media,
-                None,
+            self._batch.rows.append(
+                (action_type, actor, tick, endpoint, api, ActionStatus.BLOCKED,
+                 target_account, target_media, None)
             )
-            batch = self._batch
-            if batch is not None:
-                batch.rows.append(row)
-            else:
-                self.log.log_action(*row)
             # ``_value_`` is the member's plain attribute; ``.value`` is
             # a Python-level descriptor call
             raise ActionBlockedError(f"{action_type._value_} by {actor} blocked")
         return decision
-
-    def _notify(self, record: ActionRecord, recipient: AccountId) -> None:
-        self.notifications.push(
-            Notification(
-                recipient=recipient,
-                actor=record.actor,
-                action_type=record.action_type,
-                tick=record.tick,
-                media_id=record.target_media,
-                action_id=record.action_id,
-            )
-        )
 
     def like(
         self,
@@ -327,79 +242,38 @@ class InstagramPlatform:
         media_id: MediaId,
         endpoint: ClientEndpoint,
         api: ApiSurface = ApiSurface.PRIVATE_MOBILE,
-    ) -> ActionRecord:
-        """Like a media item; notifies the owner."""
+    ) -> int:
+        """Like a media item; notifies the owner. Returns the action id."""
         batch = self._batch
-        if batch is not None:
-            # batched path: same checks, decision and mutations in the
-            # same order (validate, account/media lookups, dup-like
-            # reject, decide, like, removal, notify) with the log row
-            # deferred
-            actor = self.auth.validate(session)
-            account = self._accounts.get(actor)
-            if account is None or account.is_deleted:
-                raise UnknownAccountError(f"account {actor} not found")
-            if batch.policed:
-                owner = self.media.get(media_id).owner
-                if self.media.has_liked(media_id, actor):
-                    raise InvalidActionError(f"{actor} already likes media {media_id}")
-                decision = self._police(ActionType.LIKE, actor, endpoint, api, owner, media_id)
-                self.media.like(media_id, actor)
-            else:
-                owner = self.media.like_new(media_id, actor).owner
-                decision = _ALLOW
-            rows = batch.rows
-            action_id = batch.base + len(rows)
-            tick = self.clock.now
-            rows.append(
-                (
-                    ActionType.LIKE,
-                    actor,
-                    tick,
-                    endpoint,
-                    api,
-                    ActionStatus.DELIVERED,
-                    owner,
-                    media_id,
-                    None,
-                )
-            )
-            if decision is _DELAY_REMOVE:
-                self.countermeasures.schedule_removal(action_id, self.log.get, self._undo_like)
-            if owner != actor:
-                self.notifications.push(
-                    Notification(
-                        recipient=owner,
-                        actor=actor,
-                        action_type=ActionType.LIKE,
-                        tick=tick,
-                        media_id=media_id,
-                        action_id=action_id,
-                    )
-                )
-            return None
-        actor = self._authorize(session)
-        media = self.media.get(media_id)
-        if self.media.has_liked(media_id, actor):
-            raise InvalidActionError(f"{actor} already likes media {media_id}")
-        decision = self._consult_countermeasures(
-            ActionType.LIKE, actor, endpoint, api, media.owner, media_id
-        )
-        self.media.like(media_id, actor)
-        record = self._log_action(
-            ActionType.LIKE,
-            actor,
-            endpoint,
-            api,
-            ActionStatus.DELIVERED,
-            target_account=media.owner,
-            target_media=media_id,
+        if batch is None:
+            with self.action_batch():
+                return self.like(session, media_id, endpoint, api)
+        actor = self.auth.validate(session)
+        account = self._accounts.get(actor)
+        if account is None or account.is_deleted:
+            raise UnknownAccountError(f"account {actor} not found")
+        if batch.policed:
+            owner = self.media.get(media_id).owner
+            if self.media.has_liked(media_id, actor):
+                raise InvalidActionError(f"{actor} already likes media {media_id}")
+            decision = self._police(ActionType.LIKE, actor, endpoint, api, owner, media_id)
+            self.media.like(media_id, actor)
+        else:
+            owner = self.media.like_new(media_id, actor).owner
+            decision = _ALLOW
+        rows = batch.rows
+        action_id = batch.base + len(rows)
+        tick = self.clock.now
+        rows.append(
+            (ActionType.LIKE, actor, tick, endpoint, api, _DELIVERED, owner, media_id, None)
         )
         if decision is _DELAY_REMOVE:
-            self.countermeasures.schedule_removal(record.action_id, self.log.get, self._undo_like)
-        if media.owner != actor:
-            self._notify(record, media.owner)
-        return record
+            self.countermeasures.schedule_removal(action_id, self.log.get, self._undo_like)
+        if owner != actor:
+            self.notifications.push(
+                Notification(owner, actor, ActionType.LIKE, tick, media_id, action_id)
+            )
+        return action_id
 
     def follow(
         self,
@@ -407,74 +281,37 @@ class InstagramPlatform:
         target: AccountId,
         endpoint: ClientEndpoint,
         api: ApiSurface = ApiSurface.PRIVATE_MOBILE,
-    ) -> ActionRecord:
-        """Follow another account; notifies the target."""
+    ) -> int:
+        """Follow another account; notifies the target. Returns the action id."""
         batch = self._batch
-        if batch is not None:
-            actor = self.auth.validate(session)
-            accounts = self._accounts
-            account = accounts.get(actor)
-            if account is None or account.is_deleted:
-                raise UnknownAccountError(f"account {actor} not found")
-            target_account = accounts.get(target)
-            if target_account is None or target_account.is_deleted:
-                raise UnknownAccountError(f"account {target} not found")
-            if self.graph.is_following(actor, target):
-                raise InvalidActionError(f"{actor} already follows {target}")
-            if batch.policed:
-                decision = self._police(ActionType.FOLLOW, actor, endpoint, api, target, None)
-            else:
-                decision = _ALLOW
-            self.graph.follow(actor, target)
-            rows = batch.rows
-            action_id = batch.base + len(rows)
-            tick = self.clock.now
-            rows.append(
-                (
-                    ActionType.FOLLOW,
-                    actor,
-                    tick,
-                    endpoint,
-                    api,
-                    ActionStatus.DELIVERED,
-                    target,
-                    None,
-                    None,
-                )
-            )
-            if decision is _DELAY_REMOVE:
-                self.countermeasures.schedule_removal(action_id, self.log.get, self._undo_follow)
-            self.notifications.push(
-                Notification(
-                    recipient=target,
-                    actor=actor,
-                    action_type=ActionType.FOLLOW,
-                    tick=tick,
-                    media_id=None,
-                    action_id=action_id,
-                )
-            )
-            return None
-        actor = self._authorize(session)
-        self.get_account(target)
+        if batch is None:
+            with self.action_batch():
+                return self.follow(session, target, endpoint, api)
+        actor = self.auth.validate(session)
+        accounts = self._accounts
+        account = accounts.get(actor)
+        if account is None or account.is_deleted:
+            raise UnknownAccountError(f"account {actor} not found")
+        target_account = accounts.get(target)
+        if target_account is None or target_account.is_deleted:
+            raise UnknownAccountError(f"account {target} not found")
         if self.graph.is_following(actor, target):
             raise InvalidActionError(f"{actor} already follows {target}")
-        decision = self._consult_countermeasures(
-            ActionType.FOLLOW, actor, endpoint, api, target, None
-        )
+        if batch.policed:
+            decision = self._police(ActionType.FOLLOW, actor, endpoint, api, target, None)
+        else:
+            decision = _ALLOW
         self.graph.follow(actor, target)
-        record = self._log_action(
-            ActionType.FOLLOW,
-            actor,
-            endpoint,
-            api,
-            ActionStatus.DELIVERED,
-            target_account=target,
-        )
+        rows = batch.rows
+        action_id = batch.base + len(rows)
+        tick = self.clock.now
+        rows.append((ActionType.FOLLOW, actor, tick, endpoint, api, _DELIVERED, target, None, None))
         if decision is _DELAY_REMOVE:
-            self.countermeasures.schedule_removal(record.action_id, self.log.get, self._undo_follow)
-        self._notify(record, target)
-        return record
+            self.countermeasures.schedule_removal(action_id, self.log.get, self._undo_follow)
+        self.notifications.push(
+            Notification(target, actor, ActionType.FOLLOW, tick, None, action_id)
+        )
+        return action_id
 
     def unfollow(
         self,
@@ -482,49 +319,29 @@ class InstagramPlatform:
         target: AccountId,
         endpoint: ClientEndpoint,
         api: ApiSurface = ApiSurface.PRIVATE_MOBILE,
-    ) -> ActionRecord:
-        """Withdraw a follow. No notification (Instagram is silent here)."""
+    ) -> int:
+        """Withdraw a follow; returns the action id. No notification
+        (Instagram is silent here)."""
         batch = self._batch
-        if batch is not None:
-            # batched path: same checks, decision and mutation in the
-            # same order (validate, actor lookup, not-following reject,
-            # decide, unfollow) with the log row deferred
-            actor = self.auth.validate(session)
-            account = self._accounts.get(actor)
-            if account is None or account.is_deleted:
-                raise UnknownAccountError(f"account {actor} not found")
-            if not self.graph.is_following(actor, target):
-                raise InvalidActionError(f"{actor} does not follow {target}")
-            if batch.policed:
-                self._police(ActionType.UNFOLLOW, actor, endpoint, api, target, None)
-            self.graph.unfollow(actor, target)
-            batch.rows.append(
-                (
-                    ActionType.UNFOLLOW,
-                    actor,
-                    self.clock.now,
-                    endpoint,
-                    api,
-                    ActionStatus.DELIVERED,
-                    target,
-                    None,
-                    None,
-                )
-            )
-            return None
-        actor = self._authorize(session)
+        if batch is None:
+            with self.action_batch():
+                return self.unfollow(session, target, endpoint, api)
+        actor = self.auth.validate(session)
+        account = self._accounts.get(actor)
+        if account is None or account.is_deleted:
+            raise UnknownAccountError(f"account {actor} not found")
         if not self.graph.is_following(actor, target):
             raise InvalidActionError(f"{actor} does not follow {target}")
-        self._consult_countermeasures(ActionType.UNFOLLOW, actor, endpoint, api, target, None)
+        if batch.policed:
+            self._police(ActionType.UNFOLLOW, actor, endpoint, api, target, None)
         self.graph.unfollow(actor, target)
-        return self._log_action(
-            ActionType.UNFOLLOW,
-            actor,
-            endpoint,
-            api,
-            ActionStatus.DELIVERED,
-            target_account=target,
+        rows = batch.rows
+        action_id = batch.base + len(rows)
+        rows.append(
+            (ActionType.UNFOLLOW, actor, self.clock.now, endpoint, api, _DELIVERED,
+             target, None, None)
         )
+        return action_id
 
     def comment(
         self,
@@ -533,31 +350,31 @@ class InstagramPlatform:
         text: str,
         endpoint: ClientEndpoint,
         api: ApiSurface = ApiSurface.PRIVATE_MOBILE,
-    ) -> ActionRecord:
-        """Comment on a media item; notifies the owner."""
-        if self._batch is not None:
-            self._flush_batch()  # scalar append must not overtake the scope
-        actor = self._authorize(session)
-        media = self.media.get(media_id)
+    ) -> int:
+        """Comment on a media item; notifies the owner. Returns the action id."""
+        batch = self._batch
+        if batch is None:
+            with self.action_batch():
+                return self.comment(session, media_id, text, endpoint, api)
+        actor = self.auth.validate(session)
+        self.get_account(actor)  # deleted accounts cannot act
+        owner = self.media.get(media_id).owner
         if not text:
             raise InvalidActionError("comment text must be non-empty")
-        self._consult_countermeasures(
-            ActionType.COMMENT, actor, endpoint, api, media.owner, media_id
-        )
+        if batch.policed:
+            self._police(ActionType.COMMENT, actor, endpoint, api, owner, media_id)
         self.media.comment(media_id, actor, text)
-        record = self._log_action(
-            ActionType.COMMENT,
-            actor,
-            endpoint,
-            api,
-            ActionStatus.DELIVERED,
-            target_account=media.owner,
-            target_media=media_id,
-            comment_text=text,
+        rows = batch.rows
+        action_id = batch.base + len(rows)
+        tick = self.clock.now
+        rows.append(
+            (ActionType.COMMENT, actor, tick, endpoint, api, _DELIVERED, owner, media_id, text)
         )
-        if media.owner != actor:
-            self._notify(record, media.owner)
-        return record
+        if owner != actor:
+            self.notifications.push(
+                Notification(owner, actor, ActionType.COMMENT, tick, media_id, action_id)
+            )
+        return action_id
 
     def post(
         self,
@@ -566,22 +383,24 @@ class InstagramPlatform:
         caption: str = "",
         hashtags: tuple[str, ...] = (),
         api: ApiSurface = ApiSurface.PRIVATE_MOBILE,
-    ) -> tuple[ActionRecord, Media]:
-        """Publish a new media item."""
-        if self._batch is not None:
-            self._flush_batch()  # scalar append must not overtake the scope
-        actor = self._authorize(session)
-        self._consult_countermeasures(ActionType.POST, actor, endpoint, api, None, None)
-        media = self.media.create(actor, self.clock.now, caption=caption, hashtags=hashtags)
-        record = self._log_action(
-            ActionType.POST,
-            actor,
-            endpoint,
-            api,
-            ActionStatus.DELIVERED,
-            target_media=media.media_id,
+    ) -> tuple[int, Media]:
+        """Publish a new media item; returns the action id and the media."""
+        batch = self._batch
+        if batch is None:
+            with self.action_batch():
+                return self.post(session, endpoint, caption, hashtags, api)
+        actor = self.auth.validate(session)
+        self.get_account(actor)  # deleted accounts cannot act
+        if batch.policed:
+            self._police(ActionType.POST, actor, endpoint, api, None, None)
+        tick = self.clock.now
+        media = self.media.create(actor, tick, caption=caption, hashtags=hashtags)
+        rows = batch.rows
+        action_id = batch.base + len(rows)
+        rows.append(
+            (ActionType.POST, actor, tick, endpoint, api, _DELIVERED, None, media.media_id, None)
         )
-        return record, media
+        return action_id, media
 
     # ------------------------------------------------------------------
     # Delayed-removal undo hooks
@@ -602,7 +421,7 @@ class InstagramPlatform:
             return False
         try:
             self.media.get(record.target_media)
-        except Exception:
+        except UnknownMediaError:
             return False
         if not self.media.has_liked(record.target_media, record.actor):
             return False

@@ -4,7 +4,8 @@ Twin seeded worlds, one served by the production
 :class:`ReciprocityAbuseService` (each tick inside the platform's
 action-batch scope, as the study scheduler runs it) and one by the
 copying oracle (:class:`tests.oracles.reciprocity.CopyingReciprocityService`,
-each tick on the scalar path), run the same random script: customers
+each tick outside any scope, so every action opens its own one-action
+scope), run the same random script: customers
 with and without hashtag audiences and auto-unfollow, joining,
 cancelling and paying; follows and unfollows made behind the service's
 back; a blanket ASN block window that drives block detection, backoff

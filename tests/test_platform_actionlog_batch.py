@@ -15,14 +15,14 @@ and assert every query agrees, also across pickle round-trips taken
 mid-sequence.
 
 One level up, the platform's ``action_batch`` scope must be invisible:
-the same action sequence issued inside a scope and outside any scope
-(the scalar path) leaves the same log, graph, media and notifications,
-with or without a countermeasure policy installed (the policy suite is
-``tests/test_platform_policy_batch_equivalence.py``).
+the same action sequence issued in scopes on the production platform
+and on the scalar oracle (:class:`tests.oracles.platform.ScalarPlatform`,
+which writes each row at once) leaves the same log, graph, media and
+notifications, with or without a countermeasure policy installed (the
+policy suite is ``tests/test_platform_policy_batch_equivalence.py``).
 """
 
 import pickle
-from contextlib import nullcontext
 
 import pytest
 
@@ -35,6 +35,7 @@ from repro.platform.models import ActionStatus, ActionType, ApiSurface
 from repro.util.rng import derive_rng
 
 from tests.oracles.actionlog import ListActionLog
+from tests.oracles.platform import ScalarPlatform
 from tests.test_platform_columnar_log import (
     _ENDPOINTS,
     _assert_queries_equivalent,
@@ -185,7 +186,7 @@ class TestAppendBatchEquivalence:
 
 
 # ----------------------------------------------------------------------
-# The platform's action_batch scope vs the scalar path
+# The platform's action_batch scope vs the scalar oracle
 # ----------------------------------------------------------------------
 
 _HOME = ClientEndpoint(0x0A000001, 64512, DeviceFingerprint("android"))
@@ -200,9 +201,9 @@ class _FixedPolicy:
         return self.decision
 
 
-def _world(policy=None):
+def _world(policy=None, platform_type=InstagramPlatform):
     """A bare platform with a few users, each owning two posts."""
-    platform = InstagramPlatform()
+    platform = platform_type()
     if policy is not None:
         platform.countermeasures.add_policy(policy)
     sessions = {}
@@ -276,8 +277,8 @@ def _run_scoped(policy, ops, scope_len: int):
     return platform, outcomes
 
 
-def _run_unscoped(policy, ops):
-    platform, sessions, media = _world(policy)
+def _run_scalar(policy, ops):
+    platform, sessions, media = _world(policy, ScalarPlatform)
     return platform, [_issue(platform, sessions, media, step) for step in ops]
 
 
@@ -286,7 +287,7 @@ class TestActionBatchScope:
     def test_scope_matches_scalar_path(self, seed):
         ops = _action_script(seed)
         scoped, scoped_outcomes = _run_scoped(None, ops, scope_len=12)
-        scalar, scalar_outcomes = _run_unscoped(None, ops)
+        scalar, scalar_outcomes = _run_scalar(None, ops)
         assert scoped_outcomes == scalar_outcomes
         assert "InvalidActionError" in scalar_outcomes  # rejections exercised
         assert _state(scoped) == _state(scalar)
@@ -295,7 +296,7 @@ class TestActionBatchScope:
         platform, sessions, media = _world()
         before = len(platform.log)
         with platform.action_batch():
-            assert platform.like(sessions[1], media[2][0], _HOME) is None
+            assert platform.like(sessions[1], media[2][0], _HOME) == before
             assert len(platform.log) == before
         assert len(platform.log) == before + 1
 
@@ -304,20 +305,21 @@ class TestActionBatchScope:
         platform, sessions, media = _world(policy)
         before = len(platform.log)
         with platform.action_batch():
-            assert platform.like(sessions[1], media[2][0], _HOME) is None
-            assert platform.follow(sessions[1], 2, _HOME) is None
+            assert platform.like(sessions[1], media[2][0], _HOME) == before
+            assert platform.follow(sessions[1], 2, _HOME) == before + 1
             assert len(platform.log) == before
         assert len(platform.log) == before + 2
-        # a BLOCKED row is deferred too, and gets the scalar path's id
+        # a BLOCKED row is deferred too, and gets the scalar oracle's id
         blocked_ids = []
-        for scoped in (True, False):
-            platform, sessions, media = _world()
+        for platform_type in (InstagramPlatform, ScalarPlatform):
+            platform, sessions, media = _world(None, platform_type)
             platform.countermeasures.add_policy(_FixedPolicy(CountermeasureDecision.BLOCK))
             before = len(platform.log)
-            with platform.action_batch() if scoped else nullcontext():
+            with platform.action_batch():
                 with pytest.raises(ActionBlockedError):
                     platform.follow(sessions[1], 2, _HOME)
-                assert len(platform.log) == (before if scoped else before + 1)
+                deferred = platform_type is InstagramPlatform
+                assert len(platform.log) == (before if deferred else before + 1)
             blocked = platform.log.get(before)
             assert blocked.action_type is ActionType.FOLLOW
             assert blocked.status is ActionStatus.BLOCKED
@@ -325,12 +327,12 @@ class TestActionBatchScope:
         assert blocked_ids == [before, before]
         ops = _action_script(5)
         scoped, scoped_outcomes = _run_scoped(policy, ops, scope_len=12)
-        scalar, scalar_outcomes = _run_unscoped(policy, ops)
+        scalar, scalar_outcomes = _run_scalar(policy, ops)
         assert scoped_outcomes == scalar_outcomes
         assert _state(scoped) == _state(scalar)
 
 
-#: follow, like and unfollow interleaved, with a comment forcing a flush
+#: follow, like and unfollow interleaved, with a comment deferred
 #: mid-scope and a second unfollow of the same edge (invalid)
 _UNFOLLOW_OPS = [
     ("follow", 1, 2, 0),
@@ -349,7 +351,7 @@ _UNFOLLOW_OPS = [
 class TestBatchedUnfollow:
     def test_scope_matches_scalar_path(self):
         scoped, scoped_outcomes = _run_scoped(None, _UNFOLLOW_OPS, scope_len=len(_UNFOLLOW_OPS))
-        scalar, scalar_outcomes = _run_unscoped(None, _UNFOLLOW_OPS)
+        scalar, scalar_outcomes = _run_scalar(None, _UNFOLLOW_OPS)
         assert scoped_outcomes == scalar_outcomes
         assert scoped_outcomes.count("InvalidActionError") == 1
         # rows (with their ids), edges, likes and inboxes all match
@@ -362,7 +364,7 @@ class TestBatchedUnfollow:
         platform.follow(sessions[1], 2, _HOME)
         before = len(platform.log)
         with platform.action_batch():
-            assert platform.unfollow(sessions[1], 2, _HOME) is None
+            assert platform.unfollow(sessions[1], 2, _HOME) == before
             assert not platform.graph.is_following(1, 2)
             assert len(platform.log) == before
             platform.follow(sessions[1], 2, _HOME)
@@ -392,12 +394,12 @@ class TestBatchedUnfollow:
         platform.follow(sessions[1], 2, _HOME)
         before = len(platform.log)
         with platform.action_batch():
-            assert platform.unfollow(sessions[1], 2, _HOME) is None
+            assert platform.unfollow(sessions[1], 2, _HOME) == before
             assert not platform.graph.is_following(1, 2)
             assert len(platform.log) == before
         assert len(platform.log) == before + 1
         assert platform.log.get(before).action_type is ActionType.UNFOLLOW
         scoped, scoped_outcomes = _run_scoped(policy, _UNFOLLOW_OPS, scope_len=4)
-        scalar, scalar_outcomes = _run_unscoped(policy, _UNFOLLOW_OPS)
+        scalar, scalar_outcomes = _run_scalar(policy, _UNFOLLOW_OPS)
         assert scoped_outcomes == scalar_outcomes
         assert _state(scoped) == _state(scalar)

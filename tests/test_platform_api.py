@@ -20,7 +20,7 @@ class TestPublicGraphAPI:
     def test_actions_tagged_public(self, world):
         platform, alice, bob, session, endpoint = world
         api = PublicGraphAPI(platform)
-        record = api.follow(session, bob.account_id, endpoint)
+        record = platform.log.get(api.follow(session, bob.account_id, endpoint))
         assert record.api is ApiSurface.PUBLIC_OAUTH
 
     def test_rate_limit_enforced(self, world):
@@ -53,7 +53,7 @@ class TestPrivateMobileAPI:
     def test_actions_tagged_private(self, world):
         platform, alice, bob, session, endpoint = world
         api = PrivateMobileAPI(platform)
-        record = api.follow(session, bob.account_id, endpoint)
+        record = platform.log.get(api.follow(session, bob.account_id, endpoint))
         assert record.api is ApiSurface.PRIVATE_MOBILE
 
     def test_far_looser_than_public(self, world):
@@ -67,5 +67,6 @@ class TestPrivateMobileAPI:
     def test_post_via_api(self, world):
         platform, alice, bob, session, endpoint = world
         api = PrivateMobileAPI(platform)
-        record, media = api.post(session, endpoint, caption="x")
+        action_id, media = api.post(session, endpoint, caption="x")
         assert media.owner == alice.account_id
+        assert platform.log.get(action_id).target_media == media.media_id

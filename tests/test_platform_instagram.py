@@ -78,7 +78,7 @@ class TestAccounts:
 class TestActions:
     def test_follow_updates_graph_and_notifies(self, world):
         platform, alice, bob, session, endpoint = world
-        record = platform.follow(session, bob.account_id, endpoint)
+        record = platform.log.get(platform.follow(session, bob.account_id, endpoint))
         assert record.status is ActionStatus.DELIVERED
         assert platform.graph.is_following(alice.account_id, bob.account_id)
         notifications = platform.notifications.drain(bob.account_id)
@@ -94,7 +94,7 @@ class TestActions:
     def test_like_flow(self, world):
         platform, alice, bob, session, endpoint = world
         media = platform.media.create(bob.account_id, 0)
-        record = platform.like(session, media.media_id, endpoint)
+        record = platform.log.get(platform.like(session, media.media_id, endpoint))
         assert platform.media.has_liked(media.media_id, alice.account_id)
         assert record.target_account == bob.account_id
         assert len(platform.notifications.pending(bob.account_id)) == 1
@@ -115,9 +115,11 @@ class TestActions:
 
     def test_post_creates_media(self, world):
         platform, alice, bob, session, endpoint = world
-        record, media = platform.post(session, endpoint, caption="c", hashtags=("dogs",))
+        action_id, media = platform.post(session, endpoint, caption="c", hashtags=("dogs",))
+        record = platform.log.get(action_id)
         assert media.owner == alice.account_id
         assert record.action_type is ActionType.POST
+        assert record.target_media == media.media_id
         assert platform.media.media_of(alice.account_id) == [media]
 
     def test_engagement_rate(self, world):
@@ -168,7 +170,7 @@ class TestCountermeasuresIntegration:
     def test_delayed_removal_of_follow(self, world):
         platform, alice, bob, session, endpoint = world
         platform.countermeasures.add_policy(_Always(CountermeasureDecision.DELAY_REMOVE))
-        record = platform.follow(session, bob.account_id, endpoint)
+        record = platform.log.get(platform.follow(session, bob.account_id, endpoint))
         assert record.status is ActionStatus.DELIVERED
         assert platform.graph.is_following(alice.account_id, bob.account_id)
         platform.clock.advance(24)
@@ -179,7 +181,7 @@ class TestCountermeasuresIntegration:
         platform, alice, bob, session, endpoint = world
         media = platform.media.create(bob.account_id, 0)
         platform.countermeasures.add_policy(_Always(CountermeasureDecision.DELAY_REMOVE))
-        record = platform.like(session, media.media_id, endpoint)
+        record = platform.log.get(platform.like(session, media.media_id, endpoint))
         platform.clock.advance(24)
         assert record.status is ActionStatus.REMOVED
         assert not platform.media.has_liked(media.media_id, alice.account_id)
@@ -187,7 +189,7 @@ class TestCountermeasuresIntegration:
     def test_actor_unfollow_preempts_delayed_removal(self, world):
         platform, alice, bob, session, endpoint = world
         platform.countermeasures.add_policy(_Always(CountermeasureDecision.DELAY_REMOVE))
-        record = platform.follow(session, bob.account_id, endpoint)
+        record = platform.log.get(platform.follow(session, bob.account_id, endpoint))
         platform.countermeasures.clear_policies()
         platform.unfollow(session, bob.account_id, endpoint)
         platform.clock.advance(24)

@@ -1,10 +1,11 @@
-"""Action-batch scopes under countermeasure policies equal the scalar path.
+"""Action-batch scopes under countermeasure policies equal the scalar oracle.
 
-Twin worlds run the same random script, tick by tick. In one, every
-agent run is issued inside the platform's ``action_batch`` scope (as
-the study scheduler runs it) and ``submit_batch`` bursts open their own
-scope. In the other, ``action_batch`` is replaced by a null context, so
-the same operations take the scalar path. The policies cover the
+Twin worlds run the same random script, tick by tick. In one, the
+production platform, every agent run is issued inside the platform's
+``action_batch`` scope (as the study scheduler runs it) and
+``submit_batch`` bursts open their own scope. In the other, the
+reference :class:`tests.oracles.platform.ScalarPlatform` has no batch
+scope, so every action writes its row at once. The policies cover the
 paper's threshold-and-bin design (narrow bins, broad bins with the
 delay->block switch, per-action treatments), the blanket ASN block, and
 a scripted policy that delay-removes likes. After every tick the log
@@ -14,14 +15,13 @@ engine's counters, the clock's pending callbacks and the outcome
 counts must be equal.
 
 A study-level twin runs the tiny study through a narrow and a broad
-intervention, once with the batch scope and once without, and compares
-the intervention outcomes and the full log.
+intervention, once on the production platform and once on the scalar
+oracle, and compares the intervention outcomes and the full log.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import nullcontext
 from unittest import mock
 
 import pytest
@@ -39,6 +39,7 @@ from repro.platform.instagram import InstagramPlatform
 from repro.platform.models import ActionStatus, ActionType
 from repro.util.rng import derive_rng
 
+from tests.oracles.platform import ScalarPlatform
 from tests.test_platform_actionlog_batch import _HOME, _FixedPolicy, _world
 from tests.test_platform_columnar_log import _rows
 
@@ -146,11 +147,10 @@ def _policy_state(policy):
 
 class _Twin:
     def __init__(self, install, batched: bool):
-        self.platform = platform = InstagramPlatform(removal_delay_ticks=REMOVAL_DELAY)
-        if not batched:
-            # the reference: every scope, submit_batch's included, is a
-            # null context, so each action takes the scalar path
-            platform.action_batch = nullcontext
+        # the reference has no scope, submit_batch's included: each
+        # action writes its own row
+        platform_type = InstagramPlatform if batched else ScalarPlatform
+        self.platform = platform = platform_type(removal_delay_ticks=REMOVAL_DELAY)
         self.api = PrivateMobileAPI(platform, ceiling_per_hour=40)
         self.sessions = {}
         self.media = {}
@@ -339,8 +339,8 @@ class TestDelayedRemovalOfDeferredRows:
         delay = platform.countermeasures.removal_delay_ticks
         platform.clock.advance(3)
         with platform.action_batch():
-            assert platform.follow(sessions[1], 2, _HOME) is None
-            action_id = len(platform.log)  # still pending
+            action_id = platform.follow(sessions[1], 2, _HOME)
+            assert action_id == len(platform.log)  # still pending
         row = platform.log.get(action_id)
         assert row.action_type is ActionType.FOLLOW
         platform.clock.advance(delay - 1)
@@ -368,12 +368,12 @@ class TestDelayedRemovalOfDeferredRows:
 
     @pytest.mark.parametrize("batched", [True, False])
     def test_removals_due_in_one_tick_fire_in_scheduling_order(self, batched):
-        platform, sessions, media = _world(_DELAY)
+        platform, sessions, media = _world(_DELAY, InstagramPlatform if batched else ScalarPlatform)
         undone = []
         unfollow, unlike = platform.graph.unfollow, platform.media.unlike
         platform.graph.unfollow = lambda a, b: undone.append(("follow", a, b)) or unfollow(a, b)
         platform.media.unlike = lambda m, a: undone.append(("like", m, a)) or unlike(m, a)
-        with platform.action_batch() if batched else nullcontext():
+        with platform.action_batch():
             platform.follow(sessions[1], 3, _HOME)
             platform.like(sessions[2], media[1][0], _HOME)
             platform.follow(sessions[2], 4, _HOME)
@@ -431,7 +431,7 @@ def _run_study(seed: int):
 
 def test_study_interventions_match_without_the_batch_scope():
     batched = _run_study(seed=3)
-    with mock.patch.object(InstagramPlatform, "action_batch", lambda self: nullcontext()):
+    with mock.patch("repro.core.study.InstagramPlatform", ScalarPlatform):
         scalar = _run_study(seed=3)
     assert batched[0] == scalar[0]
     assert batched[1] == scalar[1]
