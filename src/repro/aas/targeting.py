@@ -87,10 +87,6 @@ class ReciprocityTargeting:
         # floats (test-pinned), minus the per-call numpy dispatch cost
         self._cumulative: list[float] = np.cumsum(scores / total).tolist()
 
-    def refresh(self) -> None:
-        """Public hook: services re-score periodically as the graph drifts."""
-        self._refresh_scores()
-
     def _sample_scored(self) -> AccountId:
         index = bisect_left(self._cumulative, self.rng.random())
         return self.candidates[min(index, len(self.candidates) - 1)]

@@ -84,10 +84,6 @@ class HublaagramRevenueEstimate:
     ad_cents_high: int = 0
 
     @property
-    def one_time_total_cents(self) -> int:
-        return self.no_outbound_cents
-
-    @property
     def monthly_total_low_cents(self) -> int:
         return self.one_time_like_cents + sum(self.monthly_tier_cents.values()) + self.ad_cents_low
 

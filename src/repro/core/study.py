@@ -497,10 +497,6 @@ class Study:
             self.classifier.detach()
         self.classifier = classifier
 
-    def teardown_honeypots(self) -> int:
-        """Delete all honeypots (the paper's post-measurement cleanup)."""
-        return self.honeypots.delete_all()
-
     def verify_signal_stability(self, probe_days: int = 1) -> dict[str, bool]:
         """Re-register fresh trial honeypots and re-check the signatures.
 

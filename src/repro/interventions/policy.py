@@ -78,10 +78,6 @@ class ThresholdBinPolicy:
             self.decisions_applied[treatment] = self.decisions_applied.get(treatment, 0) + 1
         return treatment
 
-    def attempts_of(self, subject: AccountId, action_type: ActionType, day: int) -> int:
-        """Observability: attempts counted for a subject on a day."""
-        return self._attempts.get((subject, action_type, day), 0)
-
 
 @dataclass
 class BlanketAsnPolicy:

@@ -196,8 +196,6 @@ class ActionColumns:
     def __setstate__(self, state: dict) -> None:
         for slot, value in state.items():
             setattr(self, slot, value)
-        if "_obs_rows" not in state:  # states written before v6 lack it
-            self._obs_rows = NULL_OBS.counter("platform.actionlog.column_appends")
 
 
 class ActionView:

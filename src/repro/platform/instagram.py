@@ -133,11 +133,6 @@ class InstagramPlatform:
             raise UnknownAccountError(f"username {username!r} not found")
         return account_id
 
-    def all_account_ids(self, include_deleted: bool = False) -> list[AccountId]:
-        if include_deleted:
-            return sorted(self._accounts)
-        return sorted(a for a, acc in self._accounts.items() if not acc.is_deleted)
-
     def delete_account(self, account_id: AccountId) -> None:
         """Delete an account and scrub its platform footprint.
 

@@ -1,19 +1,20 @@
-"""Dense value interning for the columnar hot paths.
+"""Dense value interning for the action log's columns.
 
-The columnar stores (:mod:`repro.platform.graph`,
-:mod:`repro.platform.actions`) keep their hot columns as flat
-``array``-backed integer vectors. Anything that is not naturally a small
-int — client endpoints, fingerprint variants, signature keys — goes
-through an :class:`Interner`, which assigns ids densely in first-seen
-order. First-seen order is a pure function of the simulation event
-sequence, so interned ids are as deterministic as the records they
-encode and snapshot/restore cycles (``repro.fleet``) preserve them: the
-id table is plain dict state and pickles in insertion order.
+:class:`repro.platform.columns.ActionColumns` keeps its hot columns as
+flat ``array``-backed integer vectors. The one column whose value is not
+naturally a small int — the client endpoint — goes through an
+:class:`Interner` (``ActionColumns.endpoints``), which assigns ids
+densely in first-seen order. First-seen order is a pure function of the
+simulation event sequence, so interned ids are as deterministic as the
+records they encode and snapshot/restore cycles (``repro.fleet``)
+preserve them: the id table is plain dict state and pickles in
+insertion order.
 
-``AccountId`` itself needs no table: the platform mints account ids from
-a dense counter starting at 1 (``InstagramPlatform._account_ids``), so
-account-keyed columns index lists directly (see
-``FollowerGraph``'s row storage) — the degenerate, zero-cost interner.
+``AccountId`` and media ids need no table: the platform mints account
+ids from a dense counter starting at 1 (``InstagramPlatform._account_ids``)
+and the media store mints media ids from its own counter, so
+account-keyed structures index lists directly (see ``FollowerGraph``'s
+row storage) — the degenerate, zero-cost interner.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ class Interner(Generic[T]):
     """Bidirectional value <-> dense-int mapping, first-seen order.
 
     ``intern()`` is the hot call: a single dict probe when the value is
-    already known (the overwhelmingly common case — endpoints and
-    variants repeat across millions of records). The reverse table is a
+    already known (the overwhelmingly common case — endpoints repeat
+    across millions of records). The reverse table is a
     list, so decoding an id back to its value is one index.
     """
 

@@ -86,11 +86,7 @@ class MediaStore:
 
     def like(self, media_id: MediaId, liker: AccountId) -> None:
         """Record a like; double-likes are invalid (Instagram semantics)."""
-        media = self.get(media_id)
-        if liker == media.owner:
-            # Self-likes are allowed on Instagram, and some organic users
-            # do like their own posts; nothing to forbid here.
-            pass
+        self.get(media_id)  # unknown or removed media raise
         if liker in self._likers[media_id]:
             raise InvalidActionError(f"{liker} already likes media {media_id}")
         self._likers[media_id].add(liker)

@@ -91,17 +91,6 @@ class SeedSequenceFactory:
             self._obs_spawn = obs.counter("util.rng.derivations", path="spawn")
             self._obs_hits = obs.counter("util.rng.lookups", path="hit")
 
-    def __getstate__(self) -> dict:
-        # plain capture; the counters pickle alongside (they are shared
-        # with the study's registry, and pickling keeps that identity)
-        return dict(self.__dict__)
-
-    def __setstate__(self, state: dict) -> None:
-        # factories pickled before the counters existed resurface un-wired
-        self.__dict__.update(state)
-        for attr in ("_obs", "_obs_get", "_obs_fresh", "_obs_spawn", "_obs_hits"):
-            self.__dict__.setdefault(attr, _NULL_COUNTER if attr != "_obs" else None)
-
     def get(self, label: str) -> np.random.Generator:
         """Return the (memoized) generator for ``label``."""
         if label not in self._cache:
@@ -135,13 +124,3 @@ class SeedSequenceFactory:
             label: dict(self._cache[label].bit_generator.state)
             for label in sorted(self._cache)
         }
-
-    def load_state_dict(self, states: dict[str, dict]) -> None:
-        """Restore memoized generators to the captured positions.
-
-        Labels absent from ``states`` are left untouched; labels not yet
-        memoized are derived first (so their stream type matches) and
-        then fast-forwarded to the recorded state.
-        """
-        for label in sorted(states):
-            self.get(label).bit_generator.state = states[label]

@@ -131,6 +131,9 @@ class TestEnvelope:
     # |         | keeps no stream-order flag                              |
     # | 9       | collusion follow counts carried across ticks with a     |
     # |         | removal stamp; the graph's per-account removal counts   |
+    # | 10      | the graph's follower side is per-account rows mirroring |
+    # |         | the following rows (no bulk edge columns, no CSR, no    |
+    # |         | overlay or tombstone sets)                              |
     @pytest.mark.parametrize("version", range(2, SNAPSHOT_SCHEMA_VERSION))
     def test_older_version_envelope_rejected(self, version: int) -> None:
         expected = f"schema_version {version} != current {SNAPSHOT_SCHEMA_VERSION}"

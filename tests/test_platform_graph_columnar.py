@@ -46,7 +46,7 @@ class TestGraphEquivalence:
     def test_random_op_sequences(self, seed):
         rng = derive_rng(seed, "graph-ops")
         fast, ref = FollowerGraph(), SetFollowerGraph()
-        for _ in range(600):
+        for step in range(1, 601):
             op = rng.random()
             src = int(rng.integers(1, N_ACCOUNTS + 1))
             dst = int(rng.integers(1, N_ACCOUNTS + 1))
@@ -66,6 +66,23 @@ class TestGraphEquivalence:
             else:
                 _apply_both(fast, ref, "drop_account", src)
             assert fast.is_following(src, dst) == ref.is_following(src, dst)
+            if step % 50 == 0:
+                # mid-sequence: the view caches read here must be dropped
+                # by the mutations that follow
+                _assert_equivalent(fast, ref)
+        _assert_equivalent(fast, ref)
+
+    def test_bulk_rewire_after_unfollow(self):
+        fast, ref = FollowerGraph(), SetFollowerGraph()
+        for graph in (fast, ref):
+            graph.bulk_follow_new(1, [2, 3], 5)
+            graph.bulk_follow_new(4, [2], 5)
+        _assert_equivalent(fast, ref)
+        _apply_both(fast, ref, "unfollow", 1, 2)
+        _assert_equivalent(fast, ref)
+        _apply_both(fast, ref, "bulk_follow_new", 1, [2], 5)
+        assert fast.followers(2) == ref.followers(2) == frozenset({1, 4})
+        assert fast.in_degree(2) == ref.in_degree(2) == 2
         _assert_equivalent(fast, ref)
 
     @pytest.mark.parametrize("seed", [10, 11])
@@ -76,10 +93,11 @@ class TestGraphEquivalence:
             src = int(rng.integers(1, N_ACCOUNTS + 1))
             dst = int(rng.integers(1, N_ACCOUNTS + 1))
             _apply_both(fast, ref, "follow", src, dst)
-        # exercise the view cache before pickling: _Row.__getstate__ must
-        # drop it (derived state) without corrupting the members set
+        # exercise the view caches before pickling: FollowerGraph.__getstate__
+        # must drop them (derived state) without corrupting the rows
         for account in range(1, N_ACCOUNTS + 1):
             fast.following_view(account)
+            fast.followers_view(account)
         fast2 = pickle.loads(pickle.dumps(fast))
         ref2 = pickle.loads(pickle.dumps(ref))
         _assert_equivalent(fast2, ref2)
