@@ -27,15 +27,16 @@ visits: attempts that provably cannot issue — every one after the
 recipient's daily like cap is reached or when it has no media, every
 one at a recipient whose pool already follows it, and every one at a
 recipient whose pool already likes the photo (for free likes, every
-photo) — only advance the cursor. A follow recipient's count of pool
-sources not yet following it is carried across ticks: it drops with
-each delivered follow, is recounted only when the tick pool changes or
-an edge into the recipient is removed, and once it is zero the tick
-loop moves the cursor for that recipient's later orders of the tick
-without visiting them. A free like recipient found saturated is not
-tested again that tick. The shortcuts rely on the invariants stated in
-DESIGN.md §8, "Collusion fulfilment"; ``tests/oracles/collusion.py`` is
-the per-attempt reference they are tested against.
+photo) — only advance the cursor. Follows and likes share one
+saturation rule: a superset test of the recipient's followers (or the
+photo's likers) against the pool's ids, at visit entry and after each
+delivery. A follow recipient found saturated has its later orders of
+the tick jumped by the tick loop without a visit; a free like
+recipient found saturated is not tested again that tick. No
+saturation verdict outlives its tick. The shortcuts rely on the
+invariants stated in DESIGN.md §8, "Collusion fulfilment";
+``tests/oracles/collusion.py`` is the per-attempt reference they are
+tested against.
 """
 
 from __future__ import annotations
@@ -195,11 +196,6 @@ class CollusionNetworkService(AccountAutomationService):
         self._pool_ids: dict[AccountId, set[AccountId]] = {}
         self._follows_saturated: set[AccountId] = set()
         self._free_likes_saturated: set[AccountId] = set()
-        #: per follow recipient, the number of its pool sources not yet
-        #: following it and the graph's ``removals_into(recipient)`` when
-        #: counted; carried across ticks, and dropped whole when the
-        #: rebuilt tick pool differs (``_fulfil_follow``)
-        self._unfollowed: dict[AccountId, tuple[int, int]] = {}
         #: epilogue state: consecutive blocked days and the sales flag
         self._blocked_day_streak = 0
         self.sales_suspended = False
@@ -337,10 +333,7 @@ class CollusionNetworkService(AccountAutomationService):
                 if record.account_id not in self.no_outbound and record.service_active(now)
             ]
             self._pool_cache_tick = now
-            index = {record.account_id: i for i, record in enumerate(self._pool_cache)}
-            if index != self._pool_index:
-                self._unfollowed.clear()  # carried counts count the old pool
-            self._pool_index = index
+            self._pool_index = {record.account_id: i for i, record in enumerate(self._pool_cache)}
             self._pools_excluding.clear()
             self._pool_ids.clear()
         # The active pool minus ``exclude``, built once per recipient per
@@ -356,11 +349,12 @@ class CollusionNetworkService(AccountAutomationService):
             pool = self._pools_excluding[exclude] = cache[:i] + cache[i + 1:]
         return pool
 
-    def _pool_ids_of(self, recipient: AccountId, pool: list[CustomerRecord]) -> set[AccountId]:
-        """The account ids of ``recipient``'s pool, once per recipient per tick."""
+    def _pool_ids_of(self, recipient: AccountId) -> set[AccountId]:
+        """The account ids of ``recipient``'s pool, once per recipient per
+        tick: the tick pool's ids (``_pool_index``) less the recipient."""
         ids = self._pool_ids.get(recipient)
         if ids is None:
-            ids = self._pool_ids[recipient] = {record.account_id for record in pool}
+            ids = self._pool_ids[recipient] = self._pool_index.keys() - {recipient}
         return ids
 
     def _next_source(self, pool: list[CustomerRecord]) -> CustomerRecord:
@@ -430,50 +424,36 @@ class CollusionNetworkService(AccountAutomationService):
         """FOLLOW fulfilment. A source already following the recipient
         is an INVALID attempt: it draws no RNG and mutates nothing.
 
-        ``_unfollowed`` carries, per recipient, the number of its pool
-        sources not yet following it, stamped with the graph's count of
-        edges ever removed into the recipient. The count is made again
-        only when the stamp no longer matches or the tick pool has
-        changed (``_source_pool`` drops every carried count then).
-        While neither happens, edges into the recipient from its pool
-        only grow, so the carried count is never below the true one: it
-        drops by one per delivered follow, as the true count does, and
-        follows from elsewhere lower only the true count. It reaches
-        zero only when every pool source follows the recipient; then
-        every attempt is INVALID, so the visit only advances the cursor
-        — unless the delivery that reached zero spent the last of the
-        budget, which ends the visit where it is — and ``tick`` makes
-        the same jump for the recipient's later orders of the tick
-        without calling in here. An overestimate only forgoes the jump:
-        the loop's INVALID attempts move the cursor as far."""
+        Edges into the recipient only grow within the tick, so once
+        every pool source follows it, every remaining attempt is
+        INVALID. The test (``FollowerGraph.followed_by_all``) runs at
+        visit entry and again after each delivered follow; when it
+        holds, the cursor jumps past the remaining attempts, the visit
+        ends, and the recipient goes into ``_follows_saturated``, so
+        ``tick`` makes the same jump for its later orders of the tick
+        without calling in here. A delivery that spends the visit's last
+        budget unit ends the visit untested, where the per-attempt loop
+        ends it too."""
         customer = order.customer
         size = len(pool)
         max_attempts = budget * 4
         graph = self.platform.graph
+        pool_ids = self._pool_ids_of(customer)
         # raw out-edge rows: `customer in row` is is_following() without
         # the method call; the list is live storage, so re-check its
         # length each probe — deliveries inside the loop can extend it
         out_rows = graph.out_rows()
-        removals = graph.removals_into(customer)
-        carried = self._unfollowed.get(customer)
-        if carried is not None and carried[1] == removals:
-            unfollowed = carried[0]
-        else:
-            unfollowed = 0
-            for source in pool:
-                source_id = source.account_id
-                row = out_rows[source_id] if source_id < len(out_rows) else None
-                if row is None or customer not in row:
-                    unfollowed += 1
-        if not unfollowed:
-            self._unfollowed[customer] = (0, removals)
-            self._follows_saturated.add(customer)
-            self._source_cursor = (self._source_cursor + max_attempts) % size
-            return
         cursor = self._source_cursor
         attempts = 0
         observe = self.detector.observe
+        saturation_due = True
         while budget > 0 and attempts < max_attempts:
+            if saturation_due:
+                saturation_due = False
+                if graph.followed_by_all(customer, pool_ids):
+                    self._follows_saturated.add(customer)
+                    cursor = (cursor + max_attempts - attempts) % size
+                    break
             attempts += 1
             cursor += 1
             if cursor >= size:
@@ -500,16 +480,9 @@ class CollusionNetworkService(AccountAutomationService):
             if outcome is IssueOutcome.DELIVERED:
                 order.delivered += 1
                 budget -= 1
-                unfollowed -= 1
-                if not unfollowed:
-                    if budget:
-                        cursor = (cursor + max_attempts - attempts) % size
-                    break
+                saturation_due = True  # only a delivered follow grows the followers
             elif outcome is IssueOutcome.BLOCKED:
                 budget -= 1
-        self._unfollowed[customer] = (unfollowed, removals)
-        if not unfollowed:
-            self._follows_saturated.add(customer)
         self._source_cursor = cursor
 
     def _fulfil_like(self, order: Order, pool: list[CustomerRecord], budget: int) -> None:
@@ -559,11 +532,11 @@ class CollusionNetworkService(AccountAutomationService):
             if saturation_due:
                 saturation_due = False
                 if media is None:
-                    saturated = liked_by_all(media_id, self._pool_ids_of(customer, pool))
+                    saturated = liked_by_all(media_id, self._pool_ids_of(customer))
                 elif customer in self._free_likes_saturated:
                     saturated = True
                 else:
-                    pool_ids = self._pool_ids_of(customer, pool)
+                    pool_ids = self._pool_ids_of(customer)
                     saturated = all(liked_by_all(m.media_id, pool_ids) for m in media)
                     if saturated:
                         self._free_likes_saturated.add(customer)

@@ -52,7 +52,7 @@ from repro.fleet.spec import (
 )
 
 #: bumped whenever Study's pickled layout or the envelope shape changes
-SNAPSHOT_SCHEMA_VERSION = 10
+SNAPSHOT_SCHEMA_VERSION = 11
 
 
 class SnapshotError(RuntimeError):

@@ -35,6 +35,10 @@ Beyond the original mutation/degree API, the graph exposes:
   skipping self-picks and duplicates, up to a limit. Same skip
   semantics as calling ``follow`` per edge (and that is literally what
   the reference implementation does).
+* ``followed_by_all`` — whether a set of accounts all follow one
+  account: one superset test of its follower row. The collusion engine
+  asks it of a follow recipient's source pool (its follow saturation
+  test).
 """
 
 from __future__ import annotations
@@ -103,8 +107,6 @@ class FollowerGraph:
         self._out_views: dict[AccountId, array] = {}
         self._in_views: dict[AccountId, array] = {}
         self._edge_count = 0
-        #: edges ever removed into each account (``removals_into``)
-        self._removals: dict[AccountId, int] = {}
 
     # -- mutation ------------------------------------------------------
 
@@ -129,8 +131,6 @@ class FollowerGraph:
             raise InvalidActionError(f"{src} does not follow {dst}")
         del out[dst]
         del self._in[dst][src]
-        removals = self._removals
-        removals[dst] = removals.get(dst, 0) + 1
         self._out_views.pop(src, None)
         self._in_views.pop(dst, None)
         self._edge_count -= 1
@@ -205,21 +205,23 @@ class FollowerGraph:
         ``out_rows()[src]`` is the dict whose keys ``src`` follows (or
         ``None``/out-of-range for accounts with no out-edges), so
         ``dst in row`` answers :meth:`is_following` without the method
-        call — the AAS follow-scan probes this ~10^6 times per run. The
+        call — the AAS follow loop probes this once per attempt. The
         list is the live storage (mutated in place, identity stable
         across follows); callers must never write through it.
         """
         return self._out
 
-    def removals_into(self, account: AccountId) -> int:
-        """How many edges into ``account`` were ever removed.
+    def followed_by_all(self, account: AccountId, sources: set[AccountId]) -> bool:
+        """Whether every account in ``sources`` follows ``account``.
 
-        Every removal goes through :meth:`unfollow` (``drop_account``
-        included), so while this count stands still the followers of
-        ``account`` only grow. The collusion engine stamps its carried
-        follow counts with it.
+        One C-level superset test of ``account``'s follower row, the
+        twin of ``MediaStore.liked_by_all``; reads without creating a
+        row, so the probe leaves the graph as it found it.
         """
-        return self._removals.get(account, 0)
+        row = self._in[account] if account < len(self._in) else None
+        if row is None:
+            return not sources
+        return row.keys() >= sources
 
     def following(self, account: AccountId) -> frozenset[AccountId]:
         """Accounts that ``account`` follows (an immutable snapshot)."""

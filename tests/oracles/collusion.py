@@ -6,11 +6,11 @@ visits make every attempt one at a time through one generic loop: pick
 the next source round-robin, then run that action type's per-attempt
 delivery (cap check, media check, media draw, already-done probe,
 issue). It has none of the production engine's shortcuts — no jump past
-a capped or media-less recipient, no carried count of a follow
-recipient's unfollowing sources and no tick-loop jump once it is zero,
-no like saturation test, cached free-like verdict or batched media
-draw, no per-tick pool per recipient — and is the oracle the production
-fulfilment is tested against.
+a capped or media-less recipient, no follow saturation test and no
+tick-loop jump past a saturated follow recipient, no like saturation
+test, cached free-like verdict or batched media draw, no per-tick pool
+per recipient — and is the oracle the production fulfilment is tested
+against.
 """
 
 from __future__ import annotations

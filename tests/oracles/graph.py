@@ -31,7 +31,6 @@ class SetFollowerGraph:
         self._following: dict[AccountId, set[AccountId]] = defaultdict(set)
         self._followers: dict[AccountId, set[AccountId]] = defaultdict(set)
         self._edge_count = 0
-        self._removals: dict[AccountId, int] = defaultdict(int)
 
     def follow(self, src: AccountId, dst: AccountId) -> None:
         """Add edge src -> dst. Self-follows and duplicates are invalid."""
@@ -50,7 +49,6 @@ class SetFollowerGraph:
             raise InvalidActionError(f"{src} does not follow {dst}")
         self._following[src].remove(dst)
         self._followers[dst].remove(src)
-        self._removals[dst] += 1
         self._edge_count -= 1
         self._obs_unfollows.inc()
 
@@ -71,9 +69,9 @@ class SetFollowerGraph:
     def is_following(self, src: AccountId, dst: AccountId) -> bool:
         return dst in self._following[src]
 
-    def removals_into(self, account: AccountId) -> int:
-        """How many edges into ``account`` were ever removed."""
-        return self._removals[account]
+    def followed_by_all(self, account: AccountId, sources: set[AccountId]) -> bool:
+        """Whether every account in ``sources`` follows ``account``."""
+        return all(self.is_following(src, account) for src in sources)
 
     def following(self, account: AccountId) -> frozenset[AccountId]:
         """Accounts that ``account`` follows."""

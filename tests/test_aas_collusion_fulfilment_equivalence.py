@@ -14,14 +14,13 @@ ticks, a recipient both capped and saturated, and the free-like verdict
 living one tick. Others add follow saturation: reached on a visit's
 last budget unit, a saturated recipient's orders interleaved with
 orders of other pool sizes, and a saturated recipient deleted between
-ticks. The follow counts carried across ticks get their own cases:
-pool churn, a withdrawn follow into a saturated recipient, a delayed
-removal under ``ThresholdBinPolicy``, a deleted source, a follow from
-outside the engine (a carried overestimate) and a snapshot/restore
-between ticks. After every tick the cursor, the service RNG, the log
-rows, every order's progress, the like tallies and caps, and the
-outcome counts must be equal, and every carried follow count whose
-stamp still holds must be at least a fresh recount.
+ticks. Changes between ticks to a saturated follow recipient get their
+own cases: pool churn, a withdrawn follow, a delayed removal under
+``ThresholdBinPolicy``, a deleted source, a follow from outside the
+engine and a snapshot/restore. After every tick the cursor, the
+service RNG, the log rows, every order's progress, the like tallies and
+caps, and the outcome counts must be equal, and every recipient the
+tick found follow-saturated must be followed by its whole pool.
 """
 
 from __future__ import annotations
@@ -156,19 +155,11 @@ def _recount(service: CollusionNetworkService, recipient: int) -> int:
     )
 
 
-def _check_carried_counts(service: CollusionNetworkService) -> int:
-    """Every carried follow count whose removal stamp still holds is at
-    least a recount over the pool it was made on (the carried counts
-    are dropped whenever the pool changes). Returns how many exceed it."""
-    graph = service.platform.graph
-    over = 0
-    for recipient, (count, removals) in service._unfollowed.items():
-        if removals != graph.removals_into(recipient):
-            continue  # stale: the next visit recounts
-        fresh = _recount(service, recipient)
-        assert count >= fresh, f"recipient {recipient}: carried {count} < {fresh}"
-        over += count > fresh
-    return over
+def _check_follows_saturated(service: CollusionNetworkService) -> None:
+    """Every recipient the tick found follow-saturated is followed by
+    its whole pool: the invariant ``tick``'s jump relies on."""
+    for recipient in service._follows_saturated:
+        assert _recount(service, recipient) == 0, f"recipient {recipient}"
 
 
 def _both(worlds, step) -> None:
@@ -261,7 +252,7 @@ def test_fulfilment_matches_per_attempt_loop(seed, members):
         assert production.rows(seen_rows) == oracle.rows(seen_rows), f"tick {tick}"
         seen_rows = len(oracle.platform.log)
         service = production.service
-        _check_carried_counts(service)
+        _check_follows_saturated(service)
         saturated += len(service._follows_saturated)
         day = production.platform.clock.day
         capped += sum(
@@ -339,7 +330,7 @@ def test_follows_saturate_across_visits(seed):
         assert production.rows(seen_rows) == oracle.rows(seen_rows), f"tick {tick}"
         seen_rows = len(oracle.platform.log)
         service = production.service
-        _check_carried_counts(service)
+        _check_follows_saturated(service)
         pool = len(service._pool_cache) - 1
         assert pool > 4 * budget
         saturated_ticks += any(who in service._follows_saturated for who in recipients)
@@ -360,13 +351,12 @@ def _fixed_pool_worlds(seed: int, members: int = 7):
     return worlds
 
 
-def _lockstep(worlds, ticks: int, before_tick=lambda tick: None) -> int:
+def _lockstep(worlds, ticks: int, before_tick=lambda tick: None) -> list[set[int]]:
     """Tick both worlds ``ticks`` times, equal after every tick; returns
-    how many carried follow counts exceeded their recount, summed over
-    the ticks."""
+    the production world's follow-saturated recipients of each tick."""
     oracle, production = worlds
     seen_rows = len(oracle.platform.log)
-    over = 0
+    saturated = []
     for tick in range(ticks):
         before_tick(tick)
         for world in worlds:
@@ -374,10 +364,11 @@ def _lockstep(worlds, ticks: int, before_tick=lambda tick: None) -> int:
         assert production.state() == oracle.state(), f"tick {tick}"
         assert production.rows(seen_rows) == oracle.rows(seen_rows), f"tick {tick}"
         seen_rows = len(oracle.platform.log)
-        over += _check_carried_counts(production.service)
+        _check_follows_saturated(production.service)
+        saturated.append(set(production.service._follows_saturated))
         for world in worlds:
             world.platform.clock.advance(1)
-    return over
+    return saturated
 
 
 class TestLikeSaturation:
@@ -556,8 +547,8 @@ class TestLikeSaturation:
 
 class TestFollowSaturation:
     """Follow visits to a recipient whose pool already follows it equal
-    the per-attempt loop: the carried count of pool sources not yet
-    following it, and the tick loop's jump once it is zero."""
+    the per-attempt loop: the saturation test at visit entry and after
+    each delivered follow, and the tick loop's jump once it holds."""
 
     @staticmethod
     def _follow_from_pool(worlds, who: int, skip=()) -> None:
@@ -586,8 +577,9 @@ class TestFollowSaturation:
 
     def test_saturation_on_the_last_budget_unit_keeps_the_cursor(self):
         """The delivery that leaves no pool source unfollowing also
-        spends the visit's last budget unit: the visit ends there, and
-        the cursor stays on the source that issued it."""
+        spends the visit's last budget unit: the visit ends there,
+        untested, and the cursor stays on the source that issued it. The
+        recipient is found saturated on its next visit."""
         worlds = _fixed_pool_worlds(8)
         oracle, production = worlds
         service = production.service
@@ -598,18 +590,17 @@ class TestFollowSaturation:
         # cursor reaches, so every attempt delivers
         self._follow_from_pool(worlds, 3, skip=range(1, budget + 1))
         _both(worlds, lambda w: w.service.request_free_service(w.ids[3], ActionType.FOLLOW))
-        _lockstep(worlds, 1)
+        assert _lockstep(worlds, 1) == [set()]
         (order,) = production.orders
         assert order.delivered == budget and order.open
-        assert service._unfollowed[recipient][0] == 0
-        assert recipient in service._follows_saturated
         pool = service._source_pool(recipient)
         (last,) = production.rows(len(production.platform.log) - 1)
         assert pool[service._source_cursor].account_id == last[2]
         assert service._source_cursor == budget
         # a jump past the 3 * budget attempts left would have moved it
         assert (3 * budget) % len(pool)
-        _lockstep(worlds, 3)  # the open order's later visits only jump
+        # the open order's later visits only jump
+        assert _lockstep(worlds, 3) == [{recipient}] * 3
 
     def test_saturated_recipient_is_visited_once_per_tick(self):
         """A recipient whose pool follows it, with several open orders
@@ -666,13 +657,11 @@ class TestFollowSaturation:
         assert all(o.delivered == o.quantity for o in production.orders)
 
 
-class TestCarriedFollowCounts:
-    """A follow recipient's count of unfollowing pool sources outlives
-    the tick. It must be recounted when the tick pool changes or an edge
-    into the recipient is removed; a follow from outside the engine
-    leaves it an overestimate, which only forgoes the jump. Every case
-    saturates (or half-saturates) one recipient, changes the world
-    between ticks, and runs both worlds in lockstep."""
+class TestFollowSaturationBetweenTicks:
+    """No follow saturation verdict outlives its tick: each tick tests
+    the recipient's follower row afresh. Every case saturates (or
+    half-saturates) one recipient, changes the world between ticks, and
+    runs both worlds in lockstep."""
 
     RECIPIENT = 3
 
@@ -688,10 +677,15 @@ class TestCarriedFollowCounts:
         TestFollowSaturation._follow_from_pool(worlds, self.RECIPIENT)
         return worlds
 
-    def test_pool_churn_recounts(self):
+    @staticmethod
+    def _follow_ticks(world, recipient: int) -> list[int]:
+        """The tick of each follow the world's log holds into ``recipient``."""
+        return [row[1] for row in world.rows(0) if row[3] == "follow" and row[4] == recipient]
+
+    def test_pool_churn_unsaturates_the_recipient(self):
         """A customer joining the pool of a saturated recipient is a
-        source not yet following it: the carried zero is dropped with
-        the old pool, and the newcomer's follow is delivered."""
+        source not yet following it: its follow is delivered, and the
+        recipient is saturated again."""
         worlds = self._saturated()
         oracle, production = worlds
         recipient = production.ids[self.RECIPIENT]
@@ -709,9 +703,10 @@ class TestCarriedFollowCounts:
                 for world in worlds:
                     world.service.cancel_customer(world.ids[6])
 
-        _lockstep(worlds, 8, script)
-        assert recipient in production.service._follows_saturated
+        saturated = _lockstep(worlds, 8, script)
+        assert all(recipient in verdicts for verdicts in saturated)
         assert production.platform.graph.is_following(joined[0], recipient)
+        assert self._follow_ticks(production, recipient) == [3]
 
     def test_withdrawn_follow_into_saturated_recipient(self):
         worlds = self._saturated()
@@ -719,25 +714,24 @@ class TestCarriedFollowCounts:
         recipient = production.ids[self.RECIPIENT]
         withdrawn = production.ids[5]
         request = self._request_every_tick(worlds, self.RECIPIENT)
-        stamps = []
 
         def script(tick):
             request(tick)
             if tick == 3:
                 for world in worlds:
                     world.platform.graph.unfollow(withdrawn, recipient)
-            stamps.append(production.service._unfollowed.get(recipient))
 
-        _lockstep(worlds, 6, script)
-        # saturated before the withdrawal, recounted after it
-        assert stamps[3] == (0, 0)
-        assert production.service._unfollowed[recipient] == (0, 1)
+        saturated = _lockstep(worlds, 6, script)
+        # the tick of the withdrawal follows again, then saturates
+        assert all(recipient in verdicts for verdicts in saturated)
+        assert self._follow_ticks(production, recipient) == [3]
         assert production.platform.graph.is_following(withdrawn, recipient)
 
     def test_delayed_removal_under_threshold_policy(self):
         """Follows past a per-recipient daily limit are delay-removed a
-        day later, inside ``clock.advance``: each removal restamps the
-        recipient, and the engine follows again from the same sources."""
+        day later, inside ``clock.advance``: the recipient saturates,
+        loses followers between ticks, and the engine follows again from
+        the same sources."""
         worlds = _fixed_pool_worlds(8)
         oracle, production = worlds
         # a recipient in a treated bin (bin 0 is the control bin)
@@ -752,38 +746,42 @@ class TestCarriedFollowCounts:
             world.platform.countermeasures.add_policy(
                 ThresholdBinPolicy(thresholds=table, assignment=BinAssignment.broad_delay())
             )
-        _lockstep(worlds, 40, self._request_every_tick(worlds, who))
-        graph = production.platform.graph
-        assert graph.removals_into(recipient) > 0
+        saturated = _lockstep(worlds, 40, self._request_every_tick(worlds, who))
+        # a tick after one that ended saturated issued follows again
+        assert any(
+            tick and recipient in saturated[tick - 1]
+            for tick in self._follow_ticks(production, recipient)
+        )
         follows = [
             row[2] for row in production.rows(0) if row[3] == "follow" and row[4] == recipient
         ]
         assert len(follows) > len(set(follows))  # a removed follow was issued again
 
-    def test_deleted_source_recounts(self):
+    def test_deleted_source_unsaturates_the_recipient(self):
         """A source deleted between ticks is still in that tick's pool,
-        but its edges are gone: the removal restamps the recipient, and
-        the recount sends an attempt to the deleted source, which loses
-        the engine its access and so leaves the next tick's pool."""
+        but its edges are gone: the recipient is not saturated, and the
+        visit sends an attempt to the deleted source, which loses the
+        engine its access and so leaves the next tick's pool."""
         worlds = self._saturated()
         oracle, production = worlds
         recipient = production.ids[self.RECIPIENT]
         request = self._request_every_tick(worlds, self.RECIPIENT)
-        stamps = []
 
         def script(tick):
             request(tick)
             if tick == 2:
                 for world in worlds:
                     world.platform.delete_account(world.ids[5])
-            stamps.append(production.service._unfollowed.get(recipient))
 
-        _lockstep(worlds, 5, script)
-        assert stamps[2:4] == [(0, 0), (1, 1)]
-        assert production.service._unfollowed[recipient] == (0, 1)
+        saturated = _lockstep(worlds, 5, script)
+        assert [recipient in verdicts for verdicts in saturated] == [True, True, False, True, True]
         assert production.service.outcome_counts[IssueOutcome.LOST_ACCESS] > 0
 
-    def test_follow_from_outside_is_a_carried_overestimate(self):
+    def test_follow_from_outside_saturates_the_next_tick(self):
+        """A follow from outside the engine leaves one pool source not
+        following the recipient; the next tick's visit delivers it,
+        finds the recipient saturated and jumps past its attempts left,
+        and the tick after jumps at visit entry."""
         worlds = _fixed_pool_worlds(8)
         oracle, production = worlds
         recipient = production.ids[self.RECIPIENT]
@@ -805,13 +803,11 @@ class TestCarriedFollowCounts:
                 for world in worlds:
                     world.platform.graph.follow(src, recipient)
 
-        over = _lockstep(worlds, 4, script)
+        saturated = _lockstep(worlds, 4, script)
         assert outsider_follow
-        assert over > 0
-        # the pool follows the recipient, yet its count never reached
-        # zero: the visits ran their INVALID attempts instead of jumping
-        assert _recount(production.service, recipient) == 0
-        assert production.service._unfollowed[recipient][0] > 0
+        assert [recipient in verdicts for verdicts in saturated] == [False, True, True, True]
+        (order,) = production.orders
+        assert order.open and self._follow_ticks(production, recipient) == [0, 0, 0, 1]
 
     def test_snapshot_restore_between_ticks(self):
         worlds = self._saturated()
@@ -819,21 +815,21 @@ class TestCarriedFollowCounts:
         recipient = production.ids[self.RECIPIENT]
         withdrawn = production.ids[1]
         request = self._request_every_tick(worlds, self.RECIPIENT)
-        carried = []
+        kept = []
 
         def script(tick):
             request(tick)
             if tick == 3:
-                carried.append(dict(production.service._unfollowed))
+                kept.append(set(production.service._follows_saturated))
                 for world in worlds:
                     world.restore()
-                assert production.service._unfollowed == carried[0]
-                assert production.platform.graph.removals_into(recipient) == 0
+                assert production.service._follows_saturated == kept[0]
             if tick == 5:
                 for world in worlds:
                     world.platform.graph.unfollow(withdrawn, recipient)
 
-        _lockstep(worlds, 8, script)
-        assert carried[0][recipient] == (0, 0)
-        assert production.platform.graph.removals_into(recipient) == 1
+        saturated = _lockstep(worlds, 8, script)
+        assert kept == [{recipient}]
+        assert all(recipient in verdicts for verdicts in saturated)
+        assert self._follow_ticks(production, recipient) == [5]
         assert production.platform.graph.is_following(withdrawn, recipient)

@@ -134,6 +134,8 @@ class TestEnvelope:
     # | 10      | the graph's follower side is per-account rows mirroring |
     # |         | the following rows (no bulk edge columns, no CSR, no    |
     # |         | overlay or tombstone sets)                              |
+    # | 11      | collusion follow counts and the graph's removal counts  |
+    # |         | dropped (follow saturation is a per-tick row test)      |
     @pytest.mark.parametrize("version", range(2, SNAPSHOT_SCHEMA_VERSION))
     def test_older_version_envelope_rejected(self, version: int) -> None:
         expected = f"schema_version {version} != current {SNAPSHOT_SCHEMA_VERSION}"
