@@ -23,7 +23,7 @@ Section 4 for the substitution rationale.
 from repro.behavior.degree import DegreeDistribution
 from repro.behavior.population import OrganicPopulation, PopulationConfig
 from repro.behavior.profiles import OrganicProfile, account_attractiveness
-from repro.behavior.reciprocity import ReciprocityModel, ReciprocityParams, ResponseIntent
+from repro.behavior.reciprocity import ReciprocityModel, ReciprocityParams
 from repro.behavior.organic import OrganicActivityDriver, OrganicActivityParams
 from repro.behavior.calibration import calibrate_reciprocity_params, propensity_multiplier
 
@@ -35,7 +35,6 @@ __all__ = [
     "account_attractiveness",
     "ReciprocityModel",
     "ReciprocityParams",
-    "ResponseIntent",
     "OrganicActivityDriver",
     "OrganicActivityParams",
     "calibrate_reciprocity_params",

@@ -38,13 +38,6 @@ LIVED_IN_ATTRACTIVENESS = 0.95
 
 
 @dataclass(frozen=True)
-class ResponseIntent:
-    """One reciprocal action an organic user intends to perform."""
-
-    response_type: ActionType
-
-
-@dataclass(frozen=True)
 class ReciprocityParams:
     """Base per-notification response probabilities and gain factors.
 
@@ -174,20 +167,3 @@ class ReciprocityModel:
         equal ``n`` scalar ``random()`` draws (``tests/test_util_rng.py``,
         ``TestBatchedDoubles``)."""
         return self._rng.random(n).tolist()
-
-    def respond(
-        self,
-        inbound_type: ActionType,
-        actor_attractiveness: float,
-        recipient_propensity: float,
-        follow_on_like_affinity: float = 1.0,
-    ) -> list[ResponseIntent]:
-        """Sample the recipient's reciprocal actions for one notification."""
-        items = self.response_items(
-            inbound_type, actor_attractiveness, recipient_propensity, follow_on_like_affinity
-        )
-        return [
-            ResponseIntent(response_type=response_type)
-            for (response_type, probability), draw in zip(items, self.draws(len(items)))
-            if draw < probability
-        ]

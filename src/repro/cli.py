@@ -34,21 +34,16 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from typing import Callable, TextIO
+from typing import TextIO
 
 from repro.core import Study, StudyConfig
 from repro.core import experiments as E
 from repro.core import reporting as R
+from repro.core.config import PRESETS
 from repro.core.study import INSTA_STAR
 from repro.interventions.experiment import BroadInterventionPlan, NarrowInterventionPlan
 from repro.obs import ConsoleReporter, Observability
 from repro.obs.walltime import read_peak_rss_kb, read_wall_seconds
-
-PRESETS: dict[str, Callable[[int], StudyConfig]] = {
-    "tiny": StudyConfig.tiny,
-    "small": StudyConfig.small,
-    "paper": StudyConfig.paper_shaped,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,6 +10,7 @@ services publish, so every accounting relationship is preserved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from repro.aas.clientele import ClienteleParams
 from repro.behavior.degree import DegreeDistribution
@@ -237,6 +238,15 @@ class StudyConfig:
 
     def with_measurement_days(self, days_: int) -> "StudyConfig":
         return replace(self, measurement_days=days_)
+
+
+#: preset name -> config factory: the CLI's ``--preset`` choices and
+#: the names a sweep manifest may give
+PRESETS: dict[str, Callable[..., StudyConfig]] = {
+    "tiny": StudyConfig.tiny,
+    "small": StudyConfig.small,
+    "paper": StudyConfig.paper_shaped,
+}
 
 
 def resolve_workers(cli_value: int | None = None) -> int:

@@ -1,9 +1,10 @@
 """The study's per-tick agent loop.
 
-:meth:`repro.core.study.Study.tick` runs every registered agent — the
-clientele drivers, the collusion-honeypot driver, the services, organic
-traffic — once per simulated hour, in registration order, each inside
-one platform action-batch scope. Registration order is part of the
+:meth:`TimingWheel.run_window`, called by
+:meth:`repro.core.study.Study.run_hours`, runs every registered agent —
+the clientele drivers, the collusion-honeypot driver, the services,
+organic traffic — once per simulated hour, in registration order, each
+inside one platform action-batch scope. Registration order is part of the
 seeded result: agents share the platform, so reordering them changes
 what each one observes. The golden-digest suite in
 ``tests/test_core_golden_digests.py`` pins the order.
@@ -71,8 +72,7 @@ class TimingWheel:
         total agent runs.
 
         Per-tick work is exactly ``run_due(t); advance()`` for each tick
-        in ``[start, start + hours)``, with the per-tick dispatch loop
-        hoisted out of :meth:`repro.core.study.Study.tick`.
+        in ``[start, start + hours)``.
         """
         ran = 0
         run_due = self.run_due

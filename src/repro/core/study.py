@@ -352,16 +352,8 @@ class Study:
         wheel.add("organic", self.organic.tick)
         return wheel
 
-    def tick(self) -> None:
-        """One simulated hour of the whole world."""
-        self._wheel.run_due(self.clock.now)
-        self.clock.advance(1)
-
     def run_hours(self, hours: int) -> None:
         if hours > 0:
-            # batched stepping: one wheel call runs all `hours` ticks
-            # (same per-tick work as tick(), minus the Python call
-            # overhead of re-entering tick/run_due per hour)
             self._wheel.run_window(
                 self.clock.now, hours, lambda: self.clock.advance(1)
             )

@@ -134,7 +134,7 @@ class AASClassifier:
         self._benign_ticks: list[int] = []
         for record in log:
             self._observe(record)
-        log.add_observer(self._observe, batch=self._observe_batch)
+        log.add_observer(self._observe_batch)
 
     def attribute(self, record: ActionRecord) -> Optional[str]:
         """Service name for one record, or None if it looks benign."""
@@ -165,13 +165,14 @@ class AASClassifier:
     def detach(self) -> None:
         """Stop observing the log; sweeps then answer over the rows
         appended before this call."""
-        self._log.remove_observer(self._observe)
+        self._log.remove_observer(self._observe_batch)
 
     def _observe(self, record: ActionView) -> None:
-        # the per-append hot path: one memo lookup, two list appends.
-        # The log hands over column-backed views, so the memo probes on
-        # the interned endpoint id and reads the tick straight out of the
-        # column — no endpoint decode, no key tuple, no property calls.
+        # one row of the attach-time replay: one memo lookup, two list
+        # appends. The log hands over column-backed views, so the memo
+        # probes on the interned endpoint id and reads the tick straight
+        # out of the column — no endpoint decode, no key tuple, no
+        # property calls.
         cols = record._cols
         row = record.action_id
         service = self._eid_memo.get(cols.endpoint_ids[row], _UNSEEN)
@@ -187,7 +188,8 @@ class AASClassifier:
         ticks.append(cols.ticks[row])
 
     def _observe_batch(self, cols, start: int, end: int) -> None:
-        """Bulk ingestion for :meth:`ActionLog.append_batch` row ranges.
+        """The log observer: ingests one :meth:`ActionLog.append_batch`
+        row range.
 
         Exactly ``end - start`` :meth:`_observe` calls' worth of state
         and telemetry (memo hits are accumulated and charged once), but

@@ -35,18 +35,11 @@ import json
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.config import StudyConfig
+from repro.core.config import PRESETS, StudyConfig
 from repro.fleet.spec import PREFIX_SIGNATURES, PREFIXES, ReplicaSpec
 
 #: bumped whenever the manifest JSON shape changes incompatibly
 MANIFEST_SCHEMA_VERSION = 1
-
-#: preset name → config factory (mirrors the CLI's preset table)
-PRESET_FACTORIES = {
-    "tiny": StudyConfig.tiny,
-    "small": StudyConfig.small,
-    "paper": StudyConfig.paper_shaped,
-}
 
 #: named service mixes: mix name → plan fields *disabled* (set to None).
 #: Hublaagram and Followersgratis are the paper's free collusion-style
@@ -218,8 +211,8 @@ def parse_manifest(data: object) -> SweepManifest:
     assert isinstance(name, str)
     preset = data.get("preset", "tiny")
     _require(
-        preset in PRESET_FACTORIES,
-        f"unknown preset {preset!r} (known: {sorted(PRESET_FACTORIES)})",
+        preset in PRESETS,
+        f"unknown preset {preset!r} (known: {sorted(PRESETS)})",
     )
     prefix = data.get("prefix", PREFIX_SIGNATURES)
     _require(prefix in PREFIXES, f"unknown prefix {prefix!r} (known: {PREFIXES})")
@@ -290,7 +283,7 @@ def expand_manifest(
     config); axes then apply on top of it exactly as they would on the
     preset.
     """
-    base = base_config if base_config is not None else PRESET_FACTORIES[manifest.preset]()
+    base = base_config if base_config is not None else PRESETS[manifest.preset]()
     specs: List[ReplicaSpec] = []
     for seed in manifest.seeds:
         seeded = replace(base, seed=seed)
@@ -339,7 +332,6 @@ def expand_manifest(
 
 __all__ = [
     "MANIFEST_SCHEMA_VERSION",
-    "PRESET_FACTORIES",
     "SERVICE_MIXES",
     "ArmSpec",
     "ManifestError",

@@ -14,6 +14,9 @@ Subcommands:
 * ``diff OLD NEW`` — compare the instrument coverage and span names of
   two traces; exits 1 when NEW *lost* coverage (a span name or metric
   series present in OLD is gone), the regression CI should catch.
+  Metrics are compared per segment: a fleet-merged trace's series are
+  keyed by their segment's replica label, which every metric line
+  names.
 * ``validate TRACE [TRACE ...]`` — schema-check traces; exits 1 on any
   failure.
 
@@ -54,6 +57,7 @@ def _span_lines(lines: Sequence[object]) -> List[Dict[str, object]]:
 
 
 def _metric_entries(lines: Sequence[object]) -> List[Dict[str, object]]:
+    """The metric entries of one segment's closing snapshot."""
     tail = lines[-1]
     assert isinstance(tail, dict)
     snapshot = tail["snapshot"]
@@ -118,6 +122,32 @@ def _merge_entries(snapshots: List[List[Dict[str, object]]]) -> List[Dict[str, o
             assert isinstance(value, (int, float))
             merged[key]["value"] = value / count
     return [merged[key] for key in sorted(merged)]
+
+
+def _segment_metrics(lines: Sequence[object]) -> Dict[Tuple[str, _SeriesKey], Dict[str, object]]:
+    """Every segment's metric entries, keyed by (replica, series).
+
+    The replica is the segment's ``replica`` label; a single unlabeled
+    segment's is ``""``, and an unlabeled segment of several is named by
+    its position.
+    """
+    segments = split_segments(lines)
+    out: Dict[Tuple[str, _SeriesKey], Dict[str, object]] = {}
+    for index, segment in enumerate(segments):
+        header = segment[0]
+        label = header.get("replica") if isinstance(header, dict) else None
+        if label is not None:
+            replica = str(label)
+        else:
+            replica = "" if len(segments) == 1 else f"segment[{index}]"
+        for entry in _metric_entries(segment):
+            out[(replica, _series_key(entry))] = entry
+    return out
+
+
+def _metric_display(replica: str, entry: Dict[str, object]) -> str:
+    display = _entry_display(entry)
+    return f"{display} [replica {replica}]" if replica else display
 
 
 def _series_key(entry: Dict[str, object]) -> _SeriesKey:
@@ -328,8 +358,8 @@ def cmd_regress(args: argparse.Namespace) -> int:
 
 def cmd_diff(args: argparse.Namespace) -> int:
     old_lines, new_lines = _load(args.old), _load(args.new)
-    old_metrics = {_series_key(entry): entry for entry in _metric_entries(old_lines)}
-    new_metrics = {_series_key(entry): entry for entry in _metric_entries(new_lines)}
+    old_metrics = _segment_metrics(old_lines)
+    new_metrics = _segment_metrics(new_lines)
     old_spans = {str(span.get("name")) for span in _span_lines(old_lines)}
     new_spans = {str(span.get("name")) for span in _span_lines(new_lines)}
 
@@ -343,14 +373,14 @@ def cmd_diff(args: argparse.Namespace) -> int:
     for name in added_spans:
         print(f"+ span {name}")
     for key in removed_metrics:
-        print(f"- metric {_entry_display(old_metrics[key])}")
+        print(f"- metric {_metric_display(key[0], old_metrics[key])}")
     for key in added_metrics:
-        print(f"+ metric {_entry_display(new_metrics[key])}")
+        print(f"+ metric {_metric_display(key[0], new_metrics[key])}")
 
     changed = 0
     for key in sorted(set(old_metrics) & set(new_metrics)):
         old_entry, new_entry = old_metrics[key], new_metrics[key]
-        if key[2] == "histogram":
+        if key[1][2] == "histogram":
             old_value, new_value = old_entry.get("count"), new_entry.get("count")
             what = "count"
         else:
@@ -359,7 +389,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
         if old_value != new_value:
             changed += 1
             print(
-                f"~ metric {_entry_display(new_entry)} "
+                f"~ metric {_metric_display(key[0], new_entry)} "
                 f"{what} {_fmt_number(old_value)} -> {_fmt_number(new_value)}"
             )
 

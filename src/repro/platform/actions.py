@@ -23,6 +23,10 @@ in :class:`~repro.platform.columns.ActionColumns` (parallel stdlib
 vectors, and query results materialize transient
 :class:`~repro.platform.columns.ActionView` flyweights.
 
+:meth:`ActionLog.append_batch` is the one writer: ``log_action`` and
+``append`` are one-row batches. Observers take row ranges: each is
+called once per batch as ``observer(cols, start, end)``.
+
 Query results are bit-identical to the brute-force list-scan log in
 ``tests/oracles/actionlog.py`` (property-tested in
 ``tests/test_platform_columnar_log.py``): same ids, same field values,
@@ -51,9 +55,8 @@ from repro.platform.models import (
 #: with :class:`ActionRecord` by construction
 StoredAction = Union[ActionRecord, ActionView]
 
-#: one pending batch row — the positional argument list of
-#: :meth:`ActionLog.log_action` as a tuple
-BatchRow = tuple
+#: a log observer: called with the columns and one batch's row range
+RowRangeObserver = Callable[[ActionColumns, int, int], None]
 
 
 def _window(
@@ -88,9 +91,7 @@ class ActionLog:
         #: bench payloads report (histograms are never cost-classified,
         #: so per-flush telemetry cannot leak into the cost tree)
         self._obs_batch_fill = _obs.histogram("platform.actionlog.batch_fill")
-        self._observers: list[Callable[[StoredAction], None]] = []
-        #: scalar observer -> its bulk implementation, when it has one
-        self._batch_impls: dict[Callable[[StoredAction], None], Callable] = {}
+        self._observers: list[RowRangeObserver] = []
         self._cols = ActionColumns(obs=_obs)
         #: the bisect index IS the tick column — zero duplication
         self._ticks = self._cols.ticks
@@ -117,45 +118,44 @@ class ActionLog:
     ) -> StoredAction:
         """Append one action from scalar fields; returns the stored row.
 
-        The fields go straight into the columns (no record object is
-        ever built). The platform writes every row through
-        :meth:`append_batch` (DESIGN.md §15); this is its one-row
-        reference, used by the test oracles and the log suites.
+        A one-row :meth:`append_batch`. The platform writes every row
+        through the batch path (DESIGN.md §15); this adapter serves the
+        test oracles and the log suites.
         """
-        return self._push(
+        start = self.append_batch([(
             action_type, actor, tick, endpoint, api, status,
-            target_account, target_media, comment_text, None,
-        )
+            target_account, target_media, comment_text,
+        )])
+        return ActionView(self._cols, start)
 
     def append(self, record: ActionRecord) -> None:
-        """Append one pre-built record; ids must be the log's next index
-        and its tick no earlier than the log's tail."""
+        """Append one pre-built record as a one-row :meth:`append_batch`;
+        ids must be the log's next index and its tick no earlier than the
+        log's tail. ``removed_at`` is written after the append, so
+        observers see the row as appended."""
         if record.action_id != len(self):
             raise ValueError(
                 f"action_id {record.action_id} out of order; expected {len(self)}"
             )
-        self._push(
+        self.append_batch([(
             record.action_type, record.actor, record.tick, record.endpoint,
             record.api, record.status, record.target_account,
-            record.target_media, record.comment_text, record.removed_at,
-        )
+            record.target_media, record.comment_text,
+        )])
+        if record.removed_at is not None:
+            self._cols.removed_ats[record.action_id] = record.removed_at
 
     def append_batch(self, rows: list) -> int:
         """Append many actions in one call; returns the first action id.
 
         ``rows`` holds :meth:`log_action` argument tuples
         ``(action_type, actor, tick, endpoint, api, status,
-        target_account, target_media, comment_text)``. Semantically this
-        is exactly ``for row in rows: log_action(*row)`` — same records,
-        same indices, same observer ingestion order, same "log" cost
-        units (the batch property suite replays that loop against it) —
-        except that an out-of-order row rejects the whole batch: the
-        ticks are checked before anything is stored.
-        It takes the amortized path: one :meth:`ActionColumns.push_batch`,
-        index updates with locals hoisted out of the loop, counters
-        charged once per batch, and observers offered the whole row
-        range (batch-capable observers consume it in bulk; plain
-        observers still see one view per row).
+        target_account, target_media, comment_text)``. This is the log's
+        one writer. An out-of-order row rejects the whole batch: the
+        ticks are checked before anything is stored. Then one
+        :meth:`ActionColumns.push_batch`, index updates with locals
+        hoisted out of the loop, counters charged once per batch, and
+        each observer called once with the batch's row range.
         """
         if not rows:
             return len(self)
@@ -208,59 +208,9 @@ class ActionLog:
         self._obs_appends.inc(count)
         self._obs_batch_rows.inc(count)
         self._obs_batch_fill.observe(count)
-        if self._observers:
-            batch_impls = self._batch_impls
-            for observer in self._observers:
-                bulk = batch_impls.get(observer)
-                if bulk is not None:
-                    bulk(cols, start, end)
-                else:
-                    for i in range(start, end):
-                        observer(ActionView(cols, i))
-        return start
-
-    def _push(
-        self,
-        action_type: ActionType,
-        actor: AccountId,
-        tick: int,
-        endpoint: ClientEndpoint,
-        api: ApiSurface,
-        status: ActionStatus,
-        target_account: Optional[AccountId],
-        target_media: Optional[MediaId],
-        comment_text: Optional[str],
-        removed_at: Optional[int],
-    ) -> ActionView:
-        """The scalar append: column pushes + int-keyed index updates."""
-        cols = self._cols
-        ticks = cols.ticks
-        if ticks and tick < ticks[-1]:
-            raise _out_of_order(tick, ticks[-1])
-        action_id = cols.push(
-            action_type, actor, tick, endpoint, api, status,
-            target_account, target_media, comment_text,
-        )
-        if removed_at is not None:
-            cols.removed_ats[action_id] = removed_at
-        ids = self._by_actor.get(actor)
-        if ids is None:
-            ids = self._by_actor[actor] = array("q")
-            self._by_actor_ticks[actor] = array("q")
-        ids.append(action_id)
-        self._by_actor_ticks[actor].append(tick)
-        if target_account is not None:
-            ids = self._by_target.get(target_account)
-            if ids is None:
-                ids = self._by_target[target_account] = array("q")
-                self._by_target_ticks[target_account] = array("q")
-            ids.append(action_id)
-            self._by_target_ticks[target_account].append(tick)
-        self._obs_appends.inc()
-        view = ActionView(cols, action_id)
         for observer in self._observers:
-            observer(view)
-        return view
+            observer(cols, start, end)
+        return start
 
     def next_id(self) -> int:
         return len(self)
@@ -281,29 +231,20 @@ class ActionLog:
     # Observers (streaming consumers, e.g. incremental attribution)
     # ------------------------------------------------------------------
 
-    def add_observer(
-        self,
-        observer: Callable[[StoredAction], None],
-        batch: Optional[Callable[[ActionColumns, int, int], None]] = None,
-    ) -> None:
-        """Call ``observer(record)`` after every future append.
+    def add_observer(self, observer: RowRangeObserver) -> None:
+        """Call ``observer(cols, start, end)`` once per future append
+        batch, with the columns and the batch's row range ``[start,
+        end)``.
 
-        Observers see records already indexed; they must not append to
-        the log themselves. ``batch`` optionally registers a bulk
-        implementation ``batch(cols, start, end)`` used in place of the
-        per-row callable whenever rows arrive via :meth:`append_batch` —
-        it must ingest rows ``[start, end)`` exactly as ``end - start``
-        scalar calls would (the streaming classifier's contract).
+        Observers see rows already indexed; they must not append to the
+        log themselves.
         """
         if observer not in self._observers:
             self._observers.append(observer)
-        if batch is not None:
-            self._batch_impls[observer] = batch
 
-    def remove_observer(self, observer: Callable[[StoredAction], None]) -> None:
+    def remove_observer(self, observer: RowRangeObserver) -> None:
         if observer in self._observers:
             self._observers.remove(observer)
-        self._batch_impls.pop(observer, None)
 
     # ------------------------------------------------------------------
     # Window queries (bisect fast path)

@@ -1,7 +1,9 @@
 """Struct-of-arrays storage for the action log's columnar mode.
 
 One logged action is a row across parallel stdlib ``array`` columns plus
-an interned endpoint table. Compared to a
+an interned endpoint table. Rows arrive only in batches
+(:meth:`ActionColumns.push_batch`, called by the log's one writer,
+:meth:`~repro.platform.actions.ActionLog.append_batch`). Compared to a
 ``list[ActionRecord]`` this stores the hot fields — tick, actor,
 targets, status — as flat 64-bit/8-bit vectors: no per-record object
 header, no per-field pointer, and the tick column doubles as the bisect
@@ -98,47 +100,20 @@ class ActionColumns:
     def __len__(self) -> int:
         return len(self.ticks)
 
-    def push(
-        self,
-        action_type: ActionType,
-        actor: AccountId,
-        tick: int,
-        endpoint: ClientEndpoint,
-        api: ApiSurface,
-        status: ActionStatus,
-        target_account: Optional[AccountId],
-        target_media: Optional[MediaId],
-        comment_text: Optional[str],
-    ) -> int:
-        """Append one row; returns its action id."""
-        action_id = len(self.ticks)
-        self.ticks.append(tick)
-        self.actors.append(actor)
-        self.type_codes.append(action_type.col_code)
-        self.status_codes.append(status.col_code)
-        self.api_codes.append(api.col_code)
-        self.target_accounts.append(_NONE if target_account is None else target_account)
-        self.target_medias.append(_NONE if target_media is None else target_media)
-        self.removed_ats.append(_NONE)
-        self.endpoint_ids.append(self.endpoints.intern(endpoint))
-        if comment_text is not None:
-            self.comment_texts[action_id] = comment_text
-        self._obs_rows.inc(9)
-        return action_id
-
     def push_batch(self, rows: list) -> int:
         """Append many rows in one call; returns the first action id.
 
         ``rows`` carries ``(action_type, actor, tick, endpoint, api,
         status, target_account, target_media, comment_text)`` tuples —
-        the :meth:`push` argument list. The batch is transposed once
+        the :meth:`ActionLog.log_action` argument list. The batch is
+        transposed once
         (``zip(*rows)``) and each column lands in a single C-level
         ``array.extend``, so the only per-row Python work left is the
         enum-code comprehensions and the endpoint interning loop, which
         memoizes consecutive identical endpoints (action batches are
         overwhelmingly runs from one endpoint). The column-append
-        counter is charged once with ``9 * n`` — the same "log" work
-        units as n scalar pushes.
+        counter is charged once with ``9 * n``: nine column appends per
+        row.
         """
         start = len(self.ticks)
         n = len(rows)

@@ -254,7 +254,7 @@ class InstagramPlatform:
             decision = self._police(ActionType.LIKE, actor, endpoint, api, owner, media_id)
             self.media.like(media_id, actor)
         else:
-            owner = self.media.like_new(media_id, actor).owner
+            owner = self.media.like(media_id, actor).owner
             decision = _ALLOW
         rows = batch.rows
         action_id = batch.base + len(rows)

@@ -84,21 +84,11 @@ class MediaStore:
             ]
         return media
 
-    def like(self, media_id: MediaId, liker: AccountId) -> None:
-        """Record a like; double-likes are invalid (Instagram semantics)."""
-        self.get(media_id)  # unknown or removed media raise
-        if liker in self._likers[media_id]:
-            raise InvalidActionError(f"{liker} already likes media {media_id}")
-        self._likers[media_id].add(liker)
-
-    def like_new(self, media_id: MediaId, liker: AccountId) -> Media:
-        """Fetch, validate, and record a like in one call.
-
-        The batch pipeline's fused spelling of ``get`` + ``has_liked`` +
-        ``like``: same lookups, same :class:`InvalidActionError` on a
-        double-like, one method call instead of three (and no repeat
-        ``get``). Returns the media so the caller can read the owner.
-        """
+    def like(self, media_id: MediaId, liker: AccountId) -> Media:
+        """Record a like; returns the liked media so the caller can read
+        the owner. Unknown or removed media raise
+        :class:`UnknownMediaError`, and double-likes are invalid
+        (Instagram semantics)."""
         media = self.get(media_id)
         likers = self._likers[media_id]
         if liker in likers:

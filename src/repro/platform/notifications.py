@@ -48,20 +48,6 @@ class NotificationCenter:
         self._inbox[notification.recipient].append(notification)
         self._delivered_total += 1
 
-    def push_batch(self, notifications: list[Notification]) -> None:
-        """Deliver many notifications in one call, in list order.
-
-        Identical inbox state to pushing each item: per-recipient
-        ordering and — load-bearing for determinism — *inbox key
-        insertion order* are both preserved, because
-        :meth:`recipients_with_pending` iteration order feeds the
-        organic reciprocity loop's RNG draw sequence.
-        """
-        inbox = self._inbox
-        for notification in notifications:
-            inbox[notification.recipient].append(notification)
-        self._delivered_total += len(notifications)
-
     def pending(self, recipient: AccountId) -> list[Notification]:
         """Peek at pending notifications without consuming them."""
         return list(self._inbox.get(recipient, ()))

@@ -5,7 +5,8 @@ answers every query with a linear scan in log order. It shares the
 public API of :class:`repro.platform.actions.ActionLog` but none of its
 bisect or column logic, so the property suites can compare the
 production log against it. Like the production log it only accepts
-appends in tick order, and a rejected call changes nothing.
+appends in tick order, a rejected call changes nothing, and each
+observer is called once per stored batch with the batch's row range.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ class ListActionLog:
 
     def __init__(self) -> None:
         self._records: list[ActionRecord] = []
-        self._observers: list[Callable[[ActionRecord], None]] = []
+        self._observers: list[Callable[[list[ActionRecord], int, int], None]] = []
 
     # ------------------------------------------------------------------
     # Appends
@@ -64,7 +65,7 @@ class ListActionLog:
             target_media=target_media,
             comment_text=comment_text,
         )
-        self.append(record)
+        self._store([record])
         return record
 
     def append(self, record: ActionRecord) -> None:
@@ -72,23 +73,43 @@ class ListActionLog:
             raise ValueError(
                 f"action_id {record.action_id} out of order; expected {len(self._records)}"
             )
-        if self._records and record.tick < self._records[-1].tick:
-            raise ValueError(
-                f"out-of-order append: tick {record.tick} after tick {self._records[-1].tick}"
-            )
-        self._records.append(record)
-        for observer in self._observers:
-            observer(record)
+        self._store([record])
 
     def append_batch(self, rows: list) -> int:
-        ticks = [r.tick for r in self._records[-1:]] + [row[2] for row in rows]
+        start = len(self._records)
+        self._store([
+            ActionRecord(
+                action_id=start + offset,
+                action_type=action_type,
+                actor=actor,
+                tick=tick,
+                endpoint=endpoint,
+                api=api,
+                status=status,
+                target_account=target_account,
+                target_media=target_media,
+                comment_text=comment_text,
+            )
+            for offset, (
+                action_type, actor, tick, endpoint, api, status,
+                target_account, target_media, comment_text,
+            ) in enumerate(rows)
+        ])
+        return start
+
+    def _store(self, records: list[ActionRecord]) -> None:
+        """Check every tick, then store the records and offer the
+        observers their row range; a rejected call changes nothing."""
+        ticks = [r.tick for r in self._records[-1:]] + [r.tick for r in records]
         for prev, tick in zip(ticks, ticks[1:]):
             if tick < prev:
                 raise ValueError(f"out-of-order append: tick {tick} after tick {prev}")
+        if not records:
+            return
         start = len(self._records)
-        for row in rows:
-            self.log_action(*row)
-        return start
+        self._records.extend(records)
+        for observer in self._observers:
+            observer(self._records, start, len(self._records))
 
     def __len__(self) -> int:
         return len(self._records)
@@ -105,8 +126,10 @@ class ListActionLog:
     # Observers
     # ------------------------------------------------------------------
 
-    def add_observer(self, observer: Callable[[ActionRecord], None], batch=None) -> None:
-        """``batch`` is accepted for API parity; batches arrive row by row."""
+    def add_observer(self, observer: Callable[[list[ActionRecord], int, int], None]) -> None:
+        """Call ``observer(records, start, end)`` once per stored batch:
+        the oracle's record list stands where the production log passes
+        its columns."""
         if observer not in self._observers:
             self._observers.append(observer)
 

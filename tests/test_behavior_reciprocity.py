@@ -88,29 +88,40 @@ class TestResponseProbabilities:
         assert all(p <= 1.0 for p in probs.values())
 
 
+def _responses(model, inbound, attractiveness, propensity, affinity=1.0):
+    """One notification's responses by the organic driver's rule: each
+    memoized item is taken when its draw is below its probability."""
+    items = model.response_items(inbound, attractiveness, propensity, affinity)
+    return [kind for (kind, p), draw in zip(items, model.draws(len(items))) if draw < p]
+
+
 class TestRespond:
     def test_zero_propensity_never_responds(self, model):
         for _ in range(50):
-            assert model.respond(ActionType.LIKE, EMPTY_ATTRACTIVENESS, 0.0) == []
+            assert _responses(model, ActionType.LIKE, EMPTY_ATTRACTIVENESS, 0.0) == []
 
     def test_statistical_rate(self):
         model = ReciprocityModel(ReciprocityParams(follow_to_follow=0.2), derive_rng(9, "r"))
         hits = sum(
-            bool(model.respond(ActionType.FOLLOW, EMPTY_ATTRACTIVENESS, 1.0))
+            bool(_responses(model, ActionType.FOLLOW, EMPTY_ATTRACTIVENESS, 1.0))
             for _ in range(2000)
         )
         assert 300 <= hits <= 500  # ~0.2 of 2000
 
     def test_respond_is_items_then_draws(self):
-        """``respond`` takes each memoized item whose draw is below its
-        probability, one scalar-equivalent draw per item in item order:
-        the organic driver batches those draws over a whole inbox."""
+        """One draw call over a whole inbox's items, as the organic driver
+        makes it, takes the same responses and leaves the same generator
+        state as one scalar draw per item in item order."""
         params = ReciprocityParams(like_to_like=0.5, like_to_follow=0.5)
         model = ReciprocityModel(params, derive_rng(13, "reciprocity"))
         scalar = derive_rng(13, "reciprocity")
-        for inbound in (ActionType.LIKE, ActionType.FOLLOW, ActionType.COMMENT, ActionType.POST) * 20:
-            items = model.response_items(inbound, LIVED_IN_ATTRACTIVENESS, 1.0, 1.0)
-            expected = [kind for kind, p in items if scalar.random() < p]
-            intents = model.respond(inbound, LIVED_IN_ATTRACTIVENESS, 1.0, 1.0)
-            assert [intent.response_type for intent in intents] == expected
+        inbox = (ActionType.LIKE, ActionType.FOLLOW, ActionType.COMMENT, ActionType.POST) * 20
+        items = [
+            item
+            for inbound in inbox
+            for item in model.response_items(inbound, LIVED_IN_ATTRACTIVENESS, 1.0, 1.0)
+        ]
+        expected = [kind for kind, p in items if scalar.random() < p]
+        draws = model.draws(len(items))
+        assert [kind for (kind, p), draw in zip(items, draws) if draw < p] == expected
         assert model._rng.bit_generator.state == scalar.bit_generator.state

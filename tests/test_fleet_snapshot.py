@@ -136,6 +136,8 @@ class TestEnvelope:
     # |         | overlay or tombstone sets)                              |
     # | 11      | collusion follow counts and the graph's removal counts  |
     # |         | dropped (follow saturation is a per-tick row test)      |
+    # | 12      | the action log keeps no per-observer bulk table         |
+    # |         | (observers take row ranges)                             |
     @pytest.mark.parametrize("version", range(2, SNAPSHOT_SCHEMA_VERSION))
     def test_older_version_envelope_rejected(self, version: int) -> None:
         expected = f"schema_version {version} != current {SNAPSHOT_SCHEMA_VERSION}"

@@ -18,6 +18,7 @@ from repro.obs import (
     write_trace,
 )
 from repro.obs.cli import main
+from repro.obs.trace import render_trace
 
 
 def _sample_obs(wall: bool = False) -> Observability:
@@ -260,6 +261,48 @@ class TestCli:
         out = capsys.readouterr().out
         assert "- span measurement-window" in out
         assert "coverage regression" in out
+
+    def test_diff_compares_every_replica_segment(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture
+    ) -> None:
+        """Two fleet-merged traces that differ only in an earlier
+        replica's counter are not equivalent; the change names it."""
+
+        def merged(path: Path, first_count: int) -> str:
+            lines = []
+            for replica, count in (("a", first_count), ("b", 1)):
+                obs = Observability(enabled=True)
+                obs.counter("fleet.work").inc(count)
+                lines += label_replica(obs.trace_lines(meta={"replica": replica}), replica)
+            path.write_text(render_trace(lines), encoding="utf-8")
+            return str(path)
+
+        old = merged(tmp_path / "old.jsonl", 1)
+        new = merged(tmp_path / "new.jsonl", 2)
+        assert main(["diff", old, new]) == 0
+        out = capsys.readouterr().out
+        assert "~ metric fleet.work [replica a] value 1 -> 2" in out
+        assert "[replica b]" not in out
+        assert "traces are equivalent" not in out
+        assert main(["diff", old, old]) == 0
+        assert "traces are equivalent" in capsys.readouterr().out
+
+    def test_diff_names_the_replica_of_a_lost_series(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture
+    ) -> None:
+        def merged(path: Path, replicas: tuple[str, ...]) -> str:
+            lines = []
+            for replica in replicas:
+                obs = Observability(enabled=True)
+                obs.counter("fleet.work").inc()
+                lines += label_replica(obs.trace_lines(meta={"replica": replica}), replica)
+            path.write_text(render_trace(lines), encoding="utf-8")
+            return str(path)
+
+        old = merged(tmp_path / "old.jsonl", ("a", "b"))
+        new = merged(tmp_path / "new.jsonl", ("a",))
+        assert main(["diff", old, new]) == 1
+        assert "- metric fleet.work [replica b]" in capsys.readouterr().out
 
     def test_usage_error_exits_2(self) -> None:
         with pytest.raises(SystemExit) as excinfo:

@@ -129,13 +129,16 @@ class TestUndoLike:
 
 def test_study_writes_every_row_through_append_batch():
     """Honeypot phase (lived-in set-up follows included), measurement and
-    a broad intervention: no row takes the scalar append."""
+    a broad intervention: no row takes a one-row adapter
+    (``log_action``, ``append``); every row arrives in a scope's batch."""
 
     def _no_scalar_append(self, *args, **kwargs):
-        raise AssertionError("a row bypassed ActionLog.append_batch")
+        raise AssertionError("a row bypassed the action batch scope")
 
     study = Study(StudyConfig.tiny(seed=5))
-    with mock.patch.object(ActionLog, "_push", _no_scalar_append):
+    with mock.patch.multiple(
+        ActionLog, log_action=_no_scalar_append, append=_no_scalar_append
+    ):
         study.run_honeypot_phase()
         study.learn_signatures()
         study.run_measurement(days_=2)

@@ -1,13 +1,14 @@
-"""Property tests: ``ActionLog.append_batch`` vs the scalar oracles.
+"""Property tests: ``ActionLog.append_batch`` vs its one-row batches
+and the list oracle.
 
-``append_batch(rows)`` must be semantically identical to
-``for row in rows: log_action(*row)`` — same ids, same field values,
-same index answers, same observer stream. These tests replay one
-randomized op sequence (batches of varying size, scalar appends, and
-mark_removed calls interleaved) into three logs:
+``append_batch(rows)`` must leave what ``for row in rows:
+append_batch([row])`` leaves — same ids, same field values, same index
+answers, same rows offered to observers. These tests replay one
+randomized op sequence (batches of varying size, ``log_action``
+appends, and mark_removed calls interleaved) into three logs:
 
-* a columnar log fed through ``append_batch`` (the system under test),
-* a columnar log fed row-by-row (the scalar-path oracle),
+* a columnar log fed whole batches (the system under test),
+* a columnar log fed one-row batches (the row-by-row leg),
 * the brute-force :class:`tests.oracles.actionlog.ListActionLog` fed
   row-by-row (the storage oracle),
 
@@ -27,7 +28,7 @@ import pickle
 import pytest
 
 from repro.netsim.client import ClientEndpoint, DeviceFingerprint
-from repro.platform.actions import ActionLog, ActionView
+from repro.platform.actions import ActionLog
 from repro.platform.countermeasures import CountermeasureDecision
 from repro.platform.errors import ActionBlockedError, PlatformError
 from repro.platform.instagram import InstagramPlatform
@@ -39,7 +40,7 @@ from tests.oracles.platform import ScalarPlatform
 from tests.test_platform_columnar_log import (
     _ENDPOINTS,
     _assert_queries_equivalent,
-    _row,
+    _range_rows,
     _rows,
 )
 
@@ -104,7 +105,7 @@ def _apply(log, ops, batched: bool) -> None:
                 assert first == len(log) - len(op[1])
             else:
                 for row in op[1]:
-                    log.log_action(*row)
+                    log.append_batch([row])
         elif op[0] == "scalar":
             log.log_action(*op[1])
         else:
@@ -114,19 +115,19 @@ def _apply(log, ops, batched: bool) -> None:
 def _triple(seed: int, steps: int = 120):
     ops = _script(seed, steps)
     batched = ActionLog()
-    scalar_cols = ActionLog()
+    one_row = ActionLog()
     ref = ListActionLog()
     _apply(batched, ops, batched=True)
-    _apply(scalar_cols, ops, batched=False)
+    _apply(one_row, ops, batched=False)
     _apply(ref, ops, batched=False)
-    return ops, batched, scalar_cols, ref
+    return ops, batched, one_row, ref
 
 
 class TestAppendBatchEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_monotonic_interleavings(self, seed):
-        _, batched, scalar_cols, ref = _triple(seed)
-        _assert_queries_equivalent(batched, scalar_cols)
+        _, batched, one_row, ref = _triple(seed)
+        _assert_queries_equivalent(batched, one_row)
         _assert_queries_equivalent(batched, ref)
 
     def test_empty_batch_is_a_noop(self):
@@ -162,27 +163,36 @@ class TestAppendBatchEquivalence:
         _assert_queries_equivalent(batched, ref)
 
     def test_observer_streams_identical(self):
-        """Per-row observers and bulk batch observers see the same rows,
-        in append order, as the scalar oracle's observers."""
+        """Each observer call covers one batch's row range. The batched
+        log and the list oracle fed the same batches offer the same
+        ranges; the one-row-batch log offers one range per row; all
+        three offer the same rows, in append order."""
         ops = _script(11, 80)
-        batched = ActionLog()
-        scalar_cols = ActionLog()
-        seen_plain, seen_bulk, seen_scalar = [], [], []
-        batched.add_observer(lambda r: seen_plain.append(_row(r)))
+        logs = {"batched": ActionLog(), "one_row": ActionLog(), "oracle": ListActionLog()}
+        ranges = {name: [] for name in logs}
+        seen = {name: [] for name in logs}
+        for name, log in logs.items():
 
-        def bulk(cols, start, end):
-            for i in range(start, end):
-                seen_bulk.append(_row(ActionView(cols, i)))
+            def observe(store, start, end, name=name):
+                ranges[name].append((start, end))
+                seen[name].extend(_range_rows(store, start, end))
 
-        batched.add_observer(lambda r: seen_bulk.append(_row(r)), batch=bulk)
-        scalar_cols.add_observer(lambda r: seen_scalar.append(_row(r)))
-        _apply(batched, ops, batched=True)
-        _apply(scalar_cols, ops, batched=False)
+            log.add_observer(observe)
+        _apply(logs["batched"], ops, batched=True)
+        _apply(logs["one_row"], ops, batched=False)
+        _apply(logs["oracle"], ops, batched=True)
+        expected = []
+        for op in ops:
+            if op[0] != "remove":
+                start = expected[-1][1] if expected else 0
+                expected.append((start, start + (len(op[1]) if op[0] == "batch" else 1)))
         # streams reflect observation-time state (later mark_removed calls
         # are invisible to them), so compare stream-to-stream, not to the
         # final log contents
-        assert len(seen_plain) == len(batched)
-        assert seen_plain == seen_bulk == seen_scalar
+        assert len(seen["batched"]) == len(logs["batched"])
+        assert seen["batched"] == seen["one_row"] == seen["oracle"]
+        assert ranges["batched"] == ranges["oracle"] == expected
+        assert ranges["one_row"] == [(i, i + 1) for i in range(len(logs["one_row"]))]
 
 
 # ----------------------------------------------------------------------

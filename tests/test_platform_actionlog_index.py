@@ -146,7 +146,7 @@ def test_endpoints_are_interned() -> None:
 def test_observer_sees_every_append_once() -> None:
     log = ActionLog()
     seen: list[int] = []
-    log.add_observer(lambda r: seen.append(r.action_id))
+    log.add_observer(lambda _cols, start, end: seen.extend(range(start, end)))
     rng = derive_rng(14, "actionlog-observer")
     endpoint = ClientEndpoint(1, ASNS[0], DeviceFingerprint("android"))
     tick = 0

@@ -71,7 +71,7 @@ class _Watch:
         self.log, self.tail = _filled(log_type)
         self.before_log = pickle.loads(pickle.dumps(self.log))
         self.seen: list[int] = []
-        self.log.add_observer(lambda record: self.seen.append(record.action_id))
+        self.log.add_observer(lambda _store, start, end: self.seen.extend(range(start, end)))
         self.classifier = (
             AASClassifier(SIGNATURES, self.log) if isinstance(self.log, ActionLog) else None
         )

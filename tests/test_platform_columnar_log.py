@@ -13,6 +13,7 @@ import pytest
 from repro.netsim.client import ClientEndpoint, DeviceFingerprint
 from repro.util.rng import derive_rng
 from repro.platform.actions import ActionLog
+from repro.platform.columns import ActionColumns, ActionView
 from repro.platform.models import (
     ActionRecord,
     ActionStatus,
@@ -52,6 +53,14 @@ def _row(record):
 
 def _rows(records):
     return [_row(r) for r in records]
+
+
+def _range_rows(store, start: int, end: int) -> list:
+    """The rows an observer was offered: the production log passes its
+    columns, the list oracle its record list."""
+    if isinstance(store, ActionColumns):
+        return [_row(ActionView(store, i)) for i in range(start, end)]
+    return _rows(store[start:end])
 
 
 def _random_append(log, rng: np.random.Generator, tick: int):
@@ -175,15 +184,28 @@ class TestColumnarLogEquivalence:
         assert _row(view) == _row(record)
 
     def test_observers_see_flyweights_in_append_order(self):
+        """Each one-row append offers its observers the range of that
+        one row, and the rows read through it match the oracle's."""
         fast, ref = ActionLog(), ListActionLog()
         seen_fast, seen_ref = [], []
-        fast.add_observer(lambda r: seen_fast.append(_row(r)))
-        ref.add_observer(lambda r: seen_ref.append(_row(r)))
+        ranges_fast, ranges_ref = [], []
+
+        def observe_fast(cols, start, end):
+            ranges_fast.append((start, end))
+            seen_fast.extend(_range_rows(cols, start, end))
+
+        def observe_ref(records, start, end):
+            ranges_ref.append((start, end))
+            seen_ref.extend(_range_rows(records, start, end))
+
+        fast.add_observer(observe_fast)
+        ref.add_observer(observe_ref)
         rng_fast, rng_ref = derive_rng(5, "columnar-log"), derive_rng(5, "columnar-log")
         for tick in range(20):
             _random_append(fast, rng_fast, tick)
             _random_append(ref, rng_ref, tick)
         assert seen_fast == seen_ref == _rows(iter(fast))
+        assert ranges_fast == ranges_ref == [(i, i + 1) for i in range(20)]
 
     def test_mark_removed_rejects_non_delivered(self):
         fast = ActionLog()

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.obs import Observability
 from repro.platform.models import ActionType
 from repro.platform.notifications import Notification, NotificationCenter
 from repro.platform.ratelimit import SlidingWindowLimiter
+from repro.util.rng import derive_rng
 
 
 class TestSlidingWindowLimiter:
@@ -48,6 +50,52 @@ class TestSlidingWindowLimiter:
             SlidingWindowLimiter(0, 1)
         with pytest.raises(ValueError):
             SlidingWindowLimiter(1, 0)
+
+
+class TestAllowBatch:
+    """``allow_batch(key, now, count)`` keeps the books of ``count``
+    scalar ``allow`` calls: granted count, later ``remaining()`` and
+    both decision counters."""
+
+    @staticmethod
+    def _limiter():
+        obs = Observability(enabled=True)
+        limiter = SlidingWindowLimiter(limit=5, window_ticks=4, obs=obs, name="t")
+        return limiter, obs
+
+    @staticmethod
+    def _decisions(obs):
+        return tuple(
+            obs.counter("platform.ratelimit.decisions", limiter="t", outcome=outcome).value
+            for outcome in ("allowed", "rejected")
+        )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_scalar_allow_calls(self, seed):
+        rng = derive_rng(seed, "allow-batch")
+        batched, batched_obs = self._limiter()
+        scalar, scalar_obs = self._limiter()
+        tick = 0
+        for _ in range(300):
+            key = "abc"[int(rng.integers(0, 3))]
+            count = int(rng.integers(0, 9))
+            granted = batched.allow_batch(key, tick, count)
+            decisions = [scalar.allow(key, tick) for _ in range(count)]
+            assert decisions == [True] * granted + [False] * (count - granted)
+            assert self._decisions(batched_obs) == self._decisions(scalar_obs)
+            # time moves on to the probe tick, so the books are read
+            # across window slides and no call goes back in time
+            tick += int(rng.integers(0, 6))
+            for other in "abc":
+                assert batched.remaining(other, tick) == scalar.remaining(other, tick)
+        allowed, rejected = self._decisions(batched_obs)
+        assert allowed and rejected
+
+    def test_negative_count_rejected(self):
+        limiter, obs = self._limiter()
+        with pytest.raises(ValueError):
+            limiter.allow_batch("k", 0, -1)
+        assert self._decisions(obs) == (0, 0)
 
 
 class TestNotificationCenter:
