@@ -37,7 +37,6 @@ from repro.aas.reciprocity_service import ReciprocityAbuseService, ReciprocitySe
 from repro.aas.collusion_service import CollusionNetworkService, CollusionServiceConfig
 from repro.aas.ads import PopUnderAdNetwork
 from repro.aas.clientele import ClienteleDriver, ClienteleParams
-from repro.aas.franchise import FRANCHISE_TIERS, FranchiseProgram, FranchiseTier
 from repro.aas.services import (
     make_boostgram,
     make_followersgratis,
@@ -68,9 +67,6 @@ __all__ = [
     "PopUnderAdNetwork",
     "ClienteleDriver",
     "ClienteleParams",
-    "FranchiseProgram",
-    "FranchiseTier",
-    "FRANCHISE_TIERS",
     "make_instalex",
     "make_instazood",
     "make_boostgram",

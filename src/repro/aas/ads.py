@@ -10,8 +10,6 @@ methodology (which conservatively assumes one ad per request).
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 import numpy as np
 
 #: Paper: "for every 1,000 impressions (CPM) Hublaagram receives between
@@ -30,22 +28,9 @@ class PopUnderAdNetwork:
         self._rng = rng
         self._range = (lo, hi)
         self.impressions = 0
-        self._by_country: dict[str, int] = defaultdict(int)
 
-    def serve_request(self, visitor_country: str) -> int:
+    def serve_request(self) -> int:
         """Serve ads for one site interaction; returns impressions shown."""
         shown = int(self._rng.integers(self._range[0], self._range[1] + 1))
         self.impressions += shown
-        self._by_country[visitor_country.upper()] += shown
         return shown
-
-    def impressions_by_country(self) -> dict[str, int]:
-        return dict(self._by_country)
-
-    def true_revenue_cents(self, cpm_cents_by_country: dict[str, int], default_cpm_cents: int = 150) -> int:
-        """Ground-truth ad revenue given per-country CPMs."""
-        total = 0.0
-        for country, impressions in self._by_country.items():
-            cpm = cpm_cents_by_country.get(country, default_cpm_cents)
-            total += impressions * cpm / 1000.0
-        return int(round(total))

@@ -4,8 +4,8 @@ A required step when registering with any AAS is handing over Instagram
 credentials (Section 3.3.1). The base class stores them, logs in through
 the platform like any client would (from the service's hosting
 endpoints, with its automation stack's fingerprint), caches sessions,
-and transparently re-authenticates — losing the customer if the password
-was reset, exactly the revocation mechanism the paper describes.
+and transparently re-authenticates — losing the customer once a login
+fails, as it does for a deleted account.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class IssueOutcome(enum.Enum):
     DELIVERED = "delivered"
     BLOCKED = "blocked"
     INVALID = "invalid"  # duplicate like/follow etc.
-    LOST_ACCESS = "lost-access"  # credentials revoked
+    LOST_ACCESS = "lost-access"  # the stored credentials no longer log in
     FAILED = "failed"
 
     #: identity hash in C (see :class:`repro.platform.models.ActionType`)
@@ -251,7 +251,7 @@ class AccountAutomationService(abc.ABC):
         """A valid session for the customer, re-logging-in as needed.
 
         Returns None (and marks the customer lost) if the stored password
-        no longer works — the paper's revocation path.
+        no longer works (the account was deleted, say).
         """
         session = self._sessions.get(record.account_id)
         if session is not None:

@@ -133,7 +133,6 @@ class ClienteleDriver:
         self._personas: dict[AccountId, _Persona] = {}
         self._pool = self._weighted_pool_order()
         self._pool_cursor = 0
-        self.enrollment_failures = 0
 
     def _weighted_pool_order(self) -> list[AccountId]:
         """Candidate enrollment order, biased toward the home country.
@@ -213,7 +212,6 @@ class ClienteleDriver:
                 target_hashtags=hashtags,
             )
         except (PlatformError, ValueError):
-            self.enrollment_failures += 1
             return None
         self._personas[candidate] = self._make_persona(candidate)
         return candidate
@@ -416,9 +414,3 @@ class ClienteleDriver:
             self._run_reciprocity_payments()
         elif isinstance(self.service, CollusionNetworkService):
             self._run_collusion_usage()
-
-    # ------------------------------------------------------------------
-
-    @property
-    def personas(self) -> dict[AccountId, _Persona]:
-        return self._personas

@@ -219,10 +219,9 @@ class CollusionNetworkService(AccountAutomationService):
         Serves pop-under ads on every interaction; returns None when the
         customer is rate limited.
         """
-        record = self._require_customer(account_id)
+        self._require_customer(account_id)
         if self.ads is not None and self.config.offers_ads:
-            country = self._customer_country(record)
-            self.ads.serve_request(country)
+            self.ads.serve_request()
         if not self._check_free_rate(account_id):
             return None
         quantities = {
@@ -305,17 +304,6 @@ class CollusionNetworkService(AccountAutomationService):
         if record is None or record.cancelled:
             raise KeyError(f"{account_id} is not an active customer of {self.name}")
         return record
-
-    def _customer_country(self, record: CustomerRecord) -> str:
-        endpoints = self.platform.auth.login_endpoints(record.account_id)
-        if not endpoints:
-            return "OTHER"
-        # Site visits come from the customer's own network, i.e. the most
-        # recent non-service login if one exists.
-        service_asns = self.current_asns()
-        own = [e for e in endpoints if e.asn not in service_asns]
-        chosen = own[-1] if own else endpoints[-1]
-        return self.fabric.registry.country_of_asn(chosen.asn)
 
     # ------------------------------------------------------------------
     # Fulfilment
@@ -692,14 +680,3 @@ class CollusionNetworkService(AccountAutomationService):
         self._orders = live
         self._apply_monthly_plans()
         self._adjust()
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    def open_orders(self) -> list[Order]:
-        return [o for o in self._orders if o.open]
-
-    def recipient_cap(self, recipient: AccountId) -> float | None:
-        """The adaptive daily like cap for a recipient, if any."""
-        return self._recipient_caps.get(recipient)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.platform.models import AccountId
 from repro.util.timeutils import days
@@ -58,13 +57,6 @@ class PaymentLedger:
             if p.tick >= start_tick and (end_tick is None or p.tick < end_tick)
         )
 
-    def paying_customers(self, start_tick: int = 0, end_tick: int | None = None) -> set[AccountId]:
-        return {
-            p.customer
-            for p in self._payments
-            if p.tick >= start_tick and (end_tick is None or p.tick < end_tick)
-        }
-
     def first_payment_tick(self, customer: AccountId) -> int | None:
         payments = self.payments_of(customer)
         if not payments:
@@ -90,15 +82,3 @@ class PaymentLedger:
             else:
                 preexisting_cents += payment.amount_cents
         return {"new": new_cents, "preexisting": preexisting_cents}
-
-    def revenue_by_item(self, start_tick: int = 0, end_tick: int | None = None) -> dict[str, int]:
-        """Gross revenue per item label in the window."""
-        out: dict[str, int] = defaultdict(int)
-        for p in self._payments:
-            if p.tick >= start_tick and (end_tick is None or p.tick < end_tick):
-                out[p.item] += p.amount_cents
-        return dict(out)
-
-    @staticmethod
-    def merge_totals(ledgers: Iterable["PaymentLedger"], start_tick: int = 0, end_tick: int | None = None) -> int:
-        return sum(ledger.total_cents(start_tick, end_tick) for ledger in ledgers)

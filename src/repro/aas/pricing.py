@@ -45,10 +45,6 @@ class SubscriptionPricing:
     def period_ticks(self) -> int:
         return days(self.min_paid_days)
 
-    @property
-    def cost_per_day_cents(self) -> float:
-        return self.cost_cents / self.min_paid_days
-
 
 @dataclass(frozen=True)
 class LikePackage:

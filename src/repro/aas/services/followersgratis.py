@@ -3,8 +3,8 @@
 Paper facts encoded here:
 
 * Table 1 — offers like and follow only.
-* Table 4 — paid follow/like bundles (the engine exposes them as paid
-  orders; see ``purchase_option``).
+* Table 4 — paid follow/like bundles (``FollowersgratisCatalog``, priced
+  in the Table 4 report; no simulated customer buys one).
 * Table 7 / Section 5 — operates from Indonesia with a *tiny* exit-IP
   pool, which is why "the service was already well-policed by
   pre-existing abuse detection systems that prevent high volumes of
@@ -17,15 +17,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.aas.base import ServiceDescriptor, ServiceType
-from repro.aas.collusion_service import (
-    CollusionNetworkService,
-    CollusionServiceConfig,
-    Order,
-)
-from repro.aas.pricing import FollowersgratisCatalog, FollowersgratisOption, HublaagramCatalog
+from repro.aas.collusion_service import CollusionNetworkService, CollusionServiceConfig
+from repro.aas.pricing import HublaagramCatalog
 from repro.netsim.fabric import NetworkFabric
 from repro.platform.instagram import InstagramPlatform
-from repro.platform.models import AccountId, ActionType
+from repro.platform.models import ActionType
 
 FOLLOWERSGRATIS_DESCRIPTOR = ServiceDescriptor(
     name="Followersgratis",
@@ -37,51 +33,15 @@ FOLLOWERSGRATIS_DESCRIPTOR = ServiceDescriptor(
 )
 
 
-class FollowersgratisService(CollusionNetworkService):
-    """Collusion engine plus the Table 4 purchase options."""
-
-    def __init__(self, *args, catalog: FollowersgratisCatalog, quantity_scale: float, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.fg_catalog = catalog
-        self._quantity_scale = quantity_scale
-
-    def purchase_option(self, account_id: AccountId, option: FollowersgratisOption) -> list[Order]:
-        """Buy one Table 4 bundle; returns the fulfilment orders."""
-        if option not in self.fg_catalog.options:
-            raise ValueError("unknown Followersgratis option")
-        self._require_customer(account_id)
-        self.record_payment(account_id, option.cost_cents, item=option.description)
-        orders: list[Order] = []
-        scale = self._quantity_scale
-        if option.follows > 0:
-            orders.append(self._enqueue_paid(account_id, ActionType.FOLLOW, max(1, int(option.follows * scale))))
-        if option.bonus_likes > 0:
-            orders.append(self._enqueue_paid(account_id, ActionType.LIKE, max(1, int(option.bonus_likes * scale))))
-        return orders
-
-    def _enqueue_paid(self, account_id: AccountId, action_type: ActionType, quantity: int) -> Order:
-        order = Order(
-            order_id=next(self._order_ids),
-            customer=account_id,
-            action_type=action_type,
-            quantity=quantity,
-            per_hour=self.config.paid_delivery_per_hour,
-            created_at=self.platform.clock.now,
-            is_paid=True,
-        )
-        self._orders.append(order)
-        return order
-
-
 def make_followersgratis(
     platform: InstagramPlatform,
     fabric: NetworkFabric,
     rng: np.random.Generator,
     quantity_scale: float = 0.1,
-) -> FollowersgratisService:
-    """Build a Followersgratis instance (free follows only, paid bundles)."""
+) -> CollusionNetworkService:
+    """Build a Followersgratis instance (free follows only)."""
     config = CollusionServiceConfig(
-        catalog=HublaagramCatalog().scaled(quantity_scale),  # engine needs a catalog; FG's own is fg_catalog
+        catalog=HublaagramCatalog().scaled(quantity_scale),  # engine needs a catalog
         likes_per_free_request=max(1, int(20 * quantity_scale)),
         follows_per_free_request=max(1, int(25 * quantity_scale)),
         comments_per_free_request=1,
@@ -91,12 +51,4 @@ def make_followersgratis(
         offers_ads=False,
         free_action_types=frozenset({ActionType.FOLLOW}),
     )
-    return FollowersgratisService(
-        FOLLOWERSGRATIS_DESCRIPTOR,
-        platform,
-        fabric,
-        rng,
-        config,
-        catalog=FollowersgratisCatalog(),
-        quantity_scale=quantity_scale,
-    )
+    return CollusionNetworkService(FOLLOWERSGRATIS_DESCRIPTOR, platform, fabric, rng, config)

@@ -119,7 +119,6 @@ class OrganicActivityDriver:
         self.reciprocal_actions = 0
         self.background_actions = 0
         self.blocked_actions = 0
-        self.failed_actions = 0
 
     # ------------------------------------------------------------------
     # Session plumbing
@@ -145,7 +144,7 @@ class OrganicActivityDriver:
         return session
 
     def _perform(self, action, *args, **kwargs) -> bool:
-        """Execute a platform call, tallying blocks/failures."""
+        """Execute a platform call, tallying blocks."""
         try:
             action(*args, **kwargs)
             return True
@@ -153,7 +152,6 @@ class OrganicActivityDriver:
             self.blocked_actions += 1
             return False
         except (InvalidActionError, PlatformError):
-            self.failed_actions += 1
             return False
 
     # ------------------------------------------------------------------

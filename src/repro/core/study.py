@@ -786,9 +786,6 @@ class EpilogueOutcome:
     hublaagram_sales_suspended: bool
     signature_coverage: float
 
-    def migrated_services(self) -> set[str]:
-        return {name for name, moves in self.migrations.items() if moves}
-
 
 def _accumulate(signatures, service_name, service_type, records):
     """Add or merge a learned signature into the list."""

@@ -16,11 +16,7 @@ we can identify the actions initiated by each AAS."
 
 from repro.detection.signals import ServiceSignature, learn_signature
 from repro.detection.classifier import AASClassifier, AttributedActivity
-from repro.detection.customers import (
-    CustomerActivity,
-    CustomerBaseAnalytics,
-    PopulationDynamics,
-)
+from repro.detection.customers import CustomerActivity, CustomerBaseAnalytics
 from repro.detection.evaluation import (
     ClassificationReport,
     default_variant_map,
@@ -34,7 +30,6 @@ __all__ = [
     "AttributedActivity",
     "CustomerActivity",
     "CustomerBaseAnalytics",
-    "PopulationDynamics",
     "ClassificationReport",
     "evaluate_classifier",
     "default_variant_map",

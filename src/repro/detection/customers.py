@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.aas.base import ServiceType
 from repro.detection.classifier import AttributedActivity
-from repro.netsim.geo import GeoIP
+from repro.netsim.geo import GeoIP, LoginGeolocator
 from repro.platform.instagram import InstagramPlatform
 from repro.platform.models import AccountId
 
@@ -93,9 +93,6 @@ class CustomerBaseAnalytics:
             for account, activity in self.customers.items()
             if activity.max_consecutive_days() > self.long_term_days
         }
-
-    def short_term_customers(self) -> set[AccountId]:
-        return set(self.customers) - self.long_term_customers()
 
     def long_term_action_share(self) -> float:
         """Fraction of the service's actions issued by long-term customers."""
@@ -180,32 +177,14 @@ class CustomerBaseAnalytics:
         AAS logins are infrequent enough not to move the statistic, and
         excluding them models exactly that.
         """
+        locator = LoginGeolocator(geoip)
         counts: Counter = Counter()
         for account in self.customers:
             try:
                 endpoints = platform.auth.login_endpoints(account)
             except Exception:
                 continue  # account deleted since
-            own = [e for e in endpoints if e.asn not in service_asns]
-            if not own:
-                continue
-            country_counts = Counter(geoip.country(e.address) for e in own)
-            top = max(country_counts.values())
-            country = sorted(c for c, n in country_counts.items() if n == top)[0]
-            counts[country] += 1
+            own = [e.address for e in endpoints if e.asn not in service_asns]
+            if own:
+                counts[locator.account_country(own)] += 1
         return counts
-
-
-@dataclass
-class PopulationDynamics:
-    """Cross-service overlap metrics (Section 5.1 "Popularity")."""
-
-    analytics: list[CustomerBaseAnalytics]
-
-    def overlap(self, minimum_services: int = 2) -> set[AccountId]:
-        """Accounts enrolled in at least ``minimum_services`` services."""
-        membership: Counter = Counter()
-        for analytic in self.analytics:
-            for account in analytic.customers:
-                membership[account] += 1
-        return {account for account, n in membership.items() if n >= minimum_services}

@@ -52,7 +52,7 @@ from repro.fleet.spec import (
 )
 
 #: bumped whenever Study's pickled layout or the envelope shape changes
-SNAPSHOT_SCHEMA_VERSION = 12
+SNAPSHOT_SCHEMA_VERSION = 13
 
 
 class SnapshotError(RuntimeError):

@@ -131,23 +131,3 @@ def eligible_share_by_group(
         total = sum(counts.values())
         out[period] = {group: n / total for group, n in counts.items()}
     return out
-
-
-def daily_eligible_counts_by_group(
-    records: Sequence[ActionRecord],
-    thresholds: ThresholdTable,
-    assignment: BinAssignment,
-    action_type: ActionType,
-    start_day: int,
-    end_day: int,
-) -> dict[str, dict[int, int]]:
-    """Raw eligible-action counts per group per day (for benches/tests)."""
-    flagged = eligible_flags(records, thresholds)
-    out: dict[str, dict[int, int]] = defaultdict(lambda: defaultdict(int))
-    for record, subject, is_eligible in flagged:
-        if record.action_type is not action_type or not is_eligible:
-            continue
-        if not start_day <= record.day < end_day:
-            continue
-        out[assignment.group_of(subject)][record.day] += 1
-    return {group: dict(days) for group, days in out.items()}

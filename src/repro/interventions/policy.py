@@ -77,28 +77,3 @@ class ThresholdBinPolicy:
         if treatment is not CountermeasureDecision.ALLOW:
             self.decisions_applied[treatment] = self.decisions_applied.get(treatment, 0) + 1
         return treatment
-
-
-@dataclass
-class BlanketAsnPolicy:
-    """Network-level blocking: refuse *everything* from the given ASNs.
-
-    The blunt instrument of prior work (the paper cites Farooqi et al.'s
-    "large-scale network-level blocking" and positions its account-level
-    thresholds as the finer-grained alternative). Blocking a whole ASN
-    kills the abuse instantly — and every benign VPN/datacenter user in
-    it, which is exactly what the threshold design avoids. Compare in
-    ``bench_ablation_blanket_vs_threshold``.
-    """
-
-    asns: frozenset[int]
-    action_types: frozenset[ActionType] = frozenset(
-        {ActionType.LIKE, ActionType.FOLLOW, ActionType.COMMENT, ActionType.UNFOLLOW, ActionType.POST}
-    )
-    decisions_applied: int = 0
-
-    def decide(self, context: ActionContext) -> CountermeasureDecision:
-        if context.endpoint.asn in self.asns and context.action_type in self.action_types:
-            self.decisions_applied += 1
-            return CountermeasureDecision.BLOCK
-        return CountermeasureDecision.ALLOW

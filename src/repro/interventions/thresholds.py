@@ -70,9 +70,6 @@ class ThresholdTable:
     def get(self, asn: int, action_type: ActionType) -> ThresholdEntry | None:
         return self.entries.get((asn, action_type))
 
-    def covered_asns(self) -> set[int]:
-        return {asn for asn, _ in self.entries}
-
     def __len__(self) -> int:
         return len(self.entries)
 

@@ -78,9 +78,6 @@ class ASNRegistry:
     def __len__(self) -> int:
         return len(self._by_asn)
 
-    def all_asns(self) -> list[int]:
-        return sorted(self._by_asn)
-
     def allocate_address(self, asn: int) -> int:
         """Allocate a fresh address from the AS's first non-full prefix."""
         autonomous_system = self.get(asn)

@@ -25,15 +25,6 @@ class DeviceFingerprint:
     family: str
     variant: str = "stock"
 
-    def spoofed_as(self, family: str) -> "DeviceFingerprint":
-        """Return a fingerprint that claims ``family`` but keeps our variant.
-
-        This models AAS request spoofing: the claimed family changes, the
-        subtle implementation tells (header ordering, TLS stack, ...)
-        condensed into ``variant`` do not.
-        """
-        return DeviceFingerprint(family=family, variant=self.variant)
-
 
 @dataclass(frozen=True)
 class ClientEndpoint:

@@ -56,9 +56,6 @@ class NetworkFabric:
         while len(self._by_country_kind[(country, ASKind.MOBILE)]) < mobile:
             self.add_as(country, ASKind.MOBILE)
 
-    def ases(self, country: str, kind: ASKind) -> list[AutonomousSystem]:
-        return list(self._by_country_kind[(country.upper(), kind)])
-
     def home_endpoint(self, country: str, fingerprint: DeviceFingerprint) -> ClientEndpoint:
         """Allocate a fresh consumer endpoint (residential or mobile) in ``country``."""
         country = country.upper()

@@ -26,10 +26,6 @@ class GeoIP:
     def country(self, addr: int) -> str:
         return self._registry.country_of_asn(self.asn(addr))
 
-    def locate(self, addr: int) -> tuple[str, int]:
-        asn = self.asn(addr)
-        return self._registry.country_of_asn(asn), asn
-
 
 class LoginGeolocator:
     """Account location = most frequent login country (paper Section 5.1).

@@ -18,20 +18,6 @@ def format_ipv4(addr: int) -> str:
     return ".".join(str((addr >> shift) & 0xFF) for shift in (24, 16, 8, 0))
 
 
-def parse_ipv4(text: str) -> int:
-    """Parse dotted-quad text into an integer address."""
-    parts = text.split(".")
-    if len(parts) != 4:
-        raise ValueError(f"not a dotted quad: {text!r}")
-    addr = 0
-    for part in parts:
-        octet = int(part)
-        if not 0 <= octet <= 255:
-            raise ValueError(f"octet out of range in {text!r}")
-        addr = (addr << 8) | octet
-    return addr
-
-
 @dataclass(frozen=True)
 class Prefix:
     """An IPv4 prefix: ``base`` is the network address, ``length`` the mask."""
@@ -91,6 +77,3 @@ class IPAddressSpace:
             if prefix.contains(addr):
                 return prefix
         raise KeyError(f"address {format_ipv4(addr)} is outside all prefixes")
-
-    def allocated_count(self) -> int:
-        return sum(self._next_offset.values())

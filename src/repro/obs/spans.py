@@ -144,10 +144,6 @@ class Tracer:
         """Closed spans, in completion order."""
         return tuple(self._finished)
 
-    @property
-    def open_depth(self) -> int:
-        return len(self._stack)
-
     @contextmanager
     def span(self, name: str, **attrs: object) -> Iterator[Span]:
         parent = self._stack[-1] if self._stack else None

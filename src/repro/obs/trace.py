@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 from repro.obs.schema import TRACE_SCHEMA_VERSION
-from repro.obs.schema import split_segments as split_segments  # re-export
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.obs.facade import Observability

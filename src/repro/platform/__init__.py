@@ -3,7 +3,7 @@
 This package is the stand-in for the live Instagram service that the
 paper measured from the inside. It provides:
 
-* account lifecycle (creation, login, password reset, deletion — and
+* account lifecycle (creation, login, deletion — and
   deletion removes the account's actions, as the paper's honeypot
   cleanup relies on),
 * the follower graph and media store,

@@ -1,10 +1,9 @@
-"""Credentials, sessions, and password reset.
+"""Credentials and sessions.
 
 AAS customers hand their username/password to the service (Section
-3.3.1); "resetting the password revokes AAS access to the account".
-The auth service models that: sessions are invalidated by password
-reset, and every login is logged with its network endpoint so the
-geolocation analyses (Section 5.1) can run.
+3.3.1), which logs in like any client. Every login is logged with its
+network endpoint so the geolocation analyses (Section 5.1) can run; a
+deleted account's sessions stop validating.
 """
 
 from __future__ import annotations
@@ -28,14 +27,12 @@ class Session:
 
     session_id: int
     account_id: AccountId
-    epoch: int  # password epoch at login time
 
 
 @dataclass
 class _Credential:
     password_hash: str
     salt: str
-    epoch: int = 0
     login_endpoints: list[ClientEndpoint] = field(default_factory=list)
     login_ticks: list[int] = field(default_factory=list)
 
@@ -69,26 +66,13 @@ class AuthService:
         return Session(
             session_id=next(self._session_ids),
             account_id=account_id,
-            epoch=credential.epoch,
         )
 
     def validate(self, session: Session) -> AccountId:
-        """Return the session's account, or raise if it was revoked."""
-        credential = self._credentials.get(session.account_id)
-        if credential is None:
+        """Return the session's account, or raise if the account is gone."""
+        if session.account_id not in self._credentials:
             raise UnknownAccountError(f"account {session.account_id} is gone")
-        if session.epoch != credential.epoch:
-            raise AuthenticationError("session revoked by password reset")
         return session.account_id
-
-    def reset_password(self, account_id: AccountId, new_password: str) -> None:
-        """Change the password, revoking every outstanding session."""
-        credential = self._credentials.get(account_id)
-        if credential is None:
-            raise UnknownAccountError(f"no credentials for account {account_id}")
-        credential.salt = f"salt-{account_id}-{credential.epoch + 1}"
-        credential.password_hash = _hash_password(new_password, credential.salt)
-        credential.epoch += 1
 
     def login_endpoints(self, account_id: AccountId) -> list[ClientEndpoint]:
         """Endpoint history of the account's logins (for geolocation)."""

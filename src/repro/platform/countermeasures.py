@@ -91,9 +91,6 @@ class CountermeasureEngine:
     def remove_policy(self, policy: CountermeasurePolicy) -> None:
         self._policies.remove(policy)
 
-    def clear_policies(self) -> None:
-        self._policies.clear()
-
     @property
     def has_policies(self) -> bool:
         """Whether any policy is registered.

@@ -21,7 +21,7 @@ class UnknownMediaError(PlatformError):
 
 
 class AuthenticationError(PlatformError):
-    """Bad credentials, or a session invalidated by password reset."""
+    """Bad credentials."""
 
 
 class RateLimitExceededError(PlatformError):

@@ -155,10 +155,6 @@ class InstagramPlatform:
         account_id = self.resolve_username(username)
         return self.auth.login(account_id, password, endpoint, self.clock.now)
 
-    def reset_password(self, account_id: AccountId, new_password: str) -> None:
-        self.get_account(account_id)
-        self.auth.reset_password(account_id, new_password)
-
     # ------------------------------------------------------------------
     # Action batching (DESIGN.md §15)
     # ------------------------------------------------------------------

@@ -97,10 +97,6 @@ class Interner(Generic[T]):
             setattr(self, slot, value)
         self._id_memo = {}
 
-    def lookup(self, value: T) -> Optional[int]:
-        """The id for ``value`` if already interned, else ``None``."""
-        return self._ids.get(value)
-
     def value(self, ident: int) -> T:
         """Decode an id back to its value."""
         return self._values[ident]

@@ -111,7 +111,3 @@ class SlidingWindowLimiter:
     def remaining(self, key: Hashable, now: int) -> int:
         """How many further events the key may emit at tick ``now``."""
         return self.limit - self._window_total(key, now)
-
-    def reset(self, key: Hashable) -> None:
-        self._buckets.pop(key, None)
-        self._totals.pop(key, None)

@@ -5,12 +5,7 @@ the package graph (netsim, platform, aas, ...) builds on this layer.
 """
 
 from repro.util.rng import SeedSequenceFactory, derive_rng
-from repro.util.stats import (
-    RunningStats,
-    median,
-    percentile,
-    weighted_choice,
-)
+from repro.util.stats import median, percentile
 from repro.util.cdf import EmpiricalCDF
 from repro.util.tables import format_table
 from repro.util.timeutils import (
@@ -24,10 +19,8 @@ from repro.util.timeutils import (
 __all__ = [
     "SeedSequenceFactory",
     "derive_rng",
-    "RunningStats",
     "median",
     "percentile",
-    "weighted_choice",
     "EmpiricalCDF",
     "format_table",
     "HOURS_PER_DAY",

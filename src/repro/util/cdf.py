@@ -47,17 +47,6 @@ class EmpiricalCDF:
         xs = np.quantile(self._values, np.linspace(0.0, 1.0, points))
         return [(float(x), self(float(x))) for x in xs]
 
-    @staticmethod
-    def ks_distance(a: "EmpiricalCDF", b: "EmpiricalCDF") -> float:
-        """Two-sample Kolmogorov-Smirnov statistic between two CDFs.
-
-        Used by benchmarks to quantify how far the AAS-targeted account
-        distribution sits from the random-Instagram baseline.
-        """
-        grid = np.union1d(a._values, b._values)
-        gaps = [abs(a(float(x)) - b(float(x))) for x in grid]
-        return max(gaps)
-
 
 def summarize(sample: Sequence[float]) -> dict[str, float]:
     """Five-number summary of a sample, for table output."""

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
-
-T = TypeVar("T")
 
 
 def percentile(values: Sequence[float], pct: float) -> float:
@@ -27,71 +24,3 @@ def percentile(values: Sequence[float], pct: float) -> float:
 def median(values: Sequence[float]) -> float:
     """Return the median of ``values``; raises on empty input."""
     return percentile(values, 50.0)
-
-
-def weighted_choice(rng: np.random.Generator, items: Sequence[T], weights: Sequence[float]) -> T:
-    """Pick one item with probability proportional to its weight."""
-    if len(items) != len(weights):
-        raise ValueError("items and weights must have equal length")
-    if not items:
-        raise ValueError("cannot choose from an empty sequence")
-    total = float(sum(weights))
-    if total <= 0:
-        raise ValueError("weights must sum to a positive value")
-    probs = np.asarray(weights, dtype=float) / total
-    index = int(rng.choice(len(items), p=probs))
-    return items[index]
-
-
-class RunningStats:
-    """Streaming mean/variance/min/max (Welford's algorithm).
-
-    Used by monitors that watch long event streams without buffering
-    them, e.g. per-day action counters in the intervention experiments.
-    """
-
-    def __init__(self):
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def add(self, value: float) -> None:
-        """Fold one observation into the summary."""
-        value = float(value)
-        self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
-
-    def extend(self, values: Iterable[float]) -> None:
-        """Fold many observations into the summary."""
-        for value in values:
-            self.add(value)
-
-    @property
-    def mean(self) -> float:
-        if self.count == 0:
-            raise ValueError("no observations")
-        return self._mean
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (ddof=1); zero with fewer than two points."""
-        if self.count == 0:
-            raise ValueError("no observations")
-        if self.count == 1:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.count == 0:
-            return "RunningStats(empty)"
-        return f"RunningStats(n={self.count}, mean={self.mean:.3f}, sd={self.stddev:.3f})"

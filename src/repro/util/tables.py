@@ -43,8 +43,3 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]], title: s
     lines.extend(fmt_row(row) for row in rendered)
     lines.append(rule)
     return "\n".join(lines)
-
-
-def format_kv(title: str, pairs: Sequence[tuple[str, Any]]) -> str:
-    """Render key/value pairs as a two-column table."""
-    return format_table(["metric", "value"], [[k, v] for k, v in pairs], title=title)

@@ -10,29 +10,9 @@ class TestPopUnderAdNetwork:
     def test_serves_one_to_four_ads(self):
         network = PopUnderAdNetwork(derive_rng(1, "ads"))
         for _ in range(100):
-            shown = network.serve_request("IDN")
+            shown = network.serve_request()
             assert 1 <= shown <= 4
         assert 100 <= network.impressions <= 400
-
-    def test_by_country_accounting(self):
-        network = PopUnderAdNetwork(derive_rng(1, "ads2"), ads_per_request=(1, 1))
-        network.serve_request("idn")
-        network.serve_request("IDN")
-        network.serve_request("USA")
-        assert network.impressions_by_country() == {"IDN": 2, "USA": 1}
-
-    def test_true_revenue_uses_per_country_cpm(self):
-        network = PopUnderAdNetwork(derive_rng(1, "ads3"), ads_per_request=(1, 1))
-        for _ in range(1000):
-            network.serve_request("USA")
-        revenue = network.true_revenue_cents({"USA": 400})
-        assert revenue == 400  # 1000 impressions at $4 CPM
-
-    def test_default_cpm_for_unknown_country(self):
-        network = PopUnderAdNetwork(derive_rng(1, "ads4"), ads_per_request=(1, 1))
-        for _ in range(1000):
-            network.serve_request("ZZZ")
-        assert network.true_revenue_cents({}, default_cpm_cents=100) == 100
 
     def test_paper_cpm_band(self):
         assert LOW_CPM_CENTS == 60  # $0.60 CPM

@@ -106,16 +106,15 @@ class TestRegistration:
 
 
 class TestCredentialLifecycle:
-    def test_password_reset_loses_customer(self, world):
+    def test_deleted_account_loses_customer(self, world):
         platform, fabric, service, account = world
-        record = service.register_customer("cust", "pw", {ActionType.LIKE}, trial_ticks=days(7))
-        platform.reset_password(account.account_id, "newpw")
+        other = platform.create_account("other", "pw2")
+        record = service.register_customer("cust", "pw", {ActionType.FOLLOW}, trial_ticks=days(7))
+        platform.delete_account(account.account_id)
 
         outcome = service._issue(
             record,
-            lambda session, endpoint: platform.like(
-                session, platform.media.media_of(account.account_id)[0].media_id, endpoint
-            ),
+            lambda session, endpoint: platform.follow(session, other.account_id, endpoint),
         )
         assert outcome is IssueOutcome.LOST_ACCESS
         assert record.lost_credentials

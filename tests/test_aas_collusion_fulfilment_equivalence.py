@@ -41,13 +41,14 @@ from repro.aas.collusion_service import (
 from repro.aas.pricing import HublaagramCatalog
 from repro.aas.services.hublaagram import HUBLAAGRAM_DESCRIPTOR
 from repro.interventions.bins import BinAssignment, account_bin
-from repro.interventions.policy import BlanketAsnPolicy, ThresholdBinPolicy
+from repro.interventions.policy import ThresholdBinPolicy
 from repro.interventions.thresholds import CountSubject, ThresholdEntry, ThresholdTable
 from repro.netsim import ASNRegistry, NetworkFabric
 from repro.platform import InstagramPlatform
 from repro.platform.models import ActionType
 from repro.util import derive_rng
 from tests.oracles.collusion import PerAttemptCollusionService
+from tests.oracles.policy import BlanketAsnPolicy
 
 TICKS = 96
 ACTIONS = (ActionType.LIKE, ActionType.FOLLOW, ActionType.COMMENT)

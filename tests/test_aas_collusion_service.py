@@ -91,7 +91,7 @@ class TestFreeService:
         order = service.request_free_service(requester.account_id, ActionType.FOLLOW)
         order.quantity = 10**6  # unfillable
         run_hours(platform, service, order.ttl_ticks + 2)
-        assert order not in service.open_orders()
+        assert order not in service._orders  # dropped unfilled
 
 
 class TestPaidServices:
@@ -164,7 +164,7 @@ class TestBlockReaction:
         # blocks observed, but the detector is not yet operational
         assert service.detector.total_blocks_observed > 0
         assert not service.detector.operational(ActionType.LIKE, platform.clock.now)
-        assert service.recipient_cap(requester.account_id) is None
+        assert requester.account_id not in service._recipient_caps
 
     def test_caps_installed_after_lag(self, world):
         platform, fabric, service, accounts = world
@@ -177,7 +177,7 @@ class TestBlockReaction:
         service.request_free_service(requester.account_id, ActionType.LIKE)
         run_hours(platform, service, 6)
         assert service.detector.operational(ActionType.LIKE, platform.clock.now)
-        assert service.recipient_cap(requester.account_id) is not None
+        assert requester.account_id in service._recipient_caps
 
 
 class TestFollowersgratis:
@@ -196,21 +196,3 @@ class TestFollowersgratis:
         service = make_followersgratis(platform, fabric, derive_rng(63, "s"))
         addresses = {service.next_endpoint().address for _ in range(10)}
         assert len(addresses) == 2  # the small IP pool that got it pre-policed
-
-    def test_paid_option_creates_orders(self):
-        platform = InstagramPlatform()
-        fabric = NetworkFabric(ASNRegistry(), derive_rng(64, "f"))
-        service = make_followersgratis(platform, fabric, derive_rng(64, "s"), quantity_scale=0.1)
-        for i in range(10):
-            account = platform.create_account(f"m{i}", "pw")
-            platform.media.create(account.account_id, 0)
-            service.register_customer(f"m{i}", "pw", {ActionType.FOLLOW}, trial_ticks=days(5))
-        buyer = platform.resolve_username("m0")
-        option = service.fg_catalog.options[0]  # 500 follows + 300 likes
-        orders = service.purchase_option(buyer, option)
-        assert len(orders) == 2
-        assert service.ledger.total_cents() == option.cost_cents
-        for _ in range(5):
-            service.tick()
-            platform.clock.advance(1)
-        assert platform.follower_count(buyer) > 0

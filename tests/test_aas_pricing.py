@@ -43,10 +43,6 @@ class TestSubscriptionPricing:
         assert INSTALEX_PRICING.trial_ticks == 7 * 24
         assert BOOSTGRAM_PRICING.period_ticks == 30 * 24
 
-    def test_cost_per_day(self):
-        assert INSTAZOOD_PRICING.cost_per_day_cents == 34
-        assert BOOSTGRAM_PRICING.cost_per_day_cents == 330
-
     def test_validation(self):
         with pytest.raises(ValueError):
             SubscriptionPricing(trial_days_advertised=-1, min_paid_days=1, cost_cents=1)

@@ -32,12 +32,12 @@ from repro.aas.reciprocity_service import ReciprocityAbuseService, ReciprocitySe
 from repro.aas.targeting import CuratedPool, ReciprocityTargeting
 from repro.behavior.degree import DegreeDistribution
 from repro.behavior.population import OrganicPopulation, PopulationConfig
-from repro.interventions.policy import BlanketAsnPolicy
 from repro.netsim import ASNRegistry, NetworkFabric
 from repro.platform import InstagramPlatform
 from repro.platform.models import ActionType
 from repro.util import derive_rng
 from repro.util.timeutils import days
+from tests.oracles.policy import BlanketAsnPolicy
 from tests.oracles.reciprocity import CopyingReciprocityService
 
 TICKS = 5 * 24

@@ -13,6 +13,11 @@ from repro.platform.countermeasures import ActionContext, CountermeasureDecision
 from repro.platform.models import ActionType
 
 
+def _migrated(outcome) -> set[str]:
+    """Services that moved to new infrastructure at least once."""
+    return {name for name, moves in outcome.migrations.items() if moves}
+
+
 @pytest.fixture(scope="module")
 def epilogue_world():
     config = dataclasses.replace(
@@ -75,14 +80,14 @@ class TestEpilogue:
         """Paper: "all AASs eventually moved their like traffic to
         different ASNs"."""
         study, outcome = epilogue_world
-        migrated = outcome.migrated_services()
+        migrated = _migrated(outcome)
         assert "Instalex" in migrated or "Instazood" in migrated or "Boostgram" in migrated
         for name in migrated:
             assert outcome.asns_after[name] != outcome.asns_before[name]
 
     def test_one_service_adopts_proxy_network(self, epilogue_world):
         study, outcome = epilogue_world
-        if "Instalex" in outcome.migrated_services():
+        if "Instalex" in _migrated(outcome):
             labels = [label for _, label in outcome.migrations["Instalex"]]
             assert any("proxy-network" in label for label in labels)
             # drastic IP/ASN diversity
@@ -91,7 +96,7 @@ class TestEpilogue:
     def test_signature_coverage_degrades(self, epilogue_world):
         """Post-migration traffic escapes the original signatures."""
         study, outcome = epilogue_world
-        if outcome.migrated_services():
+        if _migrated(outcome):
             assert outcome.signature_coverage < 1.0
 
     def test_hublaagram_suspends_sales(self, epilogue_world):

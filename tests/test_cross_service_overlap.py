@@ -6,21 +6,24 @@ Reciprocity Abuse AASs, and 4,485 accounts participate in at least one
 Reciprocity Abuse AAS as well as the Hublaagram collusion network."
 """
 
-from repro.detection.customers import PopulationDynamics
+from collections import Counter
+
+
+def _enrolment_counts(dataset) -> Counter:
+    """Account -> number of services whose customer base it is in."""
+    return Counter(
+        account for analytics in dataset.analytics.values() for account in analytics.customers
+    )
 
 
 class TestOverlap:
     def test_overlap_is_small(self, tiny_dataset):
-        analytics = list(tiny_dataset.analytics.values())
-        dynamics = PopulationDynamics(analytics)
-        union = set()
-        for entry in analytics:
-            union |= set(entry.customers)
-        two_plus = dynamics.overlap(2)
+        enrolments = _enrolment_counts(tiny_dataset)
+        two_plus = [account for account, n in enrolments.items() if n >= 2]
         # overlap is a small fraction of the overall customer union
         # (paper: a few thousand of >1.1M)
-        assert len(two_plus) <= 0.35 * len(union)
+        assert len(two_plus) <= 0.35 * len(enrolments)
 
     def test_triple_overlap_smaller_than_double(self, tiny_dataset):
-        dynamics = PopulationDynamics(list(tiny_dataset.analytics.values()))
-        assert len(dynamics.overlap(3)) <= len(dynamics.overlap(2))
+        enrolments = _enrolment_counts(tiny_dataset)
+        assert sum(n >= 3 for n in enrolments.values()) <= sum(n >= 2 for n in enrolments.values())

@@ -4,7 +4,7 @@ import pytest
 
 from repro.aas.base import ServiceType
 from repro.detection.classifier import AttributedActivity
-from repro.detection.customers import CustomerActivity, CustomerBaseAnalytics, PopulationDynamics
+from repro.detection.customers import CustomerActivity, CustomerBaseAnalytics
 from repro.netsim.client import ClientEndpoint, DeviceFingerprint
 from repro.platform.models import ActionRecord, ActionStatus, ActionType, ApiSurface
 
@@ -49,7 +49,6 @@ class TestCustomerBaseAnalytics:
         analytics = CustomerBaseAnalytics(activity_for(records), long_term_days=7)
         assert analytics.total_customers() == 2
         assert analytics.long_term_customers() == {1}
-        assert analytics.short_term_customers() == {2}
 
     def test_long_term_strictly_greater(self):
         """Exactly 7 consecutive days (the trial) is still short-term."""
@@ -113,14 +112,3 @@ class TestCustomerBaseAnalytics:
     def test_invalid_long_term_days(self):
         with pytest.raises(ValueError):
             CustomerBaseAnalytics(activity_for([]), long_term_days=0)
-
-
-class TestPopulationDynamics:
-    def test_overlap(self):
-        a = CustomerBaseAnalytics(
-            activity_for([make_record(0, 1, 9, 0), make_record(1, 2, 9, 0)]), 7
-        )
-        b = CustomerBaseAnalytics(activity_for([make_record(0, 2, 9, 0)]), 7)
-        dynamics = PopulationDynamics([a, b])
-        assert dynamics.overlap(2) == {2}
-        assert dynamics.overlap(3) == set()

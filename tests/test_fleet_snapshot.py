@@ -138,6 +138,8 @@ class TestEnvelope:
     # |         | dropped (follow saturation is a per-tick row test)      |
     # | 12      | the action log keeps no per-observer bulk table         |
     # |         | (observers take row ranges)                             |
+    # | 13      | no per-country ad impressions, no Followersgratis       |
+    # |         | subclass, no password epochs, no unread failure counts  |
     @pytest.mark.parametrize("version", range(2, SNAPSHOT_SCHEMA_VERSION))
     def test_older_version_envelope_rejected(self, version: int) -> None:
         expected = f"schema_version {version} != current {SNAPSHOT_SCHEMA_VERSION}"

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.interventions.policy import BlanketAsnPolicy
 from repro.netsim.client import ClientEndpoint, DeviceFingerprint
 from repro.platform.countermeasures import ActionContext, CountermeasureDecision
 from repro.platform.models import ActionType
+from tests.oracles.policy import BlanketAsnPolicy
 
 
 def make_context(asn, action_type=ActionType.LIKE):

@@ -38,7 +38,7 @@ def intervention_world():
 class TestThresholdCalibration:
     def test_service_asns_covered(self, intervention_world):
         study, narrow, broad = intervention_world
-        covered = narrow.thresholds.covered_asns()
+        covered = {asn for asn, _ in narrow.thresholds.entries}
         boost_asns = study.services["Boostgram"].current_asns()
         assert boost_asns & covered
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.interventions.bins import BinAssignment, account_bin
 from repro.interventions.metrics import (
-    daily_eligible_counts_by_group,
     eligible_flags,
     eligible_proportion_series,
     eligible_share_by_group,
@@ -179,13 +178,3 @@ class TestMetrics:
         )
         assert shares[0]["control"] == pytest.approx(0.1)
         assert shares[0]["block"] == pytest.approx(0.9)
-
-    def test_daily_eligible_counts(self):
-        thresholds = table(limit=1)
-        assignment = BinAssignment.narrow()
-        actor = first_account_in_bin(1)
-        records = [make_record(i, actor, day=0) for i in range(3)]
-        counts = daily_eligible_counts_by_group(
-            records, thresholds, assignment, ActionType.FOLLOW, 0, 1
-        )
-        assert counts["block"] == {0: 2}

@@ -45,7 +45,7 @@ class TestThresholdTable:
         table.add(entry)
         assert table.get(1, ActionType.LIKE) is entry
         assert table.get(1, ActionType.FOLLOW) is None
-        assert table.covered_asns() == {1}
+        assert list(table.entries) == [(1, ActionType.LIKE)]
 
     def test_duplicate_rejected(self):
         table = ThresholdTable()

@@ -80,10 +80,3 @@ class TestASNRegistry:
             registry.get(99)
         with pytest.raises(KeyError):
             registry.asn_of(0x0A000001)
-
-    def test_all_asns_sorted(self):
-        registry = ASNRegistry()
-        registry.create("a", "USA", ASKind.MOBILE, [Prefix(0x0A000000, 24)])
-        registry.create("b", "USA", ASKind.MOBILE, [Prefix(0x0B000000, 24)])
-        asns = registry.all_asns()
-        assert asns == sorted(asns)

@@ -10,12 +10,6 @@ from repro.util import derive_rng
 
 
 class TestDeviceFingerprint:
-    def test_spoofing_keeps_variant(self):
-        automation = DeviceFingerprint(family="curl", variant="aas-x")
-        spoofed = automation.spoofed_as("android")
-        assert spoofed.family == "android"
-        assert spoofed.variant == "aas-x"
-
     def test_frozen(self):
         fingerprint = DeviceFingerprint("ios")
         with pytest.raises(Exception):
@@ -69,8 +63,8 @@ class TestNetworkFabric:
         registry = ASNRegistry()
         fabric = NetworkFabric(registry, derive_rng(1, "fab"))
         fabric.ensure_country("BRA", residential=2, mobile=1)
-        assert len(fabric.ases("BRA", ASKind.RESIDENTIAL)) == 2
-        assert len(fabric.ases("BRA", ASKind.MOBILE)) == 1
+        assert len(fabric._by_country_kind[("BRA", ASKind.RESIDENTIAL)]) == 2
+        assert len(fabric._by_country_kind[("BRA", ASKind.MOBILE)]) == 1
 
     def test_home_endpoint_is_consumer(self):
         registry = ASNRegistry()

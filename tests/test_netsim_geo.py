@@ -16,14 +16,6 @@ def world():
 
 
 class TestGeoIP:
-    def test_locate(self, world):
-        registry, usa, idn = world
-        geoip = GeoIP(registry)
-        a = registry.allocate_address(usa.asn)
-        country, asn = geoip.locate(a)
-        assert country == "USA"
-        assert asn == usa.asn
-
     def test_country_per_asn(self, world):
         registry, usa, idn = world
         geoip = GeoIP(registry)

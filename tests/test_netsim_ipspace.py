@@ -2,14 +2,10 @@
 
 import pytest
 
-from repro.netsim.ipspace import IPAddressSpace, Prefix, format_ipv4, parse_ipv4
+from repro.netsim.ipspace import IPAddressSpace, Prefix, format_ipv4
 
 
 class TestFormatParse:
-    def test_roundtrip(self):
-        for text in ("0.0.0.0", "10.1.2.3", "255.255.255.255"):
-            assert format_ipv4(parse_ipv4(text)) == text
-
     def test_format_known_value(self):
         assert format_ipv4(0x0A000001) == "10.0.0.1"
 
@@ -18,12 +14,6 @@ class TestFormatParse:
             format_ipv4(-1)
         with pytest.raises(ValueError):
             format_ipv4(1 << 32)
-
-    def test_parse_rejects_bad_text(self):
-        with pytest.raises(ValueError):
-            parse_ipv4("10.0.0")
-        with pytest.raises(ValueError):
-            parse_ipv4("10.0.0.256")
 
 
 class TestPrefix:
@@ -92,11 +82,3 @@ class TestIPAddressSpace:
         space = IPAddressSpace()
         with pytest.raises(KeyError):
             space.allocate(Prefix(0x0A000000, 24))
-
-    def test_allocated_count(self):
-        space = IPAddressSpace()
-        prefix = Prefix(0x0A000000, 24)
-        space.add_prefix(prefix)
-        for _ in range(5):
-            space.allocate(prefix)
-        assert space.allocated_count() == 5

@@ -21,7 +21,9 @@ class TestTracer:
                 assert inner.parent_id == outer.span_id
                 assert inner.depth == 1
             assert outer.depth == 0
-        assert tracer.open_depth == 0
+        with tracer.span("after") as after:
+            assert after.parent_id is None
+            assert after.depth == 0
 
     def test_ticks_come_from_the_bound_source(self) -> None:
         clock = FakeClock()

@@ -30,19 +30,6 @@ class TestAuthService:
         with pytest.raises(ValueError):
             auth.register(1, "b")
 
-    def test_password_reset_revokes_sessions(self, endpoint):
-        auth = AuthService()
-        auth.register(1, "old")
-        session = auth.login(1, "old", endpoint, tick=0)
-        auth.reset_password(1, "new")
-        with pytest.raises(AuthenticationError):
-            auth.validate(session)
-        # old password no longer works, new one does
-        with pytest.raises(AuthenticationError):
-            auth.login(1, "old", endpoint, tick=1)
-        fresh = auth.login(1, "new", endpoint, tick=1)
-        assert auth.validate(fresh) == 1
-
     def test_login_endpoints_recorded(self, endpoint):
         auth = AuthService()
         auth.register(1, "pw")

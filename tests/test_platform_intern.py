@@ -22,13 +22,6 @@ class TestInterner:
         for value in ("x", "y", "z"):
             assert interner.value(interner.intern(value)) == value
 
-    def test_lookup_does_not_intern(self):
-        interner = Interner(name="letters")
-        assert interner.lookup("missing") is None
-        assert len(interner) == 0
-        ident = interner.intern("present")
-        assert interner.lookup("present") == ident
-
     def test_interns_equal_endpoints_to_one_id(self):
         interner = Interner(name="endpoints")
         a = ClientEndpoint(0x0A000001, 64512, DeviceFingerprint("android"))

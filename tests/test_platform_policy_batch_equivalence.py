@@ -29,7 +29,7 @@ import pytest
 from repro.core import Study, StudyConfig
 from repro.interventions.bins import BinAssignment, account_bin
 from repro.interventions.experiment import BroadInterventionPlan, NarrowInterventionPlan
-from repro.interventions.policy import BlanketAsnPolicy, ThresholdBinPolicy
+from repro.interventions.policy import ThresholdBinPolicy
 from repro.interventions.thresholds import CountSubject, ThresholdEntry, ThresholdTable
 from repro.netsim.client import ClientEndpoint, DeviceFingerprint
 from repro.platform.api import PrivateMobileAPI
@@ -40,6 +40,7 @@ from repro.platform.models import ActionStatus, ActionType
 from repro.util.rng import derive_rng
 
 from tests.oracles.platform import ScalarPlatform
+from tests.oracles.policy import BlanketAsnPolicy
 from tests.test_platform_actionlog_batch import _HOME, _FixedPolicy, _world
 from tests.test_platform_columnar_log import _rows
 

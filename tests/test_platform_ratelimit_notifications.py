@@ -39,12 +39,6 @@ class TestSlidingWindowLimiter:
         limiter.allow("k", 0)
         assert limiter.remaining("k", 0) == 1
 
-    def test_reset(self):
-        limiter = SlidingWindowLimiter(limit=1, window_ticks=100)
-        limiter.allow("k", 0)
-        limiter.reset("k")
-        assert limiter.allow("k", 1)
-
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             SlidingWindowLimiter(0, 1)

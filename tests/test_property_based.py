@@ -5,22 +5,14 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.aas.ledger import Payment, PaymentLedger
 from repro.interventions.bins import BIN_COUNT, account_bin
-from repro.netsim.ipspace import format_ipv4, parse_ipv4
 from repro.platform.clock import SimClock
 from repro.platform.errors import InvalidActionError
 from repro.platform.graph import FollowerGraph
 from repro.platform.ratelimit import SlidingWindowLimiter
 from repro.util.cdf import EmpiricalCDF
-from repro.util.stats import RunningStats, percentile
+from repro.util.stats import percentile
 
 common_settings = settings(max_examples=80, suppress_health_check=[HealthCheck.too_slow])
-
-
-class TestIPv4Roundtrip:
-    @given(st.integers(min_value=0, max_value=0xFFFFFFFF))
-    @common_settings
-    def test_format_parse_roundtrip(self, address):
-        assert parse_ipv4(format_ipv4(address)) == address
 
 
 class TestFollowerGraphProperties:
@@ -138,17 +130,6 @@ class TestCDFProperties:
         assert all(0.0 <= v <= 1.0 for v in values)
         assert cdf(max(sample)) == 1.0
 
-    @given(
-        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=100),
-        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=100),
-    )
-    @common_settings
-    def test_ks_distance_is_a_metric_ish(self, a, b):
-        cdf_a, cdf_b = EmpiricalCDF(a), EmpiricalCDF(b)
-        distance = EmpiricalCDF.ks_distance(cdf_a, cdf_b)
-        assert 0.0 <= distance <= 1.0
-        assert EmpiricalCDF.ks_distance(cdf_b, cdf_a) == distance
-
 
 class TestStatsProperties:
     @given(st.lists(st.floats(-1e9, 1e9), min_size=1, max_size=100))
@@ -156,14 +137,6 @@ class TestStatsProperties:
     def test_percentile_within_range(self, values):
         p = percentile(values, 50)
         assert min(values) <= p <= max(values)
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=100))
-    @common_settings
-    def test_running_stats_bounds(self, values):
-        stats = RunningStats()
-        stats.extend(values)
-        assert stats.min <= stats.mean <= stats.max
-        assert stats.variance >= 0
 
 
 class TestBinProperties:

@@ -16,9 +16,17 @@ observers, wildcard imports out, and process machinery inside
 as parameters. OBS001 keeps ``print()`` out of library code, and OBS003
 confines the host probes to ``repro/obs/walltime.py``.
 
+REACH001 is the one rule over the whole tree
+(``test_every_public_definition_is_reached``): every public function,
+class and method in ``src/repro`` is named by the package or an entry
+point (``benchmarks``, ``perfbench``, ``examples``) outside its own
+body. A definition that only tests call is deleted with its tests.
+``test_reach_case`` pins it on small multi-file snippets.
+
 The one exemption mechanism is :data:`ALLOWLIST`: a rule waived for one
-exact repo-relative path, with its reason. ``test_allowlist_entry_is_used``
-fails on an entry that suppresses nothing. The invariants that span
+exact repo-relative path, with its reason; a REACH001 entry waives one
+definition, ``path::Qual.name``. ``test_allowlist_entry_is_used`` fails
+on an entry that suppresses nothing. The invariants that span
 modules (RNG state between studies, the fleet's pickle surface, obs
 staying write-only) are runtime tests instead (DESIGN.md §12).
 """
@@ -26,6 +34,7 @@ staying write-only) are runtime tests instead (DESIGN.md §12).
 from __future__ import annotations
 
 import ast
+import re
 import textwrap
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -35,6 +44,9 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCANNED_DIRS = ("src/repro", "tests", "benchmarks", "examples")
+#: where a name reaches a ``src/repro`` definition: the package and every
+#: entry point, but not the tests
+REACHING_DIRS = ("src/repro", "benchmarks", "perfbench", "examples")
 
 #: ``(rule, repo-relative path) -> reason``; each entry must suppress a hit
 ALLOWLIST: dict[tuple[str, str], str] = {
@@ -60,13 +72,48 @@ ALLOWLIST: dict[tuple[str, str], str] = {
     ("OBS001", "src/repro/cli.py"): "command-line front end",
     ("OBS001", "src/repro/obs/cli.py"): "command-line front end",
     ("OBS001", "src/repro/obs/report.py"): "the --verbose console span reporter",
+    ("REACH001", "src/repro/aas/base.py::AccountAutomationService.cancel_customer"): (
+        "the collusion and reciprocity twin-world suites cancel a customer in both "
+        "worlds mid-run and compare the services' state"
+    ),
+    ("REACH001", "src/repro/core/study.py::Study.verify_signal_stability"): (
+        "test_core_golden_digests.py pins its verdicts in the golden study digest"
+    ),
+    ("REACH001", "src/repro/detection/evaluation.py::ClassificationReport.f1"): (
+        "ROADMAP item 3 emits attribution quality as trace gauges"
+    ),
+    ("REACH001", "src/repro/detection/evaluation.py::evaluate_classifier"): (
+        "ROADMAP item 3 emits attribution precision and recall as trace gauges"
+    ),
+    ("REACH001", "src/repro/detection/evaluation.py::default_variant_map"): (
+        "ROADMAP item 3 labels its attribution gauges by service through this map"
+    ),
+    ("REACH001", "src/repro/obs/metrics.py::MetricsRegistry.get_counter_value"): (
+        "test_core_golden_digests.py and test_obs_determinism.py read counters to "
+        "compare runs"
+    ),
+    ("REACH001", "src/repro/platform/api.py::PublicGraphAPI"): (
+        "ROADMAP item 10: the API surface changes with perfbench, which traces "
+        "_BaseAPI.submit_batch"
+    ),
+    ("REACH001", "src/repro/platform/api.py::PrivateMobileAPI"): (
+        "ROADMAP item 10: the API surface changes with perfbench; "
+        "test_platform_policy_batch_equivalence.py drives it in both worlds"
+    ),
+    ("REACH001", "src/repro/platform/clock.py::SimClock.pending_callbacks"): (
+        "test_platform_policy_batch_equivalence.py compares the pending callbacks "
+        "of the batched and the scalar platform"
+    ),
+    ("REACH001", "src/repro/platform/notifications.py::NotificationCenter.delivered_total"): (
+        "test_determinism.py compares it between two same-seed runs"
+    ),
 }
 
 #: Layer ranks; imports must point at strictly lower ranks (same layer is
 #: always fine). Same-rank siblings (e.g. detection/honeypot) are
 #: independent by construction and may not import each other. Anything
-#: not in the table (``repro.cli``, ``repro.io``, the package root) ranks
-#: above every layer.
+#: not in the table (``repro.cli``, the package root) ranks above every
+#: layer.
 LAYER_RANK: dict[str, int] = {
     "util": 0,
     "netsim": 0,
@@ -390,25 +437,131 @@ def violations(rule: str, src: Source) -> list[str]:
     return [] if (rule, src.path) in ALLOWLIST else hits(rule, src)
 
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+
+
+def _under(path: str, tops: tuple[str, ...]) -> bool:
+    return path.startswith(tuple(f"{top}/" for top in tops))
+
+
+def _public_definitions(
+    src: Source,
+) -> Iterator[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef]]:
+    """``(qualified name, node)`` of each public top-level function and
+    class, and each public method of a top-level class."""
+    for node in src.nodes[0].body:
+        if not isinstance(node, _DEFS):
+            continue
+        if not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, _DEFS[:2]) and not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}", member
+
+
+def _references(src: Source) -> Iterator[tuple[str, int]]:
+    """``(name, line)`` for each name the code of ``src`` uses: names,
+    attributes, imported names, keyword arguments and the identifiers in
+    string constants. Comments and docstrings (any bare string statement)
+    are not code, nor are a package ``__init__``'s re-exports and
+    ``__all__``."""
+    skipped: set[int] = set()
+    for node in src.nodes:
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            skipped.add(id(node.value))
+    if src.path.endswith("/__init__.py"):
+        for node in src.nodes:
+            if isinstance(node, ast.ImportFrom):
+                skipped.update(id(alias) for alias in node.names)
+            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                    skipped.update(id(n) for n in ast.walk(node))
+    for node in src.nodes:
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            for part in node.name.split("."):
+                yield part, node.lineno
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.arg, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            for word in _IDENTIFIER.findall(node.value):
+                yield word, node.lineno
+
+
+def reach001_unreached(sources: list[Source]) -> dict[str, str]:
+    """Public ``src/repro`` definitions that nothing outside their own
+    body names, as ``path::Qual.name -> path:line``. Only files under
+    :data:`REACHING_DIRS` reach; a test does not."""
+    uses: dict[str, list[tuple[str, int]]] = {}
+    for src in sources:
+        if _under(src.path, REACHING_DIRS):
+            for name, line in _references(src):
+                uses.setdefault(name, []).append((src.path, line))
+    unreached: dict[str, str] = {}
+    for src in sources:
+        if not src.in_package:
+            continue
+        for qualname, node in _public_definitions(src):
+            first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+            if all(
+                path == src.path and first <= line <= node.end_lineno
+                for path, line in uses.get(node.name, [])
+            ):
+                unreached[f"{src.path}::{qualname}"] = f"{src.path}:{node.lineno} {qualname}"
+    return unreached
+
+
 @pytest.fixture(scope="module")
 def tree() -> list[Source]:
-    """Every scanned file, parsed once."""
+    """Every scanned or reaching file, parsed once."""
     return [
         Source.parse(path.relative_to(REPO_ROOT).as_posix(), path.read_text(encoding="utf-8"))
-        for top in SCANNED_DIRS
+        for top in dict.fromkeys(SCANNED_DIRS + REACHING_DIRS)
         for path in sorted((REPO_ROOT / top).rglob("*.py"))
     ]
 
 
+@pytest.fixture(scope="module")
+def scanned(tree: list[Source]) -> list[Source]:
+    """The files the per-file rules check."""
+    return [src for src in tree if _under(src.path, SCANNED_DIRS)]
+
+
+@pytest.fixture(scope="module")
+def unreached(tree: list[Source]) -> dict[str, str]:
+    return reach001_unreached(tree)
+
+
 @pytest.mark.parametrize("rule", list(RULES))
-def test_tree_obeys_rule(rule: str, tree: list[Source]) -> None:
-    found = [hit for src in tree for hit in violations(rule, src)]
+def test_tree_obeys_rule(rule: str, scanned: list[Source]) -> None:
+    found = [hit for src in scanned for hit in violations(rule, src)]
     assert not found, f"{rule} ({RULES[rule].__doc__}):\n" + "\n".join(found)
 
 
+def test_every_public_definition_is_reached(unreached: dict[str, str]) -> None:
+    found = [hit for key, hit in unreached.items() if ("REACH001", key) not in ALLOWLIST]
+    assert not found, (
+        "REACH001 (no entry point, and no other code, names these; delete them with "
+        "their tests):\n" + "\n".join(found)
+    )
+
+
 @pytest.mark.parametrize("rule, path", sorted(ALLOWLIST))
-def test_allowlist_entry_is_used(rule: str, path: str, tree: list[Source]) -> None:
-    sources = [src for src in tree if src.path == path]
+def test_allowlist_entry_is_used(
+    rule: str, path: str, scanned: list[Source], unreached: dict[str, str]
+) -> None:
+    if rule == "REACH001":
+        assert path in unreached, f"{path} is reached; drop its entry"
+        return
+    sources = [src for src in scanned if src.path == path]
     assert sources, f"allowlisted path {path} is not in the scanned tree"
     assert hits(rule, sources[0]), f"{rule} finds nothing in {path}; drop its entry"
 
@@ -600,3 +753,91 @@ def _case_ids() -> list[str]:
 def test_rule_case(rule: str, path: str, snippet: str, fires: bool) -> None:
     src = Source.parse(path, textwrap.dedent(snippet))
     assert bool(violations(rule, src)) == fires
+
+
+_LONELY = "def helper():\n    return 1\n"
+
+#: ``({pretend path: snippet}, fires?)`` for REACH001: does a public
+#: ``src/repro`` definition in the snippets go unreached?
+REACH_CASES: list[tuple[dict[str, str], bool]] = [
+    ({"src/repro/aas/sample.py": _LONELY}, True),
+    ({"src/repro/aas/sample.py": """
+        def walk(n):
+            return walk(n - 1) if n else 0
+    """}, True),
+    ({"src/repro/aas/sample.py": """
+        class Node:
+            def clone(self):
+                return self.clone()
+    """, "examples/demo.py": "from repro.aas.sample import Node"}, True),
+    ({"src/repro/aas/sample.py": """
+        class Node:
+            '''A tree node; copy() duplicates it.'''
+
+            def copy(self):
+                return Node()
+    """, "examples/demo.py": "from repro.aas.sample import Node"}, True),
+    ({"src/repro/aas/sample.py": _LONELY,
+      "examples/demo.py": '"""Call helper() for the answer."""'}, True),
+    ({"src/repro/aas/sample.py": _LONELY, "examples/demo.py": """
+        def main():
+            '''helper() gives the answer.'''
+    """}, True),
+    ({"src/repro/aas/sample.py": _LONELY, "examples/demo.py": "answer = 1  # helper()"},
+     True),
+    ({"src/repro/aas/sample.py": _LONELY, "src/repro/aas/__init__.py": """
+        from repro.aas.sample import helper
+
+        __all__ = ["helper"]
+    """}, True),
+    ({"src/repro/aas/sample.py": _LONELY, "tests/test_sample.py": """
+        from repro.aas.sample import helper
+
+        assert helper() == 1
+    """}, True),
+    ({"src/repro/aas/sample.py": """
+        class Cls:
+            def meth(self):
+                return 1
+    """, "perfbench/tracer.py": 'TARGETS = ("repro.aas.sample:Cls.meth",)'}, False),
+    ({"src/repro/aas/sample.py": """
+        class Node:
+            def clone(self):
+                return Node()
+
+            def copy(self):
+                return self.clone()
+    """, "examples/demo.py": "from repro.aas.sample import Node\nprint(Node().copy())"},
+     False),
+    ({"src/repro/aas/sample.py": _LONELY, "src/repro/aas/__init__.py": """
+        from repro.aas.sample import helper
+
+        ANSWER = helper()
+    """}, False),
+    ({"src/repro/aas/sample.py": _LONELY, "src/repro/core/user.py": """
+        ANSWER = getattr(object, "helper", None)
+    """}, False),
+    ({"src/repro/aas/sample.py": _LONELY, "benchmarks/bench_sample.py": """
+        from repro.aas import sample
+
+        def bench_answer():
+            assert sample.helper() == 1
+    """}, False),
+    ({"src/repro/aas/sample.py": "def _private():\n    return 1\n"}, False),
+    ({"examples/demo.py": _LONELY, "perfbench/run.py": _LONELY}, False),
+]
+
+
+def _reach_case_ids() -> list[str]:
+    seen = {True: 0, False: 0}
+    ids = []
+    for _, fires in REACH_CASES:
+        seen[fires] += 1
+        ids.append(f"REACH001-{'fires' if fires else 'silent'}-{seen[fires]}")
+    return ids
+
+
+@pytest.mark.parametrize("files, fires", REACH_CASES, ids=_reach_case_ids())
+def test_reach_case(files: dict[str, str], fires: bool) -> None:
+    sources = [Source.parse(path, textwrap.dedent(text)) for path, text in files.items()]
+    assert bool(reach001_unreached(sources)) == fires

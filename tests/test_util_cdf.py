@@ -42,21 +42,6 @@ class TestEmpiricalCDF:
         with pytest.raises(ValueError):
             EmpiricalCDF([1]).series(1)
 
-    def test_ks_distance_identical_is_zero(self):
-        a = EmpiricalCDF([1, 2, 3])
-        b = EmpiricalCDF([1, 2, 3])
-        assert EmpiricalCDF.ks_distance(a, b) == 0.0
-
-    def test_ks_distance_disjoint_is_one(self):
-        a = EmpiricalCDF([1, 2])
-        b = EmpiricalCDF([10, 20])
-        assert EmpiricalCDF.ks_distance(a, b) == 1.0
-
-    def test_ks_distance_symmetry(self):
-        a = EmpiricalCDF([1, 5, 9])
-        b = EmpiricalCDF([2, 5, 7, 11])
-        assert EmpiricalCDF.ks_distance(a, b) == EmpiricalCDF.ks_distance(b, a)
-
 
 class TestSummarize:
     def test_five_numbers(self):

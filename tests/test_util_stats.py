@@ -1,12 +1,8 @@
 """Tests for repro.util.stats."""
 
-import math
-
-import numpy as np
 import pytest
 
-from repro.util.rng import derive_rng
-from repro.util.stats import RunningStats, median, percentile, weighted_choice
+from repro.util.stats import median, percentile
 
 
 class TestPercentile:
@@ -31,64 +27,3 @@ class TestPercentile:
 
     def test_median_helper(self):
         assert median([4, 1, 3, 2]) == 2.5
-
-
-class TestWeightedChoice:
-    def test_deterministic_single_item(self, rng=None):
-        rng = derive_rng(0, "wc")
-        assert weighted_choice(rng, ["a"], [1.0]) == "a"
-
-    def test_zero_weight_never_chosen(self):
-        rng = derive_rng(0, "wc2")
-        picks = {weighted_choice(rng, ["a", "b"], [0.0, 1.0]) for _ in range(50)}
-        assert picks == {"b"}
-
-    def test_respects_weights_statistically(self):
-        rng = derive_rng(0, "wc3")
-        picks = [weighted_choice(rng, ["a", "b"], [0.9, 0.1]) for _ in range(500)]
-        assert picks.count("a") > 350
-
-    def test_mismatched_lengths_raise(self):
-        rng = derive_rng(0, "wc4")
-        with pytest.raises(ValueError):
-            weighted_choice(rng, ["a"], [1.0, 2.0])
-
-    def test_empty_raises(self):
-        rng = derive_rng(0, "wc5")
-        with pytest.raises(ValueError):
-            weighted_choice(rng, [], [])
-
-    def test_nonpositive_weights_raise(self):
-        rng = derive_rng(0, "wc6")
-        with pytest.raises(ValueError):
-            weighted_choice(rng, ["a", "b"], [0.0, 0.0])
-
-
-class TestRunningStats:
-    def test_mean_and_variance_match_numpy(self):
-        values = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0]
-        stats = RunningStats()
-        stats.extend(values)
-        assert stats.mean == pytest.approx(np.mean(values))
-        assert stats.variance == pytest.approx(np.var(values, ddof=1))
-        assert stats.stddev == pytest.approx(math.sqrt(np.var(values, ddof=1)))
-
-    def test_min_max(self):
-        stats = RunningStats()
-        stats.extend([2, -1, 7])
-        assert stats.min == -1
-        assert stats.max == 7
-
-    def test_single_value_variance_zero(self):
-        stats = RunningStats()
-        stats.add(5)
-        assert stats.variance == 0.0
-
-    def test_empty_mean_raises(self):
-        with pytest.raises(ValueError):
-            RunningStats().mean
-
-    def test_count_tracks(self):
-        stats = RunningStats()
-        stats.extend(range(10))
-        assert stats.count == 10

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.tables import format_kv, format_table
+from repro.util.tables import format_table
 
 
 class TestFormatTable:
@@ -36,11 +36,3 @@ class TestFormatTable:
         text = format_table(["col"], [["a"], ["bbbb"]])
         lines = [l for l in text.splitlines() if l.startswith("|")]
         assert len({len(l) for l in lines}) == 1
-
-
-class TestFormatKv:
-    def test_renders_pairs(self):
-        text = format_kv("Stats", [("count", 5), ("rate", 0.5)])
-        assert "Stats" in text
-        assert "count" in text
-        assert "0.50" in text
