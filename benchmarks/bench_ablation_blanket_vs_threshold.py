@@ -9,12 +9,10 @@ blanket block refuses every benign VPN-user action; the 99th-percentile
 threshold touches almost none of them while still capping the abuse.
 """
 
-from collections import defaultdict
-
 from conftest import emit
 
 from repro.interventions.metrics import eligible_flags
-from repro.interventions.thresholds import CountSubject, compute_thresholds
+from repro.interventions.thresholds import compute_thresholds
 from repro.util.tables import format_table
 
 

@@ -7,14 +7,11 @@ dataset's benign traffic and measures the realized benign eligibility
 (the false-positive rate the intervention would have incurred).
 """
 
-from collections import defaultdict
-
 from conftest import emit
 
-from repro.interventions.thresholds import CountSubject, compute_thresholds
+from repro.interventions.thresholds import compute_thresholds
 from repro.interventions import thresholds as thresholds_module
 from repro.interventions.metrics import eligible_flags
-from repro.platform.models import ActionType
 from repro.util.tables import format_table
 
 

@@ -9,7 +9,6 @@ from conftest import emit
 
 from repro.core import experiments as E
 from repro.core import reporting as R
-from repro.core.study import INSTA_STAR
 
 
 def test_fig02_geography(benchmark, bench_study, bench_dataset):

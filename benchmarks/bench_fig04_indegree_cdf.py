@@ -11,7 +11,6 @@ from conftest import emit
 from repro.core import experiments as E
 from repro.core import reporting as R
 from repro.core.study import INSTA_STAR
-from repro.util.cdf import EmpiricalCDF
 
 
 def test_fig04_indegree_cdf(benchmark, bench_study, bench_dataset):

@@ -10,8 +10,6 @@ from conftest import emit
 
 from repro.core import experiments as E
 from repro.core import reporting as R
-from repro.honeypot.framework import HoneypotKind
-from repro.platform.models import ActionType
 
 
 def test_table05_reciprocation(benchmark, bench_study):

@@ -11,7 +11,6 @@ from conftest import emit
 from repro.core import experiments as E
 from repro.core import reporting as R
 from repro.core.study import INSTA_STAR
-from repro.platform.models import ActionType
 
 
 def test_table11_action_mix(benchmark, bench_dataset):

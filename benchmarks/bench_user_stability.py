@@ -9,7 +9,6 @@ window, Insta* grew by more than 10%; conversion rates were stable at
 
 from conftest import emit
 
-from repro.core import experiments as E
 from repro.core.study import INSTA_STAR
 from repro.util.tables import format_table
 

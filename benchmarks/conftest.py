@@ -21,7 +21,6 @@ from pathlib import Path
 import pytest
 
 from repro.core import Study, StudyConfig
-from repro.core.config import ServicePlans
 from repro.interventions.experiment import BroadInterventionPlan, NarrowInterventionPlan
 
 _CACHE: dict[str, object] = {}

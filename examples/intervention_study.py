@@ -23,7 +23,7 @@ from repro.core import experiments as E
 from repro.core import reporting as R
 from repro.core.study import INSTA_STAR
 from repro.interventions.experiment import BroadInterventionPlan, NarrowInterventionPlan
-from repro.platform.models import ActionStatus, ActionType
+from repro.platform.models import ActionStatus
 
 
 def main(

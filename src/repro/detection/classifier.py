@@ -20,9 +20,11 @@ signature list, first matching signature wins — live with the tests
 ``tests/test_detection_streaming_equivalence.py`` checks the streams
 against them.
 
-A per-(ASN, variant) match memo bounds the matching work: signatures
-only inspect the endpoint, so distinct endpoints — not records — set
-how many signature comparisons run.
+One per-(ASN, variant) match memo, kept by :meth:`AASClassifier.attribute`,
+bounds the matching work: signatures only inspect those two endpoint
+fields, so distinct (ASN, variant) pairs — not records — set how many
+signature comparisons run. Every attributed row counts exactly one memo
+hit or miss.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from repro.detection.signals import ServiceSignature
 from repro.obs import NULL_OBS, Observability
 from repro.platform.actions import ActionLog
 from repro.platform.columns import ActionView
-from repro.platform.models import AccountId, ActionRecord, ActionStatus
+from repro.platform.models import AccountId, ActionStatus
 
 
 @dataclass
@@ -45,7 +47,7 @@ class AttributedActivity:
 
     service: str
     service_type: ServiceType
-    records: list[ActionRecord] = field(default_factory=list)
+    records: list[ActionView] = field(default_factory=list)
 
     @property
     def actors(self) -> set[AccountId]:
@@ -76,8 +78,8 @@ class AttributedActivity:
         return {r.endpoint.asn for r in self.records}
 
 
-#: sentinel distinguishing "endpoint id never attributed" from a memoized
-#: benign (None) attribution in the streaming observer's id memo
+#: sentinel distinguishing "(asn, variant) never attributed" from a
+#: memoized benign (None) attribution in the batch observer's memo probe
 _UNSEEN = object()
 
 
@@ -116,27 +118,23 @@ class AASClassifier:
         #: comparisons
         self._obs_comparisons = _obs.counter("detection.classifier.comparisons")
         self._obs_sweeps = _obs.counter("detection.classifier.sweeps")
-        #: (asn, variant) -> service-or-None; matching depends only on the
-        #: endpoint, so distinct endpoints bound the matching work
+        #: (asn, variant) -> service-or-None; matching reads only those two
+        #: endpoint fields, so distinct pairs bound the matching work
         self._match_memo: dict[tuple[int, str], Optional[str]] = {}
-        #: interned endpoint id -> service-or-None: the observer's memo
-        #: probe without decoding the endpoint or building a key tuple
-        #: (ids are per-log, and the classifier serves one log)
-        self._eid_memo: dict[int, Optional[str]] = {}
         # records are cached by reference, in tick order, so a window
         # sweep is a bisect plus one slice
         self._log = log
-        self._stream_records: dict[str, list[ActionRecord]] = {
+        self._stream_records: dict[str, list[ActionView]] = {
             s.service: [] for s in self.signatures
         }
         self._stream_ticks: dict[str, list[int]] = {s.service: [] for s in self.signatures}
-        self._benign_records: list[ActionRecord] = []
+        self._benign_records: list[ActionView] = []
         self._benign_ticks: list[int] = []
         for record in log:
             self._observe(record)
         log.add_observer(self._observe_batch)
 
-    def attribute(self, record: ActionRecord) -> Optional[str]:
+    def attribute(self, record: ActionView) -> Optional[str]:
         """Service name for one record, or None if it looks benign."""
         key = (record.endpoint.asn, record.endpoint.fingerprint.variant)
         try:
@@ -169,36 +167,29 @@ class AASClassifier:
 
     def _observe(self, record: ActionView) -> None:
         # one row of the attach-time replay: one memo lookup, two list
-        # appends. The log hands over column-backed views, so the memo
-        # probes on the interned endpoint id and reads the tick straight
-        # out of the column — no endpoint decode, no key tuple, no
-        # property calls.
-        cols = record._cols
-        row = record.action_id
-        service = self._eid_memo.get(cols.endpoint_ids[row], _UNSEEN)
-        if service is _UNSEEN:
-            service = self._eid_memo[cols.endpoint_ids[row]] = self.attribute(record)
-        else:
-            self._obs_memo_hit.inc()
+        # appends
+        service = self.attribute(record)
         if service is None:
             records, ticks = self._benign_records, self._benign_ticks
         else:
             records, ticks = self._stream_records[service], self._stream_ticks[service]
         records.append(record)
-        ticks.append(cols.ticks[row])
+        ticks.append(record.tick)
 
     def _observe_batch(self, cols, start: int, end: int) -> None:
         """The log observer: ingests one :meth:`ActionLog.append_batch`
         row range.
 
         Exactly ``end - start`` :meth:`_observe` calls' worth of state
-        and telemetry (memo hits are accumulated and charged once), but
-        with the memo dict, columns, and — since batches are dominated
-        by single-service bursts — the per-service stream lists resolved
-        outside the per-row loop.
+        and telemetry: each row probes the match memo on its endpoint's
+        (ASN, variant), hits are accumulated and charged once, and a miss
+        goes through :meth:`attribute`, which counts it. The memo dict,
+        the columns and — since batches are dominated by single-service
+        bursts — the per-service stream lists are resolved outside the
+        per-row loop.
         """
-        eid_memo = self._eid_memo
-        endpoint_ids = cols.endpoint_ids
+        match_memo = self._match_memo
+        endpoints = cols.endpoints
         col_ticks = cols.ticks
         benign = (self._benign_records, self._benign_ticks)
         stream_records = self._stream_records
@@ -209,9 +200,10 @@ class AASClassifier:
         memo_hits = 0
         for row in range(start, end):
             record = ActionView(cols, row)
-            service = eid_memo.get(endpoint_ids[row], _UNSEEN)
+            endpoint = endpoints[row]
+            service = match_memo.get((endpoint.asn, endpoint.fingerprint.variant), _UNSEEN)
             if service is _UNSEEN:
-                service = eid_memo[endpoint_ids[row]] = self.attribute(record)
+                service = self.attribute(record)
             else:
                 memo_hits += 1
             if service is not last_service:
@@ -260,7 +252,7 @@ class AASClassifier:
 
     def benign_records(
         self, start_tick: int = 0, end_tick: int | None = None
-    ) -> list[ActionRecord]:
+    ) -> list[ActionView]:
         """Logged records in the window matching no signature — the
         legitimate-traffic pool the intervention thresholds are computed
         from (Section 6.2)."""

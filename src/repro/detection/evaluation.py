@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.detection.classifier import AASClassifier
-from repro.platform.models import ActionRecord
+from repro.platform.columns import ActionView
 
 
 @dataclass(frozen=True)
@@ -41,14 +41,14 @@ class ClassificationReport:
         return 2 * p * r / (p + r) if (p + r) else 0.0
 
 
-def ground_truth_label(record: ActionRecord, variant_to_service: dict[str, str]) -> str | None:
+def ground_truth_label(record: ActionView, variant_to_service: dict[str, str]) -> str | None:
     """The simulation's own label for a record (None = organic)."""
     return variant_to_service.get(record.endpoint.fingerprint.variant)
 
 
 def evaluate_classifier(
     classifier: AASClassifier,
-    records: Iterable[ActionRecord],
+    records: Iterable[ActionView],
     variant_to_service: dict[str, str],
 ) -> dict[str, ClassificationReport]:
     """Compare classifier attributions with ground-truth stack variants.

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.aas.base import ServiceType
-from repro.platform.models import ActionRecord
+from repro.platform.columns import ActionView
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class ServiceSignature:
         if not self.asns and not self.client_variants:
             raise ValueError("a signature needs at least one feature")
 
-    def matches(self, record: ActionRecord) -> bool:
+    def matches(self, record: ActionView) -> bool:
         """Whether an action record matches this service's signature.
 
         Both features must match: the ASN ties traffic to the service's
@@ -59,7 +59,7 @@ class ServiceSignature:
 def learn_signature(
     service: str,
     service_type: ServiceType,
-    ground_truth_records: Iterable[ActionRecord],
+    ground_truth_records: Iterable[ActionView],
 ) -> ServiceSignature:
     """Build a signature from honeypot-attributed action records.
 

@@ -46,13 +46,14 @@ from repro.core.config import StudyConfig
 from repro.core.study import Study
 from repro.fleet.spec import (
     PREFIX_BUILD_WORLD,
+    PREFIX_DEPTH,
     PREFIX_HONEYPOT,
     PREFIX_SIGNATURES,
     PREFIXES,
 )
 
 #: bumped whenever Study's pickled layout or the envelope shape changes
-SNAPSHOT_SCHEMA_VERSION = 13
+SNAPSHOT_SCHEMA_VERSION = 14
 
 
 class SnapshotError(RuntimeError):
@@ -125,10 +126,8 @@ def build_prefix(config: StudyConfig, prefix: str) -> Study:
     if prefix not in PREFIXES:
         raise ValueError(f"unknown prefix {prefix!r} (known: {PREFIXES})")
     study = Study(config)
-    if prefix in (PREFIX_HONEYPOT, PREFIX_SIGNATURES):
-        study.run_honeypot_phase()
-    if prefix == PREFIX_SIGNATURES:
-        study.learn_signatures()
+    for phase in PREFIXES[1 : PREFIX_DEPTH[prefix]]:
+        advance_prefix(study, phase)
     return study
 
 

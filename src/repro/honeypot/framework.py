@@ -25,7 +25,8 @@ import numpy as np
 from repro.netsim.client import ClientEndpoint, DeviceFingerprint
 from repro.netsim.fabric import NetworkFabric
 from repro.platform.instagram import InstagramPlatform
-from repro.platform.models import AccountId, ActionRecord, ActionStatus, Profile
+from repro.platform.columns import ActionView
+from repro.platform.models import AccountId, ActionStatus, Profile
 
 PHOTO_CATEGORIES = ("dogs", "cats", "lizards", "food")
 
@@ -156,7 +157,7 @@ class HoneypotFramework:
     # Monitoring
     # ------------------------------------------------------------------
 
-    def inbound_actions(self, honeypot: HoneypotAccount, since: int = 0) -> list[ActionRecord]:
+    def inbound_actions(self, honeypot: HoneypotAccount, since: int = 0) -> list[ActionView]:
         """All delivered inbound actions on the honeypot since ``since``.
 
         Excludes the honeypot's own initial follows' side effects (there
@@ -171,7 +172,7 @@ class HoneypotFramework:
 
     def outbound_actions(
         self, honeypot: HoneypotAccount, since: int = 0, include_self: bool = False
-    ) -> list[ActionRecord]:
+    ) -> list[ActionView]:
         """Delivered outbound actions from the honeypot since ``since``.
 
         Actions the framework itself performed (lived-in setup follows)

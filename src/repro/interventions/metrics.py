@@ -13,19 +13,20 @@ from typing import Sequence
 
 from repro.interventions.bins import BinAssignment
 from repro.interventions.thresholds import CountSubject, ThresholdTable
-from repro.platform.models import AccountId, ActionRecord, ActionType
+from repro.platform.columns import ActionView
+from repro.platform.models import AccountId, ActionType
 from repro.util.stats import median
 
 
-def _subject_of(record: ActionRecord, subject: CountSubject) -> AccountId | None:
+def _subject_of(record: ActionView, subject: CountSubject) -> AccountId | None:
     if subject is CountSubject.ACTOR:
         return record.actor
     return record.target_account
 
 
 def eligible_flags(
-    records: Sequence[ActionRecord], thresholds: ThresholdTable
-) -> list[tuple[ActionRecord, AccountId, bool]]:
+    records: Sequence[ActionView], thresholds: ThresholdTable
+) -> list[tuple[ActionView, AccountId, bool]]:
     """Replay of the policy's counting over ``records`` (log order).
 
     Returns (record, subject, eligible) for every record covered by a
@@ -47,7 +48,7 @@ def eligible_flags(
 
 
 def median_daily_actions_series(
-    records: Sequence[ActionRecord],
+    records: Sequence[ActionView],
     assignment: BinAssignment,
     action_type: ActionType,
     subject: CountSubject,
@@ -81,7 +82,7 @@ def median_daily_actions_series(
 
 
 def eligible_proportion_series(
-    records: Sequence[ActionRecord],
+    records: Sequence[ActionView],
     thresholds: ThresholdTable,
     action_type: ActionType,
     start_day: int,
@@ -104,7 +105,7 @@ def eligible_proportion_series(
 
 
 def eligible_share_by_group(
-    records: Sequence[ActionRecord],
+    records: Sequence[ActionView],
     thresholds: ThresholdTable,
     assignment: BinAssignment,
     action_type: ActionType,

@@ -23,7 +23,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.platform.models import ActionRecord, ActionStatus, ActionType
+from repro.platform.columns import ActionView
+from repro.platform.models import ActionStatus, ActionType
 from repro.util.stats import percentile
 
 #: The action types interventions covered.
@@ -75,7 +76,7 @@ class ThresholdTable:
 
 
 def _daily_counts(
-    records: Iterable[ActionRecord],
+    records: Iterable[ActionView],
     action_type: ActionType,
     subject: CountSubject,
     asn: int | None = None,
@@ -100,8 +101,8 @@ def _daily_counts(
 
 
 def compute_thresholds(
-    aas_records: Iterable[ActionRecord],
-    benign_records: Iterable[ActionRecord],
+    aas_records: Iterable[ActionView],
+    benign_records: Iterable[ActionView],
     subject_by_asn: dict[int, CountSubject],
     action_types: tuple[ActionType, ...] = INTERVENTION_TYPES,
 ) -> ThresholdTable:
@@ -116,7 +117,7 @@ def compute_thresholds(
     aas_records = list(aas_records)
     benign_records = list(benign_records)
     table = ThresholdTable()
-    benign_by_asn: dict[int, list[ActionRecord]] = defaultdict(list)
+    benign_by_asn: dict[int, list[ActionView]] = defaultdict(list)
     for record in benign_records:
         benign_by_asn[record.endpoint.asn].append(record)
     for asn, subject in subject_by_asn.items():

@@ -30,7 +30,6 @@ from repro.platform.errors import (
 from repro.platform.models import (
     Account,
     AccountId,
-    ActionRecord,
     ActionStatus,
     ActionType,
     Media,
@@ -59,7 +58,6 @@ __all__ = [
     "UnknownMediaError",
     "Account",
     "AccountId",
-    "ActionRecord",
     "ActionStatus",
     "ActionType",
     "Media",

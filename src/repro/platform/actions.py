@@ -19,8 +19,8 @@ attribution streams through the classifier's log observer instead
 
 Storage is columnar (DESIGN.md §11 "Columnar world core"): rows live
 in :class:`~repro.platform.columns.ActionColumns` (parallel stdlib
-``array`` vectors + interned endpoint table), indices are ``array('q')``
-vectors, and query results materialize transient
+``array`` vectors plus a by-reference endpoint list), indices are
+``array('q')`` vectors, and query results materialize transient
 :class:`~repro.platform.columns.ActionView` flyweights.
 
 :meth:`ActionLog.append_batch` is the one writer: ``log_action`` and
@@ -37,23 +37,18 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional
 
 from repro.netsim.client import ClientEndpoint
 from repro.obs import NULL_OBS, Observability
 from repro.platform.columns import ActionColumns, ActionView
 from repro.platform.models import (
     AccountId,
-    ActionRecord,
     ActionStatus,
     ActionType,
     ApiSurface,
     MediaId,
 )
-
-#: what the log hands back: column-backed flyweights, field-compatible
-#: with :class:`ActionRecord` by construction
-StoredAction = Union[ActionRecord, ActionView]
 
 #: a log observer: called with the columns and one batch's row range
 RowRangeObserver = Callable[[ActionColumns, int, int], None]
@@ -115,7 +110,7 @@ class ActionLog:
         target_account: Optional[AccountId] = None,
         target_media: Optional[MediaId] = None,
         comment_text: Optional[str] = None,
-    ) -> StoredAction:
+    ) -> ActionView:
         """Append one action from scalar fields; returns the stored row.
 
         A one-row :meth:`append_batch`. The platform writes every row
@@ -128,11 +123,16 @@ class ActionLog:
         )])
         return ActionView(self._cols, start)
 
-    def append(self, record: ActionRecord) -> None:
-        """Append one pre-built record as a one-row :meth:`append_batch`;
-        ids must be the log's next index and its tick no earlier than the
-        log's tail. ``removed_at`` is written after the append, so
-        observers see the row as appended."""
+    def append(self, record) -> None:
+        """Append one pre-built record as a one-row :meth:`append_batch`.
+
+        ``record`` is any row carrying the record fields (``action_id``,
+        ``action_type``, ``actor``, ``tick``, ``endpoint``, ``api``,
+        ``status``, ``target_account``, ``target_media``, ``removed_at``,
+        ``comment_text``) — an :class:`ActionView` of another log, or a
+        hand-built row. Ids must be the log's next index and its tick no
+        earlier than the log's tail. ``removed_at`` is written after the
+        append, so observers see the row as appended."""
         if record.action_id != len(self):
             raise ValueError(
                 f"action_id {record.action_id} out of order; expected {len(self)}"
@@ -218,11 +218,11 @@ class ActionLog:
     def __len__(self) -> int:
         return len(self._cols)
 
-    def __iter__(self) -> Iterator[StoredAction]:
+    def __iter__(self) -> Iterator[ActionView]:
         cols = self._cols
         return (ActionView(cols, i) for i in range(len(cols)))
 
-    def get(self, action_id: int) -> StoredAction:
+    def get(self, action_id: int) -> ActionView:
         if not 0 <= action_id < len(self._cols):
             raise IndexError(f"action_id {action_id} out of range")
         return ActionView(self._cols, action_id)
@@ -252,7 +252,7 @@ class ActionLog:
 
     def records_between(
         self, start_tick: Optional[int] = None, end_tick: Optional[int] = None
-    ) -> list[StoredAction]:
+    ) -> list[ActionView]:
         """All records in ``[start_tick, end_tick)``, in log order."""
         self._obs_window_query.inc()
         lo, hi = _window(self._ticks, start_tick, end_tick)
@@ -266,7 +266,7 @@ class ActionLog:
         key: AccountId,
         start_tick: Optional[int],
         end_tick: Optional[int],
-    ) -> list[StoredAction]:
+    ) -> list[ActionView]:
         self._obs_window_query.inc()
         indices = ids.get(key)
         if not indices:
@@ -275,7 +275,7 @@ class ActionLog:
         cols = self._cols
         return [ActionView(cols, i) for i in indices[lo:hi]]
 
-    def by_actor(self, actor: AccountId) -> list[StoredAction]:
+    def by_actor(self, actor: AccountId) -> list[ActionView]:
         """All actions performed by ``actor`` (any status), in time order."""
         return [self.get(i) for i in self._by_actor.get(actor, ())]
 
@@ -284,13 +284,13 @@ class ActionLog:
         actor: AccountId,
         start_tick: Optional[int] = None,
         end_tick: Optional[int] = None,
-    ) -> list[StoredAction]:
+    ) -> list[ActionView]:
         """``actor``'s actions within ``[start_tick, end_tick)``."""
         return self._indexed_between(
             self._by_actor, self._by_actor_ticks, actor, start_tick, end_tick
         )
 
-    def by_target(self, target: AccountId) -> list[StoredAction]:
+    def by_target(self, target: AccountId) -> list[ActionView]:
         """All actions directed at ``target`` (any status), in time order."""
         return [self.get(i) for i in self._by_target.get(target, ())]
 
@@ -299,7 +299,7 @@ class ActionLog:
         target: AccountId,
         start_tick: Optional[int] = None,
         end_tick: Optional[int] = None,
-    ) -> list[StoredAction]:
+    ) -> list[ActionView]:
         """Actions directed at ``target`` within ``[start_tick, end_tick)``."""
         return self._indexed_between(
             self._by_target, self._by_target_ticks, target, start_tick, end_tick
@@ -312,7 +312,7 @@ class ActionLog:
         action_type: Optional[ActionType] = None,
         start_tick: Optional[int] = None,
         end_tick: Optional[int] = None,
-    ) -> list[StoredAction]:
+    ) -> list[ActionView]:
         """Records matching an (ASN, variant[, action type]) signature,
         within ``[start_tick, end_tick)``, in log order."""
         return [
@@ -323,14 +323,14 @@ class ActionLog:
             and r.endpoint.fingerprint.variant == variant
         ]
 
-    def inbound(self, target: AccountId, *, delivered_only: bool = True) -> list[StoredAction]:
+    def inbound(self, target: AccountId, *, delivered_only: bool = True) -> list[ActionView]:
         """Actions received by ``target``; by default only ones that landed."""
         records = self.by_target(target)
         if delivered_only:
             records = [r for r in records if r.status is not ActionStatus.BLOCKED]
         return records
 
-    def outbound(self, actor: AccountId, *, delivered_only: bool = True) -> list[StoredAction]:
+    def outbound(self, actor: AccountId, *, delivered_only: bool = True) -> list[ActionView]:
         """Actions issued by ``actor``; by default only ones that landed."""
         records = self.by_actor(actor)
         if delivered_only:
@@ -344,10 +344,10 @@ class ActionLog:
         status: Optional[ActionStatus] = None,
         start_tick: Optional[int] = None,
         end_tick: Optional[int] = None,
-        predicate: Optional[Callable[[StoredAction], bool]] = None,
-    ) -> list[StoredAction]:
+        predicate: Optional[Callable[[ActionView], bool]] = None,
+    ) -> list[ActionView]:
         """Filter the log, or its ``[start_tick, end_tick)`` window."""
-        records: Iterable[StoredAction] = self
+        records: Iterable[ActionView] = self
         if start_tick is not None or end_tick is not None:
             self._obs_window_query.inc()
             lo, hi = _window(self._ticks, start_tick, end_tick)

@@ -12,7 +12,7 @@ import heapq
 import itertools
 from typing import Callable
 
-from repro.util.timeutils import tick_to_day, tick_to_week
+from repro.util.timeutils import tick_to_day
 
 
 class SimClock:
@@ -34,11 +34,6 @@ class SimClock:
     def day(self) -> int:
         """Zero-based day index of the current tick."""
         return tick_to_day(self._now)
-
-    @property
-    def week(self) -> int:
-        """Zero-based week index of the current tick."""
-        return tick_to_week(self._now)
 
     def call_at(self, tick: int, callback: Callable[[int], None]) -> None:
         """Schedule ``callback(tick)`` to fire when the clock reaches ``tick``.

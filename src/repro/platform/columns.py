@@ -1,22 +1,22 @@
 """Struct-of-arrays storage for the action log's columnar mode.
 
-One logged action is a row across parallel stdlib ``array`` columns plus
-an interned endpoint table. Rows arrive only in batches
-(:meth:`ActionColumns.push_batch`, called by the log's one writer,
-:meth:`~repro.platform.actions.ActionLog.append_batch`). Compared to a
-``list[ActionRecord]`` this stores the hot fields — tick, actor,
-targets, status — as flat 64-bit/8-bit vectors: no per-record object
-header, no per-field pointer, and the tick column doubles as the bisect
-index the window queries run on.
+One logged action is a row across parallel columns: stdlib ``array``
+vectors for the integer fields and one plain list holding each row's
+:class:`~repro.netsim.client.ClientEndpoint` by reference. Rows arrive
+only in batches (:meth:`ActionColumns.push_batch`, called by the log's
+one writer, :meth:`~repro.platform.actions.ActionLog.append_batch`).
+The hot fields — tick, actor, targets, status — are flat 64-bit/8-bit
+vectors: no per-record object header, no per-field pointer, and the
+tick column doubles as the bisect index the window queries run on. The
+endpoint column costs one 8-byte pointer per row; the world already
+shares one endpoint object per client, so the column holds no copies.
 
-:class:`ActionView` is the lazily-materialized, slotted flyweight that
-stands in for :class:`~repro.platform.models.ActionRecord`: two slots (a
-store pointer and a row index), every record field decoded on property
-access, and ``mark_removed`` writing back through to the status and
-``removed_at`` columns so countermeasure undo closures work unchanged.
-Views are transient — the log materializes them on query — so holding a
-view alive does not pin a record object the way the list-backed
-reference log does.
+:class:`ActionView` is the lazily-materialized, slotted flyweight every
+log query returns: two slots (a store pointer and a row index), every
+record field decoded on property access, and ``mark_removed`` writing
+back through to the status and ``removed_at`` columns so countermeasure
+undo closures see live log state. Views are transient — the log
+materializes them on query.
 
 Enum codes use the enum's definition order, which is part of the
 platform API (reordering :class:`ActionType` would change serialized
@@ -36,7 +36,6 @@ from typing import Optional
 
 from repro.netsim.client import ClientEndpoint
 from repro.obs import NULL_OBS, Observability
-from repro.platform.intern import Interner
 from repro.platform.models import (
     AccountId,
     ActionStatus,
@@ -73,9 +72,8 @@ class ActionColumns:
         "target_accounts",
         "target_medias",
         "removed_ats",
-        "endpoint_ids",
-        "comment_texts",
         "endpoints",
+        "comment_texts",
         "_obs_rows",
     )
 
@@ -89,10 +87,10 @@ class ActionColumns:
         self.target_accounts = array("q")
         self.target_medias = array("q")
         self.removed_ats = array("q")
-        self.endpoint_ids = array("q")
+        #: each row's endpoint, by reference
+        self.endpoints: list[ClientEndpoint] = []
         #: sparse: only COMMENT rows carry text
         self.comment_texts: dict[int, str] = {}
-        self.endpoints: Interner[ClientEndpoint] = Interner(obs=_obs, name="endpoints")
         #: one row = nine column appends; the SoA write amplification the
         #: bench payloads surface alongside the memory it buys back
         self._obs_rows = _obs.counter("platform.actionlog.column_appends")
@@ -106,14 +104,11 @@ class ActionColumns:
         ``rows`` carries ``(action_type, actor, tick, endpoint, api,
         status, target_account, target_media, comment_text)`` tuples —
         the :meth:`ActionLog.log_action` argument list. The batch is
-        transposed once
-        (``zip(*rows)``) and each column lands in a single C-level
-        ``array.extend``, so the only per-row Python work left is the
-        enum-code comprehensions and the endpoint interning loop, which
-        memoizes consecutive identical endpoints (action batches are
-        overwhelmingly runs from one endpoint). The column-append
-        counter is charged once with ``9 * n``: nine column appends per
-        row.
+        transposed once (``zip(*rows)``) and each column lands in a
+        single C-level ``extend``, so the only per-row Python work left
+        is the enum-code and ``None``-sentinel comprehensions. The
+        column-append counter is charged once with ``9 * n``: nine
+        column appends per row.
         """
         start = len(self.ticks)
         n = len(rows)
@@ -138,26 +133,12 @@ class ActionColumns:
         )
         self.target_medias.extend([_NONE if m is None else m for m in medias_t])
         self.removed_ats.extend([_NONE] * n)
-        eids: list[int] = []
-        eids_append = eids.append
-        intern = self.endpoints.intern
-        last_endpoint = None
-        endpoint_id = -1
-        memo_hits = 0
-        for endpoint in endpoints_t:
-            if endpoint is not last_endpoint:
-                last_endpoint = endpoint
-                endpoint_id = intern(endpoint)
-            else:
-                memo_hits += 1
-            eids_append(endpoint_id)
-        self.endpoint_ids.extend(eids)
+        self.endpoints.extend(endpoints_t)
         if comments_t.count(None) != n:
             comment_texts = self.comment_texts
             for offset, comment_text in enumerate(comments_t):
                 if comment_text is not None:
                     comment_texts[start + offset] = comment_text
-        self.endpoints.note_memoized_hits(memo_hits)
         self._obs_rows.inc(9 * n)
         return start
 
@@ -176,13 +157,10 @@ class ActionColumns:
 class ActionView:
     """A slotted flyweight decoding one :class:`ActionColumns` row.
 
-    Field-compatible with :class:`~repro.platform.models.ActionRecord`
-    (every consumer is duck-typed over the shared field names), including
-    the mutation surface: :meth:`mark_removed` writes back to the status
-    and ``removed_at`` columns, so a view held by a delayed-removal
-    closure observes and updates live log state. Equality matches the
-    dataclass semantics — same row, equal — and views are unhashable for
-    parity with the (mutable, ``eq=True``) record dataclass.
+    :meth:`mark_removed` writes back to the status and ``removed_at``
+    columns, so a view held by a delayed-removal closure observes and
+    updates live log state. Two views are equal when they name the same
+    row of the same columns; views are mutable and therefore unhashable.
     """
 
     __slots__ = ("_cols", "action_id")
@@ -205,7 +183,7 @@ class ActionView:
 
     @property
     def endpoint(self) -> ClientEndpoint:
-        return self._cols.endpoints.value(self._cols.endpoint_ids[self.action_id])
+        return self._cols.endpoints[self.action_id]
 
     @property
     def api(self) -> ApiSurface:
@@ -253,7 +231,7 @@ class ActionView:
             return NotImplemented
         return self._cols is other._cols and self.action_id == other.action_id
 
-    __hash__ = None  # type: ignore[assignment]  # parity with the mutable dataclass
+    __hash__ = None  # type: ignore[assignment]  # mutable: no stable hash
 
     def __repr__(self) -> str:
         return (

@@ -30,7 +30,8 @@ from typing import Callable, NamedTuple, Optional, Protocol
 
 from repro.netsim.client import ClientEndpoint
 from repro.platform.clock import SimClock
-from repro.platform.models import AccountId, ActionRecord, ActionStatus, ActionType, MediaId
+from repro.platform.columns import ActionView
+from repro.platform.models import AccountId, ActionStatus, ActionType, MediaId
 from repro.util.timeutils import days
 
 
@@ -121,8 +122,8 @@ class CountermeasureEngine:
     def schedule_removal(
         self,
         action_id: int,
-        resolve: Callable[[int], ActionRecord],
-        undo: Callable[[ActionRecord], bool],
+        resolve: Callable[[int], ActionView],
+        undo: Callable[[ActionView], bool],
     ) -> None:
         """Arrange for action ``action_id`` to be undone ``removal_delay_ticks`` later.
 

@@ -12,7 +12,7 @@ reference graph in ``tests/oracles/graph.py`` is property-tested in
 * **Rows** are insertion-ordered dicts used as sets (``account ->
   None``), indexed directly by account id in a dense list (account ids
   are minted from a counter starting at 1, so the id *is* the row
-  index — no interner table needed). ``_out[src]`` holds who ``src``
+  index). ``_out[src]`` holds who ``src``
   follows and ``_in[dst]`` mirrors it with who follows ``dst``; every
   mutator writes both rows. ``is_following`` — the hottest graph call —
   is one list index and one dict probe, ``in_degree`` is one ``len``,

@@ -18,6 +18,7 @@ from repro.obs import NULL_OBS, Observability
 from repro.platform.actions import ActionLog
 from repro.platform.auth import AuthService, Session
 from repro.platform.clock import SimClock
+from repro.platform.columns import ActionView
 from repro.platform.countermeasures import (
     ActionContext,
     CountermeasureDecision,
@@ -34,7 +35,6 @@ from repro.platform.mediastore import MediaStore
 from repro.platform.models import (
     Account,
     AccountId,
-    ActionRecord,
     ActionStatus,
     ActionType,
     ApiSurface,
@@ -397,7 +397,7 @@ class InstagramPlatform:
     # Delayed-removal undo hooks
     # ------------------------------------------------------------------
 
-    def _undo_follow(self, record: ActionRecord) -> bool:
+    def _undo_follow(self, record: ActionView) -> bool:
         if record.target_account is None:
             return False
         if not self.account_exists(record.actor) or not self.account_exists(record.target_account):
@@ -407,7 +407,7 @@ class InstagramPlatform:
         self.graph.unfollow(record.actor, record.target_account)
         return True
 
-    def _undo_like(self, record: ActionRecord) -> bool:
+    def _undo_like(self, record: ActionView) -> bool:
         if record.target_media is None:
             return False
         try:

@@ -146,10 +146,6 @@ class MediaStore:
         self.get(media_id)
         self._comments[media_id].append((author, text))
 
-    def comments(self, media_id: MediaId) -> list[tuple[AccountId, str]]:
-        self.get(media_id)
-        return list(self._comments[media_id])
-
     def media_with_hashtag(self, tag: str) -> list[Media]:
         """Live media tagged ``tag`` (hashtag search, case-insensitive)."""
         return [

@@ -1,12 +1,14 @@
-"""Core platform data types: accounts, media, and action records."""
+"""Core platform data types: accounts, media, and the action enums.
+
+A logged action is a row of the action log's columns, read through
+:class:`repro.platform.columns.ActionView`.
+"""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
 from typing import Optional
-
-from repro.netsim.client import ClientEndpoint
 
 AccountId = int
 MediaId = int
@@ -82,40 +84,3 @@ class Media:
     caption: str = ""
     hashtags: tuple[str, ...] = ()
     is_removed: bool = False
-
-
-@dataclass(slots=True)
-class ActionRecord:
-    """One logged social action with full attribution signals.
-
-    This is the event-stream row every measurement in the paper consumes:
-    who acted, on whom/what, when, from which network origin, over which
-    API surface. ``status`` evolves if a delayed countermeasure later
-    removes the action.
-    """
-
-    action_id: int
-    action_type: ActionType
-    actor: AccountId
-    tick: int
-    endpoint: ClientEndpoint
-    api: ApiSurface
-    status: ActionStatus
-    target_account: Optional[AccountId] = None
-    target_media: Optional[MediaId] = None
-    removed_at: Optional[int] = None
-    comment_text: Optional[str] = None
-
-    @property
-    def asn(self) -> int:
-        return self.endpoint.asn
-
-    @property
-    def day(self) -> int:
-        return self.tick // 24
-
-    def mark_removed(self, tick: int) -> None:
-        if self.status is not ActionStatus.DELIVERED:
-            raise ValueError(f"cannot remove action in state {self.status}")
-        self.status = ActionStatus.REMOVED
-        self.removed_at = tick

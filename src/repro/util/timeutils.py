@@ -30,10 +30,3 @@ def tick_to_day(tick: int) -> int:
     if tick < 0:
         raise ValueError("tick must be non-negative")
     return tick // HOURS_PER_DAY
-
-
-def tick_to_week(tick: int) -> int:
-    """Return the zero-based week index containing ``tick``."""
-    if tick < 0:
-        raise ValueError("tick must be non-negative")
-    return tick // HOURS_PER_WEEK

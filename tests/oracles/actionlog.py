@@ -1,4 +1,9 @@
-"""The brute-force reference action log.
+"""The brute-force reference action log and its row type.
+
+:class:`ActionRecord` is a plain mutable dataclass carrying the fields
+of one logged action — the row the production log decodes through
+:class:`repro.platform.columns.ActionView`. Tests build rows by hand
+with it, and :meth:`repro.platform.actions.ActionLog.append` accepts it.
 
 :class:`ListActionLog` keeps a plain list of :class:`ActionRecord` and
 answers every query with a linear scan in log order. It shares the
@@ -11,17 +16,53 @@ observer is called once per stored batch with the batch's row range.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from repro.netsim.client import ClientEndpoint
 from repro.platform.models import (
     AccountId,
-    ActionRecord,
     ActionStatus,
     ActionType,
     ApiSurface,
     MediaId,
 )
+
+
+@dataclass(slots=True)
+class ActionRecord:
+    """One logged social action with full attribution signals.
+
+    Who acted, on whom/what, when, from which network origin, over which
+    API surface. ``status`` evolves if a delayed countermeasure later
+    removes the action.
+    """
+
+    action_id: int
+    action_type: ActionType
+    actor: AccountId
+    tick: int
+    endpoint: ClientEndpoint
+    api: ApiSurface
+    status: ActionStatus
+    target_account: Optional[AccountId] = None
+    target_media: Optional[MediaId] = None
+    removed_at: Optional[int] = None
+    comment_text: Optional[str] = None
+
+    @property
+    def asn(self) -> int:
+        return self.endpoint.asn
+
+    @property
+    def day(self) -> int:
+        return self.tick // 24
+
+    def mark_removed(self, tick: int) -> None:
+        if self.status is not ActionStatus.DELIVERED:
+            raise ValueError(f"cannot remove action in state {self.status}")
+        self.status = ActionStatus.REMOVED
+        self.removed_at = tick
 
 
 def _in_window(tick: int, start_tick: Optional[int], end_tick: Optional[int]) -> bool:

@@ -13,7 +13,8 @@ from typing import Iterable, Optional, Sequence
 
 from repro.detection.classifier import AttributedActivity
 from repro.detection.signals import ServiceSignature
-from repro.platform.models import ActionRecord, ActionStatus
+from repro.platform.models import ActionStatus
+from tests.oracles.actionlog import ActionRecord
 
 
 def attribute(signatures: Sequence[ServiceSignature], record: ActionRecord) -> Optional[str]:

@@ -24,7 +24,6 @@ from repro.platform.errors import ActionBlockedError, InvalidActionError
 from repro.platform.instagram import InstagramPlatform
 from repro.platform.models import (
     AccountId,
-    ActionRecord,
     ActionStatus,
     ActionType,
     ApiSurface,
@@ -32,6 +31,7 @@ from repro.platform.models import (
     MediaId,
 )
 from repro.platform.notifications import Notification
+from tests.oracles.actionlog import ActionRecord
 
 _ALLOW = CountermeasureDecision.ALLOW
 _DELAY_REMOVE = CountermeasureDecision.DELAY_REMOVE

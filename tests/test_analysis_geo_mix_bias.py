@@ -16,8 +16,9 @@ from repro.detection.classifier import AttributedActivity
 from repro.netsim.client import ClientEndpoint, DeviceFingerprint
 from repro.platform import InstagramPlatform
 from repro.platform.actions import ActionLog
-from repro.platform.models import ActionRecord, ActionStatus, ActionType, ApiSurface
+from repro.platform.models import ActionStatus, ActionType, ApiSurface
 from repro.util import derive_rng
+from tests.oracles.actionlog import ActionRecord
 
 
 def make_record(action_id, actor=1, target=2, action_type=ActionType.LIKE,

@@ -8,8 +8,9 @@ from repro.analysis.outcomes import customer_vs_organic, summarize_outcomes
 from repro.core.study import INSTA_STAR
 from repro.detection.classifier import AttributedActivity
 from repro.netsim.client import ClientEndpoint, DeviceFingerprint
-from repro.platform.models import ActionRecord, ActionStatus, ActionType, ApiSurface
+from repro.platform.models import ActionStatus, ActionType, ApiSurface
 from repro.util import derive_rng
+from tests.oracles.actionlog import ActionRecord
 
 
 def make_record(action_id, actor, target, action_type=ActionType.LIKE,

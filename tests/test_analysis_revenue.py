@@ -11,7 +11,8 @@ from repro.analysis.revenue import (
 from repro.detection.classifier import AttributedActivity
 from repro.detection.customers import CustomerBaseAnalytics
 from repro.netsim.client import ClientEndpoint, DeviceFingerprint
-from repro.platform.models import ActionRecord, ActionStatus, ActionType, ApiSurface
+from repro.platform.models import ActionStatus, ActionType, ApiSurface
+from tests.oracles.actionlog import ActionRecord
 
 
 def make_record(action_id, actor, target, tick, action_type=ActionType.FOLLOW, media=None):

@@ -28,6 +28,7 @@ import pytest
 from repro.core import Study, StudyConfig
 from repro.core import experiments as E
 from repro.core import reporting as R
+from repro.fleet import PREFIX_SIGNATURES, build_prefix, restore_study, snapshot_study
 from repro.interventions.experiment import BroadInterventionPlan
 from repro.obs import canonical_lines
 
@@ -182,6 +183,33 @@ def test_every_agent_runs_every_tick(golden_run) -> None:
     runs = study.obs.metrics.get_counter_value("core.scheduler.agent_runs")
     assert agents > 0
     assert runs == agents * study.clock.now
+
+
+# ----------------------------------------------------------------------
+# The log's endpoint column holds references: the world shares one
+# object per endpoint value, so the column stores no copies.
+# ----------------------------------------------------------------------
+
+
+def _assert_endpoints_shared(study: Study) -> None:
+    endpoints = study.platform.log._cols.endpoints
+    assert endpoints
+    assert len({id(e) for e in endpoints}) == len(set(endpoints))
+
+
+def test_log_endpoints_are_shared_objects(golden_run) -> None:
+    study, _ = golden_run
+    _assert_endpoints_shared(study)
+
+
+def test_log_endpoints_stay_shared_across_restore() -> None:
+    study = build_prefix(_config(), PREFIX_SIGNATURES)
+    _assert_endpoints_shared(study)
+    restored = restore_study(snapshot_study(study, PREFIX_SIGNATURES))
+    _assert_endpoints_shared(restored)
+    # rows appended after the restore reuse the restored world's objects
+    restored.run_measurement(days_=1)
+    _assert_endpoints_shared(restored)
 
 
 # ----------------------------------------------------------------------

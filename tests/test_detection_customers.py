@@ -6,7 +6,8 @@ from repro.aas.base import ServiceType
 from repro.detection.classifier import AttributedActivity
 from repro.detection.customers import CustomerActivity, CustomerBaseAnalytics
 from repro.netsim.client import ClientEndpoint, DeviceFingerprint
-from repro.platform.models import ActionRecord, ActionStatus, ActionType, ApiSurface
+from repro.platform.models import ActionStatus, ActionType, ApiSurface
+from tests.oracles.actionlog import ActionRecord
 
 
 def make_record(action_id, actor, target, day, action_type=ActionType.FOLLOW):

@@ -12,7 +12,8 @@ from repro.detection.evaluation import (
 from repro.detection.signals import ServiceSignature
 from repro.netsim.client import ClientEndpoint, DeviceFingerprint
 from repro.platform.actions import ActionLog
-from repro.platform.models import ActionRecord, ActionStatus, ActionType, ApiSurface
+from repro.platform.models import ActionStatus, ActionType, ApiSurface
+from tests.oracles.actionlog import ActionRecord
 
 
 def make_record(action_id, asn, variant):

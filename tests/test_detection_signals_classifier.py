@@ -7,7 +7,8 @@ from repro.detection.classifier import AASClassifier
 from repro.detection.signals import ServiceSignature, learn_signature
 from repro.netsim.client import ClientEndpoint, DeviceFingerprint
 from repro.platform.actions import ActionLog
-from repro.platform.models import ActionRecord, ActionStatus, ActionType, ApiSurface
+from repro.platform.models import ActionStatus, ActionType, ApiSurface
+from tests.oracles.actionlog import ActionRecord
 
 
 def make_record(action_id=0, asn=100, variant="aas-x", actor=1, target=2,

@@ -140,6 +140,8 @@ class TestEnvelope:
     # |         | (observers take row ranges)                             |
     # | 13      | no per-country ad impressions, no Followersgratis       |
     # |         | subclass, no password epochs, no unread failure counts  |
+    # | 14      | the action log's endpoint column holds each row's       |
+    # |         | endpoint by reference (no intern table, no id column)   |
     @pytest.mark.parametrize("version", range(2, SNAPSHOT_SCHEMA_VERSION))
     def test_older_version_envelope_rejected(self, version: int) -> None:
         expected = f"schema_version {version} != current {SNAPSHOT_SCHEMA_VERSION}"

@@ -13,7 +13,8 @@ from repro.interventions.policy import ThresholdBinPolicy
 from repro.interventions.thresholds import CountSubject, ThresholdEntry, ThresholdTable
 from repro.netsim.client import ClientEndpoint, DeviceFingerprint
 from repro.platform.countermeasures import ActionContext, CountermeasureDecision
-from repro.platform.models import ActionRecord, ActionStatus, ActionType, ApiSurface
+from repro.platform.models import ActionStatus, ActionType, ApiSurface
+from tests.oracles.actionlog import ActionRecord
 
 ASN = 500
 

@@ -9,7 +9,8 @@ from repro.interventions.thresholds import (
     compute_thresholds,
 )
 from repro.netsim.client import ClientEndpoint, DeviceFingerprint
-from repro.platform.models import ActionRecord, ActionStatus, ActionType, ApiSurface
+from repro.platform.models import ActionStatus, ActionType, ApiSurface
+from tests.oracles.actionlog import ActionRecord
 
 
 def make_record(action_id, actor, asn, tick, action_type=ActionType.FOLLOW,

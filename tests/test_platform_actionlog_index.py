@@ -13,8 +13,9 @@ import pytest
 
 from repro.netsim.client import ClientEndpoint, DeviceFingerprint
 from repro.platform.actions import ActionLog
-from repro.platform.models import ActionRecord, ActionStatus, ActionType, ApiSurface
+from repro.platform.models import ActionStatus, ActionType, ApiSurface
 from repro.util import derive_rng
+from tests.oracles.actionlog import ActionRecord
 
 ACTORS = list(range(1, 9))
 TARGETS = list(range(1, 12))
@@ -130,17 +131,6 @@ def test_select_and_daily_count_equal_brute_force(monotonic: bool) -> None:
                 and r.status is not ActionStatus.BLOCKED
             )
             assert log.daily_count(actor, day) == expected
-
-
-def test_endpoints_are_interned() -> None:
-    rng = derive_rng(13, "actionlog-intern")
-    log = _random_log(rng, n=120)
-    canonical: dict[ClientEndpoint, ClientEndpoint] = {}
-    for record in log:
-        first = canonical.setdefault(record.endpoint, record.endpoint)
-        assert record.endpoint is first  # equal endpoints share one object
-    # distinct endpoint values stay distinct
-    assert len(canonical) > 1
 
 
 def test_observer_sees_every_append_once() -> None:

@@ -22,10 +22,9 @@ from repro.aas.base import ServiceType
 from repro.detection.classifier import AASClassifier
 from repro.detection.signals import ServiceSignature
 from repro.platform.actions import ActionLog
-from repro.platform.models import ActionRecord
 from repro.util.rng import derive_rng
 
-from tests.oracles.actionlog import ListActionLog
+from tests.oracles.actionlog import ActionRecord, ListActionLog
 from tests.test_platform_actionlog_batch import _random_row
 from tests.test_platform_columnar_log import _assert_queries_equivalent
 

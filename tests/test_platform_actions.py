@@ -4,7 +4,8 @@ import pytest
 
 from repro.netsim.client import ClientEndpoint, DeviceFingerprint
 from repro.platform.actions import ActionLog
-from repro.platform.models import ActionRecord, ActionStatus, ActionType, ApiSurface
+from repro.platform.models import ActionStatus, ActionType, ApiSurface
+from tests.oracles.actionlog import ActionRecord
 
 
 def record(log, action_type=ActionType.LIKE, actor=1, target=2, tick=0, status=ActionStatus.DELIVERED):

@@ -18,7 +18,6 @@ class TestSimClock:
         clock = SimClock()
         clock.advance(24 * 8)
         assert clock.day == 8
-        assert clock.week == 1
 
     def test_negative_start_rejected(self):
         with pytest.raises(ValueError):

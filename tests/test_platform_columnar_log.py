@@ -15,13 +15,12 @@ from repro.util.rng import derive_rng
 from repro.platform.actions import ActionLog
 from repro.platform.columns import ActionColumns, ActionView
 from repro.platform.models import (
-    ActionRecord,
     ActionStatus,
     ActionType,
     ApiSurface,
 )
 
-from tests.oracles.actionlog import ListActionLog
+from tests.oracles.actionlog import ActionRecord, ListActionLog
 
 _ENDPOINTS = [
     ClientEndpoint(0x0A000001, 64512, DeviceFingerprint("android")),

@@ -11,7 +11,8 @@ from repro.platform.countermeasures import (
     CountermeasureDecision,
     CountermeasureEngine,
 )
-from repro.platform.models import ActionRecord, ActionStatus, ActionType, ApiSurface
+from repro.platform.models import ActionStatus, ActionType, ApiSurface
+from tests.oracles.actionlog import ActionRecord
 
 
 def make_context(actor=1, action_type=ActionType.FOLLOW, tick=0):

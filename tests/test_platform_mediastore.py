@@ -63,7 +63,8 @@ class TestMediaStore:
         media = store.create(1, 0)
         store.comment(media.media_id, 2, "nice")
         store.comment(media.media_id, 3, "wow")
-        assert store.comments(media.media_id) == [(2, "nice"), (3, "wow")]
+        # each comment counts once toward the owner's engagement rate
+        assert store.engagement_rate(1, follower_count=4) == pytest.approx(0.5)
 
     def test_remove_account_media_tombstones(self):
         store = MediaStore()

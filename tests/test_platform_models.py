@@ -5,12 +5,12 @@ import pytest
 from repro.netsim.client import ClientEndpoint, DeviceFingerprint
 from repro.platform.models import (
     Account,
-    ActionRecord,
     ActionStatus,
     ActionType,
     ApiSurface,
     Profile,
 )
+from tests.oracles.actionlog import ActionRecord
 
 
 class TestProfile:

@@ -439,6 +439,9 @@ def violations(rule: str, src: Source) -> list[str]:
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+#: a string constant that names code: a dotted path, ``module:Qual.name``
+#: target or bare identifier — no spaces, so English prose never matches
+_REFERENCE_STRING = re.compile(r"[\w.:+-]+")
 
 
 def _under(path: str, tops: tuple[str, ...]) -> bool:
@@ -464,8 +467,11 @@ def _public_definitions(
 def _references(src: Source) -> Iterator[tuple[str, int]]:
     """``(name, line)`` for each name the code of ``src`` uses: names,
     attributes, imported names, keyword arguments and the identifiers in
-    string constants. Comments and docstrings (any bare string statement)
-    are not code, nor are a package ``__init__``'s re-exports and
+    string constants that read as references (:data:`_REFERENCE_STRING`:
+    a whole string of word characters, dots, colons, plus and minus
+    signs). Prose in a string does not reach — neither does an f-string's
+    text around its fields. Comments and docstrings (any bare string
+    statement) are not code, nor are a package ``__init__``'s re-exports and
     ``__all__``."""
     skipped: set[int] = set()
     for node in src.nodes:
@@ -491,7 +497,11 @@ def _references(src: Source) -> Iterator[tuple[str, int]]:
                 yield part, node.lineno
         elif isinstance(node, ast.keyword) and node.arg:
             yield node.arg, node.lineno
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and _REFERENCE_STRING.fullmatch(node.value)
+        ):
             for word in _IDENTIFIER.findall(node.value):
                 yield word, node.lineno
 
@@ -825,6 +835,16 @@ REACH_CASES: list[tuple[dict[str, str], bool]] = [
     """}, False),
     ({"src/repro/aas/sample.py": "def _private():\n    return 1\n"}, False),
     ({"examples/demo.py": _LONELY, "perfbench/run.py": _LONELY}, False),
+    ({"src/repro/aas/sample.py": """
+        class Clock:
+            def week(self):
+                return 0
+    """, "examples/demo.py": """
+        from repro.aas.sample import Clock
+
+        period = 3
+        print(f"  week {period}", Clock())
+    """}, True),
 ]
 
 

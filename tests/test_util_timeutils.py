@@ -8,7 +8,6 @@ from repro.util.timeutils import (
     days,
     hours,
     tick_to_day,
-    tick_to_week,
     weeks,
 )
 
@@ -31,12 +30,6 @@ class TestUnits:
         assert tick_to_day(23) == 0
         assert tick_to_day(24) == 1
 
-    def test_tick_to_week(self):
-        assert tick_to_week(167) == 0
-        assert tick_to_week(168) == 1
-
     def test_negative_tick_raises(self):
         with pytest.raises(ValueError):
             tick_to_day(-1)
-        with pytest.raises(ValueError):
-            tick_to_week(-5)
