@@ -17,7 +17,9 @@ from repro.aas.ads import HIGH_CPM_CENTS, LOW_CPM_CENTS
 from repro.aas.pricing import HublaagramCatalog, SubscriptionPricing
 from repro.detection.classifier import AttributedActivity
 from repro.detection.customers import CustomerBaseAnalytics
+from repro.platform.columns import NO_VALUE
 from repro.platform.models import AccountId, ActionStatus, ActionType
+from repro.util.timeutils import HOURS_PER_DAY
 
 
 @dataclass
@@ -98,7 +100,8 @@ def _likes_by_account(
     """Attributed inbound likes grouped two ways.
 
     Returns ``(hourly, daily)`` where hourly[account][media][tick] and
-    daily[account][media][day] count service-delivered likes.
+    daily[account][media][day] count service-delivered likes. Reads the
+    log's columns over the attributed row ids.
     """
     hourly: dict[AccountId, dict[int, dict[int, int]]] = defaultdict(
         lambda: defaultdict(lambda: defaultdict(int))
@@ -106,15 +109,26 @@ def _likes_by_account(
     daily: dict[AccountId, dict[int, dict[int, int]]] = defaultdict(
         lambda: defaultdict(lambda: defaultdict(int))
     )
-    for record in activity.records:
-        if record.action_type is not ActionType.LIKE:
+    cols, rows = activity.rows()
+    if cols is None:
+        return hourly, daily
+    like = ActionType.LIKE.col_code
+    blocked = ActionStatus.BLOCKED.col_code
+    type_codes = cols.type_codes
+    status_codes = cols.status_codes
+    ticks = cols.ticks
+    targets = cols.target_accounts
+    medias = cols.target_medias
+    for row in rows:
+        if type_codes[row] != like or status_codes[row] == blocked:
             continue
-        if record.status is ActionStatus.BLOCKED:
+        target = targets[row]
+        media = medias[row]
+        if target == NO_VALUE or media == NO_VALUE:
             continue
-        if record.target_account is None or record.target_media is None:
-            continue
-        hourly[record.target_account][record.target_media][record.tick] += 1
-        daily[record.target_account][record.target_media][record.day] += 1
+        tick = ticks[row]
+        hourly[target][media][tick] += 1
+        daily[target][media][tick // HOURS_PER_DAY] += 1
     return hourly, daily
 
 

@@ -18,6 +18,12 @@ Advances the organic population one tick at a time:
   accounts they follow, plus popularity-weighted discovery). This is the
   legitimate activity blended into mixed ASNs that intervention
   thresholds must not misclassify (Section 6.2's false-positive bound).
+  The population's ids are one contiguous block, so the organic part of
+  an actor's sorted following view is one bisected slice, and the
+  follow-target pick indexes the view inside it without building a
+  filtered list. The like pick indexes ``MediaStore.unliked_of``, which
+  is the owner's cached media list whenever the actor has no like on
+  that owner.
 
 Organic users never discover zero-follower accounts on their own, so
 inactive honeypot accounts receive no actions — the attribution baseline
@@ -27,7 +33,7 @@ verify it.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,14 +82,6 @@ class OrganicActivityDriver:
         self.model = model
         self.params = params if params is not None else OrganicActivityParams()
         self._rng = rng
-        #: memo of the profile-filtered following list, keyed by actor and
-        #: validated by *identity* of the graph's following_view array:
-        #: the columnar graph drops the cached view object on any mutation
-        #: of that actor's out-row and builds a fresh one, so
-        #: ``entry_view is view`` proves the filtered list is current (the
-        #: memo holds a reference to the old view, so its id cannot be
-        #: recycled)
-        self._following_memo: dict[AccountId, tuple[object, list[AccountId]]] = {}
         #: memo of ``account_attractiveness``, validated by identity of
         #: the media store's cached ``media_of`` list (the store returns
         #: the same object until the owner's media change) plus the
@@ -104,6 +102,12 @@ class OrganicActivityDriver:
         }
         # Precomputed background-actor sampling distribution.
         self._actor_ids = list(population.account_ids)
+        #: the population's ids are one contiguous block (the population
+        #: checks it), so an account is organic iff it lies in
+        #: ``[first, last]`` and a sorted following view's organic part
+        #: is one bisected slice
+        self._first_id = self._actor_ids[0]
+        self._last_id = self._actor_ids[-1]
         rates = np.array(
             [population.profiles[a].background_rate for a in self._actor_ids], dtype=float
         )
@@ -257,7 +261,8 @@ class OrganicActivityDriver:
         like_share = self.params.background_like_share
         unliked_of = platform.media.unliked_of
         following_view = platform.graph.following_view
-        following_memo = self._following_memo
+        first_id = self._first_id
+        last_id = self._last_id
         follower_count = platform.follower_count
         min_followers = self.params.discovery_min_followers
         for _ in range(event_count):
@@ -283,17 +288,16 @@ class OrganicActivityDriver:
             # history, which a snapshot/restore cycle (repro.fleet) does
             # not preserve — the RNG-indexed pick below must see a
             # reproducible ordering either way. The graph serves the view
-            # from its cached sorted array (no copy).
+            # from its cached sorted array (no copy). Population ids are
+            # one block, so the profile-filtered following list is the
+            # view's slice ``[first, first + organic)``; the pick indexes
+            # the view there without building the list.
             view = following_view(actor)
-            entry = following_memo.get(actor)
-            if entry is not None and entry[0] is view:
-                following = entry[1]
-            else:
-                following = [account for account in view if account in profiles]
-                following_memo[actor] = (view, following)
+            first = bisect_left(view, first_id)
+            organic = bisect_right(view, last_id, first) - first
             target = None
-            if following and random() < 0.7:
-                target = following[int(integers(0, len(following)))]
+            if organic and random() < 0.7:
+                target = view[first + int(integers(0, organic))]
             else:
                 # Discovery: sample organically popular accounts.
                 for _attempt in range(4):

@@ -73,12 +73,21 @@ class PopulationConfig:
 
 
 class OrganicPopulation:
-    """The synthesized organic user base and its behaviour profiles."""
+    """The synthesized organic user base and its behaviour profiles.
+
+    Its account ids are one contiguous block, as :meth:`generate` mints
+    them in one ``create_account`` loop; the organic driver's following
+    pick relies on it, so construction checks it.
+    """
 
     def __init__(self, platform: InstagramPlatform, profiles: dict[AccountId, OrganicProfile]):
         self.platform = platform
         self.profiles = profiles
         self.account_ids = sorted(profiles)
+        if self.account_ids and (
+            self.account_ids[-1] - self.account_ids[0] + 1 != len(self.account_ids)
+        ):
+            raise ValueError("population account ids must be one contiguous block")
         out_degrees = [platform.following_count(a) for a in self.account_ids]
         in_degrees = [platform.follower_count(a) for a in self.account_ids]
         self.median_out_degree = median(out_degrees) if out_degrees else 0.0

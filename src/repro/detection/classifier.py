@@ -11,9 +11,12 @@ them exactly this way).
 The classifier binds to one :class:`~repro.platform.actions.ActionLog`
 at construction: it attributes the rows already there, then registers
 as a log observer and attributes every later row once, on append, into
-per-service (and benign) record caches. A sweep of any window is a
-binary search plus one list slice per service. The log only accepts
-appends in tick order, so the caches stay sorted by tick. The
+per-service (and benign) streams. A stream is two parallel
+``array('q')`` vectors, row ids and ticks, so the classifier holds no
+object per logged row. A sweep of any window is a binary search plus
+one slice per service, and only the rows a sweep returns are decoded
+into :class:`~repro.platform.columns.ActionView` flyweights. The log only
+accepts appends in tick order, so the streams stay sorted by tick. The
 reference semantics — every record in the window matched against the
 signature list, first matching signature wins — live with the tests
 (``tests/oracles/classifier.py``), and
@@ -29,6 +32,7 @@ hit or miss.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -37,7 +41,7 @@ from repro.aas.base import ServiceType
 from repro.detection.signals import ServiceSignature
 from repro.obs import NULL_OBS, Observability
 from repro.platform.actions import ActionLog
-from repro.platform.columns import ActionView
+from repro.platform.columns import ActionColumns, ActionView
 from repro.platform.models import AccountId, ActionStatus
 
 
@@ -48,6 +52,15 @@ class AttributedActivity:
     service: str
     service_type: ServiceType
     records: list[ActionView] = field(default_factory=list)
+
+    def rows(self) -> tuple[Optional[ActionColumns], list[int]]:
+        """The log columns behind :attr:`records` and the records' row
+        ids, for analyses that scan columns rather than decode a view
+        per field; ``(None, [])`` when there are no records."""
+        records = self.records
+        if not records:
+            return None, []
+        return records[0].columns, [r.action_id for r in records]
 
     @property
     def actors(self) -> set[AccountId]:
@@ -83,11 +96,11 @@ class AttributedActivity:
 _UNSEEN = object()
 
 
-def _cut_window(values: list, ticks: list[int], start_tick: int, end_tick: int | None) -> list:
-    """Slice ``values`` (parallel to sorted ``ticks``) to a tick window."""
+def _cut_window(rows: array, ticks: array, start_tick: int, end_tick: int | None) -> array:
+    """Slice ``rows`` (parallel to sorted ``ticks``) to a tick window."""
     lo = bisect_left(ticks, start_tick)
     hi = len(ticks) if end_tick is None else bisect_left(ticks, end_tick)
-    return values[lo:max(hi, lo)]
+    return rows[lo:max(hi, lo)]
 
 
 class AASClassifier:
@@ -95,7 +108,7 @@ class AASClassifier:
     signatures.
 
     The signature list must not be mutated after construction (the match
-    memo and streaming caches key off it); re-learning builds a new
+    memo and the streams key off it); re-learning builds a new
     classifier, as :meth:`repro.core.study.Study.learn_signatures` does.
     """
 
@@ -121,15 +134,13 @@ class AASClassifier:
         #: (asn, variant) -> service-or-None; matching reads only those two
         #: endpoint fields, so distinct pairs bound the matching work
         self._match_memo: dict[tuple[int, str], Optional[str]] = {}
-        # records are cached by reference, in tick order, so a window
-        # sweep is a bisect plus one slice
+        # each stream keeps row ids and their ticks in tick order, so a
+        # window sweep is a bisect plus one slice
         self._log = log
-        self._stream_records: dict[str, list[ActionView]] = {
-            s.service: [] for s in self.signatures
-        }
-        self._stream_ticks: dict[str, list[int]] = {s.service: [] for s in self.signatures}
-        self._benign_records: list[ActionView] = []
-        self._benign_ticks: list[int] = []
+        self._stream_rows: dict[str, array] = {s.service: array("q") for s in self.signatures}
+        self._stream_ticks: dict[str, array] = {s.service: array("q") for s in self.signatures}
+        self._benign_rows = array("q")
+        self._benign_ticks = array("q")
         for record in log:
             self._observe(record)
         log.add_observer(self._observe_batch)
@@ -166,53 +177,51 @@ class AASClassifier:
         self._log.remove_observer(self._observe_batch)
 
     def _observe(self, record: ActionView) -> None:
-        # one row of the attach-time replay: one memo lookup, two list
+        # one row of the attach-time replay: one memo lookup, two array
         # appends
         service = self.attribute(record)
         if service is None:
-            records, ticks = self._benign_records, self._benign_ticks
+            rows, ticks = self._benign_rows, self._benign_ticks
         else:
-            records, ticks = self._stream_records[service], self._stream_ticks[service]
-        records.append(record)
+            rows, ticks = self._stream_rows[service], self._stream_ticks[service]
+        rows.append(record.action_id)
         ticks.append(record.tick)
 
-    def _observe_batch(self, cols, start: int, end: int) -> None:
+    def _observe_batch(self, cols: ActionColumns, start: int, end: int) -> None:
         """The log observer: ingests one :meth:`ActionLog.append_batch`
         row range.
 
         Exactly ``end - start`` :meth:`_observe` calls' worth of state
         and telemetry: each row probes the match memo on its endpoint's
         (ASN, variant), hits are accumulated and charged once, and a miss
-        goes through :meth:`attribute`, which counts it. The memo dict,
-        the columns and — since batches are dominated by single-service
-        bursts — the per-service stream lists are resolved outside the
-        per-row loop.
+        decodes the row into a view for :meth:`attribute`, which counts
+        it. The memo dict, the columns and — since batches are dominated
+        by single-service bursts — the per-service stream arrays are
+        resolved outside the per-row loop.
         """
         match_memo = self._match_memo
         endpoints = cols.endpoints
         col_ticks = cols.ticks
-        benign = (self._benign_records, self._benign_ticks)
-        stream_records = self._stream_records
+        benign = (self._benign_rows, self._benign_ticks)
+        stream_rows = self._stream_rows
         stream_ticks = self._stream_ticks
         last_service: object = _UNSEEN
-        records: list = benign[0]
-        ticks: list = benign[1]
+        rows, ticks = benign
         memo_hits = 0
         for row in range(start, end):
-            record = ActionView(cols, row)
             endpoint = endpoints[row]
             service = match_memo.get((endpoint.asn, endpoint.fingerprint.variant), _UNSEEN)
             if service is _UNSEEN:
-                service = self.attribute(record)
+                service = self.attribute(ActionView(cols, row))
             else:
                 memo_hits += 1
             if service is not last_service:
                 last_service = service
                 if service is None:
-                    records, ticks = benign
+                    rows, ticks = benign
                 else:
-                    records, ticks = stream_records[service], stream_ticks[service]
-            records.append(record)
+                    rows, ticks = stream_rows[service], stream_ticks[service]
+            rows.append(row)
             ticks.append(col_ticks[row])
         if memo_hits:
             self._obs_memo_hit.inc(memo_hits)
@@ -233,16 +242,23 @@ class AASClassifier:
         attempts and the intervention analyses need them.
         """
         self._obs_sweeps.inc()
+        cols = self._log.columns
+        blocked = ActionStatus.BLOCKED.col_code
+        status_codes = cols.status_codes
         out = {}
         for signature in self.signatures:
-            records = _cut_window(
-                self._stream_records[signature.service],
+            rows = _cut_window(
+                self._stream_rows[signature.service],
                 self._stream_ticks[signature.service],
                 start_tick,
                 end_tick,
             )
-            if not include_blocked:
-                records = [r for r in records if r.status is not ActionStatus.BLOCKED]
+            if include_blocked:
+                records = [ActionView(cols, row) for row in rows]
+            else:
+                records = [
+                    ActionView(cols, row) for row in rows if status_codes[row] != blocked
+                ]
             out[signature.service] = AttributedActivity(
                 service=signature.service,
                 service_type=signature.service_type,
@@ -256,4 +272,6 @@ class AASClassifier:
         """Logged records in the window matching no signature — the
         legitimate-traffic pool the intervention thresholds are computed
         from (Section 6.2)."""
-        return _cut_window(self._benign_records, self._benign_ticks, start_tick, end_tick)
+        cols = self._log.columns
+        rows = _cut_window(self._benign_rows, self._benign_ticks, start_tick, end_tick)
+        return [ActionView(cols, row) for row in rows]

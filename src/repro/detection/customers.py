@@ -22,8 +22,10 @@ from dataclasses import dataclass, field
 from repro.aas.base import ServiceType
 from repro.detection.classifier import AttributedActivity
 from repro.netsim.geo import GeoIP, LoginGeolocator
+from repro.platform.columns import NO_VALUE
 from repro.platform.instagram import InstagramPlatform
 from repro.platform.models import AccountId
+from repro.util.timeutils import HOURS_PER_DAY
 
 
 @dataclass
@@ -67,17 +69,33 @@ class CustomerBaseAnalytics:
         self._build(activity)
 
     def _build(self, activity: AttributedActivity) -> None:
+        # reads the log's columns over the attributed row ids: no view
+        # decode per field
+        cols, rows = activity.rows()
+        if cols is None:
+            return
+        actors = cols.actors
+        ticks = cols.ticks
+        targets = cols.target_accounts
+        customers = self.customers
         collusion = self.service_type is ServiceType.COLLUSION_NETWORK
-        for record in activity.records:
-            participants = [record.actor]
-            if collusion and record.target_account is not None:
+        for row in rows:
+            actor = actors[row]
+            day = ticks[row] // HOURS_PER_DAY
+            entry = customers.get(actor)
+            if entry is None:
+                entry = customers[actor] = CustomerActivity(account_id=actor)
+            entry.active_days.add(day)
+            entry.action_count += 1
+            if collusion:
                 # For collusion networks, receiving service actions is
                 # engagement too (it is what customers request).
-                participants.append(record.target_account)
-            for account in participants:
-                entry = self.customers.setdefault(account, CustomerActivity(account_id=account))
-                entry.active_days.add(record.day)
-            self.customers[record.actor].action_count += 1
+                target = targets[row]
+                if target != NO_VALUE:
+                    entry = customers.get(target)
+                    if entry is None:
+                        entry = customers[target] = CustomerActivity(account_id=target)
+                    entry.active_days.add(day)
 
     # ------------------------------------------------------------------
     # Table 6

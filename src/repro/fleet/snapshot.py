@@ -53,7 +53,7 @@ from repro.fleet.spec import (
 )
 
 #: bumped whenever Study's pickled layout or the envelope shape changes
-SNAPSHOT_SCHEMA_VERSION = 14
+SNAPSHOT_SCHEMA_VERSION = 15
 
 
 class SnapshotError(RuntimeError):

@@ -215,6 +215,12 @@ class ActionLog:
     def next_id(self) -> int:
         return len(self)
 
+    @property
+    def columns(self) -> ActionColumns:
+        """The live row store, for readers that keep row ids and decode
+        only the rows they return (the classifier's streams)."""
+        return self._cols
+
     def __len__(self) -> int:
         return len(self._cols)
 

@@ -57,7 +57,7 @@ for _members in (_TYPES, _STATUSES, _APIS):
         _member.col_code = _code
 
 #: sentinel for "no value" in the optional int columns
-_NONE = -1
+NO_VALUE = -1
 
 
 class ActionColumns:
@@ -129,10 +129,10 @@ class ActionColumns:
         self.status_codes.extend([s.col_code for s in statuses_t])
         self.api_codes.extend([a.col_code for a in apis_t])
         self.target_accounts.extend(
-            [_NONE if t is None else t for t in targets_t]
+            [NO_VALUE if t is None else t for t in targets_t]
         )
-        self.target_medias.extend([_NONE if m is None else m for m in medias_t])
-        self.removed_ats.extend([_NONE] * n)
+        self.target_medias.extend([NO_VALUE if m is None else m for m in medias_t])
+        self.removed_ats.extend([NO_VALUE] * n)
         self.endpoints.extend(endpoints_t)
         if comments_t.count(None) != n:
             comment_texts = self.comment_texts
@@ -170,6 +170,12 @@ class ActionView:
         self.action_id = action_id
 
     @property
+    def columns(self) -> ActionColumns:
+        """The columns this view decodes, for readers that scan many
+        rows by id instead of decoding one view per row."""
+        return self._cols
+
+    @property
     def action_type(self) -> ActionType:
         return _TYPES[self._cols.type_codes[self.action_id]]
 
@@ -196,17 +202,17 @@ class ActionView:
     @property
     def target_account(self) -> Optional[AccountId]:
         value = self._cols.target_accounts[self.action_id]
-        return None if value == _NONE else value
+        return None if value == NO_VALUE else value
 
     @property
     def target_media(self) -> Optional[MediaId]:
         value = self._cols.target_medias[self.action_id]
-        return None if value == _NONE else value
+        return None if value == NO_VALUE else value
 
     @property
     def removed_at(self) -> Optional[int]:
         value = self._cols.removed_ats[self.action_id]
-        return None if value == _NONE else value
+        return None if value == NO_VALUE else value
 
     @property
     def comment_text(self) -> Optional[str]:

@@ -19,17 +19,19 @@ reference graph in ``tests/oracles/graph.py`` is property-tested in
   and the world wirer's ``bulk_follow_new`` builds a whole out-row with
   a single ``dict.fromkeys`` call.
 
-Sorted ``array('q')`` snapshots backing the non-copying view accessors
-are cached per account in side tables and dropped on mutation.
-
 Beyond the original mutation/degree API, the graph exposes:
 
-* ``following_view`` / ``followers_view`` — **sorted** integer
-  sequences, the cached ``array('q')`` returned without copying. Callers
-  must not mutate the result and must not hold it across graph
-  mutations. Sorted order (not hash order) is the contract: RNG-indexed
-  picks over a view are then reproducible across snapshot/restore
-  cycles, which do not preserve set iteration order.
+* ``following_view`` — the **sorted** ``array('q')`` of who an account
+  follows, cached per account once read and returned without copying.
+  ``follow`` and ``unfollow`` keep a cached view sorted in place (one
+  ``insort`` or one ``del`` at a bisected offset), so a view is never
+  re-sorted; ``bulk_follow_new`` drops its source's view. Callers must
+  not mutate the result. Sorted order (not hash order) is the contract:
+  RNG-indexed picks over a view are then reproducible across
+  snapshot/restore cycles, which do not preserve set iteration order.
+* ``followers_view`` — the sorted ``array('q')`` of an account's
+  followers, built on each call (its one caller, ``drop_account``,
+  walks it once).
 * ``bulk_follow_new`` — the population wirer's edge loop pushed down
   into the store: add edges from one source over a candidate stream,
   skipping self-picks and duplicates, up to a limit. Same skip
@@ -44,6 +46,7 @@ Beyond the original mutation/degree API, the graph exposes:
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, insort
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.obs import NULL_OBS, Observability
@@ -69,19 +72,6 @@ def _row(rows: _Rows, account: AccountId) -> dict[AccountId, None]:
     return row
 
 
-def _sorted_view(
-    rows: _Rows, views: dict[AccountId, array], account: AccountId
-) -> Sequence[AccountId]:
-    """The cached sorted ``array('q')`` of ``account``'s row in ``rows``."""
-    view = views.get(account)
-    if view is None:
-        row = rows[account] if account < len(rows) else None
-        if not row:
-            return _EMPTY_VIEW
-        view = views[account] = array(_ID_TYPECODE, sorted(row))
-    return view
-
-
 class FollowerGraph:
     """Directed follow edges on dense-indexed following/follower rows.
 
@@ -102,10 +92,10 @@ class FollowerGraph:
         #: followers
         self._out: _Rows = []
         self._in: _Rows = []
-        #: cached sorted array('q') snapshots of rows, dropped on
-        #: mutation; only accounts whose views were read carry an entry
+        #: sorted array('q') copies of following rows, kept sorted in
+        #: place by follow/unfollow; only accounts whose views were read
+        #: carry an entry
         self._out_views: dict[AccountId, array] = {}
-        self._in_views: dict[AccountId, array] = {}
         self._edge_count = 0
 
     # -- mutation ------------------------------------------------------
@@ -119,8 +109,9 @@ class FollowerGraph:
             raise InvalidActionError(f"{src} already follows {dst}")
         out[dst] = None
         _row(self._in, dst)[src] = None
-        self._out_views.pop(src, None)
-        self._in_views.pop(dst, None)
+        view = self._out_views.get(src)
+        if view is not None:
+            insort(view, dst)
         self._edge_count += 1
         self._obs_follows.inc()
 
@@ -131,8 +122,9 @@ class FollowerGraph:
             raise InvalidActionError(f"{src} does not follow {dst}")
         del out[dst]
         del self._in[dst][src]
-        self._out_views.pop(src, None)
-        self._in_views.pop(dst, None)
+        view = self._out_views.get(src)
+        if view is not None:
+            del view[bisect_left(view, dst)]
         self._edge_count -= 1
         self._obs_unfollows.inc()
 
@@ -182,10 +174,6 @@ class FollowerGraph:
                 rows_in[dst] = {src: None}
             else:
                 followers[src] = None
-        in_views = self._in_views
-        if in_views:
-            for dst in new:
-                in_views.pop(dst, None)
         self._edge_count += len(new)
         self._obs_bulk.inc(len(new))
         return len(new)
@@ -236,13 +224,21 @@ class FollowerGraph:
     def following_view(self, account: AccountId) -> Sequence[AccountId]:
         """Sorted, non-copying view of who ``account`` follows.
 
-        Valid only until the next graph mutation; do not mutate.
+        The graph keeps the returned array sorted in place across
+        ``follow`` and ``unfollow``; do not mutate it.
         """
-        return _sorted_view(self._out, self._out_views, account)
+        view = self._out_views.get(account)
+        if view is None:
+            row = self._out[account] if account < len(self._out) else None
+            if not row:
+                return _EMPTY_VIEW
+            view = self._out_views[account] = array(_ID_TYPECODE, sorted(row))
+        return view
 
     def followers_view(self, account: AccountId) -> Sequence[AccountId]:
-        """Sorted, non-copying view of ``account``'s followers."""
-        return _sorted_view(self._in, self._in_views, account)
+        """A sorted array of ``account``'s followers, built per call."""
+        row = self._in[account] if account < len(self._in) else None
+        return array(_ID_TYPECODE, sorted(row)) if row else _EMPTY_VIEW
 
     def out_degree(self, account: AccountId) -> int:
         row = self._out[account] if account < len(self._out) else None
@@ -263,20 +259,20 @@ class FollowerGraph:
         actions to or from the account are eventually removed".
         """
         removed = 0
+        # a copy: each unfollow deletes from the cached view in place
         for dst in list(self.following_view(account)):
             self.unfollow(account, dst)
             removed += 1
-        for src in list(self.followers_view(account)):
+        for src in self.followers_view(account):
             self.unfollow(src, account)
             removed += 1
         return removed
 
     def __getstate__(self) -> dict:
-        # view caches are derived state; rebuilding them on demand after
+        # the view cache is derived state; rebuilding it on demand after
         # a restore keeps the pickle small and consistent
         state = dict(self.__dict__)
         state["_out_views"] = {}
-        state["_in_views"] = {}
         return state
 
     def __setstate__(self, state: dict) -> None:

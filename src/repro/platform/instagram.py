@@ -354,7 +354,7 @@ class InstagramPlatform:
             raise InvalidActionError("comment text must be non-empty")
         if batch.policed:
             self._police(ActionType.COMMENT, actor, endpoint, api, owner, media_id)
-        self.media.comment(media_id, actor, text)
+        self.media.comment(media_id)
         rows = batch.rows
         action_id = batch.base + len(rows)
         tick = self.clock.now

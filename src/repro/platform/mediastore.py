@@ -1,4 +1,22 @@
-"""Media (photo/post) storage with like and comment bookkeeping."""
+"""Media (photo/post) storage with like and comment bookkeeping.
+
+Likes are sets of likers per media. Beside them the store keeps, for
+each liker, a count of its likes on each owner's media; ``like``,
+``unlike`` and ``drop_likes_by`` update it. Tombstoning an owner's media
+leaves the count alone, so it may include likes on removed media and
+only ever over-counts. That is the safe side: a liker whose count on an
+owner is zero has liked none of the owner's live media, and
+``unliked_of`` then returns the owner's cached ``media_of`` list without
+scanning it. Comments are a count per media; their text lives in the
+action log.
+
+Counting reads never insert: ``like_count``, ``has_liked``, ``likes``,
+``liked_by_all`` and ``engagement_rate`` probe through ``.get``, so
+asking about a media nobody liked or commented on leaves the store (and
+the pickled world) as it was. Only ``like`` and the pair memo behind
+``unliked_of``, which must hold the very set a later ``like`` mutates,
+index the likers defaultdict.
+"""
 
 from __future__ import annotations
 
@@ -18,7 +36,10 @@ class MediaStore:
         self._media: dict[MediaId, Media] = {}
         self._by_owner: dict[AccountId, list[MediaId]] = defaultdict(list)
         self._likers: dict[MediaId, set[AccountId]] = defaultdict(set)
-        self._comments: dict[MediaId, list[tuple[AccountId, str]]] = defaultdict(list)
+        #: liker -> owner -> likes by the liker on the owner's media
+        #: (removed media included); an owner with no likes has no entry
+        self._owner_likes: dict[AccountId, dict[AccountId, int]] = {}
+        self._comment_counts: dict[MediaId, int] = {}
         self._by_hashtag: dict[str, set[MediaId]] = defaultdict(set)
         self._next_id = 0
         #: memo of ``media_of`` results, invalidated on the two mutations
@@ -94,19 +115,28 @@ class MediaStore:
         if liker in likers:
             raise InvalidActionError(f"{liker} already likes media {media_id}")
         likers.add(liker)
+        owner_likes = self._owner_likes.get(liker)
+        if owner_likes is None:
+            owner_likes = self._owner_likes[liker] = {}
+        owner_likes[media.owner] = owner_likes.get(media.owner, 0) + 1
         return media
 
     def unliked_of(self, owner: AccountId, liker: AccountId) -> list[Media]:
         """Live media of ``owner`` that ``liker`` has not liked.
 
         Equivalent to filtering :meth:`media_of` through
-        :meth:`has_liked` — the organic response/background loops' media
-        pick — with the per-media method call replaced by a set probe
-        and the per-media likers-dict lookup memoized in
-        ``_pairs_cache``. Always builds a fresh list; safe to index into.
+        :meth:`has_liked` — the media pick of the organic loops and the
+        reciprocity AASs. When ``liker`` has no like on ``owner``'s media
+        this is :meth:`media_of`'s cached list itself, read-only like
+        ``media_of``; otherwise a fresh list filtered with one set probe
+        per media, the per-media likers-dict lookup memoized in
+        ``_pairs_cache``.
         """
-        pairs_cache = self._pairs_cache
         media = self.media_of(owner)
+        owner_likes = self._owner_likes.get(liker)
+        if owner_likes is None or owner not in owner_likes:
+            return media
+        pairs_cache = self._pairs_cache
         entry = pairs_cache.get(owner)
         if entry is not None and entry[0] is media:
             pairs = entry[1]
@@ -118,20 +148,26 @@ class MediaStore:
 
     def unlike(self, media_id: MediaId, liker: AccountId) -> None:
         """Withdraw a like (used by delayed removal of like actions)."""
-        self.get(media_id)
-        if liker not in self._likers[media_id]:
+        owner = self.get(media_id).owner
+        likers = self._likers.get(media_id, _NO_LIKERS)
+        if liker not in likers:
             raise InvalidActionError(f"{liker} does not like media {media_id}")
         self._likers[media_id].remove(liker)
+        owner_likes = self._owner_likes[liker]
+        if owner_likes[owner] == 1:
+            del owner_likes[owner]
+        else:
+            owner_likes[owner] -= 1
 
     def likes(self, media_id: MediaId) -> frozenset[AccountId]:
         self.get(media_id)
-        return frozenset(self._likers[media_id])
+        return frozenset(self._likers.get(media_id, _NO_LIKERS))
 
     def like_count(self, media_id: MediaId) -> int:
-        return len(self._likers[media_id])
+        return len(self._likers.get(media_id, _NO_LIKERS))
 
     def has_liked(self, media_id: MediaId, liker: AccountId) -> bool:
-        return liker in self._likers[media_id]
+        return liker in self._likers.get(media_id, _NO_LIKERS)
 
     def liked_by_all(self, media_id: MediaId, accounts: set[AccountId]) -> bool:
         """Whether every account in ``accounts`` likes ``media_id``.
@@ -142,9 +178,12 @@ class MediaStore:
         """
         return self._likers.get(media_id, _NO_LIKERS).issuperset(accounts)
 
-    def comment(self, media_id: MediaId, author: AccountId, text: str) -> None:
+    def comment(self, media_id: MediaId) -> None:
+        """Count one comment on ``media_id``; its author and text live
+        in the action log."""
         self.get(media_id)
-        self._comments[media_id].append((author, text))
+        counts = self._comment_counts
+        counts[media_id] = counts.get(media_id, 0) + 1
 
     def media_with_hashtag(self, tag: str) -> list[Media]:
         """Live media tagged ``tag`` (hashtag search, case-insensitive)."""
@@ -188,6 +227,7 @@ class MediaStore:
 
     def drop_likes_by(self, account: AccountId) -> int:
         """Remove every like ``account`` has placed (account deletion)."""
+        self._owner_likes.pop(account, None)
         removed = 0
         for media_id, likers in self._likers.items():
             if account in likers:
@@ -203,6 +243,9 @@ class MediaStore:
         """
         if follower_count <= 0:
             return None
-        media = self.media_of(owner)
-        interactions = sum(self.like_count(m.media_id) + len(self._comments[m.media_id]) for m in media)
+        comment_counts = self._comment_counts
+        interactions = sum(
+            self.like_count(m.media_id) + comment_counts.get(m.media_id, 0)
+            for m in self.media_of(owner)
+        )
         return interactions / follower_count

@@ -4,15 +4,18 @@
 window against the signature list — first matching signature wins —
 with no memo and no per-service streams. They take any records in log
 order, so the streaming suite can compare a classifier bound to a log
-against them.
+against them. :func:`logged_activity` turns hand-made rows into the
+activity a sweep returns: views of a real log.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
+from repro.aas.base import ServiceType
 from repro.detection.classifier import AttributedActivity
 from repro.detection.signals import ServiceSignature
+from repro.platform.actions import ActionLog
 from repro.platform.models import ActionStatus
 from tests.oracles.actionlog import ActionRecord
 
@@ -66,3 +69,20 @@ def benign_records(
         r for r in _window(records, start_tick, end_tick)
         if attribute(signatures, r) is None
     ]
+
+
+def logged_activity(
+    service: str, service_type: ServiceType, records: Iterable[ActionRecord]
+) -> AttributedActivity:
+    """``records`` appended to a fresh :class:`ActionLog`, in stable tick
+    order, and returned as an activity of that log's views — what the
+    analyses that read the log's columns need. Row ids are the log's, not
+    the hand-made ``action_id`` values."""
+    log = ActionLog()
+    rows = [
+        (r.action_type, r.actor, r.tick, r.endpoint, r.api, r.status,
+         r.target_account, r.target_media, r.comment_text)
+        for r in sorted(records, key=lambda r: r.tick)
+    ]
+    log.append_batch(rows)
+    return AttributedActivity(service, service_type, list(log))

@@ -182,7 +182,7 @@ class ScalarPlatform(InstagramPlatform):
         if not text:
             raise InvalidActionError("comment text must be non-empty")
         self._consult(ActionType.COMMENT, actor, endpoint, api, media.owner, media_id)
-        self.media.comment(media_id, actor, text)
+        self.media.comment(media_id)
         record = self._log(
             ActionType.COMMENT,
             actor,

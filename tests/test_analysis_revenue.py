@@ -8,11 +8,11 @@ from repro.analysis.revenue import (
     estimate_hublaagram_revenue,
     estimate_reciprocity_revenue,
 )
-from repro.detection.classifier import AttributedActivity
 from repro.detection.customers import CustomerBaseAnalytics
 from repro.netsim.client import ClientEndpoint, DeviceFingerprint
 from repro.platform.models import ActionStatus, ActionType, ApiSurface
 from tests.oracles.actionlog import ActionRecord
+from tests.oracles.classifier import logged_activity
 
 
 def make_record(action_id, actor, target, tick, action_type=ActionType.FOLLOW, media=None):
@@ -36,7 +36,7 @@ def reciprocity_analytics(active_days_by_actor):
         for d in days_:
             records.append(make_record(i, actor, 999, d * 24))
             i += 1
-    activity = AttributedActivity("R", ServiceType.RECIPROCITY_ABUSE, records)
+    activity = logged_activity("R", ServiceType.RECIPROCITY_ABUSE, records)
     return CustomerBaseAnalytics(activity, long_term_days=7)
 
 
@@ -84,7 +84,7 @@ class TestHublaagramRevenue:
     CATALOG = HublaagramCatalog().scaled(0.1)  # packages 200/500/1000, tiers from 25
 
     def _estimate(self, records):
-        activity = AttributedActivity("H", ServiceType.COLLUSION_NETWORK, records)
+        activity = logged_activity("H", ServiceType.COLLUSION_NETWORK, records)
         return estimate_hublaagram_revenue(
             activity,
             self.CATALOG,

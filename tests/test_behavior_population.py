@@ -98,6 +98,14 @@ class TestGeneration:
 
         assert build() == build()
 
+    def test_ids_form_one_block(self, world):
+        platform, _, population, _ = world
+        ids = population.account_ids
+        assert ids == list(range(ids[0], ids[-1] + 1))
+        gapped = {a: p for a, p in population.profiles.items() if a != ids[1]}
+        with pytest.raises(ValueError, match="contiguous"):
+            OrganicPopulation(platform, gapped)
+
 
 class TestPopulationConfig:
     def test_weights_must_sum_to_one(self):

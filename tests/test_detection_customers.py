@@ -3,11 +3,11 @@
 import pytest
 
 from repro.aas.base import ServiceType
-from repro.detection.classifier import AttributedActivity
 from repro.detection.customers import CustomerActivity, CustomerBaseAnalytics
 from repro.netsim.client import ClientEndpoint, DeviceFingerprint
 from repro.platform.models import ActionStatus, ActionType, ApiSurface
 from tests.oracles.actionlog import ActionRecord
+from tests.oracles.classifier import logged_activity
 
 
 def make_record(action_id, actor, target, day, action_type=ActionType.FOLLOW):
@@ -24,7 +24,7 @@ def make_record(action_id, actor, target, day, action_type=ActionType.FOLLOW):
 
 
 def activity_for(records, service_type=ServiceType.RECIPROCITY_ABUSE):
-    return AttributedActivity(service="X", service_type=service_type, records=list(records))
+    return logged_activity("X", service_type, records)
 
 
 class TestCustomerActivity:

@@ -142,6 +142,9 @@ class TestEnvelope:
     # |         | subclass, no password epochs, no unread failure counts  |
     # | 14      | the action log's endpoint column holds each row's       |
     # |         | endpoint by reference (no intern table, no id column)   |
+    # | 15      | classifier streams are row-id and tick arrays; media    |
+    # |         | store keeps per-liker owner like counts and comment     |
+    # |         | counts; no organic following memo; no follower views    |
     @pytest.mark.parametrize("version", range(2, SNAPSHOT_SCHEMA_VERSION))
     def test_older_version_envelope_rejected(self, version: int) -> None:
         expected = f"schema_version {version} != current {SNAPSHOT_SCHEMA_VERSION}"

@@ -58,10 +58,12 @@ class TestCommittedHistory:
         assert "0 finding(s)" in out
 
     def test_records_are_consecutive_prs_with_full_shas(self) -> None:
+        # records follow PR order; a PR that claims no speed change may
+        # add no record (PRs 26-33 added none), so numbers can skip
         records = [json.loads(line) for line in HISTORY.read_text().splitlines()]
         prs = [record["pr"] for record in records]
         assert prs[0] == 13
-        assert prs == list(range(13, 13 + len(prs)))
+        assert all(a < b for a, b in zip(prs, prs[1:]))
         for record in records:
             sha = record["git_sha"]
             assert len(sha) == 40 and int(sha, 16) >= 0

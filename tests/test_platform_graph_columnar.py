@@ -138,13 +138,38 @@ class TestColumnarViewSemantics:
         graph.follow(1, 5)
         assert list(graph.following_view(1)) == [3, 5, 9]
 
-    def test_view_is_cached_until_mutation(self):
-        graph = FollowerGraph()
-        graph.follow(1, 2)
-        first = graph.following_view(1)
-        assert graph.following_view(1) is first  # non-copying
-        graph.follow(1, 3)
-        assert graph.following_view(1) is not first
+    def test_views_kept_sorted_in_place(self):
+        """Every cached following view equals the sorted reference row
+        after each follow, unfollow, drop_account and bulk_follow_new,
+        and follow/unfollow update it in place (same array object)."""
+        for seed in range(4):
+            rng = derive_rng(seed, "graph-views")
+            fast, ref = FollowerGraph(), SetFollowerGraph()
+            for _ in range(400):
+                op = rng.random()
+                src = int(rng.integers(1, N_ACCOUNTS + 1))
+                dst = int(rng.integers(1, N_ACCOUNTS + 1))
+                # read a random view first, so the cache holds views
+                # that the mutation below must keep current
+                fast.following_view(int(rng.integers(1, N_ACCOUNTS + 1)))
+                held = fast._out_views.get(src)
+                if op < 0.5:
+                    _apply_both(fast, ref, "follow", src, dst)
+                elif op < 0.8:
+                    _apply_both(fast, ref, "unfollow", src, dst)
+                elif op < 0.92:
+                    candidates = [
+                        int(c) for c in rng.integers(1, N_ACCOUNTS + 1, size=6)
+                    ]
+                    _apply_both(fast, ref, "bulk_follow_new", src, candidates, 4)
+                    held = None
+                else:
+                    _apply_both(fast, ref, "drop_account", src)
+                if held is not None:
+                    assert fast._out_views[src] is held
+                for account, view in fast._out_views.items():
+                    assert list(view) == sorted(ref.following(account))
+                assert list(fast.following_view(src)) == sorted(ref.following(src))
 
     def test_empty_view_for_unknown_account(self):
         graph = FollowerGraph()

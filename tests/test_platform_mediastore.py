@@ -4,6 +4,7 @@ import pytest
 
 from repro.platform.errors import InvalidActionError, UnknownMediaError
 from repro.platform.mediastore import MediaStore
+from repro.util.rng import derive_rng
 
 
 class TestMediaStore:
@@ -61,8 +62,8 @@ class TestMediaStore:
     def test_comments_accumulate(self):
         store = MediaStore()
         media = store.create(1, 0)
-        store.comment(media.media_id, 2, "nice")
-        store.comment(media.media_id, 3, "wow")
+        store.comment(media.media_id)
+        store.comment(media.media_id)
         # each comment counts once toward the owner's engagement rate
         assert store.engagement_rate(1, follower_count=4) == pytest.approx(0.5)
 
@@ -88,10 +89,72 @@ class TestMediaStore:
         media = store.create(1, 0)
         store.like(media.media_id, 2)
         store.like(media.media_id, 3)
-        store.comment(media.media_id, 4, "!")
+        store.comment(media.media_id)
         assert store.engagement_rate(1, follower_count=10) == pytest.approx(0.3)
 
     def test_engagement_rate_no_followers_is_none(self):
         store = MediaStore()
         store.create(1, 0)
         assert store.engagement_rate(1, follower_count=0) is None
+
+    def test_reads_insert_nothing(self):
+        store = MediaStore()
+        media = store.create(1, 0)
+        assert store.engagement_rate(1, follower_count=4) == 0.0
+        assert store.like_count(media.media_id) == 0
+        assert (len(store._likers), len(store._comment_counts)) == (0, 0)
+
+
+class TestUnlikedOf:
+    N_OWNERS = 4
+    N_LIKERS = 5
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_brute_filter(self, seed):
+        """``unliked_of`` equals the brute filter of ``media_of`` over a
+        reference like set, and is ``media_of``'s own list exactly when
+        the liker has no like on any of the owner's media, removed media
+        included."""
+        rng = derive_rng(seed, "unliked-of")
+        store = MediaStore()
+        owner_of: dict[int, int] = {}
+        liked: set[tuple[int, int]] = set()
+        for owner in range(1, self.N_OWNERS + 1):
+            owner_of[store.create(owner, 0).media_id] = owner
+        for step in range(600):
+            op = rng.random()
+            liker = int(rng.integers(1, self.N_LIKERS + 1))
+            owner = int(rng.integers(1, self.N_OWNERS + 1))
+            live = store.media_of(owner)
+            if op < 0.45 and live:
+                media_id = live[int(rng.integers(0, len(live)))].media_id
+                if (liker, media_id) in liked:
+                    with pytest.raises(InvalidActionError):
+                        store.like(media_id, liker)
+                else:
+                    store.like(media_id, liker)
+                    liked.add((liker, media_id))
+            elif op < 0.7:
+                live_ids = {m.media_id for m in live}
+                mine = sorted(m for (who, m) in liked if who == liker and m in live_ids)
+                if mine:
+                    media_id = mine[int(rng.integers(0, len(mine)))]
+                    store.unlike(media_id, liker)
+                    liked.discard((liker, media_id))
+            elif op < 0.8:
+                store.drop_likes_by(liker)
+                liked = {(who, m) for (who, m) in liked if who != liker}
+            elif op < 0.88:
+                store.remove_account_media(owner)
+            else:
+                owner_of[store.create(owner, step).media_id] = owner
+            for check_owner in range(1, self.N_OWNERS + 1):
+                for check_liker in range(1, self.N_LIKERS + 1):
+                    media = store.media_of(check_owner)
+                    got = store.unliked_of(check_owner, check_liker)
+                    assert got == [m for m in media if (check_liker, m.media_id) not in liked]
+                    no_like = not any(
+                        who == check_liker and owner_of[m] == check_owner
+                        for (who, m) in liked
+                    )
+                    assert (got is media) == no_like
